@@ -45,6 +45,7 @@ def _build_config(args):
     if args.ref:
         cfg.refs = tuple(args.ref)
     cfg.out = str(args.out)
+    cfg.validate()
     return cfg
 
 

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import FramePlan
 from .numerics import log_cosh, log_mixture
 
 __all__ = [
@@ -84,20 +85,34 @@ def stat_hyped_exact(y, plan, params, p=0.5):
 
     General prior p on +1 payload symbols; at p = 1/2 the payload term
     reduces to sum of ln cosh(y_c / sigma2), and that faster path is taken.
+
+    `plan` may also be a sequence of splits of the same slot; the statistics
+    are then stacked along a new leading axis, one per split. At p = 1/2 the
+    ln cosh terms are computed once, from the shortest preamble on, and each
+    split sums its own columns of them, so every split's value is bit-identical
+    to a call with that split alone.
     """
-    y = _check_len(y, plan.n)
+    plans = [plan] if isinstance(plan, FramePlan) else list(plan)
     if not 0.0 < p <= 1.0:
         raise ValueError("prior must lie in (0, 1]")
-    y_p, y_c = plan.split(y)
+    y = _check_len(y, plans[0].n)
+    if any(pl.n != plans[0].n for pl in plans):
+        raise ValueError("all splits must cover the same slot length")
     s2 = params.sigma2
-    a = y_c / s2
-    if p == 0.5:
-        # ln[(e^a + e^-a)/2] = ln cosh(a)
-        payload = log_cosh(a).sum(axis=-1)
-    else:
-        payload = log_mixture(a, -a, p).sum(axis=-1)
-    pre = (y_p * plan.preamble).sum(axis=-1) / s2
-    return payload + pre - plan.n / (2.0 * s2)
+    first = min(pl.n_p for pl in plans)
+    a = y[..., first:] / s2
+    # ln[(e^a + e^-a)/2] = ln cosh(a)
+    terms = log_cosh(a) if p == 0.5 else None
+    out = []
+    for pl in plans:
+        if terms is not None:
+            payload = terms[..., pl.n_p - first :].sum(axis=-1)
+        else:
+            a_c = a[..., pl.n_p - first :]
+            payload = log_mixture(a_c, -a_c, p).sum(axis=-1)
+        pre = (y[..., : pl.n_p] * pl.preamble).sum(axis=-1) / s2
+        out.append(payload + pre - pl.n / (2.0 * s2))
+    return out[0] if isinstance(plan, FramePlan) else np.stack(out)
 
 
 def stat_hyped_heuristic(y, plan, gamma_a):
@@ -176,13 +191,36 @@ def batch_statistic(spec, y, plan, params, cb=None, genie_x=None):
 
     m_hat is 1-based where the statistic itself produces a message estimate
     (DAD, codebook-aided); other detectors decode separately.
+
+    `spec` and `plan` may instead be equal-length lists of entries that share
+    the observation batch `y`; the result is then a list with one
+    (stats, m_hat) pair per entry. HyPED-exact entries with a common prior
+    are evaluated by one stat_hyped_exact call, which computes the ln cosh
+    terms of the block once for all their splits.
     """
+    if isinstance(spec, DetectorSpec):
+        return batch_statistic([spec], y, [plan], params, cb, genie_x)[0]
+    if len(spec) != len(plan):
+        raise ValueError("need one plan per detector spec")
+    out = [None] * len(spec)
+    hyped = {}
+    for i, (s, pl) in enumerate(zip(spec, plan)):
+        if s.kind == "hyped-exact":
+            hyped.setdefault(s.prior, []).append(i)
+        else:
+            out[i] = _statistic(s, y, pl, params, cb, genie_x)
+    for prior, idx in hyped.items():
+        stats = stat_hyped_exact(y, [plan[i] for i in idx], params, prior)
+        for i, st in zip(idx, stats):
+            out[i] = (st, None)
+    return out
+
+
+def _statistic(spec, y, plan, params, cb, genie_x):
     kind = spec.kind
     if kind == "preamble":
         y_p = np.asarray(y)[..., : plan.n_p]
         return stat_preamble(y_p, plan, params), None
-    if kind == "hyped-exact":
-        return stat_hyped_exact(y, plan, params, spec.prior), None
     if kind == "hyped-heuristic":
         return stat_hyped_heuristic(y, plan, spec.gamma_a), None
     if kind == "dad":

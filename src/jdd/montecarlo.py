@@ -11,6 +11,22 @@ independent of how trials are sharded across workers.
 The threshold is always fit on the calibration stream and the achieved false
 alarm rate re-estimated on the evaluation stream, avoiding the optimistic
 bias of reusing the fitting sample.
+
+Entries
+-------
+`calibrate_threshold` and `estimate_rates` take one detector spec and one
+frame plan, or sequences of them (a lone spec or plan is broadcast against
+the other sequence); every (spec, plan) entry must cover the same slot
+length n. All entries are evaluated in one pass: each noise block of the
+calibration, idle-evaluation and active streams is drawn once and every
+entry's statistic is evaluated on it, and the random payloads of all
+lengths come from one payload draw per block. Because a trial's noise
+depends only on (seed, stream, trial index), each entry's result is
+identical to a call with that entry alone; a lone spec and plan is the
+same path with one entry, and returns a single result instead of a list.
+Memory: calibration holds an (entries x trials) float64 array of idle
+statistics for the quantile; evaluation-stream statistics are reduced to
+counts block by block and never stored.
 """
 
 import time
@@ -19,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import beta as beta_dist
 
-from .channel import TRIALS_PER_BLOCK, gaussian_block, uniform_block
-from .detectors import batch_statistic
+from .channel import TRIALS_PER_BLOCK, FramePlan, gaussian_block, uniform_block
+from .detectors import DetectorSpec, batch_statistic
 
 __all__ = [
     "RateEstimate",
@@ -80,16 +96,42 @@ def _blocks(trials):
         block += 1
 
 
-def _idle_stats(spec, plan, params, trials, seed, stream, cb=None):
-    out = np.empty(trials)
-    done = 0
-    genie_x = np.ones(params.n) if spec.kind == "genie" else None
+def _entries(spec, plan, params):
+    """Pair detector specs with frame plans; a lone spec or plan is broadcast.
+
+    Returns (specs, plans, single), where `single` says both arguments were
+    lone values, so the caller unwraps its one-entry result.
+    """
+    single = isinstance(spec, DetectorSpec) and isinstance(plan, FramePlan)
+    specs = [spec] if isinstance(spec, DetectorSpec) else list(spec)
+    plans = [plan] if isinstance(plan, FramePlan) else list(plan)
+    if len(specs) == 1:
+        specs = specs * len(plans)
+    elif len(plans) == 1:
+        plans = plans * len(specs)
+    if not specs or len(specs) != len(plans):
+        raise ValueError("need one or more (spec, plan) entries; a lone spec or plan is broadcast")
+    if any(pl.n != params.n for pl in plans):
+        raise ValueError(f"every plan must cover the slot length n={params.n}")
+    return specs, plans, single
+
+
+def _idle_stats(specs, plans, params, trials, seed, stream, cb=None):
+    """Yield (offset, per-entry idle statistics) for each noise block of `stream`."""
+    genie_x = np.ones(params.n)
     for block, count in _blocks(trials):
         y = gaussian_block(params.sigma2, seed, stream, block, (TRIALS_PER_BLOCK, params.n))[:count]
-        stats, _ = batch_statistic(spec, y, plan, params, cb=cb, genie_x=genie_x)
-        out[done : done + count] = stats
-        done += count
-    return out
+        results = batch_statistic(specs, y, plans, params, cb=cb, genie_x=genie_x)
+        yield block * TRIALS_PER_BLOCK, [stats for stats, _ in results]
+
+
+def _false_alarms(specs, plans, params, trials, seed, gammas, cb=None):
+    """Per-entry counts of evaluation-stream idle statistics >= gamma."""
+    counts = [0] * len(specs)
+    for _, block_stats in _idle_stats(specs, plans, params, trials, seed, STREAM_IDLE_EVAL, cb):
+        for i, (stats, gamma) in enumerate(zip(block_stats, gammas)):
+            counts[i] += int(np.sum(stats >= gamma))
+    return counts
 
 
 def calibrate_threshold(spec, plan, params, trials, eps_fa, seed, cb=None):
@@ -99,17 +141,26 @@ def calibrate_threshold(spec, plan, params, trials, eps_fa, seed, cb=None):
     achieved false alarm rate is re-estimated on an independent stream with
     the same trial count. Requires trials >= 50 / eps_fa so the target
     quantile is resolvable.
+
+    With a sequence of specs and/or plans (see the module docstring) all
+    entries are calibrated on the same noise blocks and a list with one
+    CalibrationResult per entry is returned.
     """
     trials = int(trials)
     if trials < 50 / eps_fa:
         raise ValueError(f"need >= {int(np.ceil(50 / eps_fa))} trials to resolve eps_fa={eps_fa}")
-    stats = _idle_stats(spec, plan, params, trials, seed, STREAM_CALIBRATION, cb)
-    gamma = float(np.quantile(stats, 1.0 - eps_fa, method="linear"))
+    specs, plans, single = _entries(spec, plan, params)
+    stats = np.empty((len(specs), trials))
+    for offset, block_stats in _idle_stats(specs, plans, params, trials, seed, STREAM_CALIBRATION, cb):
+        for row, entry_stats in zip(stats, block_stats):
+            row[offset : offset + len(entry_stats)] = entry_stats
+    gammas = [float(np.quantile(row, 1.0 - eps_fa, method="linear")) for row in stats]
     # degenerate statistic: an atom at the maximum heavier than the target
-    infeasible = bool(np.mean(stats >= stats.max()) > eps_fa)
-    eval_stats = _idle_stats(spec, plan, params, trials, seed, STREAM_IDLE_EVAL, cb)
-    achieved = RateEstimate.from_counts(int(np.sum(eval_stats >= gamma)), trials)
-    return CalibrationResult(gamma=gamma, achieved_pfa=achieved, infeasible=infeasible)
+    infeasible = [bool(np.mean(row >= row.max()) > eps_fa) for row in stats]
+    n_fa = _false_alarms(specs, plans, params, trials, seed, gammas, cb)
+    out = [CalibrationResult(gamma=g, achieved_pfa=RateEstimate.from_counts(c, trials), infeasible=inf)
+           for g, c, inf in zip(gammas, n_fa, infeasible)]
+    return out[0] if single else out
 
 
 def _draw_messages(M, seed, block, count):
@@ -117,8 +168,14 @@ def _draw_messages(M, seed, block, count):
     return np.minimum((u * M).astype(np.int64), M - 1) + 1
 
 
-def _draw_payload(n_c, seed, block, count):
-    u = uniform_block(seed, STREAM_PAYLOAD, block, (TRIALS_PER_BLOCK, n_c))[:count]
+def _payload_uniforms(n_c_max, seed, block):
+    # a (TRIALS_PER_BLOCK, n_c) draw is the leading TRIALS_PER_BLOCK * n_c
+    # values of this one, so a single draw serves every payload length
+    return uniform_block(seed, STREAM_PAYLOAD, block, (TRIALS_PER_BLOCK * n_c_max,))
+
+
+def _payload(u, n_c, count):
+    u = u[: TRIALS_PER_BLOCK * n_c].reshape(TRIALS_PER_BLOCK, n_c)[:count]
     return np.where(u < 0.5, 1.0, -1.0)
 
 
@@ -129,21 +186,27 @@ def estimate_rates(spec, plan, params, trials, seed, cb=None, decode=True):
     slots with uniformly drawn messages (or i.i.d. random payload when no
     codebook is supplied) drive the rest. pcw is conditioned on detection and
     is None when no codebook is attached or no trial was detected.
+
+    With a sequence of specs and/or plans (see the module docstring) all
+    entries share the idle noise, the active noise and the message draws,
+    and a list with one dict per entry is returned.
     """
     trials = int(trials)
-    if not np.isfinite(spec.gamma):
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    specs, plans, single = _entries(spec, plan, params)
+    if not all(np.isfinite(s.gamma) for s in specs):
         raise ValueError("detector threshold gamma is not set; calibrate first")
-    gamma = spec.gamma
+    gammas = [s.gamma for s in specs]
 
-    idle_stats = _idle_stats(spec, plan, params, trials, seed, STREAM_IDLE_EVAL, cb)
-    n_fa = int(np.sum(idle_stats >= gamma))
+    n_fa = _false_alarms(specs, plans, params, trials, seed, gammas, cb)
 
     from .codebook import ml_decode  # local import avoids a cycle at module load
 
-    n_md = 0
-    n_detected = 0
-    n_cw_err = 0
-    n_ie = 0
+    n_md = [0] * len(specs)
+    n_detected = [0] * len(specs)
+    n_cw_err = [0] * len(specs)
+    n_ie = [0] * len(specs)
     for block, count in _blocks(trials):
         z = gaussian_block(params.sigma2, seed, STREAM_ACTIVE_NOISE, block,
                            (TRIALS_PER_BLOCK, params.n))[:count]
@@ -152,34 +215,43 @@ def estimate_rates(spec, plan, params, trials, seed, cb=None, decode=True):
             x_c = cb.codewords[m - 1]
         else:
             m = None
-            x_c = _draw_payload(plan.n_c, seed, block, count)
-        x = np.concatenate([np.broadcast_to(plan.preamble, (count, plan.n_p)), x_c], axis=1)
-        y = x + z
+            u = _payload_uniforms(max(pl.n_c for pl in plans), seed, block)
+        decoded = None  # every plan puts the codeword in the same columns
+        for i, (s, plan) in enumerate(zip(specs, plans)):
+            if cb is None:
+                x_c = _payload(u, plan.n_c, count)
+            x = np.concatenate([np.broadcast_to(plan.preamble, (count, plan.n_p)), x_c], axis=1)
+            y = x + z
 
-        stats, m_hat = batch_statistic(spec, y, plan, params, cb=cb, genie_x=x)
-        detected = stats >= gamma
-        if m_hat is None and cb is not None and decode:
-            m_hat, _ = ml_decode(cb, y[:, plan.n_p :])
+            stats, m_hat = batch_statistic(s, y, plan, params, cb=cb, genie_x=x)
+            detected = stats >= gammas[i]
+            if m_hat is None and cb is not None and decode:
+                if decoded is None:
+                    decoded, _ = ml_decode(cb, y[:, plan.n_p :])
+                m_hat = decoded
 
-        n_md += int(np.sum(~detected))
-        n_detected += int(np.sum(detected))
-        if m is not None and m_hat is not None:
-            wrong = m_hat != m
-            n_cw_err += int(np.sum(detected & wrong))
-            n_ie += int(np.sum(~detected | wrong))
+            n_md[i] += int(np.sum(~detected))
+            n_detected[i] += int(np.sum(detected))
+            if m is not None and m_hat is not None:
+                wrong = m_hat != m
+                n_cw_err[i] += int(np.sum(detected & wrong))
+                n_ie[i] += int(np.sum(~detected | wrong))
+            else:
+                n_ie[i] += int(np.sum(~detected))
+
+    out = []
+    for i in range(len(specs)):
+        rates = {
+            "pfa": RateEstimate.from_counts(n_fa[i], trials),
+            "pmd": RateEstimate.from_counts(n_md[i], trials),
+            "pie": RateEstimate.from_counts(n_ie[i], trials),
+        }
+        if cb is not None and decode and n_detected[i] > 0:
+            rates["pcw"] = RateEstimate.from_counts(n_cw_err[i], n_detected[i])
         else:
-            n_ie += int(np.sum(~detected))
-
-    out = {
-        "pfa": RateEstimate.from_counts(n_fa, trials),
-        "pmd": RateEstimate.from_counts(n_md, trials),
-        "pie": RateEstimate.from_counts(n_ie, trials),
-    }
-    if cb is not None and decode and n_detected > 0:
-        out["pcw"] = RateEstimate.from_counts(n_cw_err, n_detected)
-    else:
-        out["pcw"] = None
-    return out
+            rates["pcw"] = None
+        out.append(rates)
+    return out[0] if single else out
 
 
 def write_manifest(path, entries):

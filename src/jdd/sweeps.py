@@ -16,7 +16,7 @@ import numpy as np
 from . import bounds
 from .bounds import Requirements, dt_error_estimate, info_density_samples
 from .channel import ChannelParams, FramePlan
-from .codebook import load_generator
+from .codebook import MAX_K, load_generator
 from .detectors import DetectorSpec
 from .montecarlo import calibrate_threshold, estimate_rates, write_manifest
 from .numerics import q_func, q_inv
@@ -59,6 +59,19 @@ class SweepConfig:
     def requirements(self):
         return Requirements(self.eps_fa, self.eps_md, self.eps_ie)
 
+    def validate(self):
+        """Raise ValueError for settings no sweep can run with."""
+        if self.trials < 1:
+            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.calib_trials < 0:
+            raise ValueError(f"calib_trials must be >= 0, got {self.calib_trials}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
+        if self.n < 1:
+            raise ValueError(f"n must be >= 1, got {self.n}")
+        if not 1 <= self.k <= MAX_K:
+            raise ValueError(f"k must lie in 1..{MAX_K}, got {self.k}")
+
     def calibration_trials(self):
         floor = int(np.ceil(50 / self.eps_fa))
         return max(self.calib_trials or 0, floor, self.trials)
@@ -71,7 +84,10 @@ _SCALAR_KEYS = {"es_n0_db": float, "n": int, "k": int, "eps_fa": float, "eps_md"
 
 
 def parse_config(text):
-    """Parse the line-based key=value grammar; lists are comma-separated."""
+    """Parse the line-based key=value grammar; lists are comma-separated.
+
+    Out-of-range settings are rejected here (see SweepConfig.validate).
+    """
     cfg = SweepConfig()
     for raw in str(text).splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -88,6 +104,7 @@ def parse_config(text):
             setattr(cfg, key, _SCALAR_KEYS[key](value))
         else:
             raise ValueError(f"unknown config key {key!r}")
+    cfg.validate()
     return cfg
 
 
@@ -154,19 +171,24 @@ def _split_candidates(cfg, n_total, k, scheme):
     return cands
 
 
-def _hyped_pmd(n_p, n_c, params, cfg, scheme):
-    """Calibrate the detector for one split and estimate its missed-detection rate.
+def _split_pmds(scheme, n_ps, params, cfg, req):
+    """Missed-detection rate at every candidate preamble split.
 
-    Uses the exact HyPED statistic (or the preamble-only statistic) with an
-    i.i.d. random payload, which is exactly the model under which the HyPED
-    LLR is the optimal Neyman-Pearson statistic.
+    The preamble matched filter has a closed form. Otherwise the exact HyPED
+    detector is calibrated and evaluated with an i.i.d. random payload, which
+    is exactly the model under which the HyPED LLR is the optimal
+    Neyman-Pearson statistic; all splits share one pass over the noise blocks.
     """
-    plan = FramePlan(n_p=n_p, n_c=n_c)
-    kind = "preamble" if scheme == "preamble" else "hyped-exact"
-    spec = DetectorSpec(kind=kind)
-    calib = calibrate_threshold(spec, plan, params, cfg.calibration_trials(), cfg.eps_fa, cfg.seed)
-    rates = estimate_rates(spec.with_gamma(calib.gamma), plan, params, cfg.trials, cfg.seed)
-    return plan, calib, rates["pmd"]
+    if scheme == "preamble":
+        return [float(1.0 - q_func(q_inv(req.eps_fa) - np.sqrt(n_p / params.sigma2))) for n_p in n_ps]
+    if not n_ps:
+        return []
+    plans = [FramePlan(n_p=n_p, n_c=params.n - n_p) for n_p in n_ps]
+    spec = DetectorSpec(kind="hyped-exact")
+    calibs = calibrate_threshold(spec, plans, params, cfg.calibration_trials(), cfg.eps_fa, cfg.seed)
+    rates = estimate_rates([spec.with_gamma(c.gamma) for c in calibs], plans, params,
+                           cfg.trials, cfg.seed)
+    return [r["pmd"].p_hat for r in rates]
 
 
 def run_rate_sweep(cfg, out_csv=None):
@@ -192,12 +214,12 @@ def run_rate_sweep(cfg, out_csv=None):
         if "genie" in cfg.schemes:
             m_ach = bounds.dt_bound_max_M(n, sigma2, cfg.eps_ie, cfg.trials, cfg.seed)
             m_con = bounds.meta_converse_max_M(n, sigma2, cfg.eps_ie, cfg.trials, cfg.seed)
-            rows.append(_row("genie", "achievability", n, cfg.es_n0_db, np.log2(m_ach) / n))
-            rows.append(_row("genie", "converse", n, cfg.es_n0_db, np.log2(max(m_con, 1)) / n))
+            rows.append(_row("genie", "achievability", n, cfg.es_n0_db, np.log2(float(m_ach)) / n))
+            rows.append(_row("genie", "converse", n, cfg.es_n0_db, np.log2(float(max(m_con, 1))) / n))
         if "dad" in cfg.schemes:
             M = bounds.dad_max_code_size(n, sigma2, req, dt_oracle)
             if M >= 1:
-                rows.append(_row("dad", "achievability", n, cfg.es_n0_db, np.log2(M) / n))
+                rows.append(_row("dad", "achievability", n, cfg.es_n0_db, np.log2(float(M)) / n))
             else:
                 rows.append(_row("dad", "achievability", n, cfg.es_n0_db, 0.0, flag="infeasible"))
         if "hyped" in cfg.schemes:
@@ -213,21 +235,19 @@ def _hyped_rate_point(cfg, n, sigma2, req):
     params = ChannelParams.from_db(cfg.es_n0_db, n)
     best_ach = None
     best_con = None
-    for n_p in _split_candidates(cfg, n, 1, "hyped"):
+    n_ps = [n_p for n_p in _split_candidates(cfg, n, 1, "hyped") if n - n_p >= 1]
+    for n_p, pmd in zip(n_ps, _split_pmds("hyped", n_ps, params, cfg, req)):
         n_c = n - n_p
-        if n_c < 1:
+        if pmd > req.eps_md:
             continue
-        _, _, pmd = _hyped_pmd(n_p, n_c, params, cfg, "hyped")
-        if pmd.p_hat > req.eps_md:
-            continue
-        budget = req.eps_ie - pmd.p_hat
+        budget = req.eps_ie - pmd
         if budget > 0:
             m_ach = bounds.dt_bound_max_M(n_c, sigma2, budget, cfg.trials, cfg.seed)
-            rate = np.log2(m_ach) / n
+            rate = np.log2(float(m_ach)) / n
             if best_ach is None or rate > best_ach[0]:
                 best_ach = (rate, n_p)
         m_con = bounds.meta_converse_max_M(n_c, sigma2, req.eps_ie, cfg.trials, cfg.seed)
-        rate = np.log2(max(m_con, 1)) / n
+        rate = np.log2(float(max(m_con, 1))) / n
         if best_con is None or rate > best_con[0]:
             best_con = (rate, n_p)
     rows = []
@@ -298,14 +318,9 @@ def _split_bound_point(cfg, scheme, n, k, params, req, snr):
     M = 1 << k
     best_up = None
     best_lo = None
-    for n_p in _split_candidates(cfg, n, k, scheme):
+    n_ps = _split_candidates(cfg, n, k, scheme)
+    for n_p, pmd in zip(n_ps, _split_pmds(scheme, n_ps, params, cfg, req)):
         n_c = n - n_p
-        if scheme == "preamble":
-            # matched filter on the preamble: closed-form missed detection
-            pmd = float(1.0 - q_func(q_inv(req.eps_fa) - np.sqrt(n_p / sigma2)))
-        else:
-            _, _, est = _hyped_pmd(n_p, n_c, params, cfg, scheme)
-            pmd = est.p_hat
         if pmd > req.eps_md:
             continue
         dens = info_density_samples(n_c, sigma2, cfg.trials, cfg.seed)
@@ -370,13 +385,9 @@ def optimize_preamble_split(scheme, n_total, k, params, req, cfg):
     M = 1 << k
     table = []
     best = None
-    for n_p in _split_candidates(cfg, n_total, k, scheme):
+    n_ps = _split_candidates(cfg, n_total, k, scheme)
+    for n_p, pmd in zip(n_ps, _split_pmds(scheme, n_ps, params, cfg, req)):
         n_c = n_total - n_p
-        if scheme == "preamble":
-            pmd = float(1.0 - q_func(q_inv(req.eps_fa) - np.sqrt(max(n_p, 1) / sigma2)))
-        else:
-            _, _, est = _hyped_pmd(n_p, n_c, params, cfg, scheme)
-            pmd = est.p_hat
         dens = info_density_samples(n_c, sigma2, cfg.trials, cfg.seed)
         pcw_up, _ = dt_error_estimate(dens, M)
         pie_up = min(1.0, pmd + pcw_up)

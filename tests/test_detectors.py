@@ -7,6 +7,7 @@ from jdd.channel import ChannelParams, FramePlan, gaussian_block
 from jdd.codebook import Codebook, from_generator, hamming_7_4
 from jdd.detectors import (
     DetectorSpec,
+    batch_statistic,
     decide,
     stat_codebook_aided,
     stat_dad,
@@ -98,6 +99,61 @@ class TestHypedExact:
         params = ChannelParams.from_db(0.0, 4)
         with pytest.raises(ValueError):
             stat_hyped_exact(np.zeros(4), FramePlan(n_p=2, n_c=2), params, p=0.0)
+
+    @pytest.mark.parametrize("p", [0.5, 0.3])
+    def test_split_sequence_bit_identical_to_single_split_reference(self, p):
+        # the multi-split path shares one ln cosh pass; each split must still
+        # equal the single-split formula exactly, not just to rounding
+        from jdd.numerics import log_cosh, log_mixture
+
+        params = ChannelParams.from_db(-3.0, 60)
+        s2 = params.sigma2
+        y = gaussian_block(s2, 5, 4, 0, (4096, 60))[:1000] + 0.3
+        rng = np.random.default_rng(9)
+        plans = [FramePlan(n_p=n_p, n_c=60 - n_p, preamble=rng.choice([-1.0, 1.0], n_p))
+                 for n_p in (59, 0, 7, 30, 56)]
+        stats = stat_hyped_exact(y, plans, params, p=p)
+        assert stats.shape == (len(plans), 1000)
+        for plan, got in zip(plans, stats):
+            a = y[:, plan.n_p :] / s2
+            terms = log_cosh(a) if p == 0.5 else log_mixture(a, -a, p)
+            want = (terms.sum(axis=-1) + (y[:, : plan.n_p] * plan.preamble).sum(axis=-1) / s2
+                    - plan.n / (2.0 * s2))
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(got, stat_hyped_exact(y, plan, params, p=p))
+
+    def test_split_sequence_needs_one_slot_length(self):
+        params = ChannelParams.from_db(0.0, 6)
+        with pytest.raises(ValueError):
+            stat_hyped_exact(np.zeros(6), [FramePlan(n_p=2, n_c=4), FramePlan(n_p=2, n_c=3)], params)
+
+
+class TestBatchStatistic:
+    def test_entry_list_matches_single_entries(self):
+        cb = hamming_7_4()
+        params = ChannelParams.from_db(-1.0, 10)
+        plan = FramePlan(n_p=3, n_c=7)
+        y = gaussian_block(params.sigma2, 2, 4, 0, (4096, 10))[:500]
+        specs = [DetectorSpec(kind="hyped-exact"), DetectorSpec(kind="dad"),
+                 DetectorSpec(kind="preamble"), DetectorSpec(kind="hyped-exact", prior=0.7),
+                 DetectorSpec(kind="genie")]
+        plans = [plan, plan, plan, FramePlan(n_p=5, n_c=5), plan]
+        x = np.ones(10)
+        got = batch_statistic(specs, y, plans, params, cb=cb, genie_x=x)
+        assert len(got) == len(specs)
+        for spec, pl, (stats, m_hat) in zip(specs, plans, got):
+            want_stats, want_m = batch_statistic(spec, y, pl, params, cb=cb, genie_x=x)
+            np.testing.assert_array_equal(stats, want_stats)
+            if want_m is None:
+                assert m_hat is None
+            else:
+                np.testing.assert_array_equal(m_hat, want_m)
+
+    def test_entry_lists_must_pair_up(self):
+        params = ChannelParams.from_db(0.0, 4)
+        with pytest.raises(ValueError):
+            batch_statistic([DetectorSpec(kind="preamble")] * 2, np.zeros((3, 4)),
+                            [FramePlan(n_p=4, n_c=0)], params)
 
 
 class TestHypedHeuristic:

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from jdd.channel import ChannelParams, FramePlan
+from jdd.channel import TRIALS_PER_BLOCK, ChannelParams, FramePlan
 from jdd.codebook import hamming_7_4, repetition_code
 from jdd.detectors import DetectorSpec
 from jdd.montecarlo import (
+    CalibrationResult,
     RateEstimate,
     calibrate_threshold,
     clopper_pearson,
@@ -15,6 +16,7 @@ from jdd.montecarlo import (
     write_manifest,
 )
 from jdd.numerics import q_func, q_inv
+from jdd.sweeps import SweepConfig, _split_candidates
 
 
 def cp_bisect_oracle(successes, trials, level=0.95):
@@ -191,6 +193,71 @@ class TestEstimateRates:
         rep = estimate_rates(spec, plan, params, 20_000, 6, cb=repetition_code(7))
         ham = estimate_rates(spec, plan, params, 20_000, 6, cb=hamming_7_4())
         assert rep["pcw"].p_hat < ham["pcw"].p_hat
+
+
+class TestMultiEntry:
+    """A multi-entry call must equal the per-entry serial calls exactly."""
+
+    CALIB = 9001  # neither count is a multiple of the block size
+    TRIALS = 6003
+
+    def assert_matches_serial(self, specs, plans, params, seed, cb=None):
+        assert self.CALIB % TRIALS_PER_BLOCK and self.TRIALS % TRIALS_PER_BLOCK
+        calibs = calibrate_threshold(specs, plans, params, self.CALIB, 1e-2, seed, cb=cb)
+        serial = [calibrate_threshold(s, p, params, self.CALIB, 1e-2, seed, cb=cb)
+                  for s, p in zip(specs, plans)]
+        assert calibs == serial  # gamma, achieved_pfa and infeasible alike
+        tuned = [s.with_gamma(c.gamma) for s, c in zip(specs, calibs)]
+        rates = estimate_rates(tuned, plans, params, self.TRIALS, seed, cb=cb)
+        assert rates == [estimate_rates(s, p, params, self.TRIALS, seed, cb=cb)
+                         for s, p in zip(tuned, plans)]
+        return rates
+
+    def test_hyped_exact_over_split_grid(self):
+        params = ChannelParams.from_db(-3.0, 60)
+        n_ps = _split_candidates(SweepConfig(), 60, 1, "hyped")
+        assert 0 in n_ps and len(n_ps) > 2
+        plans = [FramePlan(n_p=n_p, n_c=60 - n_p) for n_p in n_ps]
+        self.assert_matches_serial([DetectorSpec(kind="hyped-exact")] * len(plans), plans, params, 3)
+
+    def test_hyped_exact_and_preamble_on_one_plan(self):
+        params = ChannelParams.from_db(-3.0, 60)
+        plan = FramePlan(n_p=24, n_c=36)
+        specs = [DetectorSpec(kind="hyped-exact"), DetectorSpec(kind="preamble")]
+        self.assert_matches_serial(specs, [plan, plan], params, 4)
+
+    def test_codebook_entries(self):
+        params = ChannelParams.from_db(0.0, 10)
+        plan = FramePlan(n_p=3, n_c=7)
+        cb = hamming_7_4()
+        self.assert_matches_serial([DetectorSpec(kind="dad")], [plan], params, 5, cb=cb)
+        # entries that decode separately share one ML decode per block
+        specs = [DetectorSpec(kind="dad"), DetectorSpec(kind="preamble"), DetectorSpec(kind="hyped-exact")]
+        rates = self.assert_matches_serial(specs, [plan] * 3, params, 5, cb=cb)
+        assert all(r["pcw"] is not None for r in rates)
+
+    def test_lone_spec_or_plan_is_broadcast(self):
+        params = ChannelParams.from_db(-3.0, 20)
+        plans = [FramePlan(n_p=n_p, n_c=20 - n_p) for n_p in (2, 10)]
+        spec = DetectorSpec(kind="hyped-exact")
+        assert (calibrate_threshold(spec, plans, params, 1000, 0.1, 1)
+                == calibrate_threshold([spec, spec], plans, params, 1000, 0.1, 1))
+        one = calibrate_threshold(spec, plans[0], params, 1000, 0.1, 1)
+        assert isinstance(one, CalibrationResult)
+        assert calibrate_threshold([spec], [plans[0]], params, 1000, 0.1, 1) == [one]
+
+    def test_bad_entries_rejected(self):
+        params = ChannelParams.from_db(-3.0, 20)
+        spec = DetectorSpec(kind="preamble")
+        plans = [FramePlan(n_p=n_p, n_c=20 - n_p) for n_p in (2, 10, 12)]
+        with pytest.raises(ValueError):
+            calibrate_threshold([spec, spec], plans, params, 1000, 0.1, 1)
+        with pytest.raises(ValueError):
+            calibrate_threshold([], plans[0], params, 1000, 0.1, 1)
+        with pytest.raises(ValueError):  # plan does not cover the slot
+            calibrate_threshold(spec, FramePlan(n_p=2, n_c=2), params, 1000, 0.1, 1)
+        with pytest.raises(ValueError):
+            estimate_rates(spec.with_gamma(0.0), plans[0], params, 0, 1)
 
 
 class TestWriteManifest:

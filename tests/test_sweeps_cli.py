@@ -90,6 +90,12 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="unknown"):
             parse_config("bogus=1")
 
+    def test_range_edges_accepted(self):
+        cfg = parse_config("trials=1\ncalib_trials=0\nseed=0\nn=1\nk=24\n")
+        assert (cfg.trials, cfg.n, cfg.k) == (1, 1, 24)
+        with pytest.raises(ValueError, match="seed"):
+            parse_config(f"seed={2**64}")
+
     def test_calibration_trials_floor(self):
         cfg = parse_config("eps_fa=1e-3\ntrials=1000\n")
         assert cfg.calibration_trials() == 50_000
@@ -166,6 +172,21 @@ class TestRunRateSweep:
         p.write_text("scheme,kind,n,es_n0_db,value,stderr,flag\nldpc,simulated,40,-3,0.3,,\n")
         rows = run_rate_sweep(small_rate_cfg(refs=(str(p),)))
         assert any(r["scheme"] == "ref:ldpc" for r in rows)
+
+    def test_high_snr_code_sizes_past_int64(self):
+        # at 6 dB and n = 84 the certified code sizes exceed 2^64, which
+        # np.log2 cannot take as Python ints
+        cfg = SweepConfig(es_n0_db=6.0, n_grid=(84,), eps_fa=1e-3, eps_md=1e-3, trials=10_000)
+        with pytest.warns(UserWarning):  # DT / meta-converse precision at 10k trials
+            rows = run_rate_sweep(cfg)
+        rates = {(r["scheme"], r["kind"]): float(r["value"]) for r in rows}
+        assert set(rates) == {("genie", "achievability"), ("genie", "converse"),
+                              ("dad", "achievability"), ("hyped", "achievability"),
+                              ("hyped", "converse")}
+        assert rates["genie", "achievability"] * 84 > 64
+        assert all(0.0 < v < 1.0 for v in rates.values())
+        assert rates["genie", "achievability"] <= rates["genie", "converse"]
+        assert rates["hyped", "achievability"] <= rates["hyped", "converse"]
 
 
 class TestRunPieSweep:
@@ -269,6 +290,24 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "scheme=preamble n_p=8 n_c=16" in out
+
+    @pytest.mark.parametrize("line", ["trials=0", "calib_trials=-1", "seed=-1", "n=0",
+                                      "k=0", "k=25"])
+    def test_bad_config_rejected_at_parse_time(self, tmp_path, capsys, line):
+        cfg = self.write_cfg(tmp_path, f"n_grid=60\n{line}\n")
+        rc = main(["rate-sweep", "--config", cfg, "--out", str(tmp_path)])
+        assert rc != 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith('error="ValueError')
+        assert not (tmp_path / "rate_sweep.csv").exists()
+
+    @pytest.mark.parametrize("flag", [["--trials", "0"], ["--seed", "-1"]])
+    def test_bad_override_rejected(self, tmp_path, capsys, flag):
+        cfg = self.write_cfg(tmp_path, "n_grid=60\n")
+        rc = main(["rate-sweep", "--config", cfg, "--out", str(tmp_path), *flag])
+        assert rc != 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith('error="ValueError')
 
     def test_error_path_exit_code(self, tmp_path, capsys):
         # default config has no n_grid: rate-sweep must fail cleanly
