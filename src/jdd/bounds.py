@@ -5,6 +5,15 @@ decoder-aided-detection (DAD) achievability bounds and threshold choice, and
 the inclusive-error sandwich. Monte Carlo: the dependence-testing (DT)
 achievability bound and the meta-converse bound, both driven by the BI-AWGN
 information density with equiprobable inputs.
+
+Information densities of several blocklengths share one noise pass. The
+noise is counter-based (see jdd.channel), so the ``(TRIALS_PER_BLOCK, l)``
+block of a stream is the first ``TRIALS_PER_BLOCK * l`` values of the
+flattened ``(TRIALS_PER_BLOCK, n)`` block for the same ``(seed, stream,
+block)`` whenever ``l <= n`` (the flat-prefix contract). ``lengths=`` in
+``info_density_samples`` and ``meta_converse_min_error`` draws each block
+once at width n and returns, for every l, exactly what the separate
+length-l call returns.
 """
 
 import warnings
@@ -17,7 +26,6 @@ from .numerics import q_func, q_inv
 
 __all__ = [
     "Requirements",
-    "BoundPoint",
     "min_blocklength",
     "min_snr_db",
     "dad_gamma",
@@ -46,15 +54,6 @@ class Requirements:
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {v}")
-
-
-@dataclass(frozen=True)
-class BoundPoint:
-    n: int
-    es_n0_db: float
-    value: float
-    kind: str    # "achievability" | "converse"
-    scheme: str
 
 
 def _clip01(p):
@@ -147,27 +146,49 @@ def dad_max_code_size(n, sigma2, req, m_star, max_rounds=100):
 # information-density Monte Carlo machinery (DT and meta-converse)
 # ---------------------------------------------------------------------------
 
-def info_density_samples(n, sigma2, trials, seed, stream=1):
+def info_density_samples(n, sigma2, trials, seed, stream=1, lengths=None):
     """i.i.d. samples of the n-use BI-AWGN information density under the joint law.
 
     Equiprobable +/-1 inputs; by symmetry the all-plus input is transmitted
     and i = n ln 2 - sum_j ln(1 + exp(-2 y_j / sigma2)) with y_j = 1 + z_j.
+
+    With ``lengths`` (each 1 <= l <= n), returns a list holding one sample
+    array per l, each equal bit for bit to ``info_density_samples(l, ...)``:
+    every noise block is drawn once at width n, the per-symbol terms are
+    computed once on the flat prefix the longest l needs, and trial j of
+    length l sums flat values ``j*l .. j*l + l - 1`` (the flat-prefix
+    contract in the module docstring). Without ``lengths`` it is the same
+    pass with ``lengths=(n,)`` and returns the one array.
     """
+    lens = (n,) if lengths is None else tuple(int(l) for l in lengths)
+    if any(not 1 <= l <= n for l in lens):
+        raise ValueError(f"lengths must lie in 1..{n}, got {lens}")
     trials = int(trials)
-    out = np.empty(trials)
+    outs = [np.empty(trials) for _ in lens]
+    width = max(lens, default=0)
+    scratch = np.empty(min(TRIALS_PER_BLOCK, trials) * width)
     done = 0
     block = 0
     while done < trials:
         b = min(TRIALS_PER_BLOCK, trials - done)
-        z = gaussian_block(sigma2, seed, stream, block, (TRIALS_PER_BLOCK, n))[:b]
-        y = 1.0 + z
-        t = -2.0 * y / sigma2
-        # stable softplus: ln(1 + e^t)
-        sp = np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
-        out[done : done + b] = n * np.log(2.0) - sp.sum(axis=1)
+        z = gaussian_block(sigma2, seed, stream, block, (TRIALS_PER_BLOCK, n))
+        # y = 1 + z, t = -2 y / sigma2, then the stable softplus ln(1 + e^t)
+        # = max(t, 0) + log1p(exp(-|t|)), all in place on the flat prefix
+        t = z.reshape(-1)[: b * width]
+        t += 1.0
+        t *= -2.0
+        t /= sigma2
+        s = np.abs(t, out=scratch[: t.size])
+        np.negative(s, out=s)
+        np.exp(s, out=s)
+        np.log1p(s, out=s)
+        np.maximum(t, 0.0, out=t)
+        t += s
+        for l, out in zip(lens, outs):
+            out[done : done + b] = l * np.log(2.0) - t[: b * l].reshape(b, l).sum(axis=1)
         done += b
         block += 1
-    return out
+    return outs if lengths is not None else outs[0]
 
 
 def dt_error_estimate(info_dens, M):
@@ -245,21 +266,35 @@ def meta_converse_max_M(n, sigma2, target_error, trials, seed):
     return min(1 << n, int(np.floor((1.0 / beta) * (1.0 + 1e-9))))
 
 
-def meta_converse_min_error(n, sigma2, M, trials, seed):
+def meta_converse_min_error(n, sigma2, M, trials, seed, lengths=None):
     """Smallest error rate consistent with code size M under the meta-converse.
 
     Finds the threshold t at which the estimated type-II error equals 1/M and
     reports the joint-law lower-tail mass below t. Returns 0 when even the
     largest threshold keeps beta above 1/M at the sample resolution.
+
+    With ``lengths`` (each 1 <= l <= n), returns one error rate per l, each
+    equal to the length-l call; the two density streams are drawn in one
+    pass each (see info_density_samples).
     """
     if trials < 1e4:
         raise ValueError("need at least 1e4 trials for the meta-converse bound")
-    dens_thr = np.sort(info_density_samples(n, sigma2, trials, seed, stream=2))
-    dens = info_density_samples(n, sigma2, trials, seed, stream=3)
-    target_beta = 1.0 / M
+    lens = (n,) if lengths is None else lengths
+    thrs = info_density_samples(n, sigma2, trials, seed, stream=2, lengths=lens)
+    denss = info_density_samples(n, sigma2, trials, seed, stream=3, lengths=lens)
+    errs = []
+    while thrs:
+        # drop each length's samples as soon as its bisection is done
+        errs.append(_meta_converse_bisect(thrs.pop(0), denss.pop(0), 1.0 / M))
+    return errs if lengths is not None else errs[0]
+
+
+def _meta_converse_bisect(dens_thr, dens, target_beta):
+    dens_thr.sort()
+    w = np.exp(-dens)
 
     def beta_at(t):
-        return float(np.where(dens >= t, np.exp(-dens), 0.0).mean())
+        return float(np.where(dens >= t, w, 0.0).mean())
 
     lo, hi = dens_thr[0], dens_thr[-1]
     if beta_at(hi) > target_beta:

@@ -50,6 +50,8 @@ class DetectorSpec:
             raise ValueError(f"unknown detector kind {self.kind!r}")
         if not 0.0 < self.prior <= 1.0:
             raise ValueError("symbol prior must lie in (0, 1]")
+        if not (np.isfinite(self.gamma_a) and self.gamma_a >= 0.0):
+            raise ValueError(f"gamma_a must be finite and >= 0, got {self.gamma_a}")
 
     def with_gamma(self, gamma):
         return DetectorSpec(self.kind, float(gamma), self.gamma_a, self.prior)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import bounds
 from .bounds import Requirements, dt_error_estimate, info_density_samples
-from .channel import ChannelParams, FramePlan
+from .channel import ChannelParams, FramePlan, snr_to_sigma2
 from .codebook import MAX_K, load_generator
 from .detectors import DetectorSpec
 from .montecarlo import calibrate_threshold, estimate_rates, write_manifest
@@ -71,6 +71,10 @@ class SweepConfig:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if not 1 <= self.k <= MAX_K:
             raise ValueError(f"k must lie in 1..{MAX_K}, got {self.k}")
+        if any(n < 1 for n in self.n_grid):
+            raise ValueError(f"n_grid entries must be >= 1, got {self.n_grid}")
+        if any(n_p < 0 for n_p in self.np_grid):
+            raise ValueError(f"np_grid entries must be >= 0, got {self.np_grid}")
 
     def calibration_trials(self):
         floor = int(np.ceil(50 / self.eps_fa))
@@ -202,7 +206,7 @@ def run_rate_sweep(cfg, out_csv=None):
     if not cfg.n_grid:
         raise ValueError("rate sweep needs n_grid")
     req = cfg.requirements
-    sigma2 = 1.0 / (2.0 * 10.0 ** (cfg.es_n0_db / 10.0))
+    sigma2 = snr_to_sigma2(cfg.es_n0_db)
     n_min = bounds.min_blocklength(sigma2, req)
     dt_oracle = _dt_max_M(cfg)
     rows = []
@@ -266,7 +270,9 @@ def run_pie_sweep(cfg, out_csv=None):
     """Inclusive-error-rate sweep over SNR at fixed (n, k).
 
     Emits bound rows per scheme and, when generator matrices are supplied,
-    simulated operating points (kind = "simulated").
+    simulated operating points (kind = "simulated"). Per SNR, the DT and
+    meta-converse bounds of the full slot and of every feasible split's
+    payload come from one multi-length density pass per stream.
     """
     if not cfg.snr_grid:
         raise ValueError("error-rate sweep needs snr_grid")
@@ -281,11 +287,19 @@ def run_pie_sweep(cfg, out_csv=None):
             for scheme in cfg.schemes:
                 rows.append(_row(scheme, "achievability", n, snr, 1.0, flag="infeasible"))
             continue
-        sigma2 = 1.0 / (2.0 * 10.0 ** (snr / 10.0))
         params = ChannelParams.from_db(snr, n)
-        dens = info_density_samples(n, sigma2, cfg.trials, cfg.seed)
-        pcw_ach, pcw_se = dt_error_estimate(dens, M)
-        pcw_con = bounds.meta_converse_min_error(n, sigma2, M, cfg.trials, cfg.seed)
+        sigma2 = params.sigma2
+        splits = {scheme: _feasible_splits(cfg, scheme, n, k, params, req)
+                  for scheme in ("hyped", "preamble") if scheme in cfg.schemes}
+        lengths = sorted({n, *(n - n_p for pairs in splits.values() for n_p, _ in pairs)})
+        # reduce stream 1 to DT pairs before the meta-converse streams are drawn
+        denss = info_density_samples(n, sigma2, cfg.trials, cfg.seed, lengths=lengths)
+        dt = {l: dt_error_estimate(dens, M) for l, dens in zip(lengths, denss)}
+        del denss
+        con = dict(zip(lengths, bounds.meta_converse_min_error(n, sigma2, M, cfg.trials,
+                                                               cfg.seed, lengths=lengths)))
+        pcw_ach, pcw_se = dt[n]
+        pcw_con = con[n]
         root = np.sqrt(n / sigma2)
 
         if "genie" in cfg.schemes:
@@ -301,9 +315,8 @@ def run_pie_sweep(cfg, out_csv=None):
                 rows.append(_row("dad", "achievability", n, snr, hi, stderr=pcw_se))
             else:
                 rows.append(_row("dad", "achievability", n, snr, 1.0, flag="infeasible"))
-        for scheme in ("hyped", "preamble"):
-            if scheme in cfg.schemes:
-                rows.extend(_split_bound_point(cfg, scheme, n, k, params, req, snr))
+        for scheme, pairs in splits.items():
+            rows.extend(_split_bound_point(scheme, n, snr, pairs, dt, con))
         for cb in codes:
             rows.extend(_simulated_points(cfg, cb, n, params, req, snr))
     rows.extend(r for ref in cfg.refs for r in ingest_reference(ref))
@@ -312,21 +325,23 @@ def run_pie_sweep(cfg, out_csv=None):
     return rows
 
 
-def _split_bound_point(cfg, scheme, n, k, params, req, snr):
-    """HyPED / preamble-only inclusive-error bound rows at one SNR."""
-    sigma2 = params.sigma2
-    M = 1 << k
+def _feasible_splits(cfg, scheme, n, k, params, req):
+    """(n_p, pmd) for every candidate split whose pmd meets eps_md."""
+    n_ps = _split_candidates(cfg, n, k, scheme)
+    return [(n_p, pmd) for n_p, pmd in zip(n_ps, _split_pmds(scheme, n_ps, params, cfg, req))
+            if pmd <= req.eps_md]
+
+
+def _split_bound_point(scheme, n, snr, pairs, dt, con):
+    """HyPED / preamble-only inclusive-error bound rows at one SNR.
+
+    `pairs` are the feasible (n_p, pmd) splits; `dt` and `con` map a payload
+    length to its DT (estimate, stderr) and meta-converse codeword error.
+    """
     best_up = None
     best_lo = None
-    n_ps = _split_candidates(cfg, n, k, scheme)
-    for n_p, pmd in zip(n_ps, _split_pmds(scheme, n_ps, params, cfg, req)):
-        n_c = n - n_p
-        if pmd > req.eps_md:
-            continue
-        dens = info_density_samples(n_c, sigma2, cfg.trials, cfg.seed)
-        pcw_ach, _ = dt_error_estimate(dens, M)
-        pcw_con = bounds.meta_converse_min_error(n_c, sigma2, M, cfg.trials, cfg.seed)
-        lo, up = bounds.pie_sandwich(pmd, pcw_con, pcw_ach)
+    for n_p, pmd in pairs:
+        lo, up = bounds.pie_sandwich(pmd, con[n - n_p], dt[n - n_p][0])
         if best_up is None or up < best_up[0]:
             best_up = (up, n_p)
         if best_lo is None or lo < best_lo[0]:
@@ -381,14 +396,14 @@ def optimize_preamble_split(scheme, n_total, k, params, req, cfg):
     pie_upper) for every candidate; the chosen plan attains the minimum.
     Raises ValueError when every split is infeasible.
     """
-    sigma2 = params.sigma2
     M = 1 << k
     table = []
     best = None
     n_ps = _split_candidates(cfg, n_total, k, scheme)
-    for n_p, pmd in zip(n_ps, _split_pmds(scheme, n_ps, params, cfg, req)):
+    denss = info_density_samples(n_total, params.sigma2, cfg.trials, cfg.seed,
+                                 lengths=[n_total - n_p for n_p in n_ps])
+    for n_p, pmd, dens in zip(n_ps, _split_pmds(scheme, n_ps, params, cfg, req), denss):
         n_c = n_total - n_p
-        dens = info_density_samples(n_c, sigma2, cfg.trials, cfg.seed)
         pcw_up, _ = dt_error_estimate(dens, M)
         pie_up = min(1.0, pmd + pcw_up)
         feasible = pmd <= req.eps_md
@@ -403,7 +418,7 @@ def optimize_preamble_split(scheme, n_total, k, params, req, cfg):
 def run_bounds_report(cfg):
     """Closed-form bound summary rows for the configured operating point."""
     req = cfg.requirements
-    sigma2 = 1.0 / (2.0 * 10.0 ** (cfg.es_n0_db / 10.0))
+    sigma2 = snr_to_sigma2(cfg.es_n0_db)
     n = cfg.n
     M = 1 << cfg.k
     rows = [

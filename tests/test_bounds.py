@@ -19,6 +19,7 @@ from jdd.bounds import (
     min_snr_db,
     pie_sandwich,
 )
+from jdd.channel import TRIALS_PER_BLOCK, gaussian_block
 from jdd.numerics import q_func, q_inv
 
 SIGMA2_M3DB = 1.0 / (2.0 * 10.0 ** (-0.3))
@@ -162,6 +163,51 @@ class TestDtBound:
         samples = info_density_samples(1, s2, 200_000, 3)
         est, se = dt_error_estimate(samples, 2)
         assert abs(est - oracle) < 3 * se
+
+
+class TestMultiLengthDensities:
+    """lengths= draws every block once at width n; each length is exact."""
+
+    N = 30
+    LENGTHS = (1, 7, 30, 12, 29)
+
+    @pytest.mark.parametrize("trials", [9001, 4096, 10000])
+    @pytest.mark.parametrize("stream", [1, 2, 3])
+    def test_equals_per_length_calls(self, trials, stream):
+        got = info_density_samples(self.N, SIGMA2_M3DB, trials, 4, stream=stream,
+                                   lengths=self.LENGTHS)
+        assert len(got) == len(self.LENGTHS)
+        for l, dens in zip(self.LENGTHS, got):
+            np.testing.assert_array_equal(
+                dens, info_density_samples(l, SIGMA2_M3DB, trials, 4, stream=stream))
+
+    def test_lone_call_matches_out_of_place_formula(self):
+        # the in-place block arithmetic reproduces the plain expression bit for bit
+        trials, l = TRIALS_PER_BLOCK + 17, 9
+        ref = []
+        for block, b in enumerate((TRIALS_PER_BLOCK, 17)):
+            y = 1.0 + gaussian_block(SIGMA2_M3DB, 6, 1, block, (TRIALS_PER_BLOCK, l))[:b]
+            t = -2.0 * y / SIGMA2_M3DB
+            sp = np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+            ref.append(l * np.log(2.0) - sp.sum(axis=1))
+        np.testing.assert_array_equal(info_density_samples(l, SIGMA2_M3DB, trials, 6),
+                                      np.concatenate(ref))
+
+    def test_single_length_list(self):
+        (dens,) = info_density_samples(self.N, SIGMA2_M3DB, 5000, 1, lengths=[self.N])
+        np.testing.assert_array_equal(dens, info_density_samples(self.N, SIGMA2_M3DB, 5000, 1))
+        assert info_density_samples(self.N, SIGMA2_M3DB, 5000, 1, lengths=[]) == []
+
+    @pytest.mark.parametrize("bad", [(0,), (31,), (5, -1)])
+    def test_lengths_out_of_range(self, bad):
+        with pytest.raises(ValueError, match="lengths"):
+            info_density_samples(self.N, SIGMA2_M3DB, 100, 0, lengths=bad)
+
+    @pytest.mark.parametrize("M", [2, 16, 4096])
+    def test_meta_converse_equals_per_length_calls(self, M):
+        got = meta_converse_min_error(self.N, SIGMA2_M3DB, M, 10_000, 2, lengths=self.LENGTHS)
+        assert got == [meta_converse_min_error(l, SIGMA2_M3DB, M, 10_000, 2)
+                       for l in self.LENGTHS]
 
 
 class TestMetaConverse:

@@ -304,3 +304,9 @@ class TestDetectorSpec:
     def test_with_gamma(self):
         spec = DetectorSpec(kind="dad").with_gamma(3.0)
         assert spec.gamma == 3.0 and spec.kind == "dad"
+
+    @pytest.mark.parametrize("gamma_a", [-0.5, np.nan, np.inf])
+    def test_bad_gamma_a(self, gamma_a):
+        # stat_codebook_aided would return NaN for these weights
+        with pytest.raises(ValueError, match="gamma_a"):
+            DetectorSpec(kind="codebook-aided", gamma_a=gamma_a)

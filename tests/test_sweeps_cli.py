@@ -1,8 +1,10 @@
 import csv
+import hashlib
 
 import numpy as np
 import pytest
 
+from jdd.bounds import dt_error_estimate, info_density_samples
 from jdd.channel import ChannelParams
 from jdd.cli import main
 from jdd.sweeps import (
@@ -217,6 +219,22 @@ class TestRunPieSweep:
         assert 0.0 <= float(sim[0]["value"]) <= 1.0
         assert "n_p=17" in sim[0]["flag"]
 
+    def test_bound_rows_pinned(self, tmp_path):
+        # sha256 recorded before the per-SNR multi-length density pass; the
+        # shared pass must reproduce the per-length bounds byte for byte
+        path = write_rows(run_pie_sweep(small_pie_cfg(schemes=("genie", "dad", "preamble"))),
+                          tmp_path / "pie.csv")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "1c38a66516ecb72e88a47cd9521115f54fe4772440a91afe2e89773297a3bb78")
+
+    def test_split_bound_rows_pinned(self, tmp_path):
+        # several splits per scheme, hyped with n_p=0 (payload = whole slot)
+        cfg = small_pie_cfg(schemes=("genie", "dad", "hyped", "preamble"),
+                            np_grid=(0, 2, 8, 14, 17), snr_grid=(-6.0, 0.0, 3.0))
+        path = write_rows(run_pie_sweep(cfg), tmp_path / "pie.csv")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "0ea886b134da1bd89cd7f67e247cc90cb5abce82c2aaffde2c53454bec268cdb")
+
 
 class TestOptimizeSplit:
     def test_single_candidate(self):
@@ -232,6 +250,14 @@ class TestOptimizeSplit:
         plan, table = optimize_preamble_split("preamble", 24, 4, params, cfg.requirements, cfg)
         feasible = [(pie, n_p) for n_p, pmd, _, pie in table if not np.isnan(pie)]
         assert plan.n_p == min(feasible)[1]
+
+    def test_table_equals_per_length_dt(self):
+        cfg = small_pie_cfg(np_grid=(2, 8, 14))
+        params = ChannelParams.from_db(3.0, 24)
+        _, table = optimize_preamble_split("preamble", 24, 4, params, cfg.requirements, cfg)
+        for n_p, _, pcw_up, _ in table:
+            dens = info_density_samples(24 - n_p, params.sigma2, cfg.trials, cfg.seed)
+            assert pcw_up == dt_error_estimate(dens, 16)[0]
 
     def test_all_infeasible_raises(self):
         cfg = small_pie_cfg(np_grid=(1,), eps_fa=1e-2, eps_md=1e-6)
@@ -292,7 +318,8 @@ class TestCli:
         assert "scheme=preamble n_p=8 n_c=16" in out
 
     @pytest.mark.parametrize("line", ["trials=0", "calib_trials=-1", "seed=-1", "n=0",
-                                      "k=0", "k=25"])
+                                      "k=0", "k=25", "n_grid=60,0", "n_grid=-4",
+                                      "np_grid=0,-1"])
     def test_bad_config_rejected_at_parse_time(self, tmp_path, capsys, line):
         cfg = self.write_cfg(tmp_path, f"n_grid=60\n{line}\n")
         rc = main(["rate-sweep", "--config", cfg, "--out", str(tmp_path)])
