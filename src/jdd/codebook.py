@@ -3,8 +3,15 @@
 The cache is a (2^k, n_c) matrix of +/-1 rows, one per message in fixed
 binary enumeration order (message index 1 is the all-zero message, the last
 bit of the index-0-based binary expansion multiplies the last row of G).
-Exhaustive ML decoding is a single matrix product against this cache, which
-is exactly the correlation rule max_m x_m^T y on the BI-AWGN channel.
+Exhaustive ML decoding is the correlation rule max_m x_m^T y on the BI-AWGN
+channel, evaluated against this cache under two memory budgets. The cache
+(2^k * n_c float64 values) may not exceed CACHE_BUDGET_BYTES; from_generator
+rejects a larger code before allocating anything. A batch's correlation with
+the cache is never held whole: it is computed in row tiles of about
+CORR_TILE_BYTES, one matrix product per tile into one reused buffer, and each
+tile is reduced (argmax, max, ...) before the next. Tiles split rows only, so
+ties still break toward the smallest index and every row gets the values one
+product over the whole batch would give.
 """
 
 from dataclasses import dataclass
@@ -26,6 +33,8 @@ __all__ = [
 ]
 
 MAX_K = 24  # 2^24 cached codewords is the memory ceiling
+CACHE_BUDGET_BYTES = 1 << 30  # the +/-1 codeword cache, 2^k * n_c float64
+CORR_TILE_BYTES = 16 << 20    # one row tile of the batch x 2^k correlation
 
 
 @dataclass(frozen=True)
@@ -75,6 +84,10 @@ def from_generator(G):
     k, n_c = G.shape
     if k > MAX_K:
         raise ValueError(f"k={k} exceeds the cache guard (k <= {MAX_K})")
+    cache_bytes = (1 << k) * n_c * 8
+    if cache_bytes > CACHE_BUDGET_BYTES:
+        raise ValueError(f"a ({n_c}, {k}) code needs a {cache_bytes / 2**30:.3g} GiB codeword "
+                         f"cache, over the {CACHE_BUDGET_BYTES / 2**30:.3g} GiB budget")
     if _gf2_rank(G) != k:
         raise ValueError("generator matrix is rank-deficient over GF(2)")
     bits = (_messages(k) @ G) % 2
@@ -123,19 +136,53 @@ def encode(cb, m):
     return cb.codewords[m - 1]
 
 
+def _argmax_rows(tile):
+    """(argmax, max) of each row of a correlation tile; first maximum wins."""
+    m = np.argmax(tile, axis=1)
+    return m, tile[np.arange(len(tile)), m]
+
+
+def _tiled_correlation(y, codewords, reduce):
+    """Reduce the correlation y @ codewords.T one row tile at a time.
+
+    `reduce` maps a (rows, 2^k) tile, which it may overwrite, to a tuple of
+    per-row arrays; each is returned with y's leading shape. A tile holds at
+    most CORR_TILE_BYTES (at least one row), or one row more when that row
+    would otherwise be a tile of its own, and one buffer serves every tile.
+    A 1-D y is one matrix-vector product and its results are scalars;
+    a stack of matrices is tiled matrix by matrix, as y @ codewords.T
+    multiplies it, since BLAS may round a product's rows differently when
+    the product has fewer rows.
+    """
+    if y.ndim == 1:
+        return tuple(r[0] for r in reduce((y @ codewords.T)[None]))
+    if y.ndim > 2:
+        parts = [_tiled_correlation(m, codewords, reduce) for m in y.reshape(-1, *y.shape[-2:])]
+        return tuple(np.stack(p).reshape(y.shape[:-1]) for p in zip(*parts))
+    n = len(y)
+    step = max(1, CORR_TILE_BYTES // (8 * len(codewords)))
+    starts = list(range(0, max(n, 1), step))  # an empty batch is one empty tile
+    if step > 1 and len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()  # a one-row product is a gemv: fold that row into the tile before
+    ends = starts[1:] + [n]
+    buf = np.empty((max(e - s for s, e in zip(starts, ends)), len(codewords)))
+    parts = [reduce(np.matmul(y[s:e], codewords.T, out=buf[: e - s]))
+             for s, e in zip(starts, ends)]
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
 def ml_decode(cb, y):
     """Exhaustive ML decoding by correlation argmax.
 
     Accepts a single observation (n_c,) or a batch (..., n_c); returns
     (m_hat, stat) with 1-based indices, ties broken toward the smallest
-    index (argmax picks the first maximum).
+    index (argmax picks the first maximum). A batch is correlated in row
+    tiles (see the module docstring), so memory stays at one tile.
     """
     y = np.asarray(y, dtype=float)
     if y.shape[-1] != cb.n_c:
         raise ValueError(f"observation length {y.shape[-1]} != n_c={cb.n_c}")
-    corr = y @ cb.codewords.T
-    m_hat = np.argmax(corr, axis=-1)
-    stat = np.take_along_axis(corr, np.expand_dims(m_hat, -1), axis=-1)[..., 0]
+    m_hat, stat = _tiled_correlation(y, cb.codewords, _argmax_rows)
     if y.ndim == 1:
         return int(m_hat) + 1, float(stat)
     return m_hat + 1, stat

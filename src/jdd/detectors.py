@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import FramePlan
+from .codebook import _argmax_rows, _tiled_correlation
 from .numerics import log_cosh, log_mixture
 
 __all__ = [
@@ -130,15 +131,15 @@ def stat_dad(y, cb, plan):
     With n_p = 0 this is exactly the correlation form of the DAD rule; with a
     preamble the known-preamble correlation is added to every codeword
     correlation, making the statistic the joint log-likelihood ratio of the
-    whole slot up to the 1/sigma2 scale.
+    whole slot up to the 1/sigma2 scale. The codeword correlation of a batch
+    is computed and reduced in row tiles (see jdd.codebook), so memory stays
+    at one tile whatever 2^k is.
     """
     y = _check_len(y, plan.n)
     if plan.n_c != cb.n_c:
         raise ValueError(f"plan n_c={plan.n_c} != codebook n_c={cb.n_c}")
     y_p, y_c = plan.split(y)
-    corr = y_c @ cb.codewords.T
-    m_hat = np.argmax(corr, axis=-1)
-    best = np.take_along_axis(corr, np.expand_dims(m_hat, -1), axis=-1)[..., 0]
+    m_hat, best = _tiled_correlation(y_c, cb.codewords, _argmax_rows)
     pre = (y_p * plan.preamble).sum(axis=-1) if plan.n_p else 0.0
     stat = pre + best
     if y.ndim == 1:
@@ -158,14 +159,20 @@ def stat_codebook_aided(y, cb, params, gamma_a):
         raise ValueError("codebook-aided detection caps at k <= 16 (exhaustive sum)")
     y = _check_len(y, cb.n_c)
     s2 = params.sigma2
-    a = (y @ cb.codewords.T) / s2
-    m_hat = np.argmax(a, axis=-1)
-    a_max = np.take_along_axis(a, np.expand_dims(m_hat, -1), axis=-1)[..., 0]
+
+    def reduce(a):  # one correlation tile, overwritten in place
+        a /= s2
+        m, a_max = _argmax_rows(a)
+        if gamma_a == 0.0:
+            return m, a_max
+        a -= a_max[:, None]
+        return m, a_max, np.exp(a, out=a).sum(axis=1)
+
+    m_hat, a_max, *total = _tiled_correlation(y, cb.codewords, reduce)
     if gamma_a == 0.0:
         stat = a_max - cb.n_c / (2.0 * s2)
     else:
-        lse = np.log(gamma_a * np.exp(a - a_max[..., None]).sum(axis=-1) + 1.0)
-        stat = a_max + lse - cb.n_c / (2.0 * s2)
+        stat = a_max + np.log(gamma_a * total[0] + 1.0) - cb.n_c / (2.0 * s2)
     if y.ndim == 1:
         return float(stat), int(m_hat) + 1
     return stat, m_hat + 1

@@ -356,33 +356,33 @@ def _split_bound_point(scheme, n, snr, pairs, dt, con):
 
 
 def _simulated_points(cfg, cb, n, params, req, snr):
-    """Monte Carlo operating points for every configured scheme with this code."""
+    """Monte Carlo operating points for every configured scheme with this code.
+
+    All schemes share the code's one plan, so one calibrate_threshold call
+    and one estimate_rates call evaluate them all on the same noise blocks;
+    each scheme's result equals its own single-entry call.
+    """
     n_p = n - cb.n_c
     if n_p < 0:
         return []
     plan = FramePlan(n_p=n_p, n_c=cb.n_c)
+    kinds = {"dad": "dad", "hyped": "hyped-exact", "preamble": "preamble"}
+    schemes = [s for s in cfg.schemes if s in kinds and (s != "preamble" or n_p >= 1)]
+    if not schemes:
+        return []
+    specs = [DetectorSpec(kind=kinds[s]) for s in schemes]
+    calibs = calibrate_threshold(specs, plan, params, cfg.calibration_trials(),
+                                 req.eps_fa, cfg.seed, cb=cb)
+    live = [i for i, c in enumerate(calibs) if not c.infeasible]
+    rates = estimate_rates([specs[i].with_gamma(calibs[i].gamma) for i in live], plan, params,
+                           cfg.trials, cfg.seed, cb=cb) if live else []
+    rates = dict(zip(live, rates))
     rows = []
-    for scheme in cfg.schemes:
-        if scheme == "genie":
-            continue
-        if scheme == "dad":
-            spec = DetectorSpec(kind="dad")
-        elif scheme == "hyped":
-            spec = DetectorSpec(kind="hyped-exact")
-        elif scheme == "preamble":
-            if n_p < 1:
-                continue
-            spec = DetectorSpec(kind="preamble")
-        else:
-            continue
-        calib = calibrate_threshold(spec, plan, params, cfg.calibration_trials(),
-                                    req.eps_fa, cfg.seed, cb=cb)
-        if calib.infeasible:
+    for i, scheme in enumerate(schemes):
+        if i not in rates:
             rows.append(_row(scheme, "simulated", n, snr, 1.0, flag="calibration-infeasible"))
             continue
-        rates = estimate_rates(spec.with_gamma(calib.gamma), plan, params, cfg.trials,
-                               cfg.seed, cb=cb)
-        pie = rates["pie"]
+        pie = rates[i]["pie"]
         se = (pie.ci_high - pie.ci_low) / 4.0  # ~ 1 sigma from the 95% CI width
         rows.append(_row(scheme, "simulated", n, snr, pie.p_hat, stderr=se,
                          flag=f"n_p={n_p},trials={pie.trials}"))

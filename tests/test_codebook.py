@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from conftest import ROW_COUNTS, TILE_EDGE_ROWS, random_systematic
 
 from jdd.channel import ChannelParams, gaussian_block
+from jdd.cli import main
 from jdd.codebook import (
     encode,
     from_generator,
@@ -113,6 +117,77 @@ class TestMlDecode:
             m_hat, _ = ml_decode(cb, cb.codewords[m - 1] + z)
             errors.append(np.mean(m_hat != m))
         assert errors[0] > errors[1] > errors[2]
+
+
+def full_matrix_decode(cb, y):
+    """The untiled formula: one correlation matrix, argmax, take_along_axis."""
+    corr = y @ cb.codewords.T
+    m_hat = np.argmax(corr, axis=-1)
+    return m_hat + 1, np.take_along_axis(corr, np.expand_dims(m_hat, -1), axis=-1)[..., 0]
+
+
+class TestTiledDecode:
+    def block(self, cb, rows, sigma2=1.5):
+        return gaussian_block(sigma2, 11, 0, 0, (4096, cb.n_c))[:rows]
+
+    @pytest.mark.parametrize("rows", ROW_COUNTS)
+    def test_equals_full_matrix(self, code, rows):
+        y = self.block(code, rows)
+        m_hat, stat = ml_decode(code, y)
+        ref_m, ref_stat = full_matrix_decode(code, y)
+        np.testing.assert_array_equal(m_hat, ref_m)
+        np.testing.assert_array_equal(stat, ref_stat)
+
+    def test_single_observation(self, code):
+        y = self.block(code, 3)[2]
+        m_hat, stat = ml_decode(code, y)
+        ref_m, ref_stat = full_matrix_decode(code, y)
+        assert (m_hat, stat) == (int(ref_m), float(ref_stat))
+        assert isinstance(m_hat, int) and isinstance(stat, float)
+
+    def test_three_dim_batch(self, code):
+        y = self.block(code, 24).reshape(2, 12, code.n_c)
+        m_hat, stat = ml_decode(code, y)
+        assert m_hat.shape == stat.shape == (2, 12)
+        ref_m, ref_stat = full_matrix_decode(code, y)
+        np.testing.assert_array_equal(m_hat, ref_m)
+        np.testing.assert_array_equal(stat, ref_stat)
+
+    def test_zero_rows_pick_first_index(self, code):
+        y = self.block(code, 4096).copy()
+        y[TILE_EDGE_ROWS] = 0.0
+        m_hat, stat = ml_decode(code, y)
+        np.testing.assert_array_equal(m_hat[TILE_EDGE_ROWS], 1)
+        np.testing.assert_array_equal(stat[TILE_EDGE_ROWS], 0.0)
+
+    def test_empty_batch(self, code):
+        m_hat, stat = ml_decode(code, np.zeros((0, code.n_c)))
+        assert m_hat.shape == stat.shape == (0,)
+
+
+class TestCacheBudget:
+    def test_cli_one_error_line(self, tmp_path, capsys, monkeypatch):
+        import jdd.codebook as codebook
+
+        calls = []
+        monkeypatch.setattr(codebook, "_messages", lambda k: calls.append(k) or 1 / 0)
+        G = random_systematic(24, 84, seed=1)
+        code_file = tmp_path / "k24.txt"
+        code_file.write_text("\n".join("".join(map(str, row)) for row in G) + "\n")
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("schemes=dad\nsnr_grid=3\nn=92\nk=12\ntrials=10000\n")
+        tracemalloc.start()
+        try:
+            rc = main(["pie-sweep", "--config", str(cfg), "--code", str(code_file),
+                       "--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error=") and "budget" in err[0]
+        assert calls == []
+        assert peak < 16 << 20
 
 
 class TestMinDistance:

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import ROW_COUNTS, TILE_EDGE_ROWS, code_76_12
 
 from jdd.channel import ChannelParams, FramePlan, gaussian_block
-from jdd.codebook import Codebook, from_generator, hamming_7_4
+from jdd.codebook import CORR_TILE_BYTES, Codebook, from_generator, hamming_7_4
 from jdd.detectors import (
     DetectorSpec,
     batch_statistic,
@@ -259,6 +261,105 @@ class TestCodebookAided:
         params = ChannelParams.from_db(0.0, 17)
         with pytest.raises(ValueError):
             stat_codebook_aided(np.zeros(17), cb, params, 0.0)
+
+
+def full_matrix_dad(y, cb, plan):
+    """The untiled DAD formula: one correlation matrix, argmax, take_along_axis."""
+    y_p, y_c = plan.split(y)
+    corr = y_c @ cb.codewords.T
+    m_hat = np.argmax(corr, axis=-1)
+    best = np.take_along_axis(corr, np.expand_dims(m_hat, -1), axis=-1)[..., 0]
+    pre = (y_p * plan.preamble).sum(axis=-1) if plan.n_p else 0.0
+    return pre + best, m_hat + 1
+
+
+def full_matrix_codebook_aided(y, cb, params, gamma_a):
+    """The untiled codebook-aided formula over the whole correlation matrix."""
+    s2 = params.sigma2
+    a = (y @ cb.codewords.T) / s2
+    m_hat = np.argmax(a, axis=-1)
+    a_max = np.take_along_axis(a, np.expand_dims(m_hat, -1), axis=-1)[..., 0]
+    if gamma_a == 0.0:
+        stat = a_max - cb.n_c / (2.0 * s2)
+    else:
+        lse = np.log(gamma_a * np.exp(a - a_max[..., None]).sum(axis=-1) + 1.0)
+        stat = a_max + lse - cb.n_c / (2.0 * s2)
+    return stat, m_hat + 1
+
+
+N_P = 8
+
+
+def slot_block(cb, rows, sigma2=1.5):
+    return gaussian_block(sigma2, 12, 0, 0, (4096, N_P + cb.n_c))[:rows]
+
+
+def assert_same(got, ref):
+    for g, r in zip(got, ref):
+        np.testing.assert_array_equal(g, r)
+
+
+class TestTiledStatistics:
+    """DAD and codebook-aided statistics equal the untiled full-matrix formulas."""
+
+    params = ChannelParams.from_db(-1.0, 84)
+
+    @pytest.mark.parametrize("rows", ROW_COUNTS)
+    def test_dad(self, code, rows):
+        plan = FramePlan(n_p=N_P, n_c=code.n_c)
+        y = slot_block(code, rows)
+        assert_same(stat_dad(y, code, plan), full_matrix_dad(y, code, plan))
+
+    @pytest.mark.parametrize("gamma_a", [0.0, 0.5])
+    @pytest.mark.parametrize("rows", ROW_COUNTS)
+    def test_codebook_aided(self, code, rows, gamma_a):
+        y = slot_block(code, rows)[:, N_P:]
+        assert_same(stat_codebook_aided(y, code, self.params, gamma_a),
+                    full_matrix_codebook_aided(y, code, self.params, gamma_a))
+
+    @pytest.mark.parametrize("gamma_a", [0.0, 0.5])
+    def test_single_observation(self, code, gamma_a):
+        plan = FramePlan(n_p=N_P, n_c=code.n_c)
+        y = slot_block(code, 3)[2]
+        stat, m_hat = stat_dad(y, code, plan)
+        ref_stat, ref_m = full_matrix_dad(y, code, plan)
+        assert (stat, m_hat) == (float(ref_stat), int(ref_m))
+        stat, m_hat = stat_codebook_aided(y[N_P:], code, self.params, gamma_a)
+        ref_stat, ref_m = full_matrix_codebook_aided(y[N_P:], code, self.params, gamma_a)
+        assert (stat, m_hat) == (float(ref_stat), int(ref_m))
+
+    @pytest.mark.parametrize("gamma_a", [0.0, 0.5])
+    def test_three_dim_batch(self, code, gamma_a):
+        plan = FramePlan(n_p=N_P, n_c=code.n_c)
+        y = slot_block(code, 24).reshape(2, 12, -1)
+        stat, m_hat = stat_dad(y, code, plan)
+        assert stat.shape == m_hat.shape == (2, 12)
+        assert_same((stat, m_hat), full_matrix_dad(y, code, plan))
+        y_c = y[..., N_P:]
+        assert_same(stat_codebook_aided(y_c, code, self.params, gamma_a),
+                    full_matrix_codebook_aided(y_c, code, self.params, gamma_a))
+
+    def test_zero_rows_pick_first_index(self, code):
+        plan = FramePlan(n_p=N_P, n_c=code.n_c)
+        y = slot_block(code, 4096).copy()
+        y[TILE_EDGE_ROWS] = 0.0
+        _, m_hat = stat_dad(y, code, plan)
+        np.testing.assert_array_equal(m_hat[TILE_EDGE_ROWS], 1)
+        _, m_hat = stat_codebook_aided(y[:, N_P:], code, self.params, 0.5)
+        np.testing.assert_array_equal(m_hat[TILE_EDGE_ROWS], 1)
+
+    def test_dad_memory_is_one_tile(self):
+        cb = code_76_12()
+        plan = FramePlan(n_p=N_P, n_c=cb.n_c)
+        y = slot_block(cb, 4096)
+        tracemalloc.start()
+        try:
+            stat_dad(y, cb, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the untiled 4096 x 2^12 float64 correlation alone is 128 MiB
+        assert peak < 2 * CORR_TILE_BYTES + (8 << 20)
 
 
 class TestGenie:

@@ -20,6 +20,8 @@ from jdd.sweeps import (
 )
 
 HAMMING_G = "1000110\n0100101\n0010011\n0001111\n"
+RM14_G = ("1111111111111111\n0000000011111111\n0000111100001111\n"
+          "0011001100110011\n0101010101010101\n")
 
 
 def small_rate_cfg(**overrides):
@@ -234,6 +236,54 @@ class TestRunPieSweep:
         path = write_rows(run_pie_sweep(cfg), tmp_path / "pie.csv")
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "0ea886b134da1bd89cd7f67e247cc90cb5abce82c2aaffde2c53454bec268cdb")
+
+    def test_simulated_rows_pinned(self, tmp_path):
+        # sha256 recorded before the tiled correlation kernel and the shared
+        # per-plan Monte Carlo pass; both must reproduce the old rows exactly
+        ham = tmp_path / "ham.txt"
+        ham.write_text(HAMMING_G)
+        rm = tmp_path / "rm14.txt"
+        rm.write_text(RM14_G)
+        cfg = small_pie_cfg(schemes=("dad", "hyped", "preamble"), snr_grid=(0.0, 3.0),
+                            codes=(str(ham), str(rm)))
+        path = write_rows(run_pie_sweep(cfg), tmp_path / "pie.csv")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "7b67622d8b20f06d6ac4d6e3d2a8ba89c1d7507f4f4b29cd0d6c318866efed34")
+
+    def test_simulated_points_one_pass(self, tmp_path, monkeypatch):
+        # one calibrate and one estimate call per (code, SNR) for all schemes;
+        # a calibration-infeasible scheme is flagged and left out of estimate
+        import jdd.sweeps as sweeps
+
+        code = tmp_path / "ham.txt"
+        code.write_text(HAMMING_G)
+        cfg = small_pie_cfg(schemes=("dad", "hyped", "preamble"), snr_grid=(3.0,),
+                            codes=(str(code),))
+        sim = lambda rows: {r["scheme"]: r for r in rows if r["kind"] == "simulated"}
+        before = sim(run_pie_sweep(cfg))
+        calib, estimate = sweeps.calibrate_threshold, sweeps.estimate_rates
+        kinds = []
+
+        def infeasible_dad(spec, *args, **kwargs):
+            out = calib(spec, *args, **kwargs)
+            if kwargs.get("cb") is None:  # a split search, not a simulated point
+                return out
+            kinds.append([s.kind for s in spec])
+            return [c if s.kind != "dad" else type(c)(c.gamma, c.achieved_pfa, True)
+                    for s, c in zip(spec, out)]
+
+        def counted_estimate(spec, *args, **kwargs):
+            if kwargs.get("cb") is not None:
+                kinds.append([s.kind for s in spec])
+            return estimate(spec, *args, **kwargs)
+
+        monkeypatch.setattr(sweeps, "calibrate_threshold", infeasible_dad)
+        monkeypatch.setattr(sweeps, "estimate_rates", counted_estimate)
+        after = sim(run_pie_sweep(cfg))
+        assert kinds == [["dad", "hyped-exact", "preamble"], ["hyped-exact", "preamble"]]
+        assert after["dad"]["flag"] == "calibration-infeasible"
+        assert after["dad"]["value"] == "1"
+        assert after["hyped"] == before["hyped"] and after["preamble"] == before["preamble"]
 
 
 class TestOptimizeSplit:
