@@ -11,9 +11,12 @@ noise is counter-based (see jdd.channel), so the ``(TRIALS_PER_BLOCK, l)``
 block of a stream is the first ``TRIALS_PER_BLOCK * l`` values of the
 flattened ``(TRIALS_PER_BLOCK, n)`` block for the same ``(seed, stream,
 block)`` whenever ``l <= n`` (the flat-prefix contract). ``lengths=`` in
-``info_density_samples`` and ``meta_converse_min_error`` draws each block
-once at width n and returns, for every l, exactly what the separate
-length-l call returns.
+``info_density_samples``, ``meta_converse_beta``, ``meta_converse_max_M``
+and ``meta_converse_min_error`` draws each block once at width n and
+returns, for every l, exactly what the separate length-l call returns.
+``dens=`` in ``dt_bound_max_M`` takes a stream-1 sample drawn that way, so
+several DT searches (a DAD fixed point, every split of a slot) share one
+pass; the search on it equals the call that draws its own sample.
 """
 
 import warnings
@@ -163,9 +166,11 @@ def info_density_samples(n, sigma2, trials, seed, stream=1, lengths=None):
     lens = (n,) if lengths is None else tuple(int(l) for l in lengths)
     if any(not 1 <= l <= n for l in lens):
         raise ValueError(f"lengths must lie in 1..{n}, got {lens}")
+    if not lens:
+        return []
     trials = int(trials)
     outs = [np.empty(trials) for _ in lens]
-    width = max(lens, default=0)
+    width = max(lens)
     scratch = np.empty(min(TRIALS_PER_BLOCK, trials) * width)
     done = 0
     block = 0
@@ -204,16 +209,19 @@ def dt_error_estimate(info_dens, M):
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(vals.size))
 
 
-def dt_bound_max_M(n, sigma2, target_error, trials, seed):
+def dt_bound_max_M(n, sigma2, target_error, trials, seed, dens=None):
     """Largest M whose DT error bound stays below target_error (Monte Carlo).
 
     A single sample of information densities is reused across the binary
-    search over M. Emits a warning when the standard error at the returned M
-    exceeds 10% of the target.
+    search over M: ``dens`` when given (the stream-1 sample of length n for
+    this seed and trials, e.g. one array of a ``lengths=`` call of
+    info_density_samples), otherwise drawn here. Emits a warning when the
+    standard error at the returned M exceeds 10% of the target.
     """
     if trials < 1e4:
         raise ValueError("need at least 1e4 trials for the DT bound")
-    dens = info_density_samples(n, sigma2, trials, seed, stream=1)
+    if dens is None:
+        dens = info_density_samples(n, sigma2, trials, seed, stream=1)
     lo, hi = 1, 1 << n  # noiseless BPSK cannot carry more than n bits
     if dt_error_estimate(dens, hi)[0] <= target_error:
         lo = hi
@@ -233,7 +241,7 @@ def dt_bound_max_M(n, sigma2, target_error, trials, seed):
     return lo
 
 
-def meta_converse_beta(n, sigma2, eps, trials, seed):
+def meta_converse_beta(n, sigma2, eps, trials, seed, lengths=None):
     """beta_{1-eps} for the test joint-law vs (input x induced output law).
 
     The Neyman-Pearson threshold keeps power 1 - eps under the joint law: it
@@ -241,29 +249,48 @@ def meta_converse_beta(n, sigma2, eps, trials, seed):
     sample stream). The type-II error is estimated on an independent stream
     by the exact change of measure E_P[exp(-i) 1{i >= t}]. Returns
     (beta_hat, stderr, threshold).
+
+    With ``lengths`` (each 1 <= l <= n), returns one such triple per l, each
+    equal to the length-l call: each stream is drawn in one pass (see
+    info_density_samples), and the threshold stream is reduced to its
+    quantiles before the second stream is drawn.
     """
     if trials < 1e4:
         raise ValueError("need at least 1e4 trials for the meta-converse bound")
-    dens_thr = info_density_samples(n, sigma2, trials, seed, stream=2)
-    t = float(np.quantile(dens_thr, eps, method="linear"))
-    dens = info_density_samples(n, sigma2, trials, seed, stream=3)
-    w = np.where(dens >= t, np.exp(-dens), 0.0)
-    return float(w.mean()), float(w.std(ddof=1) / np.sqrt(w.size)), t
+    lens = (n,) if lengths is None else tuple(lengths)
+    thrs = [float(np.quantile(d, eps, method="linear"))
+            for d in info_density_samples(n, sigma2, trials, seed, stream=2, lengths=lens)]
+    denss = info_density_samples(n, sigma2, trials, seed, stream=3, lengths=lens)
+    out = []
+    for t in thrs:
+        dens = denss.pop(0)
+        w = np.where(dens >= t, np.exp(-dens), 0.0)
+        out.append((float(w.mean()), float(w.std(ddof=1) / np.sqrt(w.size)), t))
+    return out if lengths is not None else out[0]
 
 
-def meta_converse_max_M(n, sigma2, target_error, trials, seed):
-    """Converse on the code size: M <= 1 / beta_{1 - target_error}."""
-    beta, se, _ = meta_converse_beta(n, sigma2, target_error, trials, seed)
-    if se > 0.1 * max(beta, 1e-300):
-        warnings.warn(
-            f"meta-converse at n={n}: relative stderr {se / max(beta, 1e-300):.1%} above 10%; "
-            "increase trials",
-            stacklevel=2,
-        )
-    if beta <= 0.0:
-        return 1 << n
-    # tolerate last-ulp jitter in the weights before flooring
-    return min(1 << n, int(np.floor((1.0 / beta) * (1.0 + 1e-9))))
+def meta_converse_max_M(n, sigma2, target_error, trials, seed, lengths=None):
+    """Converse on the code size: M <= 1 / beta_{1 - target_error}.
+
+    With ``lengths`` (each 1 <= l <= n), returns one code size per l from one
+    meta_converse_beta pass; each equals the length-l call and warns as it.
+    """
+    lens = (n,) if lengths is None else tuple(lengths)
+    Ms = []
+    for l, (beta, se, _) in zip(lens, meta_converse_beta(n, sigma2, target_error, trials,
+                                                         seed, lengths=lens)):
+        if se > 0.1 * max(beta, 1e-300):
+            warnings.warn(
+                f"meta-converse at n={l}: relative stderr {se / max(beta, 1e-300):.1%} above 10%; "
+                "increase trials",
+                stacklevel=2,
+            )
+        if beta <= 0.0:
+            Ms.append(1 << l)
+        else:
+            # tolerate last-ulp jitter in the weights before flooring
+            Ms.append(min(1 << l, int(np.floor((1.0 / beta) * (1.0 + 1e-9)))))
+    return Ms if lengths is not None else Ms[0]
 
 
 def meta_converse_min_error(n, sigma2, M, trials, seed, lengths=None):

@@ -121,14 +121,21 @@ def uniform_block(seed, stream, block, shape):
     gen = np.random.Generator(np.random.Philox(key=key))
     u = gen.random(shape)
     # random() lands in [0, 1); shift the atom at 0 away from the CDF pole
-    return np.maximum(u, 2.0 ** -64)
+    return np.maximum(u, 2.0 ** -64, out=u)
 
 
 def gaussian_block(sigma2, seed, stream, block, shape):
-    """Zero-mean Gaussians with variance sigma2, by inversion sampling."""
+    """Zero-mean Gaussians with variance sigma2, by inversion sampling.
+
+    Computed in place on the uniform block: the same values as
+    ``np.sqrt(sigma2) * ndtri(u)`` without a second block-sized array.
+    """
     if sigma2 == 0.0:
         return np.zeros(shape)
-    return np.sqrt(sigma2) * ndtri(uniform_block(seed, stream, block, shape))
+    u = uniform_block(seed, stream, block, shape)
+    ndtri(u, out=u)
+    u *= np.sqrt(sigma2)
+    return u
 
 
 def emit_slot(params, state, seed, message=None):

@@ -2,7 +2,8 @@
 
 Subcommands: rate-sweep, pie-sweep, optimize-split, bounds. Configuration is
 a key=value text file (see sweeps.parse_config); --seed/--trials/--out/
---code/--ref override the config. Exits 0 on success; on failure prints a
+--code/--ref override the config. rate-sweep, pie-sweep and bounds write a
+CSV and its run manifest into --out. Exits 0 on success; on failure prints a
 single machine-readable "error=..." line to stderr and exits nonzero.
 """
 
@@ -19,8 +20,15 @@ from .sweeps import (
     run_pie_sweep,
     run_rate_sweep,
     run_with_manifest,
-    write_rows,
 )
+
+
+# subcommands that write <name>.csv and <name>.manifest.txt
+_RUNNERS = {
+    "rate-sweep": (run_rate_sweep, "rate_sweep"),
+    "pie-sweep": (run_pie_sweep, "pie_sweep"),
+    "bounds": (run_bounds_report, "bounds"),
+}
 
 
 def _add_common(p):
@@ -60,17 +68,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = _build_config(args)
-        if args.command == "rate-sweep":
-            path = run_with_manifest(run_rate_sweep, cfg, cfg.out, "rate_sweep")
-            print(path)
-        elif args.command == "pie-sweep":
-            path = run_with_manifest(run_pie_sweep, cfg, cfg.out, "pie_sweep")
-            print(path)
-        elif args.command == "bounds":
-            out = Path(cfg.out)
-            out.mkdir(parents=True, exist_ok=True)
-            path = write_rows(run_bounds_report(cfg), out / "bounds.csv")
-            print(path)
+        if args.command in _RUNNERS:
+            runner, name = _RUNNERS[args.command]
+            print(run_with_manifest(runner, cfg, cfg.out, name))
         elif args.command == "optimize-split":
             params = ChannelParams.from_db(cfg.es_n0_db, cfg.n)
             plan, table = optimize_preamble_split(args.scheme, cfg.n, cfg.k, params,

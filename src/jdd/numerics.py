@@ -36,11 +36,17 @@ def q_inv(p):
 
 def log_cosh(x):
     """ln cosh(x) without overflow: |x| - ln 2 + log1p(exp(-2|x|))."""
-    ax = np.abs(np.asarray(x, dtype=float))
+    ax = np.array(x, dtype=float, ndmin=1)  # a copy; 0-d would give scalars, which take no out=
+    np.abs(ax, out=ax)
     # the correction term is already 0 to machine precision past ~19; the cap
     # just keeps 2*ax from overflowing for astronomically large inputs
-    out = ax - np.log(2.0) + np.log1p(np.exp(-2.0 * np.minimum(ax, 400.0)))
-    return out if out.ndim else float(out)
+    t = np.minimum(ax, 400.0)
+    t *= -2.0
+    np.exp(t, out=t)
+    np.log1p(t, out=t)
+    ax -= np.log(2.0)
+    ax += t
+    return ax if np.ndim(x) else float(ax[0])
 
 
 def log_mixture(a, b, w):

@@ -7,6 +7,7 @@ value columns are copied byte for byte.
 """
 
 import csv
+import functools
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -158,10 +159,18 @@ def write_rows(rows, path):
     return path
 
 
-def _dt_max_M(cfg):
-    def oracle(target_error, n, sigma2):
-        return bounds.dt_bound_max_M(n, sigma2, target_error, cfg.trials, cfg.seed)
-    return oracle
+def _dt_searches(cfg, n, sigma2, lengths):
+    """DT code-size search at each of `lengths` on one stream-1 pass at width n.
+
+    The pass is drawn on the first search, so a caller whose searches never
+    run (a DAD fixed point that ends before its first round) draws no noise.
+    """
+    sample = functools.cache(lambda: dict(zip(lengths, info_density_samples(
+        n, sigma2, cfg.trials, cfg.seed, lengths=lengths))))
+
+    def search(l, target):
+        return bounds.dt_bound_max_M(l, sigma2, target, cfg.trials, cfg.seed, dens=sample()[l])
+    return search
 
 
 def _split_candidates(cfg, n_total, k, scheme):
@@ -201,68 +210,99 @@ def run_rate_sweep(cfg, out_csv=None):
     Per blocklength and scheme: the genie feasibility mask from the
     blocklength converse, the DAD achievable rate log2(M)/n, HyPED
     detection-feasibility combined with DT/meta-converse payload rates, and
-    the genie DT/meta-converse reference rates.
+    the genie DT/meta-converse reference rates. Per blocklength, every DT
+    search (the genie, each DAD fixed-point round, each split's payload)
+    runs on one multi-length stream-1 pass, and every meta-converse code
+    size comes from one multi-length pass over streams 2 and 3.
     """
     if not cfg.n_grid:
         raise ValueError("rate sweep needs n_grid")
     req = cfg.requirements
     sigma2 = snr_to_sigma2(cfg.es_n0_db)
     n_min = bounds.min_blocklength(sigma2, req)
-    dt_oracle = _dt_max_M(cfg)
     rows = []
     for n in cfg.n_grid:
         if n < n_min:
             for scheme in cfg.schemes:
                 rows.append(_row(scheme, "achievability", n, cfg.es_n0_db, 0.0, flag="infeasible"))
-            continue
-        if "genie" in cfg.schemes:
-            m_ach = bounds.dt_bound_max_M(n, sigma2, cfg.eps_ie, cfg.trials, cfg.seed)
-            m_con = bounds.meta_converse_max_M(n, sigma2, cfg.eps_ie, cfg.trials, cfg.seed)
-            rows.append(_row("genie", "achievability", n, cfg.es_n0_db, np.log2(float(m_ach)) / n))
-            rows.append(_row("genie", "converse", n, cfg.es_n0_db, np.log2(float(max(m_con, 1))) / n))
-        if "dad" in cfg.schemes:
-            M = bounds.dad_max_code_size(n, sigma2, req, dt_oracle)
-            if M >= 1:
-                rows.append(_row("dad", "achievability", n, cfg.es_n0_db, np.log2(float(M)) / n))
-            else:
-                rows.append(_row("dad", "achievability", n, cfg.es_n0_db, 0.0, flag="infeasible"))
-        if "hyped" in cfg.schemes:
-            rows.extend(_hyped_rate_point(cfg, n, sigma2, req))
+        else:
+            rows.extend(_rate_point(cfg, n, sigma2, req))
     rows.extend(r for ref in cfg.refs for r in ingest_reference(ref))
     if out_csv:
         write_rows(rows, out_csv)
     return rows
 
 
-def _hyped_rate_point(cfg, n, sigma2, req):
-    """Best HyPED rate bounds over the preamble-split grid at one blocklength."""
-    params = ChannelParams.from_db(cfg.es_n0_db, n)
+def _rate_point(cfg, n, sigma2, req):
+    """Genie, DAD and HyPED rate rows at one blocklength above the converse.
+
+    Stream 1 is drawn at most once at width n, for every DT search, and freed
+    before one meta-converse pass draws streams 2 and 3 for the slot and
+    every feasible split's payload; each bound equals its own per-length call.
+    """
+    schemes = set(cfg.schemes)
+    splits = []
+    if "hyped" in schemes:
+        params = ChannelParams.from_db(cfg.es_n0_db, n)
+        splits = _feasible_splits(cfg, "hyped", n, 1, params, req)
+    # a split's payload gets a DT search only if its pmd leaves eps_ie budget
+    budgets = {n - n_p: req.eps_ie - pmd for n_p, pmd in splits if req.eps_ie - pmd > 0}
+    dt_max_M = _dt_searches(cfg, n, sigma2,
+                            sorted(({n} if schemes & {"genie", "dad"} else set()) | set(budgets)))
+    if "genie" in schemes:
+        genie_M = dt_max_M(n, req.eps_ie)
+    if "dad" in schemes:
+        dad_M = bounds.dad_max_code_size(n, sigma2, req, lambda target, *_: dt_max_M(n, target))
+    split_M = {l: dt_max_M(l, budget) for l, budget in budgets.items()}
+    del dt_max_M  # frees the stream-1 samples
+    lengths = sorted(({n} if "genie" in schemes else set()) | {n - n_p for n_p, _ in splits})
+    con_M = {}
+    if lengths:
+        con_M = dict(zip(lengths, bounds.meta_converse_max_M(n, sigma2, req.eps_ie, cfg.trials,
+                                                             cfg.seed, lengths=lengths)))
+
+    snr = cfg.es_n0_db
+    rows = []
+    if "genie" in schemes:
+        rows.append(_row("genie", "achievability", n, snr, np.log2(float(genie_M)) / n))
+        rows.append(_row("genie", "converse", n, snr, np.log2(float(max(con_M[n], 1))) / n))
+    if "dad" in schemes:
+        if dad_M >= 1:
+            rows.append(_row("dad", "achievability", n, snr, np.log2(float(dad_M)) / n))
+        else:
+            rows.append(_row("dad", "achievability", n, snr, 0.0, flag="infeasible"))
+    if "hyped" in schemes:
+        rows.extend(_hyped_rate_point(n, snr, splits, split_M, con_M))
+    return rows
+
+
+def _hyped_rate_point(n, es_n0_db, pairs, m_ach, m_con):
+    """Best HyPED rate bounds over the preamble-split grid at one blocklength.
+
+    `pairs` are the feasible (n_p, pmd) splits; `m_ach` and `m_con` map a
+    payload length to its DT and meta-converse code sizes (`m_ach` only for
+    the splits whose pmd leaves eps_ie budget).
+    """
     best_ach = None
     best_con = None
-    n_ps = [n_p for n_p in _split_candidates(cfg, n, 1, "hyped") if n - n_p >= 1]
-    for n_p, pmd in zip(n_ps, _split_pmds("hyped", n_ps, params, cfg, req)):
+    for n_p, _ in pairs:
         n_c = n - n_p
-        if pmd > req.eps_md:
-            continue
-        budget = req.eps_ie - pmd
-        if budget > 0:
-            m_ach = bounds.dt_bound_max_M(n_c, sigma2, budget, cfg.trials, cfg.seed)
-            rate = np.log2(float(m_ach)) / n
+        if n_c in m_ach:
+            rate = np.log2(float(m_ach[n_c])) / n
             if best_ach is None or rate > best_ach[0]:
                 best_ach = (rate, n_p)
-        m_con = bounds.meta_converse_max_M(n_c, sigma2, req.eps_ie, cfg.trials, cfg.seed)
-        rate = np.log2(float(max(m_con, 1))) / n
+        rate = np.log2(float(max(m_con[n_c], 1))) / n
         if best_con is None or rate > best_con[0]:
             best_con = (rate, n_p)
     rows = []
     if best_ach:
-        rows.append(_row("hyped", "achievability", n, cfg.es_n0_db, best_ach[0], flag=f"n_p={best_ach[1]}"))
+        rows.append(_row("hyped", "achievability", n, es_n0_db, best_ach[0], flag=f"n_p={best_ach[1]}"))
     else:
-        rows.append(_row("hyped", "achievability", n, cfg.es_n0_db, 0.0, flag="infeasible"))
+        rows.append(_row("hyped", "achievability", n, es_n0_db, 0.0, flag="infeasible"))
     if best_con:
-        rows.append(_row("hyped", "converse", n, cfg.es_n0_db, best_con[0], flag=f"n_p={best_con[1]}"))
+        rows.append(_row("hyped", "converse", n, es_n0_db, best_con[0], flag=f"n_p={best_con[1]}"))
     else:
-        rows.append(_row("hyped", "converse", n, cfg.es_n0_db, 0.0, flag="infeasible"))
+        rows.append(_row("hyped", "converse", n, es_n0_db, 0.0, flag="infeasible"))
     return rows
 
 
@@ -432,7 +472,8 @@ def run_bounds_report(cfg):
     rows.append(_row("dad", "achievability", n, cfg.es_n0_db, gamma, flag="gamma"))
     rows.append(_row("dad", "achievability", n, cfg.es_n0_db, pfa_ub, flag="pfa-ub"))
     rows.append(_row("dad", "achievability", n, cfg.es_n0_db, pmd_ub, flag="pmd-ub"))
-    M_max = bounds.dad_max_code_size(n, sigma2, req, _dt_max_M(cfg))
+    dt_max_M = _dt_searches(cfg, n, sigma2, [n])
+    M_max = bounds.dad_max_code_size(n, sigma2, req, lambda target, *_: dt_max_M(n, target))
     rows.append(_row("dad", "achievability", n, cfg.es_n0_db, M_max, flag="max-code-size"))
     return rows
 

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from jdd import bounds
 from jdd.bounds import (
     Requirements,
     dad_error_bounds,
@@ -193,9 +195,11 @@ class TestMultiLengthDensities:
         np.testing.assert_array_equal(info_density_samples(l, SIGMA2_M3DB, trials, 6),
                                       np.concatenate(ref))
 
-    def test_single_length_list(self):
+    def test_single_length_list(self, monkeypatch):
         (dens,) = info_density_samples(self.N, SIGMA2_M3DB, 5000, 1, lengths=[self.N])
         np.testing.assert_array_equal(dens, info_density_samples(self.N, SIGMA2_M3DB, 5000, 1))
+        # no length, no noise drawn
+        monkeypatch.setattr(bounds, "gaussian_block", None)
         assert info_density_samples(self.N, SIGMA2_M3DB, 5000, 1, lengths=[]) == []
 
     @pytest.mark.parametrize("bad", [(0,), (31,), (5, -1)])
@@ -208,6 +212,59 @@ class TestMultiLengthDensities:
         got = meta_converse_min_error(self.N, SIGMA2_M3DB, M, 10_000, 2, lengths=self.LENGTHS)
         assert got == [meta_converse_min_error(l, SIGMA2_M3DB, M, 10_000, 2)
                        for l in self.LENGTHS]
+
+
+def messages(record):
+    # every warning must point at the caller, as the drawing call's does
+    assert all(w.filename == __file__ for w in record)
+    return [str(w.message) for w in record]
+
+
+class TestSharedSamples:
+    """dens= and lengths= searches equal the calls that draw their own samples."""
+
+    N = 30
+    LENGTHS = (1, 7, 12, 29, 30)
+
+    @pytest.mark.parametrize("sigma2", [SIGMA2_M3DB, 0.25])
+    def test_dt_bound_on_shared_sample(self, sigma2):
+        denss = info_density_samples(self.N, sigma2, 10_000, 3, lengths=self.LENGTHS)
+        warned = 0
+        for l, dens in zip(self.LENGTHS, denss):
+            for target in (1e-1, 1e-2, 1e-3):
+                with warnings.catch_warnings(record=True) as drawn:
+                    warnings.simplefilter("always")
+                    want = dt_bound_max_M(l, sigma2, target, 10_000, 3)
+                with warnings.catch_warnings(record=True) as shared:
+                    warnings.simplefilter("always")
+                    got = dt_bound_max_M(l, sigma2, target, 10_000, 3, dens=dens)
+                assert got == want
+                assert messages(shared) == messages(drawn)
+                warned += len(drawn)
+        if sigma2 == 0.25:
+            assert warned  # the stderr warning path is exercised too
+
+    def test_dt_bound_trials_precondition_with_sample(self):
+        dens = info_density_samples(8, 1.0, 100, 0)
+        with pytest.raises(ValueError):
+            dt_bound_max_M(8, 1.0, 1e-3, 100, 0, dens=dens)
+
+    @pytest.mark.parametrize("eps", [1e-1, 1e-3])
+    def test_meta_converse_beta_lengths(self, eps):
+        got = meta_converse_beta(self.N, SIGMA2_M3DB, eps, 10_000, 2, lengths=self.LENGTHS)
+        assert got == [meta_converse_beta(l, SIGMA2_M3DB, eps, 10_000, 2) for l in self.LENGTHS]
+
+    @pytest.mark.parametrize("eps", [1e-1, 1e-3])
+    def test_meta_converse_max_M_lengths(self, eps):
+        with warnings.catch_warnings(record=True) as multi:
+            warnings.simplefilter("always")
+            got = meta_converse_max_M(self.N, SIGMA2_M3DB, eps, 10_000, 2, lengths=self.LENGTHS)
+        with warnings.catch_warnings(record=True) as serial:
+            warnings.simplefilter("always")
+            want = [meta_converse_max_M(l, SIGMA2_M3DB, eps, 10_000, 2) for l in self.LENGTHS]
+        assert got == want
+        assert messages(multi) == messages(serial)
+        assert meta_converse_max_M(self.N, SIGMA2_M3DB, eps, 10_000, 2, lengths=[]) == []
 
 
 class TestMetaConverse:

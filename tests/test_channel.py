@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from jdd.channel import (
     ChannelParams,
@@ -10,6 +11,7 @@ from jdd.channel import (
     gaussian_block,
     modulate,
     snr_to_sigma2,
+    uniform_block,
 )
 
 
@@ -122,3 +124,26 @@ class TestFramePlan:
             FramePlan(n_p=2, n_c=0, preamble=np.array([1.0, 0.5]))
         with pytest.raises(ValueError):
             FramePlan(n_p=2, n_c=0, preamble=np.ones(3))
+
+
+class TestInPlaceNoise:
+    """The in-place block synthesis equals the plain out-of-place formula."""
+
+    @staticmethod
+    def philox(seed, stream, block, shape):
+        key = np.array([np.uint64(seed), (np.uint64(stream) << np.uint64(32)) ^ np.uint64(block)],
+                       dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key)).random(shape)
+
+    @pytest.mark.parametrize("shape", [(4096, 84), (4096, 7), (4096 * 13,), (5,)])
+    @pytest.mark.parametrize("stream", [0, 1, 3])
+    def test_equals_out_of_place_formula(self, shape, stream):
+        u = np.maximum(self.philox(7, stream, 2, shape), 2.0 ** -64)
+        np.testing.assert_array_equal(uniform_block(7, stream, 2, shape), u)
+        for sigma2 in (snr_to_sigma2(-3.0), 0.25, 1.0):
+            np.testing.assert_array_equal(gaussian_block(sigma2, 7, stream, 2, shape),
+                                          np.sqrt(sigma2) * ndtri(u))
+
+    def test_zero_variance(self):
+        z = gaussian_block(0.0, 7, 1, 0, (3, 4))
+        assert z.shape == (3, 4) and not z.any()

@@ -88,6 +88,28 @@ class TestLogCosh:
     def test_no_overflow(self):
         assert np.isfinite(log_cosh(1e308))
 
+    @staticmethod
+    def out_of_place(x):
+        ax = np.abs(np.asarray(x, dtype=float))
+        return ax - np.log(2.0) + np.log1p(np.exp(-2.0 * np.minimum(ax, 400.0)))
+
+    def test_in_place_equals_formula(self):
+        edges = [0.0, 400.0, np.nextafter(400.0, 0.0), np.nextafter(400.0, 1e3), 1e300,
+                 0.5, 19.0, 1e-300]
+        x = np.array(edges + [-e for e in edges])
+        np.testing.assert_array_equal(log_cosh(x), self.out_of_place(x))
+        grid = np.random.default_rng(0).normal(scale=30.0, size=(64, 84))
+        np.testing.assert_array_equal(log_cosh(grid), self.out_of_place(grid))
+        for e in edges:
+            assert log_cosh(np.array(e)) == float(self.out_of_place(e))
+            assert isinstance(log_cosh(np.array(-e)), float)
+            assert log_cosh(-e) == float(self.out_of_place(e))
+
+    def test_input_untouched(self):
+        x = np.array([-3.0, 0.0, 2.5])
+        log_cosh(x)
+        np.testing.assert_array_equal(x, [-3.0, 0.0, 2.5])
+
 
 class TestLogMixture:
     def test_degenerate_weights_exact(self):

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -193,6 +194,82 @@ class TestRunRateSweep:
         assert rates["hyped", "achievability"] <= rates["hyped", "converse"]
 
 
+    @staticmethod
+    def split_rate_cfg():
+        # n = 16 is under the converse; n_p = 0 and 4 miss eps_md at n = 48, and
+        # n_p = 12 meets it there but leaves no eps_ie budget (converse only)
+        return small_rate_cfg(schemes=("genie", "dad", "hyped"), n_grid=(16, 48, 72),
+                              eps_md=3e-2, np_grid=(0, 4, 12, 30))
+
+    def test_rate_rows_pinned(self, tmp_path):
+        # sha256 recorded before the per-blocklength density pass; every DT and
+        # meta-converse search on the shared samples must reproduce its own call
+        with pytest.warns(UserWarning):  # DT precision at 10k trials
+            path = write_rows(run_rate_sweep(self.split_rate_cfg()), tmp_path / "rate.csv")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "7c67ffe0dd43b2e686989eafce0b5be9c09e1245dc13189fce33c2d2510cb300")
+
+    def test_one_density_pass_per_blocklength(self, monkeypatch):
+        # streams 1-3 are each drawn once per feasible n, block by block
+        import jdd.bounds as bounds
+
+        draws = Counter()
+        gaussian_block = bounds.gaussian_block
+
+        def counted(sigma2, seed, stream, block, shape):
+            draws[shape[1], stream, block] += 1
+            return gaussian_block(sigma2, seed, stream, block, shape)
+
+        monkeypatch.setattr(bounds, "gaussian_block", counted)
+        with pytest.warns(UserWarning):
+            run_rate_sweep(self.split_rate_cfg())
+        blocks = range(-(-10_000 // 4096))
+        assert draws == Counter({(n, stream, b): 1 for n in (48, 72) for stream in (1, 2, 3)
+                                 for b in blocks})
+
+    def test_no_bound_searched_below_dt_trials(self, monkeypatch):
+        # at n = 22 the DAD fixed point ends before its first round and no split
+        # meets eps_md, so no bound runs and 5000 trials (under the bounds'
+        # 1e4 minimum) still give the infeasible rows, without drawing noise
+        import jdd.sweeps as sweeps
+
+        monkeypatch.setattr(sweeps, "info_density_samples", None)
+        rows = run_rate_sweep(small_rate_cfg(schemes=("dad", "hyped"), n_grid=(16, 22),
+                                             eps_ie=1e-3, trials=5000))
+        assert [(r["scheme"], r["kind"], r["n"], r["flag"]) for r in rows] == [
+            ("dad", "achievability", "16", "infeasible"),
+            ("hyped", "achievability", "16", "infeasible"),
+            ("dad", "achievability", "22", "infeasible"),
+            ("hyped", "achievability", "22", "infeasible"),
+            ("hyped", "converse", "22", "infeasible")]
+
+    def test_bounds_report_pinned(self, tmp_path):
+        # recorded before the DAD fixed-point rounds shared one stream-1 sample
+        for cfg, digest in (
+                (SweepConfig(trials=10_000),
+                 "d06862786bf12d78b66b86467d33a42fc8710b01b2220d6c31949bc6a5c36709"),
+                (SweepConfig(trials=10_000, es_n0_db=0.0, n=60, k=8, seed=5),
+                 "6bb7dbba3de52638d3793e5c3fe36e248b0a1ecb1eda693ce8e11b4e32f5cfeb")):
+            with pytest.warns(UserWarning):
+                path = write_rows(run_bounds_report(cfg), tmp_path / "bounds.csv")
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_bounds_report_one_sample(self, monkeypatch):
+        # two DAD fixed-point rounds at n = 60 search one stream-1 sample; an
+        # infeasible n draws none
+        import jdd.sweeps as sweeps
+
+        calls = []
+        draw = sweeps.info_density_samples
+        monkeypatch.setattr(sweeps, "info_density_samples",
+                            lambda *a, **kw: calls.append(a[0]) or draw(*a, **kw))
+        with pytest.warns(UserWarning):
+            rows = run_bounds_report(SweepConfig(trials=10_000, es_n0_db=0.0, n=60, k=8, seed=5))
+        assert calls == [60] and rows[-1]["value"] == "972144"
+        run_bounds_report(SweepConfig(trials=10_000, n=20))
+        assert calls == [60]
+
+
 class TestRunPieSweep:
     def test_needs_grid(self):
         with pytest.raises(ValueError):
@@ -328,6 +405,19 @@ class TestCli:
         out = capsys.readouterr().out.strip()
         assert out.endswith("bounds.csv")
         assert (tmp_path / "bounds.csv").exists()
+
+    def test_bounds_writes_manifest(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, "n=60\nk=8\nes_n0_db=0\n")
+        with pytest.warns(UserWarning):  # DT precision at 10k trials
+            rc = main(["bounds", "--config", cfg, "--seed", "5", "--trials", "10000",
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        assert capsys.readouterr().out.strip() == str(tmp_path / "bounds.csv")
+        recs = read_csv(tmp_path / "bounds.csv")
+        assert [r["value"] for r in recs if r["flag"] == "max-code-size"] == ["972144"]
+        manifest = (tmp_path / "bounds.manifest.txt").read_text().splitlines()
+        for line in ("command=bounds", "seed=5", "trials=10000", "n=60", "k=8", "es_n0_db=0.0"):
+            assert line in manifest
 
     def test_rate_sweep_with_manifest(self, tmp_path, capsys):
         cfg = self.write_cfg(
