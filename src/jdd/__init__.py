@@ -17,12 +17,10 @@ from .bounds import (
     min_snr_db,
     pie_sandwich,
 )
-from .channel import ChannelParams, FramePlan, Slot, emit_slot, modulate, snr_to_sigma2
+from .channel import ChannelParams, FramePlan, modulate, snr_to_sigma2
 from .codebook import Codebook, encode, load_generator, min_distance, ml_decode
 from .detectors import (
-    DetectionOutcome,
     DetectorSpec,
-    decide,
     stat_codebook_aided,
     stat_dad,
     stat_genie,
@@ -31,6 +29,6 @@ from .detectors import (
     stat_preamble,
 )
 from .montecarlo import CalibrationResult, RateEstimate, calibrate_threshold, clopper_pearson, estimate_rates
-from .numerics import log_cosh, log_mixture, q_func, q_inv
+from .numerics import log_cosh, q_func, q_inv
 
 __version__ = "0.1.0"

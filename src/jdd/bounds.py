@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import TRIALS_PER_BLOCK, gaussian_block
+from .channel import TRIALS_PER_BLOCK, _blocks, gaussian_block
 from .numerics import q_func, q_inv
 
 __all__ = [
@@ -172,10 +172,8 @@ def info_density_samples(n, sigma2, trials, seed, stream=1, lengths=None):
     outs = [np.empty(trials) for _ in lens]
     width = max(lens)
     scratch = np.empty(min(TRIALS_PER_BLOCK, trials) * width)
-    done = 0
-    block = 0
-    while done < trials:
-        b = min(TRIALS_PER_BLOCK, trials - done)
+    for block, b in _blocks(trials):
+        done = block * TRIALS_PER_BLOCK
         z = gaussian_block(sigma2, seed, stream, block, (TRIALS_PER_BLOCK, n))
         # y = 1 + z, t = -2 y / sigma2, then the stable softplus ln(1 + e^t)
         # = max(t, 0) + log1p(exp(-|t|)), all in place on the flat prefix
@@ -191,8 +189,6 @@ def info_density_samples(n, sigma2, trials, seed, stream=1, lengths=None):
         t += s
         for l, out in zip(lens, outs):
             out[done : done + b] = l * np.log(2.0) - t[: b * l].reshape(b, l).sum(axis=1)
-        done += b
-        block += 1
     return outs if lengths is not None else outs[0]
 
 

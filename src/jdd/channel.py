@@ -10,7 +10,7 @@ workers. Normal variates are produced by inverting the normal CDF on Philox
 uniforms, so the mapping from counters to noise is fully specified.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -19,10 +19,8 @@ __all__ = [
     "TRIALS_PER_BLOCK",
     "ChannelParams",
     "FramePlan",
-    "Slot",
     "snr_to_sigma2",
     "modulate",
-    "emit_slot",
     "gaussian_block",
     "uniform_block",
 ]
@@ -30,6 +28,16 @@ __all__ = [
 # Fixed batching grid for counter-based noise derivation. Changing this value
 # changes every simulated stream, so it is a constant, not a knob.
 TRIALS_PER_BLOCK = 4096
+
+
+def _blocks(trials):
+    """Yield (block, count) for `trials` trials on the grid, block 0 first.
+
+    Every stream iterates its trials this way, so trial t is row
+    t % TRIALS_PER_BLOCK of block t // TRIALS_PER_BLOCK everywhere.
+    """
+    for block in range(-(-trials // TRIALS_PER_BLOCK)):
+        yield block, min(TRIALS_PER_BLOCK, trials - block * TRIALS_PER_BLOCK)
 
 
 def snr_to_sigma2(es_n0_db):
@@ -61,11 +69,6 @@ class ChannelParams:
     @classmethod
     def from_db(cls, es_n0_db, n):
         return cls(es_n0_db=float(es_n0_db), sigma2=snr_to_sigma2(es_n0_db), n=int(n))
-
-    @classmethod
-    def from_sigma2(cls, sigma2, n):
-        es_n0_db = 10.0 * np.log10(1.0 / (2.0 * sigma2))
-        return cls(es_n0_db=float(es_n0_db), sigma2=float(sigma2), n=int(n))
 
 
 @dataclass(frozen=True)
@@ -99,15 +102,6 @@ class FramePlan:
         return y[..., : self.n_p], y[..., self.n_p :]
 
 
-@dataclass(frozen=True)
-class Slot:
-    """One synthesized slot: transmitter state, channel input, observation."""
-
-    message: int | None  # None = idle, otherwise 1-based message index
-    x: np.ndarray
-    y: np.ndarray
-
-
 def modulate(bits):
     """BPSK map, bit 0 -> +1 and bit 1 -> -1."""
     bits = np.asarray(bits)
@@ -136,23 +130,3 @@ def gaussian_block(sigma2, seed, stream, block, shape):
     ndtri(u, out=u)
     u *= np.sqrt(sigma2)
     return u
-
-
-def emit_slot(params, state, seed, message=None):
-    """Synthesize one slot; `state` is None (idle) or a length-n +/-1 vector.
-
-    Deterministic given (params, state, seed): the noise stream depends on
-    the seed only. `message` is carried through for bookkeeping when the
-    caller drew the codeword from a codebook.
-    """
-    if state is None:
-        x = np.zeros(params.n)
-        message = None
-    else:
-        x = np.asarray(state, dtype=float)
-        if x.shape != (params.n,):
-            raise ValueError(f"active input must have length n={params.n}")
-        if not np.all(np.abs(x) == 1.0):
-            raise ValueError("active input entries must be +/-1")
-    z = gaussian_block(params.sigma2, seed, 0, 0, (params.n,))
-    return Slot(message=message, x=x, y=x + z)

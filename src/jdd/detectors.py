@@ -12,18 +12,16 @@ import numpy as np
 
 from .channel import FramePlan
 from .codebook import _argmax_rows, _tiled_correlation
-from .numerics import log_cosh, log_mixture
+from .numerics import log_cosh
 
 __all__ = [
     "DetectorSpec",
-    "DetectionOutcome",
     "stat_preamble",
     "stat_hyped_exact",
     "stat_hyped_heuristic",
     "stat_dad",
     "stat_codebook_aided",
     "stat_genie",
-    "decide",
     "batch_statistic",
 ]
 
@@ -35,34 +33,23 @@ class DetectorSpec:
     kind: one of "preamble", "hyped-exact", "hyped-heuristic", "dad",
     "codebook-aided", "genie". `gamma` is the detection threshold;
     `gamma_a` weights the codebook-sum (codebook-aided) or the preamble
-    correlation (heuristic HyPED); `prior` is the symbol prior of the exact
-    HyPED statistic.
+    correlation (heuristic HyPED).
     """
 
     kind: str
     gamma: float = np.nan
     gamma_a: float = 0.0
-    prior: float = 0.5
 
     KINDS = ("preamble", "hyped-exact", "hyped-heuristic", "dad", "codebook-aided", "genie")
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown detector kind {self.kind!r}")
-        if not 0.0 < self.prior <= 1.0:
-            raise ValueError("symbol prior must lie in (0, 1]")
         if not (np.isfinite(self.gamma_a) and self.gamma_a >= 0.0):
             raise ValueError(f"gamma_a must be finite and >= 0, got {self.gamma_a}")
 
     def with_gamma(self, gamma):
-        return DetectorSpec(self.kind, float(gamma), self.gamma_a, self.prior)
-
-
-@dataclass(frozen=True)
-class DetectionOutcome:
-    detected: bool
-    m_hat: int | None
-    statistic: float
+        return DetectorSpec(self.kind, float(gamma), self.gamma_a)
 
 
 def _check_len(y, n, what="observation"):
@@ -83,36 +70,29 @@ def stat_preamble(y_p, plan, params):
     return ((2.0 * y_p * plan.preamble - 1.0) / (2.0 * params.sigma2)).sum(axis=-1)
 
 
-def stat_hyped_exact(y, plan, params, p=0.5):
+def stat_hyped_exact(y, plan, params):
     """Exact hybrid preamble/energy LLR of the whole slot.
 
-    General prior p on +1 payload symbols; at p = 1/2 the payload term
-    reduces to sum of ln cosh(y_c / sigma2), and that faster path is taken.
+    Equiprobable payload symbols, so the payload term is the sum of
+    ln cosh(y_c / sigma2).
 
     `plan` may also be a sequence of splits of the same slot; the statistics
-    are then stacked along a new leading axis, one per split. At p = 1/2 the
-    ln cosh terms are computed once, from the shortest preamble on, and each
-    split sums its own columns of them, so every split's value is bit-identical
-    to a call with that split alone.
+    are then stacked along a new leading axis, one per split. The ln cosh
+    terms are computed once, from the shortest preamble on, and each split
+    sums its own columns of them, so every split's value is bit-identical to
+    a call with that split alone.
     """
     plans = [plan] if isinstance(plan, FramePlan) else list(plan)
-    if not 0.0 < p <= 1.0:
-        raise ValueError("prior must lie in (0, 1]")
     y = _check_len(y, plans[0].n)
     if any(pl.n != plans[0].n for pl in plans):
         raise ValueError("all splits must cover the same slot length")
     s2 = params.sigma2
     first = min(pl.n_p for pl in plans)
-    a = y[..., first:] / s2
-    # ln[(e^a + e^-a)/2] = ln cosh(a)
-    terms = log_cosh(a) if p == 0.5 else None
+    # the payload LLR of one symbol: ln[(e^a + e^-a)/2] = ln cosh(a), a = y / sigma2
+    terms = log_cosh(y[..., first:] / s2)
     out = []
     for pl in plans:
-        if terms is not None:
-            payload = terms[..., pl.n_p - first :].sum(axis=-1)
-        else:
-            a_c = a[..., pl.n_p - first :]
-            payload = log_mixture(a_c, -a_c, p).sum(axis=-1)
+        payload = terms[..., pl.n_p - first :].sum(axis=-1)
         pre = (y[..., : pl.n_p] * pl.preamble).sum(axis=-1) / s2
         out.append(payload + pre - pl.n / (2.0 * s2))
     return out[0] if isinstance(plan, FramePlan) else np.stack(out)
@@ -185,16 +165,6 @@ def stat_genie(y, x_m, params):
     return (y * x_m).sum(axis=-1)
 
 
-def decide(stat, gamma, m_hat=None):
-    """Threshold test; the boundary stat == gamma counts as Detected."""
-    detected = bool(stat >= gamma)
-    return DetectionOutcome(
-        detected=detected,
-        m_hat=(int(m_hat) if (detected and m_hat is not None) else None),
-        statistic=float(stat),
-    )
-
-
 def batch_statistic(spec, y, plan, params, cb=None, genie_x=None):
     """Evaluate a DetectorSpec on a batch; returns (stats, m_hat or None).
 
@@ -203,24 +173,23 @@ def batch_statistic(spec, y, plan, params, cb=None, genie_x=None):
 
     `spec` and `plan` may instead be equal-length lists of entries that share
     the observation batch `y`; the result is then a list with one
-    (stats, m_hat) pair per entry. HyPED-exact entries with a common prior
-    are evaluated by one stat_hyped_exact call, which computes the ln cosh
-    terms of the block once for all their splits.
+    (stats, m_hat) pair per entry. All HyPED-exact entries are evaluated by
+    one stat_hyped_exact call, which computes the ln cosh terms of the block
+    once for all their splits.
     """
     if isinstance(spec, DetectorSpec):
         return batch_statistic([spec], y, [plan], params, cb, genie_x)[0]
     if len(spec) != len(plan):
         raise ValueError("need one plan per detector spec")
     out = [None] * len(spec)
-    hyped = {}
+    hyped = []
     for i, (s, pl) in enumerate(zip(spec, plan)):
         if s.kind == "hyped-exact":
-            hyped.setdefault(s.prior, []).append(i)
+            hyped.append(i)
         else:
             out[i] = _statistic(s, y, pl, params, cb, genie_x)
-    for prior, idx in hyped.items():
-        stats = stat_hyped_exact(y, [plan[i] for i in idx], params, prior)
-        for i, st in zip(idx, stats):
+    if hyped:
+        for i, st in zip(hyped, stat_hyped_exact(y, [plan[i] for i in hyped], params)):
             out[i] = (st, None)
     return out
 

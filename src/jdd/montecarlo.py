@@ -8,22 +8,24 @@ draws, and random payloads are all independent. Within a stream, trial t
 lives in block t // TRIALS_PER_BLOCK, so results are bit-stable and
 independent of how trials are sharded across workers.
 
-The threshold is always fit on the calibration stream and the achieved false
-alarm rate re-estimated on the evaluation stream, avoiding the optimistic
-bias of reusing the fitting sample.
+`calibrate_threshold` only fits the threshold, on the calibration stream.
+The false alarm rate at that threshold has one estimate, `estimate_rates`'s
+pfa, measured on the independent evaluation stream, which avoids the
+optimistic bias of reusing the fitting sample. A calibrate and estimate
+pair draws every (stream, block) at most once.
 
 Entries
 -------
 `calibrate_threshold` and `estimate_rates` take one detector spec and one
 frame plan, or sequences of them (a lone spec or plan is broadcast against
 the other sequence); every (spec, plan) entry must cover the same slot
-length n. All entries are evaluated in one pass: each noise block of the
-calibration, idle-evaluation and active streams is drawn once and every
-entry's statistic is evaluated on it, and the random payloads of all
-lengths come from one payload draw per block. Because a trial's noise
-depends only on (seed, stream, trial index), each entry's result is
-identical to a call with that entry alone; a lone spec and plan is the
-same path with one entry, and returns a single result instead of a list.
+length n. All entries are evaluated in one pass: each noise block of a
+stream is drawn once and every entry's statistic is evaluated on it, and
+the random payloads of all lengths come from one payload draw per block.
+Because a trial's noise depends only on (seed, stream, trial index), each
+entry's result is identical to a call with that entry alone; a lone spec
+and plan is the same path with one entry, and returns a single result
+instead of a list.
 Memory: calibration holds an (entries x trials) float64 array of idle
 statistics for the quantile; evaluation-stream statistics are reduced to
 counts block by block and never stored.
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import beta as beta_dist
 
-from .channel import TRIALS_PER_BLOCK, FramePlan, gaussian_block, uniform_block
+from .channel import TRIALS_PER_BLOCK, FramePlan, _blocks, gaussian_block, uniform_block
 from .detectors import DetectorSpec, batch_statistic
 
 __all__ = [
@@ -47,7 +49,7 @@ __all__ = [
     "write_manifest",
 ]
 
-# stream tags (streams 0-3 are taken by emit_slot and the bound estimators)
+# stream tags (streams 1-3 are taken by the bound estimators in jdd.bounds)
 STREAM_CALIBRATION = 4
 STREAM_IDLE_EVAL = 5
 STREAM_ACTIVE_NOISE = 6
@@ -83,17 +85,7 @@ class RateEstimate:
 @dataclass(frozen=True)
 class CalibrationResult:
     gamma: float
-    achieved_pfa: RateEstimate
     infeasible: bool = False
-
-
-def _blocks(trials):
-    done = 0
-    block = 0
-    while done < trials:
-        yield block, min(TRIALS_PER_BLOCK, trials - done)
-        done += TRIALS_PER_BLOCK
-        block += 1
 
 
 def _entries(spec, plan, params):
@@ -125,22 +117,15 @@ def _idle_stats(specs, plans, params, trials, seed, stream, cb=None):
         yield block * TRIALS_PER_BLOCK, [stats for stats, _ in results]
 
 
-def _false_alarms(specs, plans, params, trials, seed, gammas, cb=None):
-    """Per-entry counts of evaluation-stream idle statistics >= gamma."""
-    counts = [0] * len(specs)
-    for _, block_stats in _idle_stats(specs, plans, params, trials, seed, STREAM_IDLE_EVAL, cb):
-        for i, (stats, gamma) in enumerate(zip(block_stats, gammas)):
-            counts[i] += int(np.sum(stats >= gamma))
-    return counts
-
-
 def calibrate_threshold(spec, plan, params, trials, eps_fa, seed, cb=None):
     """Fit gamma to the empirical (1 - eps_fa)-quantile of the idle statistic.
 
-    The quantile is linearly interpolated between order statistics; the
-    achieved false alarm rate is re-estimated on an independent stream with
-    the same trial count. Requires trials >= 50 / eps_fa so the target
-    quantile is resolvable.
+    The quantile is linearly interpolated between order statistics of the
+    calibration stream, the only stream drawn here; the false alarm rate
+    achieved at gamma is reported by estimate_rates, on an independent
+    stream. Requires trials >= 50 / eps_fa so the target quantile is
+    resolvable. `infeasible` flags a statistic whose atom at its maximum
+    outweighs eps_fa, so no threshold meets the target.
 
     With a sequence of specs and/or plans (see the module docstring) all
     entries are calibrated on the same noise blocks and a list with one
@@ -157,9 +142,7 @@ def calibrate_threshold(spec, plan, params, trials, eps_fa, seed, cb=None):
     gammas = [float(np.quantile(row, 1.0 - eps_fa, method="linear")) for row in stats]
     # degenerate statistic: an atom at the maximum heavier than the target
     infeasible = [bool(np.mean(row >= row.max()) > eps_fa) for row in stats]
-    n_fa = _false_alarms(specs, plans, params, trials, seed, gammas, cb)
-    out = [CalibrationResult(gamma=g, achieved_pfa=RateEstimate.from_counts(c, trials), infeasible=inf)
-           for g, c, inf in zip(gammas, n_fa, infeasible)]
+    out = [CalibrationResult(gamma=g, infeasible=inf) for g, inf in zip(gammas, infeasible)]
     return out[0] if single else out
 
 
@@ -179,13 +162,14 @@ def _payload(u, n_c, count):
     return np.where(u < 0.5, 1.0, -1.0)
 
 
-def estimate_rates(spec, plan, params, trials, seed, cb=None, decode=True):
+def estimate_rates(spec, plan, params, trials, seed, cb=None):
     """Monte Carlo error rates at the calibrated threshold in `spec.gamma`.
 
-    Returns a dict with keys pfa, pmd, pcw, pie. Idle slots drive pfa; active
-    slots with uniformly drawn messages (or i.i.d. random payload when no
-    codebook is supplied) drive the rest. pcw is conditioned on detection and
-    is None when no codebook is attached or no trial was detected.
+    Returns a dict with keys pfa, pmd, pcw, pie. Idle slots of the evaluation
+    stream drive pfa, the one estimate of the false alarm rate at gamma;
+    active slots with uniformly drawn messages (or i.i.d. random payload when
+    no codebook is supplied) drive the rest. pcw is conditioned on detection
+    and is None when no codebook is attached or no trial was detected.
 
     With a sequence of specs and/or plans (see the module docstring) all
     entries share the idle noise, the active noise and the message draws,
@@ -199,7 +183,10 @@ def estimate_rates(spec, plan, params, trials, seed, cb=None, decode=True):
         raise ValueError("detector threshold gamma is not set; calibrate first")
     gammas = [s.gamma for s in specs]
 
-    n_fa = _false_alarms(specs, plans, params, trials, seed, gammas, cb)
+    n_fa = [0] * len(specs)
+    for _, block_stats in _idle_stats(specs, plans, params, trials, seed, STREAM_IDLE_EVAL, cb):
+        for i, (stats, gamma) in enumerate(zip(block_stats, gammas)):
+            n_fa[i] += int(np.sum(stats >= gamma))
 
     from .codebook import ml_decode  # local import avoids a cycle at module load
 
@@ -225,7 +212,7 @@ def estimate_rates(spec, plan, params, trials, seed, cb=None, decode=True):
 
             stats, m_hat = batch_statistic(s, y, plan, params, cb=cb, genie_x=x)
             detected = stats >= gammas[i]
-            if m_hat is None and cb is not None and decode:
+            if m_hat is None and cb is not None:
                 if decoded is None:
                     decoded, _ = ml_decode(cb, y[:, plan.n_p :])
                 m_hat = decoded
@@ -246,7 +233,7 @@ def estimate_rates(spec, plan, params, trials, seed, cb=None, decode=True):
             "pmd": RateEstimate.from_counts(n_md[i], trials),
             "pie": RateEstimate.from_counts(n_ie[i], trials),
         }
-        if cb is not None and decode and n_detected[i] > 0:
+        if cb is not None and n_detected[i] > 0:
             rates["pcw"] = RateEstimate.from_counts(n_cw_err[i], n_detected[i])
         else:
             rates["pcw"] = None

@@ -7,7 +7,7 @@ arrays elementwise.
 import numpy as np
 from scipy.special import erfc, ndtri
 
-__all__ = ["q_func", "q_inv", "log_cosh", "log_mixture"]
+__all__ = ["q_func", "q_inv", "log_cosh"]
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -48,23 +48,3 @@ def log_cosh(x):
     ax += t
     return ax if np.ndim(x) else float(ax[0])
 
-
-def log_mixture(a, b, w):
-    """ln[w e^a + (1-w) e^b], shifted by max(a, b) so it never overflows.
-
-    Exact at w = 0 and w = 1.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if np.any((w < 0.0) | (w > 1.0)):
-        raise ValueError("mixture weight must lie in [0, 1]")
-    hi = np.maximum(a, b)
-    lo = np.minimum(a, b)
-    # weight attached to the larger of the two exponents
-    w_hi = np.where(a >= b, w, 1.0 - w)
-    out = hi + np.log(w_hi + (1.0 - w_hi) * np.exp(lo - hi))
-    # the limit cases must hold exactly, not just to rounding
-    out = np.where(w == 1.0, a, out)
-    out = np.where(w == 0.0, b, out)
-    return out if out.ndim else float(out)

@@ -8,6 +8,7 @@ value columns are copied byte for byte.
 
 import csv
 import functools
+import operator
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,6 +36,10 @@ __all__ = [
 CSV_HEADER = ["scheme", "kind", "n", "es_n0_db", "value", "stderr", "flag"]
 
 DEFAULT_SCHEMES = ("genie", "dad", "hyped", "preamble")
+
+# ranks (value, n_p) pairs by value; max and min keep the first of equal
+# values, so ties go to the smaller n_p of the ascending split grid
+_BY_VALUE = operator.itemgetter(0)
 
 
 @dataclass
@@ -72,6 +77,8 @@ class SweepConfig:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if not 1 <= self.k <= MAX_K:
             raise ValueError(f"k must lie in 1..{MAX_K}, got {self.k}")
+        if self.k > self.n:
+            raise ValueError(f"k must be <= n, got k={self.k}, n={self.n}")
         if any(n < 1 for n in self.n_grid):
             raise ValueError(f"n_grid entries must be >= 1, got {self.n_grid}")
         if any(n_p < 0 for n_p in self.np_grid):
@@ -283,17 +290,10 @@ def _hyped_rate_point(n, es_n0_db, pairs, m_ach, m_con):
     payload length to its DT and meta-converse code sizes (`m_ach` only for
     the splits whose pmd leaves eps_ie budget).
     """
-    best_ach = None
-    best_con = None
-    for n_p, _ in pairs:
-        n_c = n - n_p
-        if n_c in m_ach:
-            rate = np.log2(float(m_ach[n_c])) / n
-            if best_ach is None or rate > best_ach[0]:
-                best_ach = (rate, n_p)
-        rate = np.log2(float(max(m_con[n_c], 1))) / n
-        if best_con is None or rate > best_con[0]:
-            best_con = (rate, n_p)
+    best_ach = max(((np.log2(float(m_ach[n - n_p])) / n, n_p) for n_p, _ in pairs
+                    if n - n_p in m_ach), key=_BY_VALUE, default=None)
+    best_con = max(((np.log2(float(max(m_con[n - n_p], 1))) / n, n_p) for n_p, _ in pairs),
+                   key=_BY_VALUE, default=None)
     rows = []
     if best_ach:
         rows.append(_row("hyped", "achievability", n, es_n0_db, best_ach[0], flag=f"n_p={best_ach[1]}"))
@@ -378,14 +378,10 @@ def _split_bound_point(scheme, n, snr, pairs, dt, con):
     `pairs` are the feasible (n_p, pmd) splits; `dt` and `con` map a payload
     length to its DT (estimate, stderr) and meta-converse codeword error.
     """
-    best_up = None
-    best_lo = None
-    for n_p, pmd in pairs:
-        lo, up = bounds.pie_sandwich(pmd, con[n - n_p], dt[n - n_p][0])
-        if best_up is None or up < best_up[0]:
-            best_up = (up, n_p)
-        if best_lo is None or lo < best_lo[0]:
-            best_lo = (lo, n_p)
+    sandwiches = [(bounds.pie_sandwich(pmd, con[n - n_p], dt[n - n_p][0]), n_p)
+                  for n_p, pmd in pairs]
+    best_lo = min(((lo, n_p) for (lo, _), n_p in sandwiches), key=_BY_VALUE, default=None)
+    best_up = min(((up, n_p) for (_, up), n_p in sandwiches), key=_BY_VALUE, default=None)
     rows = []
     if best_up:
         rows.append(_row(scheme, "achievability", n, snr, best_up[0], flag=f"n_p={best_up[1]}"))
@@ -438,21 +434,18 @@ def optimize_preamble_split(scheme, n_total, k, params, req, cfg):
     """
     M = 1 << k
     table = []
-    best = None
     n_ps = _split_candidates(cfg, n_total, k, scheme)
     denss = info_density_samples(n_total, params.sigma2, cfg.trials, cfg.seed,
                                  lengths=[n_total - n_p for n_p in n_ps])
     for n_p, pmd, dens in zip(n_ps, _split_pmds(scheme, n_ps, params, cfg, req), denss):
-        n_c = n_total - n_p
         pcw_up, _ = dt_error_estimate(dens, M)
-        pie_up = min(1.0, pmd + pcw_up)
-        feasible = pmd <= req.eps_md
-        table.append((n_p, pmd, pcw_up, pie_up if feasible else float("nan")))
-        if feasible and (best is None or pie_up < best[0]):
-            best = (pie_up, n_p, n_c)
+        pie_up = min(1.0, pmd + pcw_up) if pmd <= req.eps_md else float("nan")
+        table.append((n_p, pmd, pcw_up, pie_up))
+    best = min(((pie_up, n_p) for n_p, _, _, pie_up in table if not np.isnan(pie_up)),
+               key=_BY_VALUE, default=None)
     if best is None:
         raise ValueError(f"no feasible preamble split for {scheme} at n={n_total}")
-    return FramePlan(n_p=best[1], n_c=best[2]), table
+    return FramePlan(n_p=best[1], n_c=n_total - best[1]), table
 
 
 def run_bounds_report(cfg):

@@ -7,7 +7,6 @@ from scipy.special import ndtri
 from jdd.channel import (
     ChannelParams,
     FramePlan,
-    emit_slot,
     gaussian_block,
     modulate,
     snr_to_sigma2,
@@ -55,25 +54,7 @@ class TestModulate:
 
 
 class TestEmitSlot:
-    def test_noiseless_limit(self):
-        p = ChannelParams(es_n0_db=0.0, sigma2=0.0, n=5)
-        x = np.array([1.0, -1.0, 1.0, 1.0, -1.0])
-        slot = emit_slot(p, x, seed=3)
-        np.testing.assert_array_equal(slot.y, x)
-
-    def test_determinism(self):
-        p = ChannelParams.from_db(-3.0, 32)
-        x = np.ones(32)
-        a = emit_slot(p, x, seed=9)
-        b = emit_slot(p, x, seed=9)
-        np.testing.assert_array_equal(a.y, b.y)
-        c = emit_slot(p, x, seed=10)
-        assert not np.array_equal(a.y, c.y)
-
-    def test_length_mismatch(self):
-        p = ChannelParams.from_db(0.0, 8)
-        with pytest.raises(ValueError):
-            emit_slot(p, np.ones(7), seed=0)
+    """Laws of synthesized slots: y = z when idle, y = x + z when active."""
 
     def test_idle_mean(self):
         p = ChannelParams.from_db(-3.0, 10)

@@ -10,7 +10,6 @@ from jdd.codebook import CORR_TILE_BYTES, Codebook, from_generator, hamming_7_4
 from jdd.detectors import (
     DetectorSpec,
     batch_statistic,
-    decide,
     stat_codebook_aided,
     stat_dad,
     stat_genie,
@@ -73,40 +72,17 @@ class TestHypedExact:
 
     def test_frozen_hand_value(self):
         # mpmath evaluation of 0.5 - 0.3 + ln cosh(0.8) - 3/2
-        params = ChannelParams.from_sigma2(1.0, 3)
+        params = ChannelParams(es_n0_db=10 * math.log10(0.5), sigma2=1.0, n=3)
         plan = FramePlan(n_p=2, n_c=1)
         y = np.array([0.5, -0.3, 0.8])
         assert stat_hyped_exact(y, plan, params) == pytest.approx(
             -1.0092464396716065, rel=1e-12
         )
 
-    def test_general_prior_path_matches_half(self):
-        params = ChannelParams.from_db(-3.0, 84)
-        plan = FramePlan(n_p=24, n_c=60)
-        rng = np.random.default_rng(4)
-        y = rng.normal(size=(50, 84)) * 1.5
-        exact = stat_hyped_exact(y, plan, params, p=0.5)
-        # force the general-prior code path at the same prior
-        from jdd.numerics import log_mixture
-
-        a = y[:, 24:] / params.sigma2
-        general = (
-            log_mixture(a, -a, 0.5).sum(axis=1)
-            + y[:, :24].sum(axis=1) / params.sigma2
-            - 84 / (2 * params.sigma2)
-        )
-        np.testing.assert_allclose(exact, general, rtol=0, atol=1e-10)
-
-    def test_prior_domain(self):
-        params = ChannelParams.from_db(0.0, 4)
-        with pytest.raises(ValueError):
-            stat_hyped_exact(np.zeros(4), FramePlan(n_p=2, n_c=2), params, p=0.0)
-
-    @pytest.mark.parametrize("p", [0.5, 0.3])
-    def test_split_sequence_bit_identical_to_single_split_reference(self, p):
+    def test_split_sequence_bit_identical_to_single_split_reference(self):
         # the multi-split path shares one ln cosh pass; each split must still
         # equal the single-split formula exactly, not just to rounding
-        from jdd.numerics import log_cosh, log_mixture
+        from jdd.numerics import log_cosh
 
         params = ChannelParams.from_db(-3.0, 60)
         s2 = params.sigma2
@@ -114,15 +90,14 @@ class TestHypedExact:
         rng = np.random.default_rng(9)
         plans = [FramePlan(n_p=n_p, n_c=60 - n_p, preamble=rng.choice([-1.0, 1.0], n_p))
                  for n_p in (59, 0, 7, 30, 56)]
-        stats = stat_hyped_exact(y, plans, params, p=p)
+        stats = stat_hyped_exact(y, plans, params)
         assert stats.shape == (len(plans), 1000)
         for plan, got in zip(plans, stats):
-            a = y[:, plan.n_p :] / s2
-            terms = log_cosh(a) if p == 0.5 else log_mixture(a, -a, p)
+            terms = log_cosh(y[:, plan.n_p :] / s2)
             want = (terms.sum(axis=-1) + (y[:, : plan.n_p] * plan.preamble).sum(axis=-1) / s2
                     - plan.n / (2.0 * s2))
             np.testing.assert_array_equal(got, want)
-            np.testing.assert_array_equal(got, stat_hyped_exact(y, plan, params, p=p))
+            np.testing.assert_array_equal(got, stat_hyped_exact(y, plan, params))
 
     def test_split_sequence_needs_one_slot_length(self):
         params = ChannelParams.from_db(0.0, 6)
@@ -137,7 +112,7 @@ class TestBatchStatistic:
         plan = FramePlan(n_p=3, n_c=7)
         y = gaussian_block(params.sigma2, 2, 4, 0, (4096, 10))[:500]
         specs = [DetectorSpec(kind="hyped-exact"), DetectorSpec(kind="dad"),
-                 DetectorSpec(kind="preamble"), DetectorSpec(kind="hyped-exact", prior=0.7),
+                 DetectorSpec(kind="preamble"), DetectorSpec(kind="hyped-exact"),
                  DetectorSpec(kind="genie")]
         plans = [plan, plan, plan, FramePlan(n_p=5, n_c=5), plan]
         x = np.ones(10)
@@ -248,7 +223,7 @@ class TestCodebookAided:
 
     def test_single_codeword_collapse(self):
         cb = Codebook(n_c=3, k=0, G=np.zeros((0, 3), dtype=np.uint8), codewords=np.ones((1, 3)))
-        params = ChannelParams.from_sigma2(1.0, 3)
+        params = ChannelParams(es_n0_db=10 * math.log10(0.5), sigma2=1.0, n=3)
         y = np.array([0.4, -0.2, 1.1])
         stat, m_hat = stat_codebook_aided(y, cb, params, gamma_a=0.7)
         expected = y.sum() + math.log(1.7) - 1.5
@@ -382,19 +357,6 @@ class TestGenie:
         var = 84 * params.sigma2
         assert abs(stats.mean()) < 5 * math.sqrt(var / trials)
         assert abs(stats.var(ddof=1) - var) < 5 * var * math.sqrt(2 / (trials - 1))
-
-
-class TestDecide:
-    def test_above(self):
-        out = decide(5.0, 4.0, m_hat=3)
-        assert out.detected and out.m_hat == 3
-
-    def test_below(self):
-        out = decide(3.9, 4.0, m_hat=3)
-        assert not out.detected and out.m_hat is None
-
-    def test_boundary_is_detected(self):
-        assert decide(4.0, 4.0, m_hat=2).detected
 
 
 class TestDetectorSpec:

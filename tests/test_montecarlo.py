@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ from jdd.channel import TRIALS_PER_BLOCK, ChannelParams, FramePlan
 from jdd.codebook import hamming_7_4, repetition_code
 from jdd.detectors import DetectorSpec
 from jdd.montecarlo import (
+    STREAM_ACTIVE_NOISE,
+    STREAM_CALIBRATION,
+    STREAM_IDLE_EVAL,
     CalibrationResult,
     RateEstimate,
     calibrate_threshold,
@@ -90,7 +94,10 @@ class TestCalibrateThreshold:
         se = math.sqrt(eps_fa * (1 - eps_fa) / trials) / pdf
         assert abs(res.gamma - gamma_true) < 5 * se
         assert not res.infeasible
-        assert res.achieved_pfa.ci_low <= eps_fa <= res.achieved_pfa.ci_high
+        # the false alarm rate at gamma, measured on the independent evaluation stream
+        pfa = estimate_rates(DetectorSpec(kind="genie").with_gamma(res.gamma), plan, params,
+                             trials, 11)["pfa"]
+        assert pfa.ci_low <= eps_fa <= pfa.ci_high
 
     def test_deterministic(self):
         params = ChannelParams.from_db(-2.0, 16)
@@ -135,6 +142,12 @@ class TestEstimateRates:
         assert rates["pmd"].p_hat == 0.0
         assert rates["pcw"].p_hat == 0.0
         assert rates["pie"].p_hat == 0.0
+        # noiseless statistics sit exactly on these thresholds (idle 0, active
+        # n_p + n_c = 10), and a statistic equal to gamma counts as detected
+        assert estimate_rates(spec.with_gamma(0.0), self.plan, params, 2000, 0,
+                              cb=self.cb)["pfa"].p_hat == 1.0
+        assert estimate_rates(spec.with_gamma(10.0), self.plan, params, 2000, 0,
+                              cb=self.cb)["pmd"].p_hat == 0.0
 
     def test_deterministic(self):
         spec = DetectorSpec(kind="dad").with_gamma(6.0)
@@ -180,11 +193,6 @@ class TestEstimateRates:
         assert rates["pcw"] is None
         assert rates["pie"].p_hat == rates["pmd"].p_hat
 
-    def test_decode_disabled(self):
-        spec = DetectorSpec(kind="preamble").with_gamma(2.0)
-        rates = estimate_rates(spec, self.plan, self.params, 5000, 2, cb=self.cb, decode=False)
-        assert rates["pcw"] is None
-
     def test_repetition_pcw_beats_high_rate_code(self):
         # at equal n_c the repetition code should decode more reliably
         params = ChannelParams.from_db(-3.0, 7)
@@ -206,7 +214,7 @@ class TestMultiEntry:
         calibs = calibrate_threshold(specs, plans, params, self.CALIB, 1e-2, seed, cb=cb)
         serial = [calibrate_threshold(s, p, params, self.CALIB, 1e-2, seed, cb=cb)
                   for s, p in zip(specs, plans)]
-        assert calibs == serial  # gamma, achieved_pfa and infeasible alike
+        assert calibs == serial  # gamma and infeasible alike
         tuned = [s.with_gamma(c.gamma) for s, c in zip(specs, calibs)]
         rates = estimate_rates(tuned, plans, params, self.TRIALS, seed, cb=cb)
         assert rates == [estimate_rates(s, p, params, self.TRIALS, seed, cb=cb)
@@ -258,6 +266,31 @@ class TestMultiEntry:
             calibrate_threshold(spec, FramePlan(n_p=2, n_c=2), params, 1000, 0.1, 1)
         with pytest.raises(ValueError):
             estimate_rates(spec.with_gamma(0.0), plans[0], params, 0, 1)
+
+
+class TestNoisePasses:
+    def test_each_block_drawn_once(self, monkeypatch):
+        # calibration fits on its own stream only; the evaluation idle stream
+        # is drawn once, by estimate_rates, which reports the one P_FA
+        import jdd.montecarlo as montecarlo
+
+        draws = Counter()
+        gaussian_block = montecarlo.gaussian_block
+
+        def counted(sigma2, seed, stream, block, shape):
+            draws[stream, block] += 1
+            return gaussian_block(sigma2, seed, stream, block, shape)
+
+        monkeypatch.setattr(montecarlo, "gaussian_block", counted)
+        params = ChannelParams.from_db(-3.0, 20)
+        plans = [FramePlan(n_p=n_p, n_c=20 - n_p) for n_p in (2, 10)]
+        spec = DetectorSpec(kind="hyped-exact")
+        calibs = calibrate_threshold(spec, plans, params, 9001, 1e-2, 3)
+        assert {stream for stream, _ in draws} == {STREAM_CALIBRATION}
+        estimate_rates([spec.with_gamma(c.gamma) for c in calibs], plans, params, 6003, 3)
+        assert draws == Counter({(stream, b): 1 for stream, blocks in (
+            (STREAM_CALIBRATION, 3), (STREAM_IDLE_EVAL, 2), (STREAM_ACTIVE_NOISE, 2))
+            for b in range(blocks)})
 
 
 class TestWriteManifest:

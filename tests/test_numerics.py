@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from jdd.numerics import log_cosh, log_mixture, q_func, q_inv
+from jdd.numerics import log_cosh, q_func, q_inv
 
 
 def q_quadrature(x):
@@ -110,29 +110,3 @@ class TestLogCosh:
         log_cosh(x)
         np.testing.assert_array_equal(x, [-3.0, 0.0, 2.5])
 
-
-class TestLogMixture:
-    def test_degenerate_weights_exact(self):
-        assert log_mixture(3.2, -7.0, 1.0) == 3.2
-        assert log_mixture(3.2, -7.0, 0.0) == -7.0
-
-    def test_equal_arguments(self):
-        for w in (0.0, 0.25, 0.5, 1.0):
-            assert log_mixture(1.7, 1.7, w) == pytest.approx(1.7, abs=1e-15)
-
-    def test_frozen_reference_value(self):
-        # mpmath 40-digit evaluation of ln(0.3 e^2 + 0.7 e^-1)
-        assert log_mixture(2.0, -1.0, 0.3) == pytest.approx(0.9059302220627775, rel=1e-14)
-
-    def test_range_bound(self):
-        rng = np.random.default_rng(0)
-        a = rng.uniform(-700, 700, 2000)
-        b = rng.uniform(-700, 700, 2000)
-        w = rng.uniform(0, 1, 2000)
-        out = log_mixture(a, b, w)
-        assert np.all(out >= np.minimum(a, b) - 1e-12)
-        assert np.all(out <= np.maximum(a, b) + math.log(2.0) + 1e-12)
-
-    def test_weight_domain(self):
-        with pytest.raises(ValueError):
-            log_mixture(0.0, 0.0, 1.5)

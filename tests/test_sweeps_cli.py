@@ -11,6 +11,8 @@ from jdd.cli import main
 from jdd.sweeps import (
     CSV_HEADER,
     SweepConfig,
+    _hyped_rate_point,
+    _split_bound_point,
     ingest_reference,
     optimize_preamble_split,
     parse_config,
@@ -96,8 +98,10 @@ class TestParseConfig:
             parse_config("bogus=1")
 
     def test_range_edges_accepted(self):
-        cfg = parse_config("trials=1\ncalib_trials=0\nseed=0\nn=1\nk=24\n")
-        assert (cfg.trials, cfg.n, cfg.k) == (1, 1, 24)
+        cfg = parse_config("trials=1\ncalib_trials=0\nseed=0\nn=1\nk=1\n")
+        assert (cfg.trials, cfg.n, cfg.k) == (1, 1, 1)
+        cfg = parse_config("n=24\nk=24\n")  # k = n: the most bits n symbols can carry
+        assert (cfg.n, cfg.k) == (24, 24)
         with pytest.raises(ValueError, match="seed"):
             parse_config(f"seed={2**64}")
 
@@ -270,6 +274,19 @@ class TestRunRateSweep:
         assert calls == [60]
 
 
+class TestBestSplit:
+    def test_tie_keeps_smaller_n_p(self):
+        # two splits with equal bounds: every row names the first, smaller n_p
+        pairs = [(4, 1e-3), (8, 1e-3)]
+        rate_rows = _hyped_rate_point(40, -3.0, pairs, {36: 2**10, 32: 2**10},
+                                      {36: 2**12, 32: 2**12})
+        pie_rows = _split_bound_point("hyped", 40, -3.0, pairs, {36: (1e-3, 0.0), 32: (1e-3, 0.0)},
+                                      {36: 1e-4, 32: 1e-4})
+        assert [(r["kind"], r["flag"]) for r in rate_rows + pie_rows] == [
+            ("achievability", "n_p=4"), ("converse", "n_p=4"),
+            ("achievability", "n_p=4"), ("converse", "n_p=4")]
+
+
 class TestRunPieSweep:
     def test_needs_grid(self):
         with pytest.raises(ValueError):
@@ -346,7 +363,7 @@ class TestRunPieSweep:
             if kwargs.get("cb") is None:  # a split search, not a simulated point
                 return out
             kinds.append([s.kind for s in spec])
-            return [c if s.kind != "dad" else type(c)(c.gamma, c.achieved_pfa, True)
+            return [c if s.kind != "dad" else type(c)(c.gamma, True)
                     for s, c in zip(spec, out)]
 
         def counted_estimate(spec, *args, **kwargs):
@@ -459,7 +476,7 @@ class TestCli:
 
     @pytest.mark.parametrize("line", ["trials=0", "calib_trials=-1", "seed=-1", "n=0",
                                       "k=0", "k=25", "n_grid=60,0", "n_grid=-4",
-                                      "np_grid=0,-1"])
+                                      "np_grid=0,-1", "n=8\nk=12"])
     def test_bad_config_rejected_at_parse_time(self, tmp_path, capsys, line):
         cfg = self.write_cfg(tmp_path, f"n_grid=60\n{line}\n")
         rc = main(["rate-sweep", "--config", cfg, "--out", str(tmp_path)])
