@@ -73,24 +73,18 @@ class ChannelParams:
 
 @dataclass(frozen=True)
 class FramePlan:
-    """Split of a slot into a fixed preamble and a codeword segment."""
+    """Split of a slot into an all-plus preamble and a codeword segment.
+
+    The noise is sign-symmetric, so every +/-1 preamble gives the detection
+    statistics the same laws as the all-plus one.
+    """
 
     n_p: int
     n_c: int
-    preamble: np.ndarray = None
 
     def __post_init__(self):
         if self.n_p < 0 or self.n_c < 0:
             raise ValueError("segment lengths must be non-negative")
-        if self.preamble is None:
-            object.__setattr__(self, "preamble", np.ones(self.n_p))
-        else:
-            pre = np.asarray(self.preamble, dtype=float)
-            if pre.shape != (self.n_p,):
-                raise ValueError("preamble length must equal n_p")
-            if self.n_p and not np.all(np.abs(pre) == 1.0):
-                raise ValueError("preamble entries must be +/-1")
-            object.__setattr__(self, "preamble", pre)
 
     @property
     def n(self):

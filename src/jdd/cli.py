@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands: rate-sweep, pie-sweep, optimize-split, bounds. Configuration is
-a key=value text file (see sweeps.parse_config); --seed/--trials/--out/
---code/--ref override the config. rate-sweep, pie-sweep and bounds write a
-CSV and its run manifest into --out. Exits 0 on success; on failure prints a
-single machine-readable "error=..." line to stderr and exits nonzero.
+a key=value text file of sweeps.SweepConfig fields (see sweeps.parse_config);
+--seed/--trials/--code/--ref override the config. rate-sweep, pie-sweep and
+bounds write a CSV and a run manifest, whose config lines re-create the run,
+into --out. optimize-split takes --scheme hyped or preamble. Exits 0 on
+success; on failure prints a single machine-readable "error=..." line to
+stderr and exits nonzero.
 """
 
 import argparse
@@ -52,7 +54,6 @@ def _build_config(args):
         cfg.codes = tuple(args.code)
     if args.ref:
         cfg.refs = tuple(args.ref)
-    cfg.out = str(args.out)
     cfg.validate()
     return cfg
 
@@ -63,14 +64,14 @@ def main(argv=None):
     for name in ("rate-sweep", "pie-sweep", "optimize-split", "bounds"):
         _add_common(sub.add_parser(name))
     split = sub.choices["optimize-split"]
-    split.add_argument("--scheme", default="hyped", choices=["hyped", "preamble", "dad"])
+    split.add_argument("--scheme", default="hyped", choices=["hyped", "preamble"])
 
     args = parser.parse_args(argv)
     try:
         cfg = _build_config(args)
         if args.command in _RUNNERS:
             runner, name = _RUNNERS[args.command]
-            print(run_with_manifest(runner, cfg, cfg.out, name))
+            print(run_with_manifest(runner, cfg, args.out, name))
         elif args.command == "optimize-split":
             params = ChannelParams.from_db(cfg.es_n0_db, cfg.n)
             plan, table = optimize_preamble_split(args.scheme, cfg.n, cfg.k, params,

@@ -94,22 +94,17 @@ def from_generator(G):
     return Codebook(n_c=n_c, k=k, G=G, codewords=modulate(bits))
 
 
-def load_generator(source):
-    """Parse a generator matrix from a file path or literal text.
+def load_generator(path):
+    """Read a generator matrix from the file at `path`.
 
     Format: optional header line "n_c k", then k rows of {0,1} characters;
-    whitespace inside rows is ignored. Leftmost character is the first
-    channel use.
+    whitespace inside rows and lines starting with "#" are ignored. Leftmost
+    character is the first channel use.
     """
-    text = source
-    if isinstance(source, (str, Path)):
-        p = Path(source)
-        if isinstance(source, Path) or ("\n" not in str(source) and p.is_file()):
-            text = p.read_text()
-    lines = [ln.strip() for ln in str(text).splitlines()]
+    lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
-        raise ValueError("empty generator matrix text")
+        raise ValueError(f"empty generator matrix file {path}")
     header = lines[0].split()
     if (
         len(header) == 2

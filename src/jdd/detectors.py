@@ -60,14 +60,11 @@ def _check_len(y, n, what="observation"):
 
 
 def stat_preamble(y_p, plan, params):
-    """Matched-filter preamble LLR: sum of (2 x_p_i y_p_i - 1) / (2 sigma2).
-
-    For the all-plus preamble this is sum (2 y - 1)/(2 sigma2).
-    """
+    """Matched-filter LLR of the all-plus preamble: sum of (2 y_i - 1) / (2 sigma2)."""
     if plan.n_p < 1:
         raise ValueError("preamble statistic needs n_p >= 1")
     y_p = _check_len(y_p, plan.n_p, "preamble segment")
-    return ((2.0 * y_p * plan.preamble - 1.0) / (2.0 * params.sigma2)).sum(axis=-1)
+    return ((2.0 * y_p - 1.0) / (2.0 * params.sigma2)).sum(axis=-1)
 
 
 def stat_hyped_exact(y, plan, params):
@@ -93,7 +90,7 @@ def stat_hyped_exact(y, plan, params):
     out = []
     for pl in plans:
         payload = terms[..., pl.n_p - first :].sum(axis=-1)
-        pre = (y[..., : pl.n_p] * pl.preamble).sum(axis=-1) / s2
+        pre = y[..., : pl.n_p].sum(axis=-1) / s2
         out.append(payload + pre - pl.n / (2.0 * s2))
     return out[0] if isinstance(plan, FramePlan) else np.stack(out)
 
@@ -102,7 +99,7 @@ def stat_hyped_heuristic(y, plan, gamma_a):
     """Heuristic rule: gamma_a * (preamble correlation) + ||y_c||."""
     y = _check_len(y, plan.n)
     y_p, y_c = plan.split(y)
-    return gamma_a * (y_p * plan.preamble).sum(axis=-1) + np.linalg.norm(y_c, axis=-1)
+    return gamma_a * y_p.sum(axis=-1) + np.linalg.norm(y_c, axis=-1)
 
 
 def stat_dad(y, cb, plan):
@@ -120,7 +117,7 @@ def stat_dad(y, cb, plan):
         raise ValueError(f"plan n_c={plan.n_c} != codebook n_c={cb.n_c}")
     y_p, y_c = plan.split(y)
     m_hat, best = _tiled_correlation(y_c, cb.codewords, _argmax_rows)
-    pre = (y_p * plan.preamble).sum(axis=-1) if plan.n_p else 0.0
+    pre = y_p.sum(axis=-1) if plan.n_p else 0.0
     stat = pre + best
     if y.ndim == 1:
         return float(stat), int(m_hat) + 1

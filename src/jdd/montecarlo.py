@@ -207,7 +207,7 @@ def estimate_rates(spec, plan, params, trials, seed, cb=None):
         for i, (s, plan) in enumerate(zip(specs, plans)):
             if cb is None:
                 x_c = _payload(u, plan.n_c, count)
-            x = np.concatenate([np.broadcast_to(plan.preamble, (count, plan.n_p)), x_c], axis=1)
+            x = np.concatenate([np.broadcast_to(1.0, (count, plan.n_p)), x_c], axis=1)
             y = x + z
 
             stats, m_hat = batch_statistic(s, y, plan, params, cb=cb, genie_x=x)

@@ -10,8 +10,9 @@ import csv
 import functools
 import operator
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -44,22 +45,21 @@ _BY_VALUE = operator.itemgetter(0)
 
 @dataclass
 class SweepConfig:
-    schemes: tuple = DEFAULT_SCHEMES
-    es_n0_db: float = -3.0          # fixed SNR for rate sweeps
-    n_grid: tuple = ()              # blocklength grid for rate sweeps
-    snr_grid: tuple = ()            # SNR grid for error-rate sweeps
-    n: int = 84                     # fixed slot length for error-rate sweeps
+    schemes: tuple[str, ...] = DEFAULT_SCHEMES
+    es_n0_db: float = -3.0              # fixed SNR for rate sweeps
+    n_grid: tuple[int, ...] = ()        # blocklength grid for rate sweeps
+    snr_grid: tuple[float, ...] = ()    # SNR grid for error-rate sweeps
+    n: int = 84                         # fixed slot length for error-rate sweeps
     k: int = 12
     eps_fa: float = 1e-4
     eps_md: float = 1e-4
     eps_ie: float = 1e-3
     trials: int = 100_000
-    calib_trials: int = 0           # 0 = derive from eps_fa
+    calib_trials: int = 0               # 0 = derive from eps_fa
     seed: int = 0
-    out: str = "."
-    codes: tuple = ()               # generator-matrix files for simulated points
-    refs: tuple = ()                # external reference CSVs, merged untouched
-    np_grid: tuple = ()             # preamble-split candidates; () = automatic
+    codes: tuple[str, ...] = ()         # generator-matrix files for simulated points
+    refs: tuple[str, ...] = ()          # external reference CSVs, merged untouched
+    np_grid: tuple[int, ...] = ()       # preamble-split candidates; () = automatic
 
     @property
     def requirements(self):
@@ -89,17 +89,14 @@ class SweepConfig:
         return max(self.calib_trials or 0, floor, self.trials)
 
 
-_LIST_KEYS = {"schemes": str, "n_grid": int, "snr_grid": float, "codes": str,
-              "refs": str, "np_grid": int}
-_SCALAR_KEYS = {"es_n0_db": float, "n": int, "k": int, "eps_fa": float, "eps_md": float,
-                "eps_ie": float, "trials": int, "calib_trials": int, "seed": int, "out": str}
-
-
 def parse_config(text):
     """Parse the line-based key=value grammar; lists are comma-separated.
 
-    Out-of-range settings are rejected here (see SweepConfig.validate).
+    The keys are SweepConfig's fields, each value converted to its field's
+    type (a tuple field to a tuple of its element type). Out-of-range
+    settings are rejected here (see SweepConfig.validate).
     """
+    types = {f.name: f.type for f in fields(SweepConfig)}
     cfg = SweepConfig()
     for raw in str(text).splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -108,14 +105,13 @@ def parse_config(text):
         if "=" not in line:
             raise ValueError(f"bad config line (expected key=value): {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        if key in _LIST_KEYS:
-            conv = _LIST_KEYS[key]
-            items = tuple(conv(v.strip()) for v in value.split(",") if v.strip())
-            setattr(cfg, key, items)
-        elif key in _SCALAR_KEYS:
-            setattr(cfg, key, _SCALAR_KEYS[key](value))
-        else:
+        if key not in types:
             raise ValueError(f"unknown config key {key!r}")
+        if get_origin(types[key]) is tuple:
+            conv = get_args(types[key])[0]
+            setattr(cfg, key, tuple(conv(v.strip()) for v in value.split(",") if v.strip()))
+        else:
+            setattr(cfg, key, types[key](value))
     cfg.validate()
     return cfg
 
@@ -194,13 +190,16 @@ def _split_candidates(cfg, n_total, k, scheme):
 def _split_pmds(scheme, n_ps, params, cfg, req):
     """Missed-detection rate at every candidate preamble split.
 
-    The preamble matched filter has a closed form. Otherwise the exact HyPED
+    The preamble matched filter has a closed form. For HyPED the exact
     detector is calibrated and evaluated with an i.i.d. random payload, which
     is exactly the model under which the HyPED LLR is the optimal
     Neyman-Pearson statistic; all splits share one pass over the noise blocks.
+    No other scheme has a preamble split.
     """
     if scheme == "preamble":
         return [float(1.0 - q_func(q_inv(req.eps_fa) - np.sqrt(n_p / params.sigma2))) for n_p in n_ps]
+    if scheme != "hyped":
+        raise ValueError(f"scheme {scheme!r} has no preamble split")
     if not n_ps:
         return []
     plans = [FramePlan(n_p=n_p, n_c=params.n - n_p) for n_p in n_ps]
@@ -312,15 +311,19 @@ def run_pie_sweep(cfg, out_csv=None):
     Emits bound rows per scheme and, when generator matrices are supplied,
     simulated operating points (kind = "simulated"). Per SNR, the DT and
     meta-converse bounds of the full slot and of every feasible split's
-    payload come from one multi-length density pass per stream.
+    payload come from one multi-length density pass per stream. A code
+    longer than the slot is rejected before any noise is drawn.
     """
     if not cfg.snr_grid:
         raise ValueError("error-rate sweep needs snr_grid")
     req = cfg.requirements
     n, k = cfg.n, cfg.k
     M = 1 << k
-    snr_floor = bounds.min_snr_db(n, req)
     codes = [load_generator(p) for p in cfg.codes]
+    for path, cb in zip(cfg.codes, codes):
+        if cb.n_c > n:
+            raise ValueError(f"code {path} has length n_c={cb.n_c}, longer than the slot n={n}")
+    snr_floor = bounds.min_snr_db(n, req)
     rows = []
     for snr in cfg.snr_grid:
         if snr < snr_floor:
@@ -399,8 +402,6 @@ def _simulated_points(cfg, cb, n, params, req, snr):
     each scheme's result equals its own single-entry call.
     """
     n_p = n - cb.n_c
-    if n_p < 0:
-        return []
     plan = FramePlan(n_p=n_p, n_c=cb.n_c)
     kinds = {"dad": "dad", "hyped": "hyped-exact", "preamble": "preamble"}
     schemes = [s for s in cfg.schemes if s in kinds and (s != "preamble" or n_p >= 1)]
@@ -472,30 +473,23 @@ def run_bounds_report(cfg):
 
 
 def run_with_manifest(runner, cfg, out_dir, name):
-    """Execute a sweep, writing results CSV plus the run manifest."""
+    """Execute a sweep, writing results CSV plus the run manifest.
+
+    The manifest lists the command, then every config field in field order
+    (tuples comma-joined, so its config lines parse back to `cfg`), then the
+    derived calibration trials and the timing.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
     rows = runner(cfg)
     csv_path = out / f"{name}.csv"
     write_rows(rows, csv_path)
-    manifest = {
-        "command": name,
-        "seed": cfg.seed,
-        "trials": cfg.trials,
-        "calibration_trials": cfg.calibration_trials(),
-        "eps_fa": cfg.eps_fa,
-        "eps_md": cfg.eps_md,
-        "eps_ie": cfg.eps_ie,
-        "schemes": ",".join(cfg.schemes),
-        "es_n0_db": cfg.es_n0_db,
-        "n": cfg.n,
-        "k": cfg.k,
-        "n_grid": ",".join(map(str, cfg.n_grid)),
-        "snr_grid": ",".join(map(str, cfg.snr_grid)),
-        "codes": ",".join(cfg.codes),
-        "refs": ",".join(cfg.refs),
-        "wall_time_s": f"{time.time() - started:.3f}",
-    }
+    manifest = {"command": name}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        manifest[f.name] = ",".join(map(str, value)) if isinstance(value, tuple) else value
+    manifest["calibration_trials"] = cfg.calibration_trials()
+    manifest["wall_time_s"] = f"{time.time() - started:.3f}"
     write_manifest(out / f"{name}.manifest.txt", manifest)
     return csv_path

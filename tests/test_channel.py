@@ -88,10 +88,13 @@ class TestEmitSlot:
 
 
 class TestFramePlan:
-    def test_default_preamble_all_plus(self):
-        plan = FramePlan(n_p=3, n_c=5)
-        np.testing.assert_array_equal(plan.preamble, np.ones(3))
-        assert plan.n == 8
+    def test_slot_length(self):
+        assert FramePlan(n_p=3, n_c=5).n == 8
+
+    def test_negative_length_rejected(self):
+        for n_p, n_c in ((-1, 4), (2, -1)):
+            with pytest.raises(ValueError, match="non-negative"):
+                FramePlan(n_p=n_p, n_c=n_c)
 
     def test_split(self):
         plan = FramePlan(n_p=2, n_c=3)
@@ -99,12 +102,6 @@ class TestFramePlan:
         y_p, y_c = plan.split(y)
         np.testing.assert_array_equal(y_p, [0, 1])
         np.testing.assert_array_equal(y_c, [2, 3, 4])
-
-    def test_preamble_validation(self):
-        with pytest.raises(ValueError):
-            FramePlan(n_p=2, n_c=0, preamble=np.array([1.0, 0.5]))
-        with pytest.raises(ValueError):
-            FramePlan(n_p=2, n_c=0, preamble=np.ones(3))
 
 
 class TestInPlaceNoise:

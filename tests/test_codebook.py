@@ -24,15 +24,21 @@ def euclidean_scan(cb, y):
     return int(np.argmin(d2)) + 1
 
 
+def write_code(tmp_path, text):
+    p = tmp_path / "code.txt"
+    p.write_text(text)
+    return p
+
+
 class TestLoadGenerator:
-    def test_repetition_from_text(self):
-        cb = load_generator("111")
+    def test_repetition_from_text(self, tmp_path):
+        cb = load_generator(write_code(tmp_path, "111"))
         assert (cb.n_c, cb.k) == (3, 1)
         np.testing.assert_array_equal(cb.codewords, [[1, 1, 1], [-1, -1, -1]])
 
-    def test_header_and_whitespace(self):
+    def test_header_and_whitespace(self, tmp_path):
         text = "7 4\n1000 110\n0100 101\n0010 011\n0001 111\n"
-        cb = load_generator(text)
+        cb = load_generator(write_code(tmp_path, text))
         assert (cb.n_c, cb.k) == (7, 4)
         assert min_distance(cb) == 3
 
@@ -42,13 +48,13 @@ class TestLoadGenerator:
         cb = load_generator(p)
         assert cb.M == 16
 
-    def test_rank_deficiency_rejected(self):
+    def test_rank_deficiency_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="rank"):
-            load_generator("101\n101")
+            load_generator(write_code(tmp_path, "101\n101"))
 
-    def test_bad_characters(self):
+    def test_bad_characters(self, tmp_path):
         with pytest.raises(ValueError):
-            load_generator("10x1")
+            load_generator(write_code(tmp_path, "10x1"))
 
     def test_cache_guard(self):
         G = np.eye(25, dtype=np.uint8)

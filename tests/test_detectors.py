@@ -87,14 +87,12 @@ class TestHypedExact:
         params = ChannelParams.from_db(-3.0, 60)
         s2 = params.sigma2
         y = gaussian_block(s2, 5, 4, 0, (4096, 60))[:1000] + 0.3
-        rng = np.random.default_rng(9)
-        plans = [FramePlan(n_p=n_p, n_c=60 - n_p, preamble=rng.choice([-1.0, 1.0], n_p))
-                 for n_p in (59, 0, 7, 30, 56)]
+        plans = [FramePlan(n_p=n_p, n_c=60 - n_p) for n_p in (59, 0, 7, 30, 56)]
         stats = stat_hyped_exact(y, plans, params)
         assert stats.shape == (len(plans), 1000)
         for plan, got in zip(plans, stats):
             terms = log_cosh(y[:, plan.n_p :] / s2)
-            want = (terms.sum(axis=-1) + (y[:, : plan.n_p] * plan.preamble).sum(axis=-1) / s2
+            want = (terms.sum(axis=-1) + y[:, : plan.n_p].sum(axis=-1) / s2
                     - plan.n / (2.0 * s2))
             np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(got, stat_hyped_exact(y, plan, params))
@@ -244,7 +242,7 @@ def full_matrix_dad(y, cb, plan):
     corr = y_c @ cb.codewords.T
     m_hat = np.argmax(corr, axis=-1)
     best = np.take_along_axis(corr, np.expand_dims(m_hat, -1), axis=-1)[..., 0]
-    pre = (y_p * plan.preamble).sum(axis=-1) if plan.n_p else 0.0
+    pre = y_p.sum(axis=-1) if plan.n_p else 0.0
     return pre + best, m_hat + 1
 
 

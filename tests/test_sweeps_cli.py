@@ -1,6 +1,7 @@
 import csv
 import hashlib
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -403,6 +404,12 @@ class TestOptimizeSplit:
             dens = info_density_samples(24 - n_p, params.sigma2, cfg.trials, cfg.seed)
             assert pcw_up == dt_error_estimate(dens, 16)[0]
 
+    def test_scheme_without_split_raises(self):
+        cfg = small_pie_cfg(np_grid=(8,))
+        params = ChannelParams.from_db(3.0, 24)
+        with pytest.raises(ValueError, match="no preamble split"):
+            optimize_preamble_split("dad", 24, 4, params, cfg.requirements, cfg)
+
     def test_all_infeasible_raises(self):
         cfg = small_pie_cfg(np_grid=(1,), eps_fa=1e-2, eps_md=1e-6)
         params = ChannelParams.from_db(-6.0, 24)
@@ -474,9 +481,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "scheme=preamble n_p=8 n_c=16" in out
 
+    def test_optimize_split_scheme_without_split(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize-split", "--scheme", "dad", "--out", str(tmp_path)])
+        assert exc.value.code != 0
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize("line", ["trials=0", "calib_trials=-1", "seed=-1", "n=0",
                                       "k=0", "k=25", "n_grid=60,0", "n_grid=-4",
-                                      "np_grid=0,-1", "n=8\nk=12"])
+                                      "np_grid=0,-1", "n=8\nk=12", "out=elsewhere"])
     def test_bad_config_rejected_at_parse_time(self, tmp_path, capsys, line):
         cfg = self.write_cfg(tmp_path, f"n_grid=60\n{line}\n")
         rc = main(["rate-sweep", "--config", cfg, "--out", str(tmp_path)])
@@ -484,6 +497,55 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith('error="ValueError')
         assert not (tmp_path / "rate_sweep.csv").exists()
+
+    @pytest.mark.parametrize("code, error", [
+        (None, "FileNotFoundError: [Errno 2] No such file or directory: '111'"),
+        (HAMMING_G, "ValueError: code 111 has length n_c=7, longer than the slot n=6"),
+    ], ids=["missing", "longer-than-slot"])
+    def test_bad_code_rejected(self, tmp_path, capsys, monkeypatch, code, error):
+        # "111" must be read as a file, never as a repetition code's matrix,
+        # and a code that does not fit the slot fails before any noise is drawn
+        import jdd.bounds
+        import jdd.montecarlo
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(jdd.bounds, "gaussian_block", None)
+        monkeypatch.setattr(jdd.montecarlo, "gaussian_block", None)
+        if code:
+            (tmp_path / "111").write_text(code)
+        cfg = self.write_cfg(tmp_path, "schemes=dad\nsnr_grid=12\nn=6\nk=4\n")
+        rc = main(["pie-sweep", "--config", cfg, "--code", "111", "--out", str(tmp_path)])
+        assert rc != 0
+        assert capsys.readouterr().err.splitlines() == [f'error="{error}"']
+        assert not (tmp_path / "pie_sweep.csv").exists()
+
+    @pytest.mark.filterwarnings("ignore:DT bound")
+    @pytest.mark.parametrize("command, text", [
+        ("rate-sweep", "schemes=genie,dad,hyped\nn_grid=40\nnp_grid=20\nes_n0_db=-2.5\n"),
+        ("pie-sweep", "schemes=dad,hyped\nsnr_grid=2.5\nn=24\nk=4\nnp_grid=17\ncodes={code}\n"),
+        ("bounds", "n=60\nk=8\nes_n0_db=0\n"),
+    ], ids=["rate-sweep", "pie-sweep", "bounds"])
+    def test_manifest_round_trip(self, tmp_path, capsys, command, text):
+        # the manifest's config lines are the whole config: parsed back they
+        # equal the run's config, and re-run they write the same CSV
+        code = tmp_path / "ham.txt"
+        code.write_text(HAMMING_G)
+        text = (text.format(code=code)
+                + "eps_fa=1e-2\neps_md=1e-2\neps_ie=1e-2\ntrials=10000\nseed=3\n")
+        name = command.replace("-", "_")
+        keys = [f.name for f in fields(SweepConfig)]
+        csvs = []
+        for run in ("first", "again"):
+            cfg = self.write_cfg(tmp_path, text)
+            assert main([command, "--config", cfg, "--out", str(tmp_path / run)]) == 0
+            manifest = (tmp_path / run / f"{name}.manifest.txt").read_text().splitlines()
+            assert [line.split("=", 1)[0] for line in manifest] == [
+                "command", *keys, "calibration_trials", "wall_time_s", "written_unix"]
+            config_lines = "\n".join(line for line in manifest if line.split("=", 1)[0] in keys)
+            assert parse_config(config_lines) == parse_config(text)
+            csvs.append((tmp_path / run / f"{name}.csv").read_bytes())
+            text = config_lines
+        assert csvs[0] == csvs[1]
 
     @pytest.mark.parametrize("flag", [["--trials", "0"], ["--seed", "-1"]])
     def test_bad_override_rejected(self, tmp_path, capsys, flag):
