@@ -10,13 +10,23 @@ Information densities of several blocklengths share one noise pass. The
 noise is counter-based (see jdd.channel), so the ``(TRIALS_PER_BLOCK, l)``
 block of a stream is the first ``TRIALS_PER_BLOCK * l`` values of the
 flattened ``(TRIALS_PER_BLOCK, n)`` block for the same ``(seed, stream,
-block)`` whenever ``l <= n`` (the flat-prefix contract). ``lengths=`` in
-``info_density_samples``, ``meta_converse_beta``, ``meta_converse_max_M``
-and ``meta_converse_min_error`` draws each block once at width n and
-returns, for every l, exactly what the separate length-l call returns.
+block)`` whenever ``l <= n`` (the flat-prefix contract); a last block of
+b < ``TRIALS_PER_BLOCK`` trials draws only its first b rows.
+``lengths=`` in ``info_density_samples``, ``meta_converse_beta``,
+``meta_converse_max_M`` and ``meta_converse_min_error`` draws each block
+once at the longest length's width and returns, for every l, exactly what
+the separate length-l call returns.
 ``dens=`` in ``dt_bound_max_M`` takes a stream-1 sample drawn that way, so
 several DT searches (a DAD fixed point, every split of a slot) share one
 pass; the search on it equals the call that draws its own sample.
+
+Densities of several noise variances share one draw too. A block is drawn
+once at unit variance and scaled by ``sqrt(sigma2)`` for each variance:
+``gaussian_block(sigma2, ...)`` equals ``sqrt(sigma2) * gaussian_block(1.0,
+...)`` bit for bit, since it forms that same product. ``groups=`` in
+``info_density_samples`` and ``meta_converse_min_error`` takes further
+``(sigma2, lengths)`` groups drawn this way; every group's result equals
+its own call, so no result depends on which variances share a draw.
 """
 
 import warnings
@@ -149,7 +159,67 @@ def dad_max_code_size(n, sigma2, req, m_star, max_rounds=100):
 # information-density Monte Carlo machinery (DT and meta-converse)
 # ---------------------------------------------------------------------------
 
-def info_density_samples(n, sigma2, trials, seed, stream=1, lengths=None):
+# softplus scratch in floats; elementwise, so any chunk size gives the same values
+_CHUNK = 1 << 14
+
+
+def _density_groups(n, groups):
+    """Check (sigma2, lengths) groups; lengths become tuples of ints in 1..n."""
+    out = []
+    for sigma2, lengths in groups:
+        lens = tuple(int(l) for l in lengths)
+        if any(not 1 <= l <= n for l in lens):
+            raise ValueError(f"lengths must lie in 1..{n}, got {lens}")
+        out.append((sigma2, lens))
+    return out
+
+
+def _density_blocks(groups, trials, seed, stream):
+    """Yield (first trial, densities) for each noise block of `stream`.
+
+    The densities are one array per (group, length) pair, groups in order,
+    each holding that block's trials. The block is drawn once at unit
+    variance at the longest length's width, and freed before the next draw;
+    each group scales it into one reused buffer (the product
+    gaussian_block(sigma2) forms) and reduces it to every length's sums on
+    the flat prefix (the contracts in the module docstring).
+    """
+    width = max((l for _, lens in groups for l in lens), default=0)
+    if not width:
+        return
+    buf = np.empty(min(TRIALS_PER_BLOCK, trials) * width)
+    scratch = np.empty(min(_CHUNK, buf.size))
+    for block, b in _blocks(trials):
+        unit = gaussian_block(1.0, seed, stream, block, (b, width)).reshape(-1)
+        dens = []
+        for sigma2, lens in groups:
+            # z = sqrt(sigma2) * unit, y = 1 + z, t = -2 y / sigma2, then the
+            # stable softplus ln(1 + e^t) = max(t, 0) + log1p(exp(-|t|)), all
+            # elementwise, chunk by chunk into the buffer
+            for c in range(0, unit.size, _CHUNK):
+                z = unit[c : c + _CHUNK]
+                t = np.multiply(z, np.sqrt(sigma2), out=buf[c : c + z.size])
+                t += 1.0
+                t *= -2.0
+                t /= sigma2
+                s = np.abs(t, out=scratch[: t.size])
+                np.negative(s, out=s)
+                np.exp(s, out=s)
+                np.log1p(s, out=s)
+                np.maximum(t, 0.0, out=t)
+                t += s
+            dens.extend(l * np.log(2.0) - buf[: b * l].reshape(b, l).sum(axis=1) for l in lens)
+        del unit, z  # z is a view: the block is freed before the next draw
+        yield block * TRIALS_PER_BLOCK, dens
+
+
+def _regroup(flat, groups):
+    """Split a flat per-(group, length) list into one list per group."""
+    it = iter(flat)
+    return [[next(it) for _ in lens] for _, lens in groups]
+
+
+def info_density_samples(n, sigma2, trials, seed, stream=1, lengths=None, groups=None):
     """i.i.d. samples of the n-use BI-AWGN information density under the joint law.
 
     Equiprobable +/-1 inputs; by symmetry the all-plus input is transmitted
@@ -157,39 +227,28 @@ def info_density_samples(n, sigma2, trials, seed, stream=1, lengths=None):
 
     With ``lengths`` (each 1 <= l <= n), returns a list holding one sample
     array per l, each equal bit for bit to ``info_density_samples(l, ...)``:
-    every noise block is drawn once at width n, the per-symbol terms are
-    computed once on the flat prefix the longest l needs, and trial j of
-    length l sums flat values ``j*l .. j*l + l - 1`` (the flat-prefix
-    contract in the module docstring). Without ``lengths`` it is the same
-    pass with ``lengths=(n,)`` and returns the one array.
+    every noise block is drawn once at the longest l's width, the per-symbol
+    terms are computed once on that flat prefix, and trial j of length l
+    sums flat values ``j*l .. j*l + l - 1`` (the flat-prefix contract in the
+    module docstring). Without ``lengths`` it is the same pass with
+    ``lengths=(n,)`` and returns the one array.
+
+    With ``groups``, a sequence of further ``(sigma2, lengths)`` pairs,
+    every group shares each block's unit-variance draw, and the result is a
+    list with one entry per group, this call's own first; each entry equals
+    the call for that group alone (the noise-variance contract in the module
+    docstring).
     """
-    lens = (n,) if lengths is None else tuple(int(l) for l in lengths)
-    if any(not 1 <= l <= n for l in lens):
-        raise ValueError(f"lengths must lie in 1..{n}, got {lens}")
-    if not lens:
-        return []
+    pairs = _density_groups(n, [(sigma2, (n,) if lengths is None else lengths), *(groups or ())])
     trials = int(trials)
-    outs = [np.empty(trials) for _ in lens]
-    width = max(lens)
-    scratch = np.empty(min(TRIALS_PER_BLOCK, trials) * width)
-    for block, b in _blocks(trials):
-        done = block * TRIALS_PER_BLOCK
-        z = gaussian_block(sigma2, seed, stream, block, (TRIALS_PER_BLOCK, n))
-        # y = 1 + z, t = -2 y / sigma2, then the stable softplus ln(1 + e^t)
-        # = max(t, 0) + log1p(exp(-|t|)), all in place on the flat prefix
-        t = z.reshape(-1)[: b * width]
-        t += 1.0
-        t *= -2.0
-        t /= sigma2
-        s = np.abs(t, out=scratch[: t.size])
-        np.negative(s, out=s)
-        np.exp(s, out=s)
-        np.log1p(s, out=s)
-        np.maximum(t, 0.0, out=t)
-        t += s
-        for l, out in zip(lens, outs):
-            out[done : done + b] = l * np.log(2.0) - t[: b * l].reshape(b, l).sum(axis=1)
-    return outs if lengths is not None else outs[0]
+    outs = [np.empty(trials) for _, lens in pairs for _ in lens]
+    for done, dens in _density_blocks(pairs, trials, seed, stream):
+        for out, d in zip(outs, dens):
+            out[done : done + d.size] = d
+    outs = _regroup(outs, pairs)
+    if lengths is None:
+        outs[0] = outs[0][0]
+    return outs if groups is not None else outs[0]
 
 
 def dt_error_estimate(info_dens, M):
@@ -289,50 +348,90 @@ def meta_converse_max_M(n, sigma2, target_error, trials, seed, lengths=None):
     return Ms if lengths is not None else Ms[0]
 
 
-def meta_converse_min_error(n, sigma2, M, trials, seed, lengths=None):
+def meta_converse_min_error(n, sigma2, M, trials, seed, lengths=None, groups=None):
     """Smallest error rate consistent with code size M under the meta-converse.
 
     Finds the threshold t at which the estimated type-II error equals 1/M and
-    reports the joint-law lower-tail mass below t. Returns 0 when even the
-    largest threshold keeps beta above 1/M at the sample resolution.
+    reports the joint-law lower-tail mass below t, the thresholds ranging
+    over the stream-2 samples. Returns (trials - 1) / trials when even the
+    largest keeps beta above 1/M, and 0 when the smallest already meets 1/M.
 
     With ``lengths`` (each 1 <= l <= n), returns one error rate per l, each
-    equal to the length-l call; the two density streams are drawn in one
-    pass each (see info_density_samples).
+    equal to the length-l call. With ``groups``, further ``(sigma2,
+    lengths)`` pairs, returns one entry per group, this call's own first,
+    each equal to the call for that group alone. Stream 3 is drawn in one
+    pass for all of them (see info_density_samples). Stream 2 is never held:
+    one pass takes each sample's range, which brackets the bisection, and a
+    second counts the samples below each final threshold.
     """
     if trials < 1e4:
         raise ValueError("need at least 1e4 trials for the meta-converse bound")
+    trials = int(trials)
     lens = (n,) if lengths is None else lengths
-    thrs = info_density_samples(n, sigma2, trials, seed, stream=2, lengths=lens)
-    denss = info_density_samples(n, sigma2, trials, seed, stream=3, lengths=lens)
-    errs = []
-    while thrs:
-        # drop each length's samples as soon as its bisection is done
-        errs.append(_meta_converse_bisect(thrs.pop(0), denss.pop(0), 1.0 / M))
-    return errs if lengths is not None else errs[0]
+    pairs = _density_groups(n, [(sigma2, lens), *(groups or ())])
+    size = sum(len(ls) for _, ls in pairs)
+    lo, hi = np.full(size, np.inf), np.full(size, -np.inf)
+    for _, dens in _density_blocks(pairs, trials, seed, 2):
+        for i, d in enumerate(dens):
+            lo[i] = min(lo[i], d.min())
+            hi[i] = max(hi[i], d.max())
+    denss = [d for g in info_density_samples(n, sigma2, trials, seed, stream=3, lengths=lens,
+                                             groups=groups or ()) for d in g]
+    # pop each sample so it is dropped as soon as its bisection is done
+    thrs = [_meta_converse_bisect(l, h, denss.pop(0), 1.0 / M) for l, h in zip(lo, hi)]
+    below = np.zeros(size, dtype=np.int64)
+    if np.isfinite(thrs).any():
+        for _, dens in _density_blocks(pairs, trials, seed, 2):
+            for i, (d, t) in enumerate(zip(dens, thrs)):
+                below[i] += np.count_nonzero(d < t)
+    errs = _regroup([(trials - 1) / trials if t == np.inf else float(c / trials)
+                     for t, c in zip(thrs, below)], pairs)
+    if lengths is None:
+        errs[0] = errs[0][0]
+    return errs if groups is not None else errs[0]
 
 
-def _meta_converse_bisect(dens_thr, dens, target_beta):
-    dens_thr.sort()
+def _meta_converse_bisect(lo, hi, dens, target_beta):
+    """Threshold of the 80-step bisection of beta_hat(t) = target on [lo, hi].
+
+    Returns +inf when beta_hat(hi) stays above the target (M out of reach
+    even for the most selective observed threshold) and -inf when beta_hat(lo)
+    already meets it (no sample lies below the threshold).
+
+    beta_hat(t) is constant for t in (d_{j-1}, d_j] between sorted samples
+    d_j of `dens` and cannot rise with t, since a pairwise sum of
+    non-negative floats is monotone in each term. So beta_hat(mid) > target
+    exactly when mid <= d_J, J the last j with beta_hat(d_j) > target: a
+    binary search over the samples finds d_J, and the bisection's steps
+    become scalar comparisons giving the same midpoints bit for bit.
+    """
     w = np.exp(-dens)
 
     def beta_at(t):
         return float(np.where(dens >= t, w, 0.0).mean())
 
-    lo, hi = dens_thr[0], dens_thr[-1]
     if beta_at(hi) > target_beta:
-        # M out of reach even for the most selective observed threshold
-        return float((dens_thr.size - 1) / dens_thr.size)
+        return np.inf
     if beta_at(lo) <= target_beta:
-        return 0.0
+        return -np.inf
+    d = np.unique(dens)
+    # beta_at(d[a]) > target_beta holds at a = 0 (beta_at(lo) is at most
+    # beta_at(d[0])); past the last sample beta_at is 0
+    a, b = 0, d.size
+    while b - a > 1:
+        m = (a + b) // 2
+        if beta_at(d[m]) > target_beta:
+            a = m
+        else:
+            b = m
+    d_J = d[a]
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if beta_at(mid) > target_beta:
+        if mid <= d_J:
             lo = mid
         else:
             hi = mid
-    t = 0.5 * (lo + hi)
-    return float(np.searchsorted(dens_thr, t) / dens_thr.size)
+    return 0.5 * (lo + hi)
 
 
 def pie_sandwich(pmd, pcw_lower, pcw_upper):

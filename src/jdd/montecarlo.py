@@ -6,7 +6,8 @@ Each purpose gets its own Philox stream tag so estimates never share noise:
 calibration idle slots, evaluation idle slots, active-slot noise, message
 draws, and random payloads are all independent. Within a stream, trial t
 lives in block t // TRIALS_PER_BLOCK, so results are bit-stable and
-independent of how trials are sharded across workers.
+independent of how trials are sharded across workers. A partial last block
+draws only its own trials: a draw is the flat prefix of the full block's.
 
 `calibrate_threshold` only fits the threshold, on the calibration stream.
 The false alarm rate at that threshold has one estimate, `estimate_rates`'s
@@ -112,7 +113,7 @@ def _idle_stats(specs, plans, params, trials, seed, stream, cb=None):
     """Yield (offset, per-entry idle statistics) for each noise block of `stream`."""
     genie_x = np.ones(params.n)
     for block, count in _blocks(trials):
-        y = gaussian_block(params.sigma2, seed, stream, block, (TRIALS_PER_BLOCK, params.n))[:count]
+        y = gaussian_block(params.sigma2, seed, stream, block, (count, params.n))
         results = batch_statistic(specs, y, plans, params, cb=cb, genie_x=genie_x)
         yield block * TRIALS_PER_BLOCK, [stats for stats, _ in results]
 
@@ -147,18 +148,18 @@ def calibrate_threshold(spec, plan, params, trials, eps_fa, seed, cb=None):
 
 
 def _draw_messages(M, seed, block, count):
-    u = uniform_block(seed, STREAM_MESSAGES, block, (TRIALS_PER_BLOCK,))[:count]
+    u = uniform_block(seed, STREAM_MESSAGES, block, (count,))
     return np.minimum((u * M).astype(np.int64), M - 1) + 1
 
 
-def _payload_uniforms(n_c_max, seed, block):
-    # a (TRIALS_PER_BLOCK, n_c) draw is the leading TRIALS_PER_BLOCK * n_c
-    # values of this one, so a single draw serves every payload length
-    return uniform_block(seed, STREAM_PAYLOAD, block, (TRIALS_PER_BLOCK * n_c_max,))
+def _payload_uniforms(n_c_max, seed, block, count):
+    # a (count, n_c) draw is the leading count * n_c values of this one, so a
+    # single draw serves every payload length
+    return uniform_block(seed, STREAM_PAYLOAD, block, (count * n_c_max,))
 
 
 def _payload(u, n_c, count):
-    u = u[: TRIALS_PER_BLOCK * n_c].reshape(TRIALS_PER_BLOCK, n_c)[:count]
+    u = u[: count * n_c].reshape(count, n_c)
     return np.where(u < 0.5, 1.0, -1.0)
 
 
@@ -195,14 +196,13 @@ def estimate_rates(spec, plan, params, trials, seed, cb=None):
     n_cw_err = [0] * len(specs)
     n_ie = [0] * len(specs)
     for block, count in _blocks(trials):
-        z = gaussian_block(params.sigma2, seed, STREAM_ACTIVE_NOISE, block,
-                           (TRIALS_PER_BLOCK, params.n))[:count]
+        z = gaussian_block(params.sigma2, seed, STREAM_ACTIVE_NOISE, block, (count, params.n))
         if cb is not None:
             m = _draw_messages(cb.M, seed, block, count)
             x_c = cb.codewords[m - 1]
         else:
             m = None
-            u = _payload_uniforms(max(pl.n_c for pl in plans), seed, block)
+            u = _payload_uniforms(max(pl.n_c for pl in plans), seed, block, count)
         decoded = None  # every plan puts the codeword in the same columns
         for i, (s, plan) in enumerate(zip(specs, plans)):
             if cb is None:

@@ -38,6 +38,10 @@ CSV_HEADER = ["scheme", "kind", "n", "es_n0_db", "value", "stderr", "flag"]
 
 DEFAULT_SCHEMES = ("genie", "dad", "hyped", "preamble")
 
+# float64 densities one P_IE bound pass holds per stream; SNRs past it take
+# another pass, so peak memory does not grow with the SNR grid
+DENSITY_BUDGET_BYTES = 64 << 20
+
 # ranks (value, n_p) pairs by value; max and min keep the first of equal
 # values, so ties go to the smaller n_p of the ascending split grid
 _BY_VALUE = operator.itemgetter(0)
@@ -83,6 +87,12 @@ class SweepConfig:
             raise ValueError(f"n_grid entries must be >= 1, got {self.n_grid}")
         if any(n_p < 0 for n_p in self.np_grid):
             raise ValueError(f"np_grid entries must be >= 0, got {self.np_grid}")
+        # a list entry is cut at ',' and a config line at '#', so such a path
+        # could not be written back into a config or a run manifest
+        for key in ("codes", "refs"):
+            bad = [p for p in getattr(self, key) if "," in p or "#" in p]
+            if bad:
+                raise ValueError(f"{key} paths cannot contain ',' or '#', got {bad[0]!r}")
 
     def calibration_trials(self):
         floor = int(np.ceil(50 / self.eps_fa))
@@ -309,10 +319,11 @@ def run_pie_sweep(cfg, out_csv=None):
     """Inclusive-error-rate sweep over SNR at fixed (n, k).
 
     Emits bound rows per scheme and, when generator matrices are supplied,
-    simulated operating points (kind = "simulated"). Per SNR, the DT and
+    simulated operating points (kind = "simulated"). The DT and
     meta-converse bounds of the full slot and of every feasible split's
-    payload come from one multi-length density pass per stream. A code
-    longer than the slot is rejected before any noise is drawn.
+    payload, at every SNR above the converse floor, come from one density
+    pass per stream (see _pie_bounds). A code longer than the slot is
+    rejected before any noise is drawn.
     """
     if not cfg.snr_grid:
         raise ValueError("error-rate sweep needs snr_grid")
@@ -324,23 +335,26 @@ def run_pie_sweep(cfg, out_csv=None):
         if cb.n_c > n:
             raise ValueError(f"code {path} has length n_c={cb.n_c}, longer than the slot n={n}")
     snr_floor = bounds.min_snr_db(n, req)
-    rows = []
+    points = {}  # SNR above the floor -> (params, splits, payload lengths)
     for snr in cfg.snr_grid:
         if snr < snr_floor:
-            for scheme in cfg.schemes:
-                rows.append(_row(scheme, "achievability", n, snr, 1.0, flag="infeasible"))
             continue
         params = ChannelParams.from_db(snr, n)
-        sigma2 = params.sigma2
         splits = {scheme: _feasible_splits(cfg, scheme, n, k, params, req)
                   for scheme in ("hyped", "preamble") if scheme in cfg.schemes}
         lengths = sorted({n, *(n - n_p for pairs in splits.values() for n_p, _ in pairs)})
-        # reduce stream 1 to DT pairs before the meta-converse streams are drawn
-        denss = info_density_samples(n, sigma2, cfg.trials, cfg.seed, lengths=lengths)
-        dt = {l: dt_error_estimate(dens, M) for l, dens in zip(lengths, denss)}
-        del denss
-        con = dict(zip(lengths, bounds.meta_converse_min_error(n, sigma2, M, cfg.trials,
-                                                               cfg.seed, lengths=lengths)))
+        points[snr] = params, splits, lengths
+    bound = dict(zip(points, _pie_bounds(cfg, M, [(params.sigma2, lengths)
+                                                  for params, _, lengths in points.values()])))
+    rows = []
+    for snr in cfg.snr_grid:
+        if snr not in points:
+            for scheme in cfg.schemes:
+                rows.append(_row(scheme, "achievability", n, snr, 1.0, flag="infeasible"))
+            continue
+        params, splits, _ = points[snr]
+        dt, con = bound[snr]
+        sigma2 = params.sigma2
         pcw_ach, pcw_se = dt[n]
         pcw_con = con[n]
         root = np.sqrt(n / sigma2)
@@ -366,6 +380,42 @@ def run_pie_sweep(cfg, out_csv=None):
     if out_csv:
         write_rows(rows, out_csv)
     return rows
+
+
+def _pie_bounds(cfg, M, groups):
+    """One (DT map, meta-converse map) pair per (sigma2, lengths) group.
+
+    The maps take a length to its DT (estimate, stderr) and its meta-converse
+    codeword error at the group's noise variance. Consecutive groups share
+    one pass per stream (each noise block drawn once at unit variance, see
+    jdd.bounds) while their densities fit DENSITY_BUDGET_BYTES. Each bound
+    equals its own per-SNR, per-length call, so the split into passes
+    changes no value.
+    """
+    out, batch, held = [], [], 0
+    for sigma2, lengths in groups:
+        size = 8 * cfg.trials * len(lengths)
+        if batch and held + size > DENSITY_BUDGET_BYTES:
+            out.extend(_pie_bound_pass(cfg, M, batch))
+            batch, held = [], 0
+        batch.append((sigma2, lengths))
+        held += size
+    return out + (_pie_bound_pass(cfg, M, batch) if batch else [])
+
+
+def _pie_bound_pass(cfg, M, groups):
+    """_pie_bounds for groups that share one pass per stream.
+
+    Stream 1 is reduced to DT pairs and freed before the meta-converse
+    streams are drawn.
+    """
+    (sigma2, lengths), *rest = groups
+    denss = info_density_samples(cfg.n, sigma2, cfg.trials, cfg.seed, lengths=lengths, groups=rest)
+    dts = [{l: dt_error_estimate(d, M) for l, d in zip(ls, ds)} for (_, ls), ds in zip(groups, denss)]
+    del denss
+    errs = bounds.meta_converse_min_error(cfg.n, sigma2, M, cfg.trials, cfg.seed,
+                                          lengths=lengths, groups=rest)
+    return [(dt, dict(zip(ls, es))) for dt, (_, ls), es in zip(dts, groups, errs)]
 
 
 def _feasible_splits(cfg, scheme, n, k, params, req):

@@ -214,6 +214,140 @@ class TestMultiLengthDensities:
                        for l in self.LENGTHS]
 
 
+def reference_info_density_samples(n, sigma2, trials, seed, stream=1, lengths=None):
+    """The per-variance pass before noise blocks were shared across variances."""
+    lens = (n,) if lengths is None else tuple(int(l) for l in lengths)
+    outs = [np.empty(trials) for _ in lens]
+    width = max(lens)
+    scratch = np.empty(min(TRIALS_PER_BLOCK, trials) * width)
+    for block in range(-(-trials // TRIALS_PER_BLOCK)):
+        done = block * TRIALS_PER_BLOCK
+        b = min(TRIALS_PER_BLOCK, trials - done)
+        z = gaussian_block(sigma2, seed, stream, block, (TRIALS_PER_BLOCK, n))
+        t = z.reshape(-1)[: b * width]
+        t += 1.0
+        t *= -2.0
+        t /= sigma2
+        s = np.abs(t, out=scratch[: t.size])
+        np.negative(s, out=s)
+        np.exp(s, out=s)
+        np.log1p(s, out=s)
+        np.maximum(t, 0.0, out=t)
+        t += s
+        for l, out in zip(lens, outs):
+            out[done : done + b] = l * np.log(2.0) - t[: b * l].reshape(b, l).sum(axis=1)
+    return outs if lengths is not None else outs[0]
+
+
+def reference_bisect(dens_thr, dens, target_beta):
+    """The 80-step float bisection on sorted stream-2 samples: (error, threshold)."""
+    dens_thr = np.sort(dens_thr)
+    w = np.exp(-dens)
+
+    def beta_at(t):
+        return float(np.where(dens >= t, w, 0.0).mean())
+
+    lo, hi = dens_thr[0], dens_thr[-1]
+    if beta_at(hi) > target_beta:
+        return float((dens_thr.size - 1) / dens_thr.size), None
+    if beta_at(lo) <= target_beta:
+        return 0.0, None
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if beta_at(mid) > target_beta:
+            lo = mid
+        else:
+            hi = mid
+    t = 0.5 * (lo + hi)
+    return float(np.searchsorted(dens_thr, t) / dens_thr.size), t
+
+
+def reference_meta_converse_min_error(n, sigma2, M, trials, seed, lengths):
+    thrs = reference_info_density_samples(n, sigma2, trials, seed, stream=2, lengths=lengths)
+    denss = reference_info_density_samples(n, sigma2, trials, seed, stream=3, lengths=lengths)
+    return [reference_bisect(d2, d3, 1.0 / M)[0] for d2, d3 in zip(thrs, denss)]
+
+
+class TestSharedVariances:
+    """groups= shares each unit-variance block; each group equals its own call."""
+
+    N = 30
+    GROUPS = ((SIGMA2_M3DB, (30, 7, 1)), (0.25, (12, 29)), (2.0, (30,)))
+    SHORT = ((SIGMA2_M3DB, (7, 12)), (0.25, (20,)))  # drawn at width 20 < n
+
+    @pytest.mark.parametrize("trials", [1000, TRIALS_PER_BLOCK + 17, 10000])
+    @pytest.mark.parametrize("stream", [1, 3])
+    @pytest.mark.parametrize("groups", ["GROUPS", "SHORT"])
+    def test_density_groups_equal_per_variance_calls(self, trials, stream, groups):
+        (sigma2, lengths), *rest = getattr(self, groups)
+        got = info_density_samples(self.N, sigma2, trials, 4, stream=stream, lengths=lengths,
+                                   groups=rest)
+        assert len(got) == 1 + len(rest)
+        for (s2, lens), dens in zip(getattr(self, groups), got):
+            assert len(dens) == len(lens)
+            for l, d in zip(lens, dens):
+                np.testing.assert_array_equal(
+                    d, reference_info_density_samples(self.N, s2, trials, 4, stream, [l])[0])
+                np.testing.assert_array_equal(
+                    d, info_density_samples(l, s2, trials, 4, stream=stream))
+
+    def test_density_groups_without_lengths(self):
+        first, (second,) = info_density_samples(self.N, 0.5, 5000, 2, groups=[(0.25, (9,))])
+        np.testing.assert_array_equal(first, info_density_samples(self.N, 0.5, 5000, 2))
+        np.testing.assert_array_equal(second, info_density_samples(9, 0.25, 5000, 2))
+        assert len(info_density_samples(self.N, 0.5, 5000, 2, lengths=[5], groups=[])) == 1
+        with pytest.raises(ValueError, match="lengths"):
+            info_density_samples(self.N, 0.5, 100, 0, groups=[(0.25, (31,))])
+
+    def test_unit_draw_scales_to_every_variance(self):
+        unit = gaussian_block(1.0, 5, 2, 1, (300, 7))
+        for s2 in (SIGMA2_M3DB, 0.25, 3.0):
+            np.testing.assert_array_equal(np.sqrt(s2) * unit, gaussian_block(s2, 5, 2, 1, (300, 7)))
+
+    @pytest.mark.parametrize("M", [2, 16, 4096])
+    @pytest.mark.parametrize("trials", [10000, 12289])
+    def test_meta_converse_groups_equal_per_snr_calls(self, M, trials):
+        (sigma2, lengths), *rest = self.GROUPS
+        got = meta_converse_min_error(self.N, sigma2, M, trials, 2, lengths=lengths, groups=rest)
+        assert got == [reference_meta_converse_min_error(self.N, s2, M, trials, 2, lens)
+                       for s2, lens in self.GROUPS]
+        assert got == [[meta_converse_min_error(l, s2, M, trials, 2) for l in lens]
+                       for s2, lens in self.GROUPS]
+        assert meta_converse_min_error(self.N, sigma2, M, trials, 2) == got[0][0]
+
+    @staticmethod
+    def bisect(dens_thr, dens, target_beta):
+        # the error meta_converse_min_error forms from the threshold
+        t = bounds._meta_converse_bisect(dens_thr.min(), dens_thr.max(), dens, target_beta)
+        if t == np.inf:
+            return (dens_thr.size - 1) / dens_thr.size, None
+        return float(np.count_nonzero(dens_thr < t) / dens_thr.size), (None if t == -np.inf else t)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bisect_equals_float_bisection(self, seed):
+        rng = np.random.default_rng(seed)
+        # few distinct, tied values so beta_hat has wide flat steps
+        dens = rng.choice(rng.normal(3.0, 2.0, 12), size=500)
+        dens_thr = rng.normal(3.0, 2.0, 400)
+        for target in np.geomspace(1e-4, 0.5, 25):
+            got = self.bisect(dens_thr, dens, target)
+            assert got == reference_bisect(dens_thr, dens, target)
+
+    def test_bisect_edge_cases(self):
+        dens = np.repeat([0.5, 1.0, 2.0, 4.0], [3, 5, 2, 1])
+        dens_thr = np.array([0.0, 0.7, 1.5, 3.0, 3.5])  # all below the top sample 4.0
+        # out of reach even at the largest threshold, and met at the smallest
+        assert self.bisect(dens_thr, dens, 1e-9) == reference_bisect(dens_thr, dens, 1e-9) == (0.8, None)
+        assert self.bisect(dens_thr, dens, 1.0) == reference_bisect(dens_thr, dens, 1.0) == (0.0, None)
+        # a stream-2 sample exactly at the final threshold is not below it
+        target = 0.5 * (np.exp(-dens)[dens >= 1.0].mean() + np.exp(-dens)[dens >= 2.0].mean())
+        err, t = reference_bisect(dens_thr, dens, target)
+        assert t is not None
+        at_t = np.append(dens_thr, t)
+        assert self.bisect(at_t, dens, target) == reference_bisect(at_t, dens, target)
+        assert reference_bisect(at_t, dens, target)[0] == err * 5 / 6
+
+
 def messages(record):
     # every warning must point at the caller, as the drawing call's does
     assert all(w.filename == __file__ for w in record)

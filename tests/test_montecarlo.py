@@ -12,6 +12,8 @@ from jdd.montecarlo import (
     STREAM_ACTIVE_NOISE,
     STREAM_CALIBRATION,
     STREAM_IDLE_EVAL,
+    STREAM_MESSAGES,
+    STREAM_PAYLOAD,
     CalibrationResult,
     RateEstimate,
     calibrate_threshold,
@@ -271,26 +273,45 @@ class TestMultiEntry:
 class TestNoisePasses:
     def test_each_block_drawn_once(self, monkeypatch):
         # calibration fits on its own stream only; the evaluation idle stream
-        # is drawn once, by estimate_rates, which reports the one P_FA
+        # is drawn once, by estimate_rates, which reports the one P_FA. A
+        # partial last block draws only its own trials' rows (or values)
         import jdd.montecarlo as montecarlo
 
         draws = Counter()
-        gaussian_block = montecarlo.gaussian_block
+        gaussian_block, uniform_block = montecarlo.gaussian_block, montecarlo.uniform_block
 
         def counted(sigma2, seed, stream, block, shape):
-            draws[stream, block] += 1
+            draws[stream, block, shape] += 1
             return gaussian_block(sigma2, seed, stream, block, shape)
 
+        def counted_uniform(seed, stream, block, shape):
+            draws[stream, block, shape] += 1
+            return uniform_block(seed, stream, block, shape)
+
         monkeypatch.setattr(montecarlo, "gaussian_block", counted)
+        monkeypatch.setattr(montecarlo, "uniform_block", counted_uniform)
         params = ChannelParams.from_db(-3.0, 20)
         plans = [FramePlan(n_p=n_p, n_c=20 - n_p) for n_p in (2, 10)]
         spec = DetectorSpec(kind="hyped-exact")
         calibs = calibrate_threshold(spec, plans, params, 9001, 1e-2, 3)
-        assert {stream for stream, _ in draws} == {STREAM_CALIBRATION}
+        assert {stream for stream, _, _ in draws} == {STREAM_CALIBRATION}
         estimate_rates([spec.with_gamma(c.gamma) for c in calibs], plans, params, 6003, 3)
-        assert draws == Counter({(stream, b): 1 for stream, blocks in (
-            (STREAM_CALIBRATION, 3), (STREAM_IDLE_EVAL, 2), (STREAM_ACTIVE_NOISE, 2))
-            for b in range(blocks)})
+        noise = {stream: [(TRIALS_PER_BLOCK, 20)] * (trials // TRIALS_PER_BLOCK)
+                 + [(trials % TRIALS_PER_BLOCK, 20)] for stream, trials in (
+                     (STREAM_CALIBRATION, 9001), (STREAM_IDLE_EVAL, 6003),
+                     (STREAM_ACTIVE_NOISE, 6003))}
+        # one payload draw per block, at the longest payload (n_c = 18)
+        noise[STREAM_PAYLOAD] = [(TRIALS_PER_BLOCK * 18,), (1907 * 18,)]
+        assert draws == Counter({(stream, b, shape): 1 for stream, shapes in noise.items()
+                                 for b, shape in enumerate(shapes)})
+
+        draws.clear()
+        plan = FramePlan(n_p=3, n_c=7)
+        estimate_rates(DetectorSpec(kind="dad", gamma=0.0), plan,
+                       ChannelParams.from_db(0.0, 10), 5000, 3, cb=hamming_7_4())
+        assert {k for k in draws if k[0] == STREAM_MESSAGES} == {
+            (STREAM_MESSAGES, 0, (TRIALS_PER_BLOCK,)), (STREAM_MESSAGES, 1, (904,))}
+        assert set(draws.values()) == {1}
 
 
 class TestWriteManifest:

@@ -332,6 +332,43 @@ class TestRunPieSweep:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "0ea886b134da1bd89cd7f67e247cc90cb5abce82c2aaffde2c53454bec268cdb")
 
+    def snr_grid_cfg(self, snr_grid=(-2.0, -6.0, 1.0, 3.0)):
+        # the split lengths differ between the SNRs; -6 dB is below the floor
+        return small_pie_cfg(schemes=("genie", "dad", "hyped", "preamble"),
+                             np_grid=(0, 2, 8, 14, 17), snr_grid=snr_grid)
+
+    def test_snr_grid_equals_one_snr_sweeps(self):
+        cfg = self.snr_grid_cfg()
+        assert run_pie_sweep(cfg) == [row for snr in cfg.snr_grid
+                                      for row in run_pie_sweep(self.snr_grid_cfg((snr,)))]
+
+    def test_one_density_pass_per_stream(self, monkeypatch):
+        # every SNR's bounds scale one unit-variance draw per block: streams 1
+        # and 3 are drawn once, stream 2 twice (bracket, then count below t),
+        # per pass; SNRs past the density budget take another pass
+        import jdd.bounds as bounds
+        import jdd.sweeps as sweeps
+
+        gaussian_block = bounds.gaussian_block
+
+        def counted(sigma2, seed, stream, block, shape):
+            draws[sigma2, stream, block, shape] += 1
+            return gaussian_block(sigma2, seed, stream, block, shape)
+
+        monkeypatch.setattr(bounds, "gaussian_block", counted)
+        shapes = [(4096, 24), (4096, 24), (1808, 24)]
+        for grid in ((3.0,), (-2.0, -6.0, 1.0, 3.0)):
+            draws = Counter()
+            rows = run_pie_sweep(self.snr_grid_cfg(grid))
+            assert draws == Counter({(1.0, stream, b, shape): 2 if stream == 2 else 1
+                                     for stream in (1, 2, 3) for b, shape in enumerate(shapes)})
+        # a budget of 8 densities: the SNRs' 3, 5 and 5 lengths take two passes
+        monkeypatch.setattr(sweeps, "DENSITY_BUDGET_BYTES", 8 * 10_000 * 8)
+        draws = Counter()
+        assert run_pie_sweep(self.snr_grid_cfg(grid)) == rows
+        assert draws == Counter({(1.0, stream, b, shape): 4 if stream == 2 else 2
+                                 for stream in (1, 2, 3) for b, shape in enumerate(shapes)})
+
     def test_simulated_rows_pinned(self, tmp_path):
         # sha256 recorded before the tiled correlation kernel and the shared
         # per-plan Monte Carlo pass; both must reproduce the old rows exactly
@@ -517,6 +554,23 @@ class TestCli:
         rc = main(["pie-sweep", "--config", cfg, "--code", "111", "--out", str(tmp_path)])
         assert rc != 0
         assert capsys.readouterr().err.splitlines() == [f'error="{error}"']
+        assert not (tmp_path / "pie_sweep.csv").exists()
+
+    @pytest.mark.parametrize("flag, name", [("--code", "ham,7.gen"), ("--code", "ham#7.gen"),
+                                            ("--ref", "ref,1.csv")])
+    def test_path_the_manifest_cannot_hold_rejected(self, tmp_path, capsys, flag, name):
+        # parse_config splits lists at ',' and cuts lines at '#', so the run's
+        # manifest could not name this path; it fails before anything runs
+        path = tmp_path / name
+        path.write_text(HAMMING_G)
+        cfg = self.write_cfg(tmp_path, "schemes=dad\nsnr_grid=3\nn=24\nk=4\ntrials=10000\n")
+        rc = main(["pie-sweep", "--config", cfg, flag, str(path),
+                   "--out", str(tmp_path)])
+        assert rc != 0
+        key = "codes" if flag == "--code" else "refs"
+        assert capsys.readouterr().err.splitlines() == [
+            f'error="ValueError: {key} paths cannot contain \',\' or \'#\', '
+            f'got {str(path)!r}"']
         assert not (tmp_path / "pie_sweep.csv").exists()
 
     @pytest.mark.filterwarnings("ignore:DT bound")
