@@ -36,7 +36,6 @@ for i in range(6):
     if i == 0:
         rows.append("1" * 32)
     else:
-        period = 1 << (i - 1)
         rows.append("".join("01"[(j >> (i - 1)) & 1] for j in range(32)))
 code_file.write_text("\n".join(rows) + "\n")
 

@@ -117,14 +117,14 @@ def dad_error_bounds(n, sigma2, gamma, M):
     return pfa_ub, pmd_ub
 
 
-def dad_max_code_size(n, sigma2, req, m_star, max_rounds=100):
+def dad_max_code_size(n, sigma2, req, m_star):
     """Largest code size certified by the DAD achievability bound.
 
     Fixed-point iteration: start at the detection-limited term
     floor(eps_fa / Q(Q^-1(1 - eps_md) + sqrt(n / sigma2))), then repeatedly
     cap by m_star(p_e, n, sigma2) where
     p_e = eps_ie - 1 + Q(Q^-1(eps_fa / M) - sqrt(n / sigma2)) until M is
-    stable. Returns 0 when infeasible. `m_star` is any achievability oracle
+    stable, for at most 100 rounds. Returns 0 when infeasible. `m_star` is any achievability oracle
     for synchronous transmission (the DT bound in this package).
     """
     if n < min_blocklength(sigma2, req):
@@ -138,7 +138,7 @@ def dad_max_code_size(n, sigma2, req, m_star, max_rounds=100):
     if m_det < 1:
         return 0
     M = m_det
-    for _ in range(max_rounds):
+    for _ in range(100):
         p_e = req.eps_ie - 1.0 + q_func(q_inv(req.eps_fa / M) - root)
         if p_e <= 0.0:
             # the missed-detection term alone exceeds the eps_ie budget

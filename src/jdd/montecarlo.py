@@ -30,14 +30,18 @@ instead of a list.
 Memory: calibration holds an (entries x trials) float64 array of idle
 statistics for the quantile; evaluation-stream statistics are reduced to
 counts block by block and never stored.
+
+Rates carry exact two-sided 95% Clopper-Pearson intervals, whose beta
+quantiles come from ``scipy.special.betaincinv``.
 """
 
 import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import beta as beta_dist
+from scipy.special import betaincinv
 
+from . import codebook
 from .channel import TRIALS_PER_BLOCK, FramePlan, _blocks, gaussian_block, uniform_block
 from .detectors import DetectorSpec, batch_statistic
 
@@ -58,15 +62,17 @@ STREAM_MESSAGES = 7
 STREAM_PAYLOAD = 8
 
 
-def clopper_pearson(successes, trials, level=0.95):
-    """Exact two-sided binomial confidence interval."""
+# confidence level of every two-sided Clopper-Pearson interval
+_LEVEL = 0.95
+
+
+def clopper_pearson(successes, trials):
+    """Exact two-sided binomial confidence interval at the 95% level."""
     if not 0 <= successes <= trials:
         raise ValueError("need 0 <= successes <= trials")
-    if not 0.0 < level < 1.0:
-        raise ValueError("confidence level must lie in (0, 1)")
-    alpha = 1.0 - level
-    low = 0.0 if successes == 0 else float(beta_dist.ppf(alpha / 2, successes, trials - successes + 1))
-    high = 1.0 if successes == trials else float(beta_dist.ppf(1 - alpha / 2, successes + 1, trials - successes))
+    alpha = 1.0 - _LEVEL
+    low = 0.0 if successes == 0 else float(betaincinv(successes, trials - successes + 1, alpha / 2))
+    high = 1.0 if successes == trials else float(betaincinv(successes + 1, trials - successes, 1 - alpha / 2))
     return low, high
 
 
@@ -78,8 +84,8 @@ class RateEstimate:
     ci_high: float
 
     @classmethod
-    def from_counts(cls, successes, trials, level=0.95):
-        low, high = clopper_pearson(successes, trials, level)
+    def from_counts(cls, successes, trials):
+        low, high = clopper_pearson(successes, trials)
         return cls(p_hat=successes / trials, trials=trials, ci_low=low, ci_high=high)
 
 
@@ -189,8 +195,6 @@ def estimate_rates(spec, plan, params, trials, seed, cb=None):
         for i, (stats, gamma) in enumerate(zip(block_stats, gammas)):
             n_fa[i] += int(np.sum(stats >= gamma))
 
-    from .codebook import ml_decode  # local import avoids a cycle at module load
-
     n_md = [0] * len(specs)
     n_detected = [0] * len(specs)
     n_cw_err = [0] * len(specs)
@@ -214,7 +218,7 @@ def estimate_rates(spec, plan, params, trials, seed, cb=None):
             detected = stats >= gammas[i]
             if m_hat is None and cb is not None:
                 if decoded is None:
-                    decoded, _ = ml_decode(cb, y[:, plan.n_p :])
+                    decoded, _ = codebook.ml_decode(cb, y[:, plan.n_p :])
                 m_hat = decoded
 
             n_md[i] += int(np.sum(~detected))

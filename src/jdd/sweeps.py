@@ -36,6 +36,7 @@ __all__ = [
 
 CSV_HEADER = ["scheme", "kind", "n", "es_n0_db", "value", "stderr", "flag"]
 
+# every scheme a sweep knows, and the default
 DEFAULT_SCHEMES = ("genie", "dad", "hyped", "preamble")
 
 # float64 densities one P_IE bound pass holds per stream; SNRs past it take
@@ -59,7 +60,6 @@ class SweepConfig:
     eps_md: float = 1e-4
     eps_ie: float = 1e-3
     trials: int = 100_000
-    calib_trials: int = 0               # 0 = derive from eps_fa
     seed: int = 0
     codes: tuple[str, ...] = ()         # generator-matrix files for simulated points
     refs: tuple[str, ...] = ()          # external reference CSVs, merged untouched
@@ -71,10 +71,16 @@ class SweepConfig:
 
     def validate(self):
         """Raise ValueError for settings no sweep can run with."""
+        if not self.schemes or not set(self.schemes) <= set(DEFAULT_SCHEMES):
+            raise ValueError(f"schemes must name one or more of {','.join(DEFAULT_SCHEMES)}, "
+                             f"got {','.join(self.schemes)!r}")
+        if not np.isfinite(self.es_n0_db):
+            raise ValueError(f"es_n0_db must be finite, got {self.es_n0_db}")
+        if not np.all(np.isfinite(self.snr_grid)):
+            raise ValueError(f"snr_grid entries must be finite, got {self.snr_grid}")
+        self.requirements  # Requirements rejects eps_* outside (0, 1)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.calib_trials < 0:
-            raise ValueError(f"calib_trials must be >= 0, got {self.calib_trials}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
         if self.n < 1:
@@ -95,8 +101,8 @@ class SweepConfig:
                 raise ValueError(f"{key} paths cannot contain ',' or '#', got {bad[0]!r}")
 
     def calibration_trials(self):
-        floor = int(np.ceil(50 / self.eps_fa))
-        return max(self.calib_trials or 0, floor, self.trials)
+        """Trials that resolve the (1 - eps_fa)-quantile, and no fewer than `trials`."""
+        return max(int(np.ceil(50 / self.eps_fa)), self.trials)
 
 
 def parse_config(text):
@@ -220,7 +226,7 @@ def _split_pmds(scheme, n_ps, params, cfg, req):
     return [r["pmd"].p_hat for r in rates]
 
 
-def run_rate_sweep(cfg, out_csv=None):
+def run_rate_sweep(cfg):
     """Rate-over-blocklength sweep at fixed SNR (bounds only).
 
     Per blocklength and scheme: the genie feasibility mask from the
@@ -244,8 +250,6 @@ def run_rate_sweep(cfg, out_csv=None):
         else:
             rows.extend(_rate_point(cfg, n, sigma2, req))
     rows.extend(r for ref in cfg.refs for r in ingest_reference(ref))
-    if out_csv:
-        write_rows(rows, out_csv)
     return rows
 
 
@@ -315,15 +319,15 @@ def _hyped_rate_point(n, es_n0_db, pairs, m_ach, m_con):
     return rows
 
 
-def run_pie_sweep(cfg, out_csv=None):
+def run_pie_sweep(cfg):
     """Inclusive-error-rate sweep over SNR at fixed (n, k).
 
     Emits bound rows per scheme and, when generator matrices are supplied,
     simulated operating points (kind = "simulated"). The DT and
     meta-converse bounds of the full slot and of every feasible split's
     payload, at every SNR above the converse floor, come from one density
-    pass per stream (see _pie_bounds). A code longer than the slot is
-    rejected before any noise is drawn.
+    pass per stream (see _pie_bounds). A code longer than the slot, or one
+    whose dimension is not k, is rejected before any noise is drawn.
     """
     if not cfg.snr_grid:
         raise ValueError("error-rate sweep needs snr_grid")
@@ -334,6 +338,8 @@ def run_pie_sweep(cfg, out_csv=None):
     for path, cb in zip(cfg.codes, codes):
         if cb.n_c > n:
             raise ValueError(f"code {path} has length n_c={cb.n_c}, longer than the slot n={n}")
+        if cb.k != k:
+            raise ValueError(f"code {path} has dimension k={cb.k}, not the configured k={k}")
     snr_floor = bounds.min_snr_db(n, req)
     points = {}  # SNR above the floor -> (params, splits, payload lengths)
     for snr in cfg.snr_grid:
@@ -377,8 +383,6 @@ def run_pie_sweep(cfg, out_csv=None):
         for cb in codes:
             rows.extend(_simulated_points(cfg, cb, n, params, req, snr))
     rows.extend(r for ref in cfg.refs for r in ingest_reference(ref))
-    if out_csv:
-        write_rows(rows, out_csv)
     return rows
 
 

@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from scipy.stats import binom
+from scipy.stats import beta, binom
 
 from jdd.channel import TRIALS_PER_BLOCK, ChannelParams, FramePlan
 from jdd.codebook import hamming_7_4, repetition_code
@@ -66,8 +66,18 @@ class TestClopperPearson:
     def test_domain(self):
         with pytest.raises(ValueError):
             clopper_pearson(5, 4)
-        with pytest.raises(ValueError):
-            clopper_pearson(1, 10, level=1.0)
+
+    @pytest.mark.parametrize("trials", [1, 2, 3, 10, 99, 1000, 4096, 10_000, 123_457, 10**6])
+    def test_equals_scipy_stats_beta_ppf(self, trials):
+        # bit for bit the beta quantiles of scipy.stats at the same levels
+        alpha = 1.0 - 0.95
+        for successes in sorted({s for s in (0, 1, 2, trials // 3, trials // 2, trials - 2,
+                                             trials - 1, trials) if 0 <= s <= trials}):
+            want_low = 0.0 if successes == 0 else float(
+                beta.ppf(alpha / 2, successes, trials - successes + 1))
+            want_high = 1.0 if successes == trials else float(
+                beta.ppf(1 - alpha / 2, successes + 1, trials - successes))
+            assert clopper_pearson(successes, trials) == (want_low, want_high)
 
     def test_rate_estimate_wrapper(self):
         est = RateEstimate.from_counts(3, 60)

@@ -1,7 +1,11 @@
 import csv
 import hashlib
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,7 +103,7 @@ class TestParseConfig:
             parse_config("bogus=1")
 
     def test_range_edges_accepted(self):
-        cfg = parse_config("trials=1\ncalib_trials=0\nseed=0\nn=1\nk=1\n")
+        cfg = parse_config("trials=1\nseed=0\nn=1\nk=1\n")
         assert (cfg.trials, cfg.n, cfg.k) == (1, 1, 1)
         cfg = parse_config("n=24\nk=24\n")  # k = n: the most bits n symbols can carry
         assert (cfg.n, cfg.k) == (24, 24)
@@ -369,18 +373,20 @@ class TestRunPieSweep:
         assert draws == Counter({(1.0, stream, b, shape): 4 if stream == 2 else 2
                                  for stream in (1, 2, 3) for b, shape in enumerate(shapes)})
 
-    def test_simulated_rows_pinned(self, tmp_path):
-        # sha256 recorded before the tiled correlation kernel and the shared
-        # per-plan Monte Carlo pass; both must reproduce the old rows exactly
-        ham = tmp_path / "ham.txt"
-        ham.write_text(HAMMING_G)
-        rm = tmp_path / "rm14.txt"
-        rm.write_text(RM14_G)
+    @pytest.mark.parametrize("generator, k, digest", [
+        (HAMMING_G, 4, "91c4fb06b682da46f5f0c1c181f5fa9d5946a229285910b82280cb6fde7a1cb5"),
+        (RM14_G, 5, "20167812924b1911008d112b9869c01f51002bc6297766d887a3a049bc72f49e"),
+    ], ids=["hamming-7-4", "rm-1-4"])
+    def test_simulated_rows_pinned(self, tmp_path, generator, k, digest):
+        # sha256 recorded before the Clopper-Pearson quantile moved to
+        # scipy.special and a code's k had to equal the config's; each code runs
+        # under its own k
+        code = tmp_path / "code.txt"
+        code.write_text(generator)
         cfg = small_pie_cfg(schemes=("dad", "hyped", "preamble"), snr_grid=(0.0, 3.0),
-                            codes=(str(ham), str(rm)))
+                            codes=(str(code),), k=k)
         path = write_rows(run_pie_sweep(cfg), tmp_path / "pie.csv")
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "7b67622d8b20f06d6ac4d6e3d2a8ba89c1d7507f4f4b29cd0d6c318866efed34")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_simulated_points_one_pass(self, tmp_path, monkeypatch):
         # one calibrate and one estimate call per (code, SNR) for all schemes;
@@ -526,7 +532,11 @@ class TestCli:
 
     @pytest.mark.parametrize("line", ["trials=0", "calib_trials=-1", "seed=-1", "n=0",
                                       "k=0", "k=25", "n_grid=60,0", "n_grid=-4",
-                                      "np_grid=0,-1", "n=8\nk=12", "out=elsewhere"])
+                                      "np_grid=0,-1", "n=8\nk=12", "out=elsewhere",
+                                      "schemes=genie,bogus", "schemes=genie,DAD", "schemes=",
+                                      "schemes=genie,dad\nes_n0_db=nan", "es_n0_db=inf",
+                                      "snr_grid=1,inf", "snr_grid=nan", "eps_fa=0",
+                                      "eps_md=1", "eps_ie=1.5", "eps_ie=nan"])
     def test_bad_config_rejected_at_parse_time(self, tmp_path, capsys, line):
         cfg = self.write_cfg(tmp_path, f"n_grid=60\n{line}\n")
         rc = main(["rate-sweep", "--config", cfg, "--out", str(tmp_path)])
@@ -538,10 +548,12 @@ class TestCli:
     @pytest.mark.parametrize("code, error", [
         (None, "FileNotFoundError: [Errno 2] No such file or directory: '111'"),
         (HAMMING_G, "ValueError: code 111 has length n_c=7, longer than the slot n=6"),
-    ], ids=["missing", "longer-than-slot"])
+        ("111\n", "ValueError: code 111 has dimension k=1, not the configured k=4"),
+    ], ids=["missing", "longer-than-slot", "k-mismatch"])
     def test_bad_code_rejected(self, tmp_path, capsys, monkeypatch, code, error):
         # "111" must be read as a file, never as a repetition code's matrix,
-        # and a code that does not fit the slot fails before any noise is drawn
+        # and a code that does not fit the slot, or whose k is not the k the
+        # bound rows count 2^k codewords for, fails before any noise is drawn
         import jdd.bounds
         import jdd.montecarlo
 
@@ -608,6 +620,19 @@ class TestCli:
         assert rc != 0
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith('error="ValueError')
+
+    def test_fresh_import_loads_no_scipy_stats(self):
+        # the package needs scipy.special only; a subprocess, because the test
+        # modules import scipy.stats themselves
+        import jdd
+
+        src = str(Path(jdd.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, jdd.sweeps, jdd.cli\n"
+             "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_error_path_exit_code(self, tmp_path, capsys):
         # default config has no n_grid: rate-sweep must fail cleanly
