@@ -25,8 +25,16 @@ once at unit variance and scaled by ``sqrt(sigma2)`` for each variance:
 ``gaussian_block(sigma2, ...)`` equals ``sqrt(sigma2) * gaussian_block(1.0,
 ...)`` bit for bit, since it forms that same product. ``groups=`` in
 ``info_density_samples`` and ``meta_converse_min_error`` takes further
-``(sigma2, lengths)`` groups drawn this way; every group's result equals
-its own call, so no result depends on which variances share a draw.
+``(sigma2, lengths)`` groups drawn this way, each group computing its
+terms only over the flat prefix of its own longest length; every group's
+result equals its own call, so no result depends on which variances share a
+draw.
+
+``meta_converse_min_error`` draws each of its two streams once and holds one
+at a time. Its bisection pivot depends on the type-II stream 3 alone, so
+stream 3 is reduced to one pivot per (group, length) and freed; then the
+threshold stream 2 is drawn once, for the lengths that have a pivot only,
+and gives each its bisection range and its count below the threshold.
 """
 
 import warnings
@@ -180,9 +188,9 @@ def _density_blocks(groups, trials, seed, stream):
     The densities are one array per (group, length) pair, groups in order,
     each holding that block's trials. The block is drawn once at unit
     variance at the longest length's width, and freed before the next draw;
-    each group scales it into one reused buffer (the product
-    gaussian_block(sigma2) forms) and reduces it to every length's sums on
-    the flat prefix (the contracts in the module docstring).
+    each group scales the flat prefix its own longest length needs into one
+    reused buffer (the product gaussian_block(sigma2) forms) and reduces it
+    to every length's sums (the contracts in the module docstring).
     """
     width = max((l for _, lens in groups for l in lens), default=0)
     if not width:
@@ -196,8 +204,9 @@ def _density_blocks(groups, trials, seed, stream):
             # z = sqrt(sigma2) * unit, y = 1 + z, t = -2 y / sigma2, then the
             # stable softplus ln(1 + e^t) = max(t, 0) + log1p(exp(-|t|)), all
             # elementwise, chunk by chunk into the buffer
-            for c in range(0, unit.size, _CHUNK):
-                z = unit[c : c + _CHUNK]
+            end = b * max(lens, default=0)
+            for c in range(0, end, _CHUNK):
+                z = unit[c : min(c + _CHUNK, end)]
                 t = np.multiply(z, np.sqrt(sigma2), out=buf[c : c + z.size])
                 t += 1.0
                 t *= -2.0
@@ -351,72 +360,69 @@ def meta_converse_max_M(n, sigma2, target_error, trials, seed, lengths=None):
 def meta_converse_min_error(n, sigma2, M, trials, seed, lengths=None, groups=None):
     """Smallest error rate consistent with code size M under the meta-converse.
 
-    Finds the threshold t at which the estimated type-II error equals 1/M and
-    reports the joint-law lower-tail mass below t, the thresholds ranging
-    over the stream-2 samples. Returns (trials - 1) / trials when even the
-    largest keeps beta above 1/M, and 0 when the smallest already meets 1/M.
+    Finds the threshold t at which the estimated type-II error (on stream 3)
+    equals 1/M and reports the joint-law lower-tail mass below t (on stream
+    2), the thresholds ranging over the stream-2 samples. Returns
+    (trials - 1) / trials when even the largest keeps beta above 1/M, and 0
+    when the smallest already meets 1/M.
 
     With ``lengths`` (each 1 <= l <= n), returns one error rate per l, each
     equal to the length-l call. With ``groups``, further ``(sigma2,
     lengths)`` pairs, returns one entry per group, this call's own first,
-    each equal to the call for that group alone. Stream 3 is drawn in one
-    pass for all of them (see info_density_samples). Stream 2 is never held:
-    one pass takes each sample's range, which brackets the bisection, and a
-    second counts the samples below each final threshold.
+    each equal to the call for that group alone. Each stream is drawn in one
+    pass for all of them (see info_density_samples), and only one stream's
+    densities are held at a time: stream 3 is reduced to each length's
+    bisection pivot (_meta_converse_pivot) and freed, then stream 2 is drawn
+    once, for the lengths that have a pivot only (a length without one has
+    error 0), and gives each its range, bisection and count below t.
     """
     if trials < 1e4:
         raise ValueError("need at least 1e4 trials for the meta-converse bound")
     trials = int(trials)
-    lens = (n,) if lengths is None else lengths
-    pairs = _density_groups(n, [(sigma2, lens), *(groups or ())])
-    size = sum(len(ls) for _, ls in pairs)
-    lo, hi = np.full(size, np.inf), np.full(size, -np.inf)
-    for _, dens in _density_blocks(pairs, trials, seed, 2):
-        for i, d in enumerate(dens):
-            lo[i] = min(lo[i], d.min())
-            hi[i] = max(hi[i], d.max())
-    denss = [d for g in info_density_samples(n, sigma2, trials, seed, stream=3, lengths=lens,
-                                             groups=groups or ()) for d in g]
-    # pop each sample so it is dropped as soon as its bisection is done
-    thrs = [_meta_converse_bisect(l, h, denss.pop(0), 1.0 / M) for l, h in zip(lo, hi)]
-    below = np.zeros(size, dtype=np.int64)
-    if np.isfinite(thrs).any():
-        for _, dens in _density_blocks(pairs, trials, seed, 2):
-            for i, (d, t) in enumerate(zip(dens, thrs)):
-                below[i] += np.count_nonzero(d < t)
-    errs = _regroup([(trials - 1) / trials if t == np.inf else float(c / trials)
-                     for t, c in zip(thrs, below)], pairs)
+    pairs = _density_groups(n, [(sigma2, (n,) if lengths is None else lengths),
+                                *(groups or ())])
+    denss = [d for g in info_density_samples(n, sigma2, trials, seed, stream=3,
+                                             lengths=pairs[0][1], groups=pairs[1:]) for d in g]
+    # pop each sample so it is dropped as soon as its pivot is found
+    pivots = [_meta_converse_pivot(denss.pop(0), 1.0 / M) for _ in range(len(denss))]
+    kept = [(s2, tuple(l for l, d_J in zip(lens, ps) if d_J is not None))
+            for (s2, lens), ps in zip(pairs, _regroup(pivots, pairs))]
+    held = [d for g in info_density_samples(n, sigma2, trials, seed, stream=2,
+                                            lengths=kept[0][1], groups=kept[1:]) for d in g]
+    errs = []
+    for d_J in pivots:
+        if d_J is None:
+            errs.append(0.0)  # the smallest threshold already meets 1/M
+            continue
+        dens = held.pop(0)
+        t = _meta_converse_bisect(dens.min(), dens.max(), d_J)
+        errs.append((trials - 1) / trials if t == np.inf else np.count_nonzero(dens < t) / trials)
+    errs = _regroup(errs, pairs)
     if lengths is None:
         errs[0] = errs[0][0]
     return errs if groups is not None else errs[0]
 
 
-def _meta_converse_bisect(lo, hi, dens, target_beta):
-    """Threshold of the 80-step bisection of beta_hat(t) = target on [lo, hi].
+def _meta_converse_pivot(dens, target_beta):
+    """The largest sample d_J of `dens` with beta_hat(d_J) > target_beta, or None.
 
-    Returns +inf when beta_hat(hi) stays above the target (M out of reach
-    even for the most selective observed threshold) and -inf when beta_hat(lo)
-    already meets it (no sample lies below the threshold).
-
-    beta_hat(t) is constant for t in (d_{j-1}, d_j] between sorted samples
-    d_j of `dens` and cannot rise with t, since a pairwise sum of
-    non-negative floats is monotone in each term. So beta_hat(mid) > target
-    exactly when mid <= d_J, J the last j with beta_hat(d_j) > target: a
-    binary search over the samples finds d_J, and the bisection's steps
-    become scalar comparisons giving the same midpoints bit for bit.
+    beta_hat(t) = mean(exp(-d) 1{d >= t}) over `dens` is constant for t in
+    (d_{j-1}, d_j] between sorted samples d_j and cannot rise with t, since a
+    pairwise sum of non-negative floats is monotone in each term. So
+    beta_hat(t) > target_beta exactly when t <= d_J, and a binary search over
+    the samples finds d_J in ~log2(trials) evaluations. None means no
+    threshold keeps beta_hat above the target (beta_hat(d_0) already meets
+    it).
     """
     w = np.exp(-dens)
 
     def beta_at(t):
         return float(np.where(dens >= t, w, 0.0).mean())
 
-    if beta_at(hi) > target_beta:
-        return np.inf
-    if beta_at(lo) <= target_beta:
-        return -np.inf
     d = np.unique(dens)
-    # beta_at(d[a]) > target_beta holds at a = 0 (beta_at(lo) is at most
-    # beta_at(d[0])); past the last sample beta_at is 0
+    if beta_at(d[0]) <= target_beta:
+        return None
+    # beta_at(d[a]) > target_beta holds at a = 0; past the last sample beta_at is 0
     a, b = 0, d.size
     while b - a > 1:
         m = (a + b) // 2
@@ -424,7 +430,23 @@ def _meta_converse_bisect(lo, hi, dens, target_beta):
             a = m
         else:
             b = m
-    d_J = d[a]
+    return d[a]
+
+
+def _meta_converse_bisect(lo, hi, d_J):
+    """Threshold of the 80-step bisection of beta_hat(t) = target on [lo, hi].
+
+    `d_J` is the pivot of _meta_converse_pivot, so beta_hat(mid) > target
+    exactly when mid <= d_J: each step is a scalar comparison, and the
+    midpoints are those of the bisection on beta_hat bit for bit. Returns
+    +inf when hi <= d_J (beta_hat stays above the target at the most
+    selective observed threshold: M is out of reach) and -inf when lo > d_J
+    (beta_hat already meets it at lo: no sample lies below the threshold).
+    """
+    if hi <= d_J:
+        return np.inf
+    if lo > d_J:
+        return -np.inf
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if mid <= d_J:

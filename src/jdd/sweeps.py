@@ -39,6 +39,9 @@ CSV_HEADER = ["scheme", "kind", "n", "es_n0_db", "value", "stderr", "flag"]
 # every scheme a sweep knows, and the default
 DEFAULT_SCHEMES = ("genie", "dad", "hyped", "preamble")
 
+# the schemes a rate sweep has rows for
+RATE_SCHEMES = ("genie", "dad", "hyped")
+
 # float64 densities one P_IE bound pass holds per stream; SNRs past it take
 # another pass, so peak memory does not grow with the SNR grid
 DENSITY_BUDGET_BYTES = 64 << 20
@@ -74,6 +77,8 @@ class SweepConfig:
         if not self.schemes or not set(self.schemes) <= set(DEFAULT_SCHEMES):
             raise ValueError(f"schemes must name one or more of {','.join(DEFAULT_SCHEMES)}, "
                              f"got {','.join(self.schemes)!r}")
+        if len(set(self.schemes)) < len(self.schemes):
+            raise ValueError(f"schemes must not repeat, got {','.join(self.schemes)!r}")
         if not np.isfinite(self.es_n0_db):
             raise ValueError(f"es_n0_db must be finite, got {self.es_n0_db}")
         if not np.all(np.isfinite(self.snr_grid)):
@@ -232,20 +237,26 @@ def run_rate_sweep(cfg):
     Per blocklength and scheme: the genie feasibility mask from the
     blocklength converse, the DAD achievable rate log2(M)/n, HyPED
     detection-feasibility combined with DT/meta-converse payload rates, and
-    the genie DT/meta-converse reference rates. Per blocklength, every DT
+    the genie DT/meta-converse reference rates. A configured preamble scheme
+    gets no rows, and a config naming none of genie, dad and hyped is
+    rejected before any noise is drawn. Per blocklength, every DT
     search (the genie, each DAD fixed-point round, each split's payload)
     runs on one multi-length stream-1 pass, and every meta-converse code
     size comes from one multi-length pass over streams 2 and 3.
     """
     if not cfg.n_grid:
         raise ValueError("rate sweep needs n_grid")
+    schemes = [s for s in cfg.schemes if s in RATE_SCHEMES]
+    if not schemes:
+        raise ValueError(f"rate sweep needs one or more of {','.join(RATE_SCHEMES)} in schemes, "
+                         f"got {','.join(cfg.schemes)!r}")
     req = cfg.requirements
     sigma2 = snr_to_sigma2(cfg.es_n0_db)
     n_min = bounds.min_blocklength(sigma2, req)
     rows = []
     for n in cfg.n_grid:
         if n < n_min:
-            for scheme in cfg.schemes:
+            for scheme in schemes:
                 rows.append(_row(scheme, "achievability", n, cfg.es_n0_db, 0.0, flag="infeasible"))
         else:
             rows.extend(_rate_point(cfg, n, sigma2, req))

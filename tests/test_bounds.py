@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,7 +22,7 @@ from jdd.bounds import (
     min_snr_db,
     pie_sandwich,
 )
-from jdd.channel import TRIALS_PER_BLOCK, gaussian_block
+from jdd.channel import TRIALS_PER_BLOCK, gaussian_block, snr_to_sigma2
 from jdd.numerics import q_func, q_inv
 
 SIGMA2_M3DB = 1.0 / (2.0 * 10.0 ** (-0.3))
@@ -318,7 +319,9 @@ class TestSharedVariances:
     @staticmethod
     def bisect(dens_thr, dens, target_beta):
         # the error meta_converse_min_error forms from the threshold
-        t = bounds._meta_converse_bisect(dens_thr.min(), dens_thr.max(), dens, target_beta)
+        d_J = bounds._meta_converse_pivot(dens, target_beta)
+        t = -np.inf if d_J is None else bounds._meta_converse_bisect(dens_thr.min(),
+                                                                     dens_thr.max(), d_J)
         if t == np.inf:
             return (dens_thr.size - 1) / dens_thr.size, None
         return float(np.count_nonzero(dens_thr < t) / dens_thr.size), (None if t == -np.inf else t)
@@ -432,6 +435,28 @@ class TestMetaConverse:
     def test_trials_precondition(self):
         with pytest.raises(ValueError):
             meta_converse_max_M(8, 1.0, 1e-3, 500, 0)
+
+    def test_min_error_holds_one_stream(self):
+        # a P_IE bound pass shaped like the paper's -4..0 dB curve: n = 84,
+        # 50 000 trials, five SNRs with 25 payload lengths. Stream 3 is reduced
+        # to pivots and freed before stream 2 is held, so the peak is one
+        # stream's densities plus a few 4096 x 84 blocks; holding both streams
+        # would add another 8 * trials * 25 bytes
+        n, trials = 84, 50_000
+        groups = [(snr_to_sigma2(snr), lens) for snr, lens in (
+            (-4.0, (12, 14, 84)), (-3.0, (12, 14, 24, 84)), (-2.0, (12, 14, 24, 34, 84)),
+            (-1.0, (12, 14, 24, 34, 44, 84)), (0.0, (12, 14, 24, 34, 44, 54, 84)))]
+        (sigma2, lengths), *rest = groups
+        tracemalloc.start()
+        try:
+            errs = meta_converse_min_error(n, sigma2, 1 << 12, trials, 0, lengths=lengths,
+                                           groups=rest)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [len(e) for e in errs] == [3, 4, 5, 6, 7]
+        held = 8 * trials * sum(len(lens) for _, lens in groups)
+        assert peak < held + 3 * (8 * TRIALS_PER_BLOCK * n) + (1 << 20)
 
 
 class TestPieSandwich:

@@ -181,6 +181,14 @@ class TestRunRateSweep:
         assert set(kinds) == {"achievability", "converse"}
         assert kinds["achievability"]["flag"] == "n_p=20"
 
+    def test_rows_only_for_rate_schemes(self):
+        # the default schemes name preamble, which has no rate bound: no
+        # preamble row under the converse (n = 20) or above it (n = 40)
+        rows = run_rate_sweep(small_rate_cfg(schemes=SweepConfig().schemes, np_grid=(20,)))
+        assert [(r["scheme"], r["flag"]) for r in rows if r["n"] == "20"] == [
+            ("genie", "infeasible"), ("dad", "infeasible"), ("hyped", "infeasible")]
+        assert {r["scheme"] for r in rows if r["n"] == "40"} == {"genie", "dad", "hyped"}
+
     def test_reference_merge(self, tmp_path):
         p = tmp_path / "ref.csv"
         p.write_text("scheme,kind,n,es_n0_db,value,stderr,flag\nldpc,simulated,40,-3,0.3,,\n")
@@ -347,9 +355,10 @@ class TestRunPieSweep:
                                       for row in run_pie_sweep(self.snr_grid_cfg((snr,)))]
 
     def test_one_density_pass_per_stream(self, monkeypatch):
-        # every SNR's bounds scale one unit-variance draw per block: streams 1
-        # and 3 are drawn once, stream 2 twice (bracket, then count below t),
-        # per pass; SNRs past the density budget take another pass
+        # every SNR's bounds scale one unit-variance draw per block, and each
+        # of streams 1-3 is drawn once per pass: stream 3 is reduced to pivots
+        # and freed, then stream 2 is drawn only as wide as the longest length
+        # with a pivot; SNRs past the density budget take another pass
         import jdd.bounds as bounds
         import jdd.sweeps as sweeps
 
@@ -359,19 +368,28 @@ class TestRunPieSweep:
             draws[sigma2, stream, block, shape] += 1
             return gaussian_block(sigma2, seed, stream, block, shape)
 
+        def every_block(*passes):
+            # one draw of each block per (stream, width) pass
+            return Counter((1.0, stream, b, (rows, width)) for stream, width in passes
+                           for b, rows in enumerate((4096, 4096, 1808)))
+
         monkeypatch.setattr(bounds, "gaussian_block", counted)
-        shapes = [(4096, 24), (4096, 24), (1808, 24)]
-        for grid in ((3.0,), (-2.0, -6.0, 1.0, 3.0)):
+        for grid, width in (((3.0,), 7), ((-2.0, -6.0, 1.0, 3.0), 10)):
             draws = Counter()
             rows = run_pie_sweep(self.snr_grid_cfg(grid))
-            assert draws == Counter({(1.0, stream, b, shape): 2 if stream == 2 else 1
-                                     for stream in (1, 2, 3) for b, shape in enumerate(shapes)})
+            assert draws == every_block((1, 24), (2, width), (3, 24))
         # a budget of 8 densities: the SNRs' 3, 5 and 5 lengths take two passes
         monkeypatch.setattr(sweeps, "DENSITY_BUDGET_BYTES", 8 * 10_000 * 8)
         draws = Counter()
         assert run_pie_sweep(self.snr_grid_cfg(grid)) == rows
-        assert draws == Counter({(1.0, stream, b, shape): 4 if stream == 2 else 2
-                                 for stream in (1, 2, 3) for b, shape in enumerate(shapes)})
+        assert draws == every_block((1, 24), (1, 24), (2, 10), (2, 7), (3, 24), (3, 24))
+        # at 6 and 10 dB (two passes under the budget) no length has a pivot:
+        # beta_hat meets 1/M at every threshold, so every meta-converse error
+        # is 0 and stream 2 draws no block
+        draws = Counter()
+        rows = run_pie_sweep(self.snr_grid_cfg((6.0, 10.0)))
+        assert draws == every_block((1, 24), (1, 24), (3, 24), (3, 24))
+        assert [r["value"] for r in rows if r["kind"] == "converse"] == ["0"] * 6
 
     @pytest.mark.parametrize("generator, k, digest", [
         (HAMMING_G, 4, "91c4fb06b682da46f5f0c1c181f5fa9d5946a229285910b82280cb6fde7a1cb5"),
@@ -536,13 +554,25 @@ class TestCli:
                                       "schemes=genie,bogus", "schemes=genie,DAD", "schemes=",
                                       "schemes=genie,dad\nes_n0_db=nan", "es_n0_db=inf",
                                       "snr_grid=1,inf", "snr_grid=nan", "eps_fa=0",
-                                      "eps_md=1", "eps_ie=1.5", "eps_ie=nan"])
+                                      "eps_md=1", "eps_ie=1.5", "eps_ie=nan",
+                                      "schemes=genie,genie,dad"])
     def test_bad_config_rejected_at_parse_time(self, tmp_path, capsys, line):
         cfg = self.write_cfg(tmp_path, f"n_grid=60\n{line}\n")
         rc = main(["rate-sweep", "--config", cfg, "--out", str(tmp_path)])
         assert rc != 0
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith('error="ValueError')
+        assert not (tmp_path / "rate_sweep.csv").exists()
+
+    def test_rate_sweep_without_rate_scheme(self, tmp_path, capsys):
+        # preamble has no rate bound: a rate sweep with nothing else to run fails
+        cfg = self.write_cfg(tmp_path, "schemes=preamble\nn_grid=20,40\neps_fa=1e-2\n"
+                                       "eps_md=1e-2\neps_ie=1e-2\n")
+        rc = main(["rate-sweep", "--config", cfg, "--out", str(tmp_path)])
+        assert rc != 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == ['error="ValueError: rate sweep needs one or more of genie,dad,hyped in '
+                       "schemes, got 'preamble'\""]
         assert not (tmp_path / "rate_sweep.csv").exists()
 
     @pytest.mark.parametrize("code, error", [
