@@ -1,16 +1,16 @@
 """Head-to-head detector comparison at a fixed false-alarm budget.
 
 Calibrates each detection statistic to the same empirical false-alarm rate on
-idle slots, then measures the false-alarm rate on fresh idle slots and the
-missed-detection rate on active slots. The
-punchline: using the payload for detection (HyPED, DAD) beats spending the
-same energy on a preamble-only matched filter.
+idle slots, then measures the false-alarm rate on fresh idle slots
+(`estimate_false_alarm`) and the missed-detection rate on active slots
+(`estimate_rates`). The punchline: using the payload for detection (HyPED,
+DAD) beats spending the same energy on a preamble-only matched filter.
 """
 
 from jdd.channel import ChannelParams, FramePlan
 from jdd.codebook import reed_muller_1
 from jdd.detectors import DetectorSpec
-from jdd.montecarlo import calibrate_threshold, estimate_rates
+from jdd.montecarlo import calibrate_threshold, estimate_false_alarm, estimate_rates
 
 params = ChannelParams.from_db(-3.0, 32)
 eps_fa = 1e-3
@@ -35,10 +35,10 @@ print(f"slot n = {params.n} at {params.es_n0_db:g} dB, calibrated to P_FA = {eps
 print(f"{'detector':<26}{'gamma':>10}{'P_FA':>12}{'P_MD':>12}  95% CI")
 for name, spec, plan, code in setups:
     calib = calibrate_threshold(spec, plan, params, calib_trials, eps_fa, seed, cb=code)
-    rates = estimate_rates(spec.with_gamma(calib.gamma), plan, params, eval_trials,
-                           seed, cb=code)
-    pmd = rates["pmd"]
-    print(f"{name:<26}{calib.gamma:>10.3f}{rates['pfa'].p_hat:>12.2e}"
+    tuned = spec.with_gamma(calib.gamma)
+    pfa = estimate_false_alarm(tuned, plan, params, eval_trials, seed, cb=code)
+    pmd = estimate_rates(tuned, plan, params, eval_trials, seed, cb=code)["pmd"]
+    print(f"{name:<26}{calib.gamma:>10.3f}{pfa.p_hat:>12.2e}"
           f"{pmd.p_hat:>12.2e}  [{pmd.ci_low:.2e}, {pmd.ci_high:.2e}]")
 
 print("\nNote: identical seeds share identical noise streams per purpose, so the")

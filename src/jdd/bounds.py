@@ -37,10 +37,13 @@ threshold stream 2 is drawn once, for the lengths that have a pivot only,
 and gives each its bisection range and its count below the threshold.
 """
 
+import math
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri_exp
 
 from .channel import TRIALS_PER_BLOCK, _blocks, gaussian_block
 from .numerics import q_func, q_inv
@@ -106,10 +109,23 @@ def min_snr_db(n, req):
 
 
 def dad_gamma(n, sigma2, eps_fa, M):
-    """Union-bound threshold gamma = sqrt(n sigma2) * Q^-1(eps_fa / M)."""
+    """Union-bound threshold gamma = sqrt(n sigma2) * Q^-1(eps_fa / M).
+
+    Where eps_fa / M is not a normal double (M too large to divide by, or a
+    subnormal or zero quotient), Q^-1 is taken in the log domain as
+    -ndtri_exp(ln eps_fa - ln M), so code sizes past 2^1024 do not overflow.
+    """
     if M < 1:
         raise ValueError("M must be >= 1")
-    return float(np.sqrt(n * sigma2) * q_inv(eps_fa / M))
+    try:
+        p = eps_fa / M
+    except OverflowError:  # an int M past the float range
+        p = 0.0
+    if p >= sys.float_info.min:
+        q = q_inv(p)
+    else:
+        q = float(-ndtri_exp(math.log(eps_fa) - math.log(M)))
+    return float(np.sqrt(n * sigma2) * q)
 
 
 def dad_error_bounds(n, sigma2, gamma, M):
@@ -260,6 +276,12 @@ def info_density_samples(n, sigma2, trials, seed, stream=1, lengths=None, groups
     return outs if groups is not None else outs[0]
 
 
+def _dt_terms(info_dens, M):
+    """The DT bound's per-sample terms exp(-max(0, i - ln((M - 1) / 2))) for M > 1."""
+    thr = np.log((M - 1) / 2.0)
+    return np.exp(-np.maximum(0.0, info_dens - thr))
+
+
 def dt_error_estimate(info_dens, M):
     """DT bound on the average error for code size M: (estimate, stderr).
 
@@ -268,8 +290,7 @@ def dt_error_estimate(info_dens, M):
     """
     if M <= 1:
         return 0.0, 0.0
-    thr = np.log((M - 1) / 2.0)
-    vals = np.exp(-np.maximum(0.0, info_dens - thr))
+    vals = _dt_terms(info_dens, M)
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(vals.size))
 
 
@@ -279,23 +300,29 @@ def dt_bound_max_M(n, sigma2, target_error, trials, seed, dens=None):
     A single sample of information densities is reused across the binary
     search over M: ``dens`` when given (the stream-1 sample of length n for
     this seed and trials, e.g. one array of a ``lengths=`` call of
-    info_density_samples), otherwise drawn here. Emits a warning when the
-    standard error at the returned M exceeds 10% of the target.
+    info_density_samples), otherwise drawn here. The search compares the
+    estimate only, the mean of dt_error_estimate bit for bit; the stderr is
+    computed once, by dt_error_estimate at the returned M, which warns when
+    it exceeds 10% of the target.
     """
     if trials < 1e4:
         raise ValueError("need at least 1e4 trials for the DT bound")
     if dens is None:
         dens = info_density_samples(n, sigma2, trials, seed, stream=1)
+
+    def meets(M):  # every M tried is >= 2
+        return float(_dt_terms(dens, M).mean()) <= target_error
+
     lo, hi = 1, 1 << n  # noiseless BPSK cannot carry more than n bits
-    if dt_error_estimate(dens, hi)[0] <= target_error:
+    if meets(hi):
         lo = hi
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if dt_error_estimate(dens, mid)[0] <= target_error:
+        if meets(mid):
             lo = mid
         else:
             hi = mid - 1
-    est, se = dt_error_estimate(dens, lo)
+    _, se = dt_error_estimate(dens, lo)
     if se > 0.1 * target_error:
         warnings.warn(
             f"DT bound at n={n}: stderr {se:.2e} exceeds 10% of target {target_error:.1e}; "

@@ -9,27 +9,33 @@ lives in block t // TRIALS_PER_BLOCK, so results are bit-stable and
 independent of how trials are sharded across workers. A partial last block
 draws only its own trials: a draw is the flat prefix of the full block's.
 
-`calibrate_threshold` only fits the threshold, on the calibration stream.
-The false alarm rate at that threshold has one estimate, `estimate_rates`'s
-pfa, measured on the independent evaluation stream, which avoids the
-optimistic bias of reusing the fitting sample. A calibrate and estimate
-pair draws every (stream, block) at most once.
+Each function draws only its own streams:
+
+- `calibrate_threshold` fits the threshold on the calibration stream (4);
+- `estimate_rates` scores active slots: active noise (6), and the message
+  draws (7) with a codebook or the random payloads (8) without one;
+- `estimate_false_alarm` scores idle slots of the evaluation stream (5).
+  It is the one estimate of the false alarm rate at the threshold, measured
+  apart from the fitting sample, which avoids the optimistic bias of
+  reusing it.
+
+So no call pays for a rate its caller does not read, and a calibrate,
+estimate and false-alarm triple draws every (stream, block) at most once.
 
 Entries
 -------
-`calibrate_threshold` and `estimate_rates` take one detector spec and one
-frame plan, or sequences of them (a lone spec or plan is broadcast against
-the other sequence); every (spec, plan) entry must cover the same slot
-length n. All entries are evaluated in one pass: each noise block of a
-stream is drawn once and every entry's statistic is evaluated on it, and
-the random payloads of all lengths come from one payload draw per block.
-Because a trial's noise depends only on (seed, stream, trial index), each
-entry's result is identical to a call with that entry alone; a lone spec
-and plan is the same path with one entry, and returns a single result
-instead of a list.
+Every function takes one detector spec and one frame plan, or sequences of
+them (a lone spec or plan is broadcast against the other sequence); every
+(spec, plan) entry must cover the same slot length n. All entries are
+evaluated in one pass: each noise block of a stream is drawn once and every
+entry's statistic is evaluated on it, and the random payloads of all lengths
+come from one payload draw per block. Because a trial's noise depends only
+on (seed, stream, trial index), each entry's result is identical to a call
+with that entry alone; a lone spec and plan is the same path with one
+entry, and returns a single result instead of a list.
 Memory: calibration holds an (entries x trials) float64 array of idle
-statistics for the quantile; evaluation-stream statistics are reduced to
-counts block by block and never stored.
+statistics for the quantile; evaluation statistics are reduced to counts
+block by block and never stored.
 
 Rates carry exact two-sided 95% Clopper-Pearson intervals, whose beta
 quantiles come from ``scipy.special.betaincinv``.
@@ -51,6 +57,7 @@ __all__ = [
     "clopper_pearson",
     "calibrate_threshold",
     "estimate_rates",
+    "estimate_false_alarm",
     "write_manifest",
 ]
 
@@ -129,7 +136,7 @@ def calibrate_threshold(spec, plan, params, trials, eps_fa, seed, cb=None):
 
     The quantile is linearly interpolated between order statistics of the
     calibration stream, the only stream drawn here; the false alarm rate
-    achieved at gamma is reported by estimate_rates, on an independent
+    achieved at gamma is measured by estimate_false_alarm, on an independent
     stream. Requires trials >= 50 / eps_fa so the target quantile is
     resolvable. `infeasible` flags a statistic whose atom at its maximum
     outweighs eps_fa, so no threshold meets the target.
@@ -169,32 +176,49 @@ def _payload(u, n_c, count):
     return np.where(u < 0.5, 1.0, -1.0)
 
 
-def estimate_rates(spec, plan, params, trials, seed, cb=None):
-    """Monte Carlo error rates at the calibrated threshold in `spec.gamma`.
-
-    Returns a dict with keys pfa, pmd, pcw, pie. Idle slots of the evaluation
-    stream drive pfa, the one estimate of the false alarm rate at gamma;
-    active slots with uniformly drawn messages (or i.i.d. random payload when
-    no codebook is supplied) drive the rest. pcw is conditioned on detection
-    and is None when no codebook is attached or no trial was detected.
-
-    With a sequence of specs and/or plans (see the module docstring) all
-    entries share the idle noise, the active noise and the message draws,
-    and a list with one dict per entry is returned.
-    """
+def _thresholded(spec, plan, params, trials):
+    """Check an evaluation call: (trials, specs, plans, single), every gamma set."""
     trials = int(trials)
     if trials < 1:
         raise ValueError("need at least one trial")
     specs, plans, single = _entries(spec, plan, params)
     if not all(np.isfinite(s.gamma) for s in specs):
         raise ValueError("detector threshold gamma is not set; calibrate first")
-    gammas = [s.gamma for s in specs]
+    return trials, specs, plans, single
 
+
+def estimate_false_alarm(spec, plan, params, trials, seed, cb=None):
+    """Monte Carlo false alarm rate at the calibrated threshold in `spec.gamma`.
+
+    Idle slots of the evaluation stream, independent of the calibration
+    stream, give the one estimate of the false alarm rate at gamma, as a
+    RateEstimate. With a sequence of specs and/or plans (see the module
+    docstring) all entries share the idle noise and a list with one
+    RateEstimate per entry is returned.
+    """
+    trials, specs, plans, single = _thresholded(spec, plan, params, trials)
     n_fa = [0] * len(specs)
     for _, block_stats in _idle_stats(specs, plans, params, trials, seed, STREAM_IDLE_EVAL, cb):
-        for i, (stats, gamma) in enumerate(zip(block_stats, gammas)):
-            n_fa[i] += int(np.sum(stats >= gamma))
+        for i, (stats, s) in enumerate(zip(block_stats, specs)):
+            n_fa[i] += int(np.sum(stats >= s.gamma))
+    out = [RateEstimate.from_counts(n, trials) for n in n_fa]
+    return out[0] if single else out
 
+
+def estimate_rates(spec, plan, params, trials, seed, cb=None):
+    """Monte Carlo error rates of active slots at the threshold in `spec.gamma`.
+
+    Returns a dict with keys pmd, pcw, pie, from active slots with uniformly
+    drawn messages (or i.i.d. random payload when no codebook is supplied).
+    pcw is conditioned on detection and is None when no codebook is attached
+    or no trial was detected. No idle slot is drawn here: the false alarm
+    rate comes from estimate_false_alarm.
+
+    With a sequence of specs and/or plans (see the module docstring) all
+    entries share the active noise and the message draws, and a list with
+    one dict per entry is returned.
+    """
+    trials, specs, plans, single = _thresholded(spec, plan, params, trials)
     n_md = [0] * len(specs)
     n_detected = [0] * len(specs)
     n_cw_err = [0] * len(specs)
@@ -215,7 +239,7 @@ def estimate_rates(spec, plan, params, trials, seed, cb=None):
             y = x + z
 
             stats, m_hat = batch_statistic(s, y, plan, params, cb=cb, genie_x=x)
-            detected = stats >= gammas[i]
+            detected = stats >= s.gamma
             if m_hat is None and cb is not None:
                 if decoded is None:
                     decoded, _ = codebook.ml_decode(cb, y[:, plan.n_p :])
@@ -233,7 +257,6 @@ def estimate_rates(spec, plan, params, trials, seed, cb=None):
     out = []
     for i in range(len(specs)):
         rates = {
-            "pfa": RateEstimate.from_counts(n_fa[i], trials),
             "pmd": RateEstimate.from_counts(n_md[i], trials),
             "pie": RateEstimate.from_counts(n_ie[i], trials),
         }

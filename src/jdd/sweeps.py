@@ -242,8 +242,10 @@ def run_rate_sweep(cfg):
     rejected before any noise is drawn. Per blocklength, every DT
     search (the genie, each DAD fixed-point round, each split's payload)
     runs on one multi-length stream-1 pass, and every meta-converse code
-    size comes from one multi-length pass over streams 2 and 3.
+    size comes from one multi-length pass over streams 2 and 3. The config
+    is validated first (see SweepConfig.validate), as parse_config does.
     """
+    cfg.validate()
     if not cfg.n_grid:
         raise ValueError("rate sweep needs n_grid")
     schemes = [s for s in cfg.schemes if s in RATE_SCHEMES]
@@ -337,9 +339,11 @@ def run_pie_sweep(cfg):
     simulated operating points (kind = "simulated"). The DT and
     meta-converse bounds of the full slot and of every feasible split's
     payload, at every SNR above the converse floor, come from one density
-    pass per stream (see _pie_bounds). A code longer than the slot, or one
-    whose dimension is not k, is rejected before any noise is drawn.
+    pass per stream (see _pie_bounds). An invalid config (see
+    SweepConfig.validate), a code longer than the slot, or one whose
+    dimension is not k, is rejected before any noise is drawn.
     """
+    cfg.validate()
     if not cfg.snr_grid:
         raise ValueError("error-rate sweep needs snr_grid")
     req = cfg.requirements
@@ -515,7 +519,11 @@ def optimize_preamble_split(scheme, n_total, k, params, req, cfg):
 
 
 def run_bounds_report(cfg):
-    """Closed-form bound summary rows for the configured operating point."""
+    """Closed-form bound summary rows for the configured operating point.
+
+    The config is validated first (see SweepConfig.validate).
+    """
+    cfg.validate()
     req = cfg.requirements
     sigma2 = snr_to_sigma2(cfg.es_n0_db)
     n = cfg.n

@@ -28,7 +28,7 @@ from jdd.bounds import (
 from jdd.channel import ChannelParams, FramePlan, gaussian_block
 from jdd.codebook import encode, from_generator, hamming_7_4, load_generator, ml_decode
 from jdd.detectors import DetectorSpec, stat_codebook_aided, stat_dad, stat_genie
-from jdd.montecarlo import calibrate_threshold, estimate_rates
+from jdd.montecarlo import calibrate_threshold, estimate_false_alarm, estimate_rates
 from jdd.numerics import q_func, q_inv
 
 SIGMA2_M3DB = 1.0 / (2.0 * 10.0 ** (-0.3))
@@ -98,7 +98,7 @@ class TestAcceptance:
         gamma = dad_gamma(n, params.sigma2, 1e-2, cb.M)
         bound = cb.M * q_func(gamma / math.sqrt(n * params.sigma2))
         spec = DetectorSpec(kind="dad").with_gamma(gamma)
-        pfa = estimate_rates(spec, plan, params, trials, 17, cb=cb)["pfa"]
+        pfa = estimate_false_alarm(spec, plan, params, trials, 17, cb=cb)
         se = math.sqrt(max(pfa.p_hat, 1 / trials) * (1 - pfa.p_hat) / trials)
         assert pfa.p_hat <= bound + 3 * se
         print(f"criterion 5 PASS: empirical P_FA {pfa.p_hat:.5f} <= union bound {bound:.5f}")

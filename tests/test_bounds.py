@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import log_ndtr, ndtri_exp
 
 from jdd import bounds
 from jdd.bounds import (
@@ -84,6 +85,30 @@ class TestDadGamma:
     def test_domain(self):
         with pytest.raises(ValueError):
             dad_gamma(84, 1.0, 2.0, 1)
+
+    @pytest.mark.parametrize("M", [1, 2, 4096, 2**64 + 1, 2**500, 2**1000, 2**1008])
+    def test_normal_quotient_unchanged(self, M):
+        # wherever eps_fa / M is a normal double, the threshold is q_inv's, bit for bit
+        assert 1e-4 / M >= 2.2250738585072014e-308
+        assert dad_gamma(1100, 0.5, 1e-4, M) == float(np.sqrt(1100 * 0.5) * q_inv(1e-4 / M))
+
+    def test_code_size_past_float_range(self):
+        # 2^1100 cannot divide a float: the log domain gives Q(gamma / scale) = eps_fa / M
+        scale = math.sqrt(1100 * 0.5)
+        g = dad_gamma(1100, 0.5, 1e-4, 2**1100)
+        assert g == pytest.approx(918.58, abs=0.01)
+        assert log_ndtr(-g / scale) == pytest.approx(math.log(1e-4) - 1100 * math.log(2), rel=1e-12)
+
+    def test_monotone_in_M_across_the_normal_range(self):
+        # eps_fa / M leaves the normal doubles near M = 2^1008: powers of two
+        # on both sides, and steps of 0.1% in M around the edge
+        edge = int(1e-4 / 2.2250738585072014e-308)
+        Ms = [2**k for k in range(990, 1101)] + [edge + j * (edge // 1000) for j in range(-5, 6)]
+        gammas = [dad_gamma(1100, 0.5, 1e-4, M) for M in sorted(Ms)]
+        assert np.all(np.diff(gammas) > 0)
+        # the two forms agree where both apply
+        p = 1e-4 / 2**1000
+        assert -ndtri_exp(math.log(p)) == pytest.approx(q_inv(p), rel=1e-13)
 
 
 class TestDadErrorBounds:
@@ -355,6 +380,40 @@ def messages(record):
     # every warning must point at the caller, as the drawing call's does
     assert all(w.filename == __file__ for w in record)
     return [str(w.message) for w in record]
+
+
+class TestDtSearch:
+    """dt_bound_max_M bisects on the estimate alone and takes the stderr once."""
+
+    # M = 1, M = 2^n, the stderr warning (0.25), and interior code sizes
+    @pytest.mark.parametrize("n, sigma2, target", [
+        (8, 100.0, 1e-3), (30, SIGMA2_M3DB, 1e-1), (30, SIGMA2_M3DB, 1e-3),
+        (30, 0.25, 1e-3), (12, 0.05, 1e-1), (60, SIGMA2_M3DB, 1e-2), (4, 0.01, 0.6)])
+    def test_one_stderr_per_search(self, monkeypatch, n, sigma2, target):
+        dens = info_density_samples(n, sigma2, 10_000, 3)
+        # the search that compares dt_error_estimate's mean at every step
+        lo, hi = 1, 1 << n
+        if dt_error_estimate(dens, hi)[0] <= target:
+            lo = hi
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if dt_error_estimate(dens, mid)[0] <= target:
+                lo = mid
+            else:
+                hi = mid - 1
+        se = dt_error_estimate(dens, lo)[1]
+
+        calls = []
+        estimate = bounds.dt_error_estimate
+        monkeypatch.setattr(bounds, "dt_error_estimate",
+                            lambda d, M: calls.append(M) or estimate(d, M))
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always")
+            M = dt_bound_max_M(n, sigma2, target, 10_000, 3, dens=dens)
+        assert M == lo
+        assert calls == [M]
+        assert messages(got) == ([f"DT bound at n={n}: stderr {se:.2e} exceeds 10% of target "
+                                  f"{target:.1e}; increase trials"] if se > 0.1 * target else [])
 
 
 class TestSharedSamples:

@@ -18,6 +18,7 @@ from jdd.montecarlo import (
     RateEstimate,
     calibrate_threshold,
     clopper_pearson,
+    estimate_false_alarm,
     estimate_rates,
     write_manifest,
 )
@@ -107,8 +108,8 @@ class TestCalibrateThreshold:
         assert abs(res.gamma - gamma_true) < 5 * se
         assert not res.infeasible
         # the false alarm rate at gamma, measured on the independent evaluation stream
-        pfa = estimate_rates(DetectorSpec(kind="genie").with_gamma(res.gamma), plan, params,
-                             trials, 11)["pfa"]
+        pfa = estimate_false_alarm(DetectorSpec(kind="genie").with_gamma(res.gamma), plan, params,
+                                   trials, 11)
         assert pfa.ci_low <= eps_fa <= pfa.ci_high
 
     def test_deterministic(self):
@@ -145,19 +146,23 @@ class TestEstimateRates:
     def test_requires_threshold(self):
         with pytest.raises(ValueError):
             estimate_rates(DetectorSpec(kind="dad"), self.plan, self.params, 100, 0, cb=self.cb)
+        with pytest.raises(ValueError):
+            estimate_false_alarm(DetectorSpec(kind="dad"), self.plan, self.params, 100, 0,
+                                 cb=self.cb)
 
     def test_noiseless_all_rates_zero(self):
         params = ChannelParams(es_n0_db=0.0, sigma2=0.0, n=10)
         spec = DetectorSpec(kind="dad").with_gamma(5.0)  # 0 < gamma < n
         rates = estimate_rates(spec, self.plan, params, 2000, 0, cb=self.cb)
-        assert rates["pfa"].p_hat == 0.0
+        assert set(rates) == {"pmd", "pcw", "pie"}
+        assert estimate_false_alarm(spec, self.plan, params, 2000, 0, cb=self.cb).p_hat == 0.0
         assert rates["pmd"].p_hat == 0.0
         assert rates["pcw"].p_hat == 0.0
         assert rates["pie"].p_hat == 0.0
         # noiseless statistics sit exactly on these thresholds (idle 0, active
         # n_p + n_c = 10), and a statistic equal to gamma counts as detected
-        assert estimate_rates(spec.with_gamma(0.0), self.plan, params, 2000, 0,
-                              cb=self.cb)["pfa"].p_hat == 1.0
+        assert estimate_false_alarm(spec.with_gamma(0.0), self.plan, params, 2000, 0,
+                                    cb=self.cb).p_hat == 1.0
         assert estimate_rates(spec.with_gamma(10.0), self.plan, params, 2000, 0,
                               cb=self.cb)["pmd"].p_hat == 0.0
 
@@ -231,6 +236,9 @@ class TestMultiEntry:
         rates = estimate_rates(tuned, plans, params, self.TRIALS, seed, cb=cb)
         assert rates == [estimate_rates(s, p, params, self.TRIALS, seed, cb=cb)
                          for s, p in zip(tuned, plans)]
+        assert (estimate_false_alarm(tuned, plans, params, self.TRIALS, seed, cb=cb)
+                == [estimate_false_alarm(s, p, params, self.TRIALS, seed, cb=cb)
+                    for s, p in zip(tuned, plans)])
         return rates
 
     def test_hyped_exact_over_split_grid(self):
@@ -278,13 +286,14 @@ class TestMultiEntry:
             calibrate_threshold(spec, FramePlan(n_p=2, n_c=2), params, 1000, 0.1, 1)
         with pytest.raises(ValueError):
             estimate_rates(spec.with_gamma(0.0), plans[0], params, 0, 1)
+        with pytest.raises(ValueError):
+            estimate_false_alarm(spec.with_gamma(0.0), plans[0], params, 0, 1)
 
 
 class TestNoisePasses:
-    def test_each_block_drawn_once(self, monkeypatch):
-        # calibration fits on its own stream only; the evaluation idle stream
-        # is drawn once, by estimate_rates, which reports the one P_FA. A
-        # partial last block draws only its own trials' rows (or values)
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """Count every (stream, block, shape) the engine draws."""
         import jdd.montecarlo as montecarlo
 
         draws = Counter()
@@ -300,28 +309,87 @@ class TestNoisePasses:
 
         monkeypatch.setattr(montecarlo, "gaussian_block", counted)
         monkeypatch.setattr(montecarlo, "uniform_block", counted_uniform)
+        return draws
+
+    def test_each_block_drawn_once(self, draws):
+        # each function draws its own streams only, and each (stream, block)
+        # once: calibration stream 4, the active evaluation 6 and 8 (7 with a
+        # code), the false alarm 5. A partial last block draws only its own
+        # trials' rows (or values)
+        def noise(trials, width):
+            return [(TRIALS_PER_BLOCK, width)] * (trials // TRIALS_PER_BLOCK) + [
+                (trials % TRIALS_PER_BLOCK, width)]
+
+        def once(*streams):
+            """Every block of each (stream, block shapes) pair, drawn once."""
+            return Counter({(stream, b, shape): 1 for stream, shapes in streams
+                            for b, shape in enumerate(shapes)})
+
         params = ChannelParams.from_db(-3.0, 20)
         plans = [FramePlan(n_p=n_p, n_c=20 - n_p) for n_p in (2, 10)]
         spec = DetectorSpec(kind="hyped-exact")
         calibs = calibrate_threshold(spec, plans, params, 9001, 1e-2, 3)
-        assert {stream for stream, _, _ in draws} == {STREAM_CALIBRATION}
-        estimate_rates([spec.with_gamma(c.gamma) for c in calibs], plans, params, 6003, 3)
-        noise = {stream: [(TRIALS_PER_BLOCK, 20)] * (trials // TRIALS_PER_BLOCK)
-                 + [(trials % TRIALS_PER_BLOCK, 20)] for stream, trials in (
-                     (STREAM_CALIBRATION, 9001), (STREAM_IDLE_EVAL, 6003),
-                     (STREAM_ACTIVE_NOISE, 6003))}
-        # one payload draw per block, at the longest payload (n_c = 18)
-        noise[STREAM_PAYLOAD] = [(TRIALS_PER_BLOCK * 18,), (1907 * 18,)]
-        assert draws == Counter({(stream, b, shape): 1 for stream, shapes in noise.items()
-                                 for b, shape in enumerate(shapes)})
-
+        assert draws == once((STREAM_CALIBRATION, noise(9001, 20)))
+        tuned = [spec.with_gamma(c.gamma) for c in calibs]
         draws.clear()
+        estimate_rates(tuned, plans, params, 6003, 3)
+        # one payload draw per block, at the longest payload (n_c = 18)
+        assert draws == once((STREAM_ACTIVE_NOISE, noise(6003, 20)),
+                             (STREAM_PAYLOAD, [(TRIALS_PER_BLOCK * 18,), (1907 * 18,)]))
+        draws.clear()
+        estimate_false_alarm(tuned, plans, params, 6003, 3)
+        assert draws == once((STREAM_IDLE_EVAL, noise(6003, 20)))
+
         plan = FramePlan(n_p=3, n_c=7)
-        estimate_rates(DetectorSpec(kind="dad", gamma=0.0), plan,
-                       ChannelParams.from_db(0.0, 10), 5000, 3, cb=hamming_7_4())
-        assert {k for k in draws if k[0] == STREAM_MESSAGES} == {
-            (STREAM_MESSAGES, 0, (TRIALS_PER_BLOCK,)), (STREAM_MESSAGES, 1, (904,))}
-        assert set(draws.values()) == {1}
+        params = ChannelParams.from_db(0.0, 10)
+        spec = DetectorSpec(kind="dad", gamma=0.0)
+        draws.clear()
+        estimate_rates(spec, plan, params, 5000, 3, cb=hamming_7_4())
+        assert draws == once((STREAM_ACTIVE_NOISE, noise(5000, 10)),
+                             (STREAM_MESSAGES, [(TRIALS_PER_BLOCK,), (904,)]))
+        draws.clear()
+        estimate_false_alarm(spec, plan, params, 5000, 3, cb=hamming_7_4())
+        assert draws == once((STREAM_IDLE_EVAL, noise(5000, 10)))
+
+
+class TestFalseAlarmSplit:
+    """estimate_rates and estimate_false_alarm equal the old joint estimate.
+
+    Counts recorded from the joint estimate_rates, whose dict also held pfa,
+    before the idle evaluation moved to estimate_false_alarm: its pfa is now
+    estimate_false_alarm's result and the rest is estimate_rates', bit for bit.
+    Each pin is (successes, trials) per rate, in RateEstimate.from_counts order.
+    """
+
+    def check(self, specs, plans, params, seed, pinned, cb=None):
+        rates = estimate_rates(specs, plans, params, 6003, seed, cb=cb)
+        pfas = estimate_false_alarm(specs, plans, params, 6003, seed, cb=cb)
+        assert len(rates) == len(pfas) == len(pinned)
+        for got, pfa, want in zip(rates, pfas, pinned):
+            want = {k: None if c is None else RateEstimate.from_counts(*c) for k, c in want.items()}
+            assert pfa == want.pop("pfa")
+            assert got == want
+
+    def test_dad_and_preamble_with_hamming(self):
+        specs = [DetectorSpec(kind="dad").with_gamma(6.0),
+                 DetectorSpec(kind="preamble").with_gamma(2.0)]
+        self.check(specs, FramePlan(n_p=3, n_c=7), ChannelParams.from_db(0.0, 10), 5, [
+            {"pfa": (302, 6003), "pmd": (163, 6003), "pie": (413, 6003), "pcw": (250, 5840)},
+            {"pfa": (119, 6003), "pmd": (2024, 6003), "pie": (2234, 6003), "pcw": (210, 3979)},
+        ], cb=hamming_7_4())
+
+    def test_hyped_split_grid_without_code(self):
+        params = ChannelParams.from_db(-3.0, 60)
+        n_ps = _split_candidates(SweepConfig(), 60, 1, "hyped")
+        assert n_ps == [0, 7, 14, 21, 28, 35, 42, 49, 56, 59]
+        plans = [FramePlan(n_p=n_p, n_c=60 - n_p) for n_p in n_ps]
+        spec = DetectorSpec(kind="hyped-exact")
+        calibs = calibrate_threshold(spec, plans, params, 9001, 1e-2, 3)
+        n_fa = [69, 69, 54, 48, 60, 61, 66, 69, 58, 60]
+        n_md = [157, 42, 11, 2, 1, 0, 1, 0, 0, 0]
+        self.check([spec.with_gamma(c.gamma) for c in calibs], plans, params, 3, [
+            {"pfa": (fa, 6003), "pmd": (md, 6003), "pie": (md, 6003), "pcw": None}
+            for fa, md in zip(n_fa, n_md)])
 
 
 class TestWriteManifest:

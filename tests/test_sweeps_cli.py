@@ -13,6 +13,7 @@ import pytest
 from jdd.bounds import dt_error_estimate, info_density_samples
 from jdd.channel import ChannelParams
 from jdd.cli import main
+from jdd.montecarlo import STREAM_ACTIVE_NOISE, STREAM_CALIBRATION, STREAM_MESSAGES, STREAM_PAYLOAD
 from jdd.sweeps import (
     CSV_HEADER,
     SweepConfig,
@@ -69,6 +70,27 @@ def small_pie_cfg(**overrides):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+@pytest.fixture
+def engine_streams(monkeypatch):
+    """The set of streams the Monte Carlo engine draws blocks from."""
+    import jdd.montecarlo as montecarlo
+
+    streams = set()
+    gaussian_block, uniform_block = montecarlo.gaussian_block, montecarlo.uniform_block
+
+    def counted(sigma2, seed, stream, block, shape):
+        streams.add(stream)
+        return gaussian_block(sigma2, seed, stream, block, shape)
+
+    def counted_uniform(seed, stream, block, shape):
+        streams.add(stream)
+        return uniform_block(seed, stream, block, shape)
+
+    monkeypatch.setattr(montecarlo, "gaussian_block", counted)
+    monkeypatch.setattr(montecarlo, "uniform_block", counted_uniform)
+    return streams
 
 
 class TestParseConfig:
@@ -180,6 +202,12 @@ class TestRunRateSweep:
         kinds = {r["kind"]: r for r in rows}
         assert set(kinds) == {"achievability", "converse"}
         assert kinds["achievability"]["flag"] == "n_p=20"
+
+    def test_hyped_draws_no_idle_evaluation(self, engine_streams):
+        # the split search reads P_MD only: calibration, active noise and
+        # payloads, never the false-alarm evaluation stream
+        run_rate_sweep(small_rate_cfg(schemes=("hyped",), n_grid=(40,), np_grid=(10, 20)))
+        assert engine_streams == {STREAM_CALIBRATION, STREAM_ACTIVE_NOISE, STREAM_PAYLOAD}
 
     def test_rows_only_for_rate_schemes(self):
         # the default schemes name preamble, which has no rate bound: no
@@ -327,6 +355,15 @@ class TestRunPieSweep:
         assert sim[0]["scheme"] == "dad"
         assert 0.0 <= float(sim[0]["value"]) <= 1.0
         assert "n_p=17" in sim[0]["flag"]
+
+    def test_simulated_points_draw_no_idle_evaluation(self, tmp_path, engine_streams):
+        # a simulated row reads P_IE only: calibration, active noise and
+        # messages, never the false-alarm evaluation stream
+        code = tmp_path / "ham.txt"
+        code.write_text(HAMMING_G)
+        cfg = small_pie_cfg(schemes=("dad", "preamble"), snr_grid=(0.0, 3.0), codes=(str(code),))
+        assert any(r["kind"] == "simulated" for r in run_pie_sweep(cfg))
+        assert engine_streams == {STREAM_CALIBRATION, STREAM_ACTIVE_NOISE, STREAM_MESSAGES}
 
     def test_bound_rows_pinned(self, tmp_path):
         # sha256 recorded before the per-SNR multi-length density pass; the
@@ -476,6 +513,21 @@ class TestOptimizeSplit:
         params = ChannelParams.from_db(-6.0, 24)
         with pytest.raises(ValueError, match="no feasible"):
             optimize_preamble_split("preamble", 24, 4, params, cfg.requirements, cfg)
+
+
+class TestRunnersValidate:
+    @pytest.mark.parametrize("runner", [run_rate_sweep, run_pie_sweep, run_bounds_report])
+    def test_config_built_in_python_validated(self, monkeypatch, runner):
+        # a SweepConfig built in Python, as demos/03_sweeps.py builds one,
+        # gets parse_config's checks before any noise is drawn
+        import jdd.bounds
+        import jdd.montecarlo
+
+        monkeypatch.setattr(jdd.bounds, "gaussian_block", None)
+        monkeypatch.setattr(jdd.montecarlo, "gaussian_block", None)
+        cfg = small_pie_cfg(schemes=("genie", "genie"), snr_grid=(-20.0,), n_grid=(40,))
+        with pytest.raises(ValueError, match="schemes must not repeat"):
+            runner(cfg)
 
 
 class TestCli:
