@@ -39,13 +39,14 @@ and gives each its bisection range and its count below the threshold.
 
 import math
 import sys
+import threading
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri_exp
+from scipy.special import log_ndtr, ndtri_exp
 
-from .channel import TRIALS_PER_BLOCK, _blocks, gaussian_block
+from .channel import TRIALS_PER_BLOCK, _blocks, _on_cores, gaussian_block
 from .numerics import q_func, q_inv
 
 __all__ = [
@@ -108,35 +109,48 @@ def min_snr_db(n, req):
     return float(10.0 * np.log10(gap * gap / (2.0 * n)))
 
 
-def dad_gamma(n, sigma2, eps_fa, M):
-    """Union-bound threshold gamma = sqrt(n sigma2) * Q^-1(eps_fa / M).
+def _q_inv_over(eps, M):
+    """Q^-1(eps / M) for an int or float M >= 1.
 
-    Where eps_fa / M is not a normal double (M too large to divide by, or a
-    subnormal or zero quotient), Q^-1 is taken in the log domain as
-    -ndtri_exp(ln eps_fa - ln M), so code sizes past 2^1024 do not overflow.
+    q_inv(eps / M) wherever eps / M is a normal double. Otherwise (M too
+    large to divide by, or a subnormal or zero quotient) it is taken in the
+    log domain as -ndtri_exp(ln eps - ln M), so code sizes past 2^1024 do
+    not overflow.
     """
-    if M < 1:
-        raise ValueError("M must be >= 1")
     try:
-        p = eps_fa / M
+        p = eps / M
     except OverflowError:  # an int M past the float range
         p = 0.0
     if p >= sys.float_info.min:
-        q = q_inv(p)
-    else:
-        q = float(-ndtri_exp(math.log(eps_fa) - math.log(M)))
-    return float(np.sqrt(n * sigma2) * q)
+        return q_inv(p)
+    return float(-ndtri_exp(math.log(eps) - math.log(M)))
+
+
+def dad_gamma(n, sigma2, eps_fa, M):
+    """Union-bound threshold gamma = sqrt(n sigma2) * Q^-1(eps_fa / M).
+
+    Q^-1 moves to the log domain where eps_fa / M is not a normal double
+    (see _q_inv_over).
+    """
+    if M < 1:
+        raise ValueError("M must be >= 1")
+    return float(np.sqrt(n * sigma2) * _q_inv_over(eps_fa, M))
 
 
 def dad_error_bounds(n, sigma2, gamma, M):
     """DAD achievability: (P_FA upper bound, P_MD upper bound).
 
     P_FA <= M Q(gamma / sqrt(n sigma2)), P_MD <= 1 - Q((gamma - n) / sqrt(n sigma2));
-    both clipped to [0, 1]. The inclusive-error upper bound is pmd_ub plus an
-    achievable codeword error rate, see pie_sandwich.
+    both clipped to [0, 1]. For an int M past the float range, P_FA's bound
+    is formed as exp(ln M + ln Q(gamma / sqrt(n sigma2))). The
+    inclusive-error upper bound is pmd_ub plus an achievable codeword error
+    rate, see pie_sandwich.
     """
     scale = np.sqrt(n * sigma2)
-    pfa_ub = _clip01(M * q_func(gamma / scale))
+    try:
+        pfa_ub = _clip01(M * q_func(gamma / scale))
+    except OverflowError:  # an int M past the float range
+        pfa_ub = math.exp(min(0.0, math.log(M) + float(log_ndtr(-gamma / scale))))
     pmd_ub = _clip01(1.0 - q_func((gamma - n) / scale))
     return pfa_ub, pmd_ub
 
@@ -163,7 +177,7 @@ def dad_max_code_size(n, sigma2, req, m_star):
         return 0
     M = m_det
     for _ in range(100):
-        p_e = req.eps_ie - 1.0 + q_func(q_inv(req.eps_fa / M) - root)
+        p_e = req.eps_ie - 1.0 + q_func(_q_inv_over(req.eps_fa, M) - root)
         if p_e <= 0.0:
             # the missed-detection term alone exceeds the eps_ie budget
             M //= 2
@@ -183,8 +197,11 @@ def dad_max_code_size(n, sigma2, req, m_star):
 # information-density Monte Carlo machinery (DT and meta-converse)
 # ---------------------------------------------------------------------------
 
-# softplus scratch in floats; elementwise, so any chunk size gives the same values
+# values per softplus span (each thread's scratch) and per span of whole rows
+# of the row sums; every step is elementwise or one row's sum, so any span
+# size gives the same values
 _CHUNK = 1 << 14
+_ROW_SPAN = 1 << 16
 
 
 def _density_groups(n, groups):
@@ -206,35 +223,59 @@ def _density_blocks(groups, trials, seed, stream):
     variance at the longest length's width, and freed before the next draw;
     each group scales the flat prefix its own longest length needs into one
     reused buffer (the product gaussian_block(sigma2) forms) and reduces it
-    to every length's sums (the contracts in the module docstring).
+    to every length's sums (the contracts in the module docstring). Both
+    passes run on the usable cores (channel._on_cores): the softplus in
+    spans of _CHUNK values, each thread with its own scratch, then the row
+    sums of all the group's lengths in spans of whole rows, about _ROW_SPAN
+    values each. Every value is elementwise or one row's sum, so none
+    depends on the spans or on the core count.
     """
     width = max((l for _, lens in groups for l in lens), default=0)
     if not width:
         return
     buf = np.empty(min(TRIALS_PER_BLOCK, trials) * width)
-    scratch = np.empty(min(_CHUNK, buf.size))
+    # each thread's softplus scratch, kept for this pass only: a buffer that
+    # outlived it would stay in the heap between later blocks
+    scratch = {}
     for block, b in _blocks(trials):
         unit = gaussian_block(1.0, seed, stream, block, (b, width)).reshape(-1)
         dens = []
         for sigma2, lens in groups:
-            # z = sqrt(sigma2) * unit, y = 1 + z, t = -2 y / sigma2, then the
-            # stable softplus ln(1 + e^t) = max(t, 0) + log1p(exp(-|t|)), all
-            # elementwise, chunk by chunk into the buffer
-            end = b * max(lens, default=0)
-            for c in range(0, end, _CHUNK):
-                z = unit[c : min(c + _CHUNK, end)]
-                t = np.multiply(z, np.sqrt(sigma2), out=buf[c : c + z.size])
+            root = np.sqrt(sigma2)
+
+            def softplus(a, c):
+                # z = sqrt(sigma2) * unit, y = 1 + z, t = -2 y / sigma2, then the
+                # stable softplus ln(1 + e^t) = max(t, 0) + log1p(exp(-|t|))
+                t = np.multiply(unit[a:c], root, out=buf[a:c])
                 t += 1.0
                 t *= -2.0
                 t /= sigma2
-                s = np.abs(t, out=scratch[: t.size])
+                s = scratch.get(threading.get_ident())
+                if s is None:
+                    s = scratch[threading.get_ident()] = np.empty(min(_CHUNK, buf.size))
+                s = np.abs(t, out=s[: c - a])
                 np.negative(s, out=s)
                 np.exp(s, out=s)
                 np.log1p(s, out=s)
                 np.maximum(t, 0.0, out=t)
                 t += s
-            dens.extend(l * np.log(2.0) - buf[: b * l].reshape(b, l).sum(axis=1) for l in lens)
-        del unit, z  # z is a view: the block is freed before the next draw
+
+            _on_cores(softplus, b * max(lens, default=0), _CHUNK)
+            sums = [np.empty(b) for _ in lens]
+            spans = []
+            for l, d in zip(lens, sums):
+                rows = max(1, _ROW_SPAN // l)
+                spans += [(l, d, a, min(a + rows, b)) for a in range(0, b, rows)]
+
+            def row_sums(j, _):
+                l, d, a, c = spans[j]
+                np.add.reduce(buf[a * l : c * l].reshape(c - a, l), axis=1, out=d[a:c])
+
+            _on_cores(row_sums, len(spans), 1)
+            for l, d in zip(lens, sums):
+                np.subtract(l * np.log(2.0), d, out=d)
+            dens.extend(sums)
+        del unit  # the block is freed before the next draw
         yield block * TRIALS_PER_BLOCK, dens
 
 

@@ -8,8 +8,17 @@ fixed grid. A trial's noise therefore depends only on the base seed, the
 stream tag, and the trial index - never on how trials are sharded across
 workers. Normal variates are produced by inverting the normal CDF on Philox
 uniforms, so the mapping from counters to noise is fully specified.
+
+A block is filled in spans of its flattened values, on every core the
+process may use. Philox is counter-based, so a span starting at value
+``a`` (a multiple of 4: each counter step yields 4 doubles) starts its
+generator at counter ``a // 4``, and the inversion is elementwise; the
+values therefore do not depend on the span size or on the core count.
 """
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +37,67 @@ __all__ = [
 # Fixed batching grid for counter-based noise derivation. Changing this value
 # changes every simulated stream, so it is a constant, not a knob.
 TRIALS_PER_BLOCK = 4096
+
+# Values per span of a block kernel: a multiple of 4, and large enough that
+# handing a span to another core costs little against filling it
+_SPAN = 1 << 15
+
+_local = threading.local()
+
+
+def _start_pool():
+    """Make the helper pool: one thread per usable core besides the caller's.
+
+    The executor starts its threads at first use, not here at import.
+    """
+    global _HELPERS, _POOL
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity masks
+        cores = os.cpu_count() or 1
+    _HELPERS = cores - 1
+    _POOL = ThreadPoolExecutor(_HELPERS) if _HELPERS else None
+
+
+_start_pool()
+if hasattr(os, "register_at_fork"):
+    # a forked child inherits the pool but none of its threads, so spans
+    # queued there would never run and would hold their blocks
+    os.register_at_fork(after_in_child=_start_pool)
+
+
+def _on_cores(fn, stop, span):
+    """Call fn(a, b) once for every span [a, b) of [0, stop), on the usable cores.
+
+    The caller and up to _HELPERS pool threads pull spans from one shared
+    iterator, and the caller keeps pulling until none is left, so every span
+    is done even when no helper starts (a busy pool, one core). Helpers that
+    never started are cancelled; only those that did are waited for. `fn`
+    must write [a, b) from its own inputs alone, and must call numpy and
+    private code only (a pool thread is outside any caller's call stack).
+    """
+    starts = iter(range(0, stop, span))
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                a = next(starts, None)
+            if a is None:
+                return
+            fn(a, min(a + span, stop))
+
+    # no helper for a single span, and none at all on one core
+    futures = [_POOL.submit(work) for _ in range(min(_HELPERS, -(-stop // span) - 1))]
+    try:
+        work()
+    finally:
+        for f in futures:
+            if not f.cancel():
+                f.result()
+        # a cancelled helper stays queued until a pool thread is free to drop
+        # it; it must not keep fn, and the block fn writes, alive until then
+        fn = None
 
 
 def _blocks(trials):
@@ -102,25 +172,61 @@ def modulate(bits):
     return 1.0 - 2.0 * bits
 
 
+def _philox_at(key, counter):
+    """This thread's Philox generator, set to `key` with its counter at `counter`.
+
+    Setting the state of one generator per thread is much cheaper than a new
+    ``Philox(key=...)``, which first seeds itself from OS entropy.
+    """
+    gen = getattr(_local, "gen", None)
+    if gen is None:
+        gen = _local.gen = np.random.Generator(np.random.Philox(0))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.array([counter, 0, 0, 0], dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0,
+    }
+    return gen
+
+
 def uniform_block(seed, stream, block, shape):
-    """Open-interval uniforms from the Philox stream keyed (seed, stream, block)."""
+    """Open-interval uniforms from the Philox stream keyed (seed, stream, block).
+
+    Equal to ``Generator(Philox(key=key)).random(shape)`` with its zeros
+    raised to 2^-64, filled span by span (see the module docstring).
+    """
     key = np.array([np.uint64(seed), (np.uint64(stream) << np.uint64(32)) ^ np.uint64(block)],
                    dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    u = gen.random(shape)
-    # random() lands in [0, 1); shift the atom at 0 away from the CDF pole
-    return np.maximum(u, 2.0 ** -64, out=u)
+    u = np.empty(shape)
+    flat = u.reshape(-1)
+
+    def fill(a, b):
+        s = flat[a:b]
+        _philox_at(key, a // 4).random(out=s)
+        # random() lands in [0, 1); shift the atom at 0 away from the CDF pole
+        np.maximum(s, 2.0 ** -64, out=s)
+
+    _on_cores(fill, flat.size, _SPAN)
+    return u
 
 
 def gaussian_block(sigma2, seed, stream, block, shape):
     """Zero-mean Gaussians with variance sigma2, by inversion sampling.
 
-    Computed in place on the uniform block: the same values as
+    Computed in place on the uniform block, span by span: the same values as
     ``np.sqrt(sigma2) * ndtri(u)`` without a second block-sized array.
     """
     if sigma2 == 0.0:
         return np.zeros(shape)
     u = uniform_block(seed, stream, block, shape)
-    ndtri(u, out=u)
-    u *= np.sqrt(sigma2)
+    flat = u.reshape(-1)
+    scale = np.sqrt(sigma2)
+
+    def invert(a, b):
+        s = flat[a:b]
+        ndtri(s, out=s)
+        s *= scale
+
+    _on_cores(invert, flat.size, _SPAN)
     return u

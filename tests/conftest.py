@@ -1,8 +1,13 @@
-"""Codes shared by the tiled-correlation tests of jdd.codebook and jdd.detectors."""
+"""Shared fixtures: codes for the tiled-correlation tests of jdd.codebook and
+jdd.detectors, and helper pools for the span kernels of jdd.channel and jdd.bounds.
+"""
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from jdd import channel
 from jdd.codebook import from_generator, hamming_7_4, reed_muller_1
 
 
@@ -29,3 +34,18 @@ _CODES = {"random-76-12": code_76_12, "hamming-7-4": hamming_7_4,
 @pytest.fixture(scope="module", params=sorted(_CODES))
 def code(request):
     return _CODES[request.param]()
+
+
+@pytest.fixture(params=[0, 1, 3], ids=lambda n: f"{n}-helpers")
+def span_helpers(request, monkeypatch):
+    """Fill the block kernels alone, or with a pool of 1 or 3 helper threads.
+
+    jdd.channel sizes its pool by the usable cores; this gives every box the
+    serial path and a pool with more threads than spans of a small block.
+    """
+    pool = ThreadPoolExecutor(request.param) if request.param else None
+    monkeypatch.setattr(channel, "_HELPERS", request.param)
+    monkeypatch.setattr(channel, "_POOL", pool)
+    yield request.param
+    if pool is not None:
+        pool.shutdown()

@@ -1,12 +1,17 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import log_ndtr, ndtri_exp
+from scipy.special import log_ndtr, ndtri, ndtri_exp
 
+import jdd
 from jdd import bounds
 from jdd.bounds import (
     Requirements,
@@ -128,6 +133,22 @@ class TestDadErrorBounds:
         vals = [dad_error_bounds(84, SIGMA2_M3DB, g, M)[0] for M in (2, 64, 512)]
         assert np.all(np.diff(vals) > 0)
 
+    @pytest.mark.parametrize("M", [1, 4096, 2**500, 2**1000, 2**1023])
+    def test_float_code_size_unchanged(self, M):
+        # wherever M converts to a float, P_FA's bound is M Q(.), bit for bit
+        g = dad_gamma(1100, 0.5, 1e-4, M)
+        assert dad_error_bounds(1100, 0.5, g, M)[0] == min(1.0, float(M * q_func(g / math.sqrt(550))))
+
+    def test_code_size_past_float_range(self):
+        # 2^1100 is no float: at dad_gamma's threshold the bound is still eps_fa
+        M = 2**1100
+        pfa, pmd = dad_error_bounds(1100, 0.5, dad_gamma(1100, 0.5, 1e-4, M), M)
+        assert pfa == pytest.approx(1e-4, rel=1e-9)
+        assert 0.0 <= pmd <= 1.0
+        # and a threshold that M Q(.) overshoots clips to 1
+        assert dad_error_bounds(1100, 0.5, 0.0, M)[0] == 1.0
+        assert dad_error_bounds(1100, 0.5, 400.0, M)[0] == 1.0
+
 
 class TestDadMaxCodeSize:
     @staticmethod
@@ -154,6 +175,21 @@ class TestDadMaxCodeSize:
     def test_monotone_in_n(self):
         sizes = [dad_max_code_size(n, SIGMA2_M3DB, REQ, self.dt_oracle) for n in (58, 70, 84)]
         assert sizes[0] <= sizes[1] <= sizes[2]
+
+    def test_code_size_past_float_range(self):
+        # oracles certifying 2^1100 or 2^1050 codewords: eps_fa / M is no
+        # normal double, so Q^-1 is taken in the log domain; at n = 1100 the
+        # missed-detection term leaves nearly all of eps_ie to decoding
+        req = Requirements(1e-4, 1e-4, 1e-3)
+        for k in (1100, 1050):
+            p_es = []
+
+            def oracle(p_e, n, sigma2):
+                p_es.append(p_e)
+                return 2**k
+
+            assert dad_max_code_size(1100, 0.5, req, oracle) == 2**k
+            assert p_es and all(p == pytest.approx(req.eps_ie, rel=1e-4) for p in p_es)
 
     def test_monotone_in_targets(self):
         loose = dad_max_code_size(84, SIGMA2_M3DB, Requirements(1e-3, 1e-3, 1e-2), self.dt_oracle)
@@ -292,6 +328,66 @@ def reference_meta_converse_min_error(n, sigma2, M, trials, seed, lengths):
     thrs = reference_info_density_samples(n, sigma2, trials, seed, stream=2, lengths=lengths)
     denss = reference_info_density_samples(n, sigma2, trials, seed, stream=3, lengths=lengths)
     return [reference_bisect(d2, d3, 1.0 / M)[0] for d2, d3 in zip(thrs, denss)]
+
+
+def serial_densities(l, sigma2, trials, seed, stream=1):
+    """Length-l densities from one Philox generator per block, no spans and no prefix."""
+    out = []
+    for block in range(-(-trials // TRIALS_PER_BLOCK)):
+        b = min(TRIALS_PER_BLOCK, trials - block * TRIALS_PER_BLOCK)
+        key = np.array([seed, (stream << 32) ^ block], dtype=np.uint64)
+        u = np.random.Generator(np.random.Philox(key=key)).random((b, l))
+        y = 1.0 + np.sqrt(sigma2) * ndtri(np.maximum(u, 2.0 ** -64))
+        t = -2.0 * y / sigma2
+        out.append(l * np.log(2.0) - (np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))).sum(axis=1))
+    return np.concatenate(out)
+
+
+class TestDensitySpans:
+    """The softplus and row-sum spans give the serial formula on any thread count."""
+
+    def test_equals_serial_formula(self, span_helpers):
+        # the last block here ends in a one-row span of its 84-value rows
+        trials = TRIALS_PER_BLOCK + bounds._ROW_SPAN // 84 + 1
+        groups = [(SIGMA2_M3DB, (84, 12, 1)), (0.3, (40, 84)), (2.0, (7,))]
+        got = info_density_samples(84, SIGMA2_M3DB, trials, 5, lengths=groups[0][1],
+                                   groups=groups[1:])
+        for (sigma2, lens), outs in zip(groups, got):
+            for l, dens in zip(lens, outs):
+                assert dens.tobytes() == serial_densities(l, sigma2, trials, 5).tobytes()
+
+
+DIGEST_SOURCE = """
+import hashlib
+
+from jdd.bounds import info_density_samples
+from jdd.channel import gaussian_block
+
+
+def digest():
+    h = hashlib.sha256(gaussian_block(0.5, 9, 1, 3, (4096, 84)).tobytes())
+    for group in info_density_samples(84, 0.5, 4096 + 196, 9, lengths=(84, 12),
+                                      groups=[(0.3, (40, 84))]):
+        for dens in group:
+            h.update(dens.tobytes())
+    return h.hexdigest()
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity masks")
+def test_one_core_child_gets_the_same_values():
+    ns = {}
+    exec(DIGEST_SOURCE, ns)
+    cpu = min(os.sched_getaffinity(0))
+    # the child pins itself to one CPU before jdd sizes its pool, as a
+    # preexec_fn would, without running Python between fork and exec here
+    script = (f"import os\nos.sched_setaffinity(0, {{{cpu}}})\n{DIGEST_SOURCE}\n"
+              "from jdd import channel\nprint(channel._HELPERS, digest())\n")
+    src = str(Path(jdd.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", ns["digest"]()]
 
 
 class TestSharedVariances:
