@@ -6,6 +6,10 @@ the inclusive-error sandwich. Monte Carlo: the dependence-testing (DT)
 achievability bound and the meta-converse bound, both driven by the BI-AWGN
 information density with equiprobable inputs.
 
+The sweeps plan every pass of these Monte Carlo bounds in one place,
+``jdd.sweeps._bound_values``, under one 64 MiB budget of densities per
+stream; the keywords below are how a planned pass is handed to this module.
+
 Information densities of several blocklengths share one noise pass. The
 noise is counter-based (see jdd.channel), so the ``(TRIALS_PER_BLOCK, l)``
 block of a stream is the first ``TRIALS_PER_BLOCK * l`` values of the
@@ -16,9 +20,8 @@ b < ``TRIALS_PER_BLOCK`` trials draws only its first b rows.
 ``meta_converse_max_M`` and ``meta_converse_min_error`` draws each block
 once at the longest length's width and returns, for every l, exactly what
 the separate length-l call returns.
-``dens=`` in ``dt_bound_max_M`` takes a stream-1 sample drawn that way, so
-several DT searches (a DAD fixed point, every split of a slot) share one
-pass; the search on it equals the call that draws its own sample.
+``dens=`` in ``dt_bound_max_M`` takes a stream-1 sample drawn that way; the
+search on it equals the call that draws its own sample.
 
 Densities of several noise variances share one draw too. A block is drawn
 once at unit variance and scaled by ``sqrt(sigma2)`` for each variance:
@@ -318,8 +321,14 @@ def info_density_samples(n, sigma2, trials, seed, stream=1, lengths=None, groups
 
 
 def _dt_terms(info_dens, M):
-    """The DT bound's per-sample terms exp(-max(0, i - ln((M - 1) / 2))) for M > 1."""
-    thr = np.log((M - 1) / 2.0)
+    """The DT bound's per-sample terms exp(-max(0, i - ln((M - 1) / 2))) for M > 1.
+
+    For an int M past the float range the threshold is ln(M - 1) - ln 2.
+    """
+    try:
+        thr = np.log((M - 1) / 2.0)
+    except OverflowError:  # an int M past the float range
+        thr = math.log(M - 1) - math.log(2.0)
     return np.exp(-np.maximum(0.0, info_dens - thr))
 
 
@@ -406,6 +415,8 @@ def meta_converse_max_M(n, sigma2, target_error, trials, seed, lengths=None):
 
     With ``lengths`` (each 1 <= l <= n), returns one code size per l from one
     meta_converse_beta pass; each equals the length-l call and warns as it.
+    Where 1 / beta overflows (a subnormal beta) the floor is taken of the
+    exact quotient, so code sizes past 2^1024 do not overflow.
     """
     lens = (n,) if lengths is None else tuple(lengths)
     Ms = []
@@ -419,9 +430,13 @@ def meta_converse_max_M(n, sigma2, target_error, trials, seed, lengths=None):
             )
         if beta <= 0.0:
             Ms.append(1 << l)
-        else:
-            # tolerate last-ulp jitter in the weights before flooring
-            Ms.append(min(1 << l, int(np.floor((1.0 / beta) * (1.0 + 1e-9)))))
+            continue
+        # tolerate last-ulp jitter in the weights before flooring
+        bound = (1.0 / beta) * (1.0 + 1e-9)
+        if not math.isfinite(bound):  # a subnormal beta: floor the exact quotient
+            (a, b), (c, d) = (1.0 + 1e-9).as_integer_ratio(), beta.as_integer_ratio()
+            bound = a * d // (b * c)
+        Ms.append(min(1 << l, math.floor(bound)))
     return Ms if lengths is not None else Ms[0]
 
 

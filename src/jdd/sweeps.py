@@ -8,6 +8,7 @@ value columns are copied byte for byte.
 
 import csv
 import functools
+import math
 import operator
 import time
 from dataclasses import dataclass, fields
@@ -42,8 +43,8 @@ DEFAULT_SCHEMES = ("genie", "dad", "hyped", "preamble")
 # the schemes a rate sweep has rows for
 RATE_SCHEMES = ("genie", "dad", "hyped")
 
-# float64 densities one P_IE bound pass holds per stream; SNRs past it take
-# another pass, so peak memory does not grow with the SNR grid
+# float64 densities one bound pass holds per stream; keys past it take
+# another pass, so peak memory does not grow with the grids
 DENSITY_BUDGET_BYTES = 64 << 20
 
 # ranks (value, n_p) pairs by value; max and min keep the first of equal
@@ -183,20 +184,6 @@ def write_rows(rows, path):
     return path
 
 
-def _dt_searches(cfg, n, sigma2, lengths):
-    """DT code-size search at each of `lengths` on one stream-1 pass at width n.
-
-    The pass is drawn on the first search, so a caller whose searches never
-    run (a DAD fixed point that ends before its first round) draws no noise.
-    """
-    sample = functools.cache(lambda: dict(zip(lengths, info_density_samples(
-        n, sigma2, cfg.trials, cfg.seed, lengths=lengths))))
-
-    def search(l, target):
-        return bounds.dt_bound_max_M(l, sigma2, target, cfg.trials, cfg.seed, dens=sample()[l])
-    return search
-
-
 def _split_candidates(cfg, n_total, k, scheme):
     if cfg.np_grid:
         cands = [p for p in cfg.np_grid if 0 <= p <= n_total - k]
@@ -231,6 +218,76 @@ def _split_pmds(scheme, n_ps, params, cfg, req):
     return [r["pmd"].p_hat for r in rates]
 
 
+def _bound_values(cfg, requests):
+    """One value per bound request, in order: every bound pass of the sweeps.
+
+    A request is (sigma2, length, quantity, arg): "dt-error" at M
+    (dt_error_estimate's (estimate, stderr)), "dt-max-M" at eps,
+    "dad-max-M" at Requirements (dad_max_code_size, each round a DT search),
+    "mc-max-M" at eps or "mc-min-error" at M. The DT quantities read stream
+    1 and each meta-converse (quantity, arg) streams 2 and 3. Each such
+    family packs its distinct (sigma2, length) keys, in order of first use,
+    into passes whose densities fit DENSITY_BUDGET_BYTES (or of one key); a
+    pass draws each noise block once (see jdd.bounds). Every value equals
+    the request's own call, so the packing changes none. Stream 1 is drawn
+    on first use, so a DAD fixed point that ends before its first round
+    draws none, and each pass is freed before the next.
+    """
+    width = max((l for _, l, _, _ in requests), default=0)
+    families = {}  # family -> (sigma2, length) -> its distinct requests
+    for r in dict.fromkeys(requests):
+        family = r[2:] if r[2].startswith("mc-") else "dt"
+        families.setdefault(family, {}).setdefault(r[:2], []).append(r)
+    per_pass = max(1, DENSITY_BUDGET_BYTES // (8 * cfg.trials))
+    value = {}
+    for family, where in families.items():
+        keys = list(where)
+        for a in range(0, len(keys), per_pass):
+            part = keys[a : a + per_pass]
+            groups = [(s2, [l for s, l in part if s == s2]) for s2 in dict.fromkeys(s for s, _ in part)]
+            (first, lengths), *rest = groups
+            if family == "dt":  # drawn when a request first reads it
+                sample = functools.cache(lambda: dict(zip(
+                    [(s2, l) for s2, ls in groups for l in ls],
+                    [d for g in info_density_samples(width, first, cfg.trials, cfg.seed,
+                                                     lengths=lengths, groups=rest) for d in g])))
+                value.update((r, _dt_value(cfg, r, sample)) for key in part for r in where[key])
+                del sample  # frees the pass
+                continue
+            quantity, arg = family
+            if quantity == "mc-max-M":  # it takes no further groups: one call per variance
+                got = [bounds.meta_converse_max_M(width, s2, arg, cfg.trials, cfg.seed, lengths=ls)
+                       for s2, ls in groups]
+            else:
+                got = bounds.meta_converse_min_error(width, first, arg, cfg.trials, cfg.seed,
+                                                     lengths=lengths, groups=rest)
+            value.update(((s2, l, *family), v) for (s2, ls), vs in zip(groups, got)
+                         for l, v in zip(ls, vs))
+    return [value[r] for r in requests]
+
+
+def _dt_value(cfg, request, sample):
+    """A stream-1 request's value; sample() maps (sigma2, length) to densities."""
+    sigma2, l, quantity, arg = request
+
+    def search(target, *_):
+        return bounds.dt_bound_max_M(l, sigma2, target, cfg.trials, cfg.seed,
+                                     dens=sample()[sigma2, l])
+    if quantity == "dt-error":
+        return dt_error_estimate(sample()[sigma2, l], arg)
+    if quantity == "dt-max-M":
+        return search(arg)
+    return bounds.dad_max_code_size(l, sigma2, arg, search)
+
+
+def _log2(M):
+    """log2 of a code size; math.log2 only where float(M) overflows."""
+    try:
+        return np.log2(float(M))
+    except OverflowError:  # an int M past the float range
+        return math.log2(M)
+
+
 def run_rate_sweep(cfg):
     """Rate-over-blocklength sweep at fixed SNR (bounds only).
 
@@ -239,11 +296,11 @@ def run_rate_sweep(cfg):
     detection-feasibility combined with DT/meta-converse payload rates, and
     the genie DT/meta-converse reference rates. A configured preamble scheme
     gets no rows, and a config naming none of genie, dad and hyped is
-    rejected before any noise is drawn. Per blocklength, every DT
-    search (the genie, each DAD fixed-point round, each split's payload)
-    runs on one multi-length stream-1 pass, and every meta-converse code
-    size comes from one multi-length pass over streams 2 and 3. The config
-    is validated first (see SweepConfig.validate), as parse_config does.
+    rejected before any noise is drawn. Every DT search (the genie, each DAD
+    fixed-point round, each split's payload) and every meta-converse code
+    size of the whole n grid is one request to _bound_values, so a sweep
+    over an n grid writes the same rows as one sweep per n. The config is
+    validated first (see SweepConfig.validate), as parse_config does.
     """
     cfg.validate()
     if not cfg.n_grid:
@@ -255,57 +312,45 @@ def run_rate_sweep(cfg):
     req = cfg.requirements
     sigma2 = snr_to_sigma2(cfg.es_n0_db)
     n_min = bounds.min_blocklength(sigma2, req)
-    rows = []
-    for n in cfg.n_grid:
-        if n < n_min:
-            for scheme in schemes:
-                rows.append(_row(scheme, "achievability", n, cfg.es_n0_db, 0.0, flag="infeasible"))
-        else:
-            rows.extend(_rate_point(cfg, n, sigma2, req))
-    rows.extend(r for ref in cfg.refs for r in ingest_reference(ref))
-    return rows
-
-
-def _rate_point(cfg, n, sigma2, req):
-    """Genie, DAD and HyPED rate rows at one blocklength above the converse.
-
-    Stream 1 is drawn at most once at width n, for every DT search, and freed
-    before one meta-converse pass draws streams 2 and 3 for the slot and
-    every feasible split's payload; each bound equals its own per-length call.
-    """
-    schemes = set(cfg.schemes)
-    splits = []
-    if "hyped" in schemes:
-        params = ChannelParams.from_db(cfg.es_n0_db, n)
-        splits = _feasible_splits(cfg, "hyped", n, 1, params, req)
-    # a split's payload gets a DT search only if its pmd leaves eps_ie budget
-    budgets = {n - n_p: req.eps_ie - pmd for n_p, pmd in splits if req.eps_ie - pmd > 0}
-    dt_max_M = _dt_searches(cfg, n, sigma2,
-                            sorted(({n} if schemes & {"genie", "dad"} else set()) | set(budgets)))
-    if "genie" in schemes:
-        genie_M = dt_max_M(n, req.eps_ie)
-    if "dad" in schemes:
-        dad_M = bounds.dad_max_code_size(n, sigma2, req, lambda target, *_: dt_max_M(n, target))
-    split_M = {l: dt_max_M(l, budget) for l, budget in budgets.items()}
-    del dt_max_M  # frees the stream-1 samples
-    lengths = sorted(({n} if "genie" in schemes else set()) | {n - n_p for n_p, _ in splits})
-    con_M = {}
-    if lengths:
-        con_M = dict(zip(lengths, bounds.meta_converse_max_M(n, sigma2, req.eps_ie, cfg.trials,
-                                                             cfg.seed, lengths=lengths)))
-
+    # the feasible (n_p, pmd) HyPED splits of every n above the converse
+    splits = {n: _feasible_splits(cfg, "hyped", n, 1, ChannelParams.from_db(cfg.es_n0_db, n), req)
+              if "hyped" in schemes else [] for n in cfg.n_grid if n >= n_min}
+    requests = []
+    for n, pairs in splits.items():
+        if "genie" in schemes:
+            requests += [(sigma2, n, "dt-max-M", req.eps_ie), (sigma2, n, "mc-max-M", req.eps_ie)]
+        if "dad" in schemes:
+            requests.append((sigma2, n, "dad-max-M", req))
+        # a split's payload gets a DT search only if its pmd leaves eps_ie budget
+        requests += [(sigma2, n - n_p, "dt-max-M", req.eps_ie - pmd)
+                     for n_p, pmd in pairs if pmd < req.eps_ie]
+        requests += [(sigma2, n - n_p, "mc-max-M", req.eps_ie) for n_p, _ in pairs]
+    value = dict(zip(requests, _bound_values(cfg, requests)))
+    # every meta-converse request has target eps_ie: payload length -> code size
+    con = {l: M for (_, l, quantity, _), M in value.items() if quantity == "mc-max-M"}
     snr = cfg.es_n0_db
     rows = []
-    if "genie" in schemes:
-        rows.append(_row("genie", "achievability", n, snr, np.log2(float(genie_M)) / n))
-        rows.append(_row("genie", "converse", n, snr, np.log2(float(max(con_M[n], 1))) / n))
-    if "dad" in schemes:
-        if dad_M >= 1:
-            rows.append(_row("dad", "achievability", n, snr, np.log2(float(dad_M)) / n))
-        else:
-            rows.append(_row("dad", "achievability", n, snr, 0.0, flag="infeasible"))
-    if "hyped" in schemes:
-        rows.extend(_hyped_rate_point(n, snr, splits, split_M, con_M))
+    for n in cfg.n_grid:
+        if n not in splits:
+            for scheme in schemes:
+                rows.append(_row(scheme, "achievability", n, snr, 0.0, flag="infeasible"))
+            continue
+        if "genie" in schemes:
+            rows.append(_row("genie", "achievability", n, snr,
+                             _log2(value[sigma2, n, "dt-max-M", req.eps_ie]) / n))
+            rows.append(_row("genie", "converse", n, snr, _log2(max(con[n], 1)) / n))
+        if "dad" in schemes:
+            dad_M = value[sigma2, n, "dad-max-M", req]
+            if dad_M >= 1:
+                rows.append(_row("dad", "achievability", n, snr, _log2(dad_M) / n))
+            else:
+                rows.append(_row("dad", "achievability", n, snr, 0.0, flag="infeasible"))
+        if "hyped" in schemes:
+            pairs = splits[n]
+            m_ach = {n - n_p: value[sigma2, n - n_p, "dt-max-M", req.eps_ie - pmd]
+                     for n_p, pmd in pairs if pmd < req.eps_ie}
+            rows.extend(_hyped_rate_point(n, snr, pairs, m_ach, con))
+    rows.extend(r for ref in cfg.refs for r in ingest_reference(ref))
     return rows
 
 
@@ -316,9 +361,9 @@ def _hyped_rate_point(n, es_n0_db, pairs, m_ach, m_con):
     payload length to its DT and meta-converse code sizes (`m_ach` only for
     the splits whose pmd leaves eps_ie budget).
     """
-    best_ach = max(((np.log2(float(m_ach[n - n_p])) / n, n_p) for n_p, _ in pairs
+    best_ach = max(((_log2(m_ach[n - n_p]) / n, n_p) for n_p, _ in pairs
                     if n - n_p in m_ach), key=_BY_VALUE, default=None)
-    best_con = max(((np.log2(float(max(m_con[n - n_p], 1))) / n, n_p) for n_p, _ in pairs),
+    best_con = max(((_log2(max(m_con[n - n_p], 1)) / n, n_p) for n_p, _ in pairs),
                    key=_BY_VALUE, default=None)
     rows = []
     if best_ach:
@@ -338,8 +383,9 @@ def run_pie_sweep(cfg):
     Emits bound rows per scheme and, when generator matrices are supplied,
     simulated operating points (kind = "simulated"). The DT and
     meta-converse bounds of the full slot and of every feasible split's
-    payload, at every SNR above the converse floor, come from one density
-    pass per stream (see _pie_bounds). An invalid config (see
+    payload, at every SNR above the converse floor, are requests to one
+    _bound_values call, so a sweep over an SNR grid writes the same rows as
+    one sweep per SNR. An invalid config (see
     SweepConfig.validate), a code longer than the slot, or one whose
     dimension is not k, is rejected before any noise is drawn.
     """
@@ -356,26 +402,25 @@ def run_pie_sweep(cfg):
         if cb.k != k:
             raise ValueError(f"code {path} has dimension k={cb.k}, not the configured k={k}")
     snr_floor = bounds.min_snr_db(n, req)
-    points = {}  # SNR above the floor -> (params, splits, payload lengths)
-    for snr in cfg.snr_grid:
-        if snr < snr_floor:
-            continue
-        params = ChannelParams.from_db(snr, n)
-        splits = {scheme: _feasible_splits(cfg, scheme, n, k, params, req)
-                  for scheme in ("hyped", "preamble") if scheme in cfg.schemes}
-        lengths = sorted({n, *(n - n_p for pairs in splits.values() for n_p, _ in pairs)})
-        points[snr] = params, splits, lengths
-    bound = dict(zip(points, _pie_bounds(cfg, M, [(params.sigma2, lengths)
-                                                  for params, _, lengths in points.values()])))
+    # the feasible (n_p, pmd) splits per scheme at every SNR above the floor
+    splits = {snr: {scheme: _feasible_splits(cfg, scheme, n, k, ChannelParams.from_db(snr, n), req)
+                    for scheme in ("hyped", "preamble") if scheme in cfg.schemes}
+              for snr in cfg.snr_grid if snr >= snr_floor}
+    requests = [(snr_to_sigma2(snr), l, quantity, M) for snr, by_scheme in splits.items()
+                for l in sorted({n, *(n - n_p for pairs in by_scheme.values() for n_p, _ in pairs)})
+                for quantity in ("dt-error", "mc-min-error")]
+    value = dict(zip(requests, _bound_values(cfg, requests)))
     rows = []
     for snr in cfg.snr_grid:
-        if snr not in points:
+        if snr not in splits:
             for scheme in cfg.schemes:
                 rows.append(_row(scheme, "achievability", n, snr, 1.0, flag="infeasible"))
             continue
-        params, splits, _ = points[snr]
-        dt, con = bound[snr]
+        params = ChannelParams.from_db(snr, n)
         sigma2 = params.sigma2
+        # payload length -> DT (estimate, stderr), and -> meta-converse codeword error
+        dt, con = ({l: v for (s2, l, q, _), v in value.items() if (s2, q) == (sigma2, quantity)}
+                   for quantity in ("dt-error", "mc-min-error"))
         pcw_ach, pcw_se = dt[n]
         pcw_con = con[n]
         root = np.sqrt(n / sigma2)
@@ -393,48 +438,12 @@ def run_pie_sweep(cfg):
                 rows.append(_row("dad", "achievability", n, snr, hi, stderr=pcw_se))
             else:
                 rows.append(_row("dad", "achievability", n, snr, 1.0, flag="infeasible"))
-        for scheme, pairs in splits.items():
+        for scheme, pairs in splits[snr].items():
             rows.extend(_split_bound_point(scheme, n, snr, pairs, dt, con))
         for cb in codes:
             rows.extend(_simulated_points(cfg, cb, n, params, req, snr))
     rows.extend(r for ref in cfg.refs for r in ingest_reference(ref))
     return rows
-
-
-def _pie_bounds(cfg, M, groups):
-    """One (DT map, meta-converse map) pair per (sigma2, lengths) group.
-
-    The maps take a length to its DT (estimate, stderr) and its meta-converse
-    codeword error at the group's noise variance. Consecutive groups share
-    one pass per stream (each noise block drawn once at unit variance, see
-    jdd.bounds) while their densities fit DENSITY_BUDGET_BYTES. Each bound
-    equals its own per-SNR, per-length call, so the split into passes
-    changes no value.
-    """
-    out, batch, held = [], [], 0
-    for sigma2, lengths in groups:
-        size = 8 * cfg.trials * len(lengths)
-        if batch and held + size > DENSITY_BUDGET_BYTES:
-            out.extend(_pie_bound_pass(cfg, M, batch))
-            batch, held = [], 0
-        batch.append((sigma2, lengths))
-        held += size
-    return out + (_pie_bound_pass(cfg, M, batch) if batch else [])
-
-
-def _pie_bound_pass(cfg, M, groups):
-    """_pie_bounds for groups that share one pass per stream.
-
-    Stream 1 is reduced to DT pairs and freed before the meta-converse
-    streams are drawn.
-    """
-    (sigma2, lengths), *rest = groups
-    denss = info_density_samples(cfg.n, sigma2, cfg.trials, cfg.seed, lengths=lengths, groups=rest)
-    dts = [{l: dt_error_estimate(d, M) for l, d in zip(ls, ds)} for (_, ls), ds in zip(groups, denss)]
-    del denss
-    errs = bounds.meta_converse_min_error(cfg.n, sigma2, M, cfg.trials, cfg.seed,
-                                          lengths=lengths, groups=rest)
-    return [(dt, dict(zip(ls, es))) for dt, (_, ls), es in zip(dts, groups, errs)]
 
 
 def _feasible_splits(cfg, scheme, n, k, params, req):
@@ -505,10 +514,8 @@ def optimize_preamble_split(scheme, n_total, k, params, req, cfg):
     M = 1 << k
     table = []
     n_ps = _split_candidates(cfg, n_total, k, scheme)
-    denss = info_density_samples(n_total, params.sigma2, cfg.trials, cfg.seed,
-                                 lengths=[n_total - n_p for n_p in n_ps])
-    for n_p, pmd, dens in zip(n_ps, _split_pmds(scheme, n_ps, params, cfg, req), denss):
-        pcw_up, _ = dt_error_estimate(dens, M)
+    dts = _bound_values(cfg, [(params.sigma2, n_total - n_p, "dt-error", M) for n_p in n_ps])
+    for n_p, pmd, (pcw_up, _) in zip(n_ps, _split_pmds(scheme, n_ps, params, cfg, req), dts):
         pie_up = min(1.0, pmd + pcw_up) if pmd <= req.eps_md else float("nan")
         table.append((n_p, pmd, pcw_up, pie_up))
     best = min(((pie_up, n_p) for n_p, _, _, pie_up in table if not np.isnan(pie_up)),
@@ -539,8 +546,7 @@ def run_bounds_report(cfg):
     rows.append(_row("dad", "achievability", n, cfg.es_n0_db, gamma, flag="gamma"))
     rows.append(_row("dad", "achievability", n, cfg.es_n0_db, pfa_ub, flag="pfa-ub"))
     rows.append(_row("dad", "achievability", n, cfg.es_n0_db, pmd_ub, flag="pmd-ub"))
-    dt_max_M = _dt_searches(cfg, n, sigma2, [n])
-    M_max = bounds.dad_max_code_size(n, sigma2, req, lambda target, *_: dt_max_M(n, target))
+    (M_max,) = _bound_values(cfg, [(sigma2, n, "dad-max-M", req)])
     rows.append(_row("dad", "achievability", n, cfg.es_n0_db, M_max, flag="max-code-size"))
     return rows
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -511,6 +512,18 @@ class TestDtSearch:
         assert messages(got) == ([f"DT bound at n={n}: stderr {se:.2e} exceeds 10% of target "
                                   f"{target:.1e}; increase trials"] if se > 0.1 * target else [])
 
+    def test_code_size_past_float_range(self):
+        # at 6 dB the first probe, M = 2^1100, and the certified size both pass
+        # the float range; the DT threshold ln((M - 1) / 2) is then ln(M - 1) - ln 2
+        sigma2 = snr_to_sigma2(6.0)
+        dens = info_density_samples(1100, sigma2, 10_000, 0)
+        assert dt_error_estimate(dens, 2**1100)[0] == pytest.approx(
+            float(np.exp(-np.maximum(0.0, dens - 1099 * math.log(2.0))).mean()), rel=1e-12)
+        with pytest.warns(UserWarning, match="DT bound at n=1100"):
+            M = dt_bound_max_M(1100, sigma2, 1e-3, 10_000, 0, dens=dens)
+        assert 2**1024 < M < 2**1100
+        assert dt_error_estimate(dens, M)[0] <= 1e-3 < dt_error_estimate(dens, M + 1)[0]
+
 
 class TestSharedSamples:
     """dens= and lengths= searches equal the calls that draw their own samples."""
@@ -590,6 +603,15 @@ class TestMetaConverse:
     def test_trials_precondition(self):
         with pytest.raises(ValueError):
             meta_converse_max_M(8, 1.0, 1e-3, 500, 0)
+
+    def test_subnormal_beta(self):
+        # at 6 dB and n = 1100 beta is subnormal and 1 / beta overflows: the
+        # code size is the floor of the exact quotient
+        sigma2 = snr_to_sigma2(6.0)
+        beta, _, _ = meta_converse_beta(1100, sigma2, 1e-3, 10_000, 0)
+        assert 0.0 < beta < sys.float_info.min
+        M = meta_converse_max_M(1100, sigma2, 1e-3, 10_000, 0)
+        assert M == math.floor(Fraction(1.0 + 1e-9) / Fraction(beta)) > 2**1024
 
     def test_min_error_holds_one_stream(self):
         # a P_IE bound pass shaped like the paper's -4..0 dB curve: n = 84,

@@ -3,6 +3,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
@@ -10,13 +11,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jdd.bounds import dt_error_estimate, info_density_samples
-from jdd.channel import ChannelParams
+from jdd.bounds import (
+    Requirements,
+    dad_max_code_size,
+    dt_bound_max_M,
+    dt_error_estimate,
+    info_density_samples,
+    meta_converse_max_M,
+    meta_converse_min_error,
+)
+from jdd.channel import ChannelParams, snr_to_sigma2
 from jdd.cli import main
 from jdd.montecarlo import STREAM_ACTIVE_NOISE, STREAM_CALIBRATION, STREAM_MESSAGES, STREAM_PAYLOAD
 from jdd.sweeps import (
     CSV_HEADER,
     SweepConfig,
+    _bound_values,
     _hyped_rate_point,
     _split_bound_point,
     ingest_reference,
@@ -238,6 +248,23 @@ class TestRunRateSweep:
         assert rates["genie", "achievability"] <= rates["genie", "converse"]
         assert rates["hyped", "achievability"] <= rates["hyped", "converse"]
 
+    @pytest.mark.parametrize("es_n0_db", [6.0, 1.0])
+    def test_code_sizes_past_float_range(self, es_n0_db):
+        # at n = 1100 the DT search's first probe is M = 2^1100, which no float
+        # holds; at 6 dB the certified sizes pass 2^1024 too, and the
+        # meta-converse beta is subnormal, so 1 / beta is no float either
+        cfg = SweepConfig(schemes=("genie", "dad"), es_n0_db=es_n0_db, n_grid=(1100,),
+                          eps_fa=1e-3, eps_md=1e-3, trials=10_000)
+        with pytest.warns(UserWarning):  # DT precision at 10k trials
+            rows = run_rate_sweep(cfg)
+        rates = {(r["scheme"], r["kind"]): float(r["value"]) for r in rows}
+        assert set(rates) == {("genie", "achievability"), ("genie", "converse"),
+                              ("dad", "achievability")}
+        assert all(0.0 < v < 1.0 for v in rates.values())
+        assert rates["dad", "achievability"] <= rates["genie", "achievability"]
+        assert rates["genie", "achievability"] <= rates["genie", "converse"]
+        if es_n0_db == 6.0:
+            assert rates["genie", "achievability"] * 1100 > 1024
 
     @staticmethod
     def split_rate_cfg():
@@ -255,8 +282,11 @@ class TestRunRateSweep:
             "7c67ffe0dd43b2e686989eafce0b5be9c09e1245dc13189fce33c2d2510cb300")
 
     def test_one_density_pass_per_blocklength(self, monkeypatch):
-        # streams 1-3 are each drawn once per feasible n, block by block
+        # streams 1-3 are each drawn once for the whole n grid, block by block,
+        # at the width of the longest feasible n; under a budget that splits
+        # the lengths, each stream takes more passes and the rows stay the same
         import jdd.bounds as bounds
+        import jdd.sweeps as sweeps
 
         draws = Counter()
         gaussian_block = bounds.gaussian_block
@@ -267,10 +297,31 @@ class TestRunRateSweep:
 
         monkeypatch.setattr(bounds, "gaussian_block", counted)
         with pytest.warns(UserWarning):
-            run_rate_sweep(self.split_rate_cfg())
+            rows = run_rate_sweep(self.split_rate_cfg())
         blocks = range(-(-10_000 // 4096))
-        assert draws == Counter({(n, stream, b): 1 for n in (48, 72) for stream in (1, 2, 3)
-                                 for b in blocks})
+        assert draws == Counter({(72, stream, b): 1 for stream in (1, 2, 3) for b in blocks})
+        # three densities per pass: the DT lengths 48, 18, 72, 68, 60, 42 (in
+        # order of first use) take the passes {48, 18, 72} and {68, 60, 42}, the
+        # meta-converse lengths 48, 36, 18, 72, 68, 60, 42 three passes
+        monkeypatch.setattr(sweeps, "DENSITY_BUDGET_BYTES", 3 * 10_000 * 8)
+        draws.clear()
+        with pytest.warns(UserWarning):
+            assert run_rate_sweep(self.split_rate_cfg()) == rows
+        widths = {1: (72, 68), 2: (48, 72, 42), 3: (48, 72, 42)}
+        assert draws == Counter({(width, stream, b): 1 for stream in (1, 2, 3)
+                                 for width in widths[stream] for b in blocks})
+
+    def test_n_grid_equals_one_n_sweeps(self):
+        cfg = self.split_rate_cfg()
+        with pytest.warns(UserWarning):  # DT precision at 10k trials
+            rows = run_rate_sweep(cfg)
+        per_n = []
+        for n in cfg.n_grid:
+            cfg.n_grid = (n,)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                per_n += run_rate_sweep(cfg)
+        assert rows == per_n
 
     def test_no_bound_searched_below_dt_trials(self, monkeypatch):
         # at n = 22 the DAD fixed point ends before its first round and no split
@@ -313,6 +364,69 @@ class TestRunRateSweep:
         assert calls == [60] and rows[-1]["value"] == "972144"
         run_bounds_report(SweepConfig(trials=10_000, n=20))
         assert calls == [60]
+
+
+def bound_alone(request, trials, seed):
+    """A bound request of _bound_values evaluated by its own bounds call."""
+    sigma2, l, quantity, arg = request
+    if quantity == "dt-error":
+        return dt_error_estimate(info_density_samples(l, sigma2, trials, seed), arg)
+    if quantity == "dt-max-M":
+        return dt_bound_max_M(l, sigma2, arg, trials, seed)
+    if quantity == "dad-max-M":
+        return dad_max_code_size(l, sigma2, arg,
+                                 lambda target, *_: dt_bound_max_M(l, sigma2, target, trials, seed))
+    if quantity == "mc-max-M":
+        return meta_converse_max_M(l, sigma2, arg, trials, seed)
+    return meta_converse_min_error(l, sigma2, arg, trials, seed)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # bound precision at 10k trials
+class TestBoundValues:
+    """One mixed request list equals each request alone, bit for bit."""
+
+    @staticmethod
+    def requests():
+        # the variances alternate, so a pass's keys are regrouped by variance
+        req = Requirements(1e-2, 1e-2, 1e-2)
+        out = []
+        for l in (40, 12, 24):
+            for snr in (-3.0, 1.0):
+                sigma2 = snr_to_sigma2(snr)
+                out += [(sigma2, l, "dt-error", 16), (sigma2, l, "dt-max-M", 1e-2),
+                        (sigma2, l, "dad-max-M", req), (sigma2, l, "mc-max-M", 1e-2),
+                        (sigma2, l, "mc-min-error", 16)]
+        # a second argument of each meta-converse quantity, and a repeat
+        sigma2 = snr_to_sigma2(1.0)
+        return out + [(sigma2, 24, "mc-max-M", 1e-1), (sigma2, 12, "mc-min-error", 1 << 10),
+                      (sigma2, 12, "dt-error", 16)]
+
+    def test_equals_each_request_alone(self, monkeypatch):
+        import jdd.bounds as bounds
+        import jdd.sweeps as sweeps
+
+        cfg = SweepConfig(trials=10_000, seed=4)
+        requests = self.requests()
+        want = [bound_alone(r, cfg.trials, cfg.seed) for r in requests]
+        stream1 = Counter()
+        gaussian_block = bounds.gaussian_block
+
+        def counted(sigma2, seed, stream, block, shape):
+            if stream == 1:
+                stream1[shape[1]] += 1
+            return gaussian_block(sigma2, seed, stream, block, shape)
+
+        monkeypatch.setattr(bounds, "gaussian_block", counted)
+        assert _bound_values(cfg, requests) == want
+        # the six stream-1 keys share one pass at the longest length: one
+        # draw per block
+        assert stream1 == Counter({40: 3})
+        # two densities per pass: the two variances of each length take one
+        # pass, drawn at that length
+        monkeypatch.setattr(sweeps, "DENSITY_BUDGET_BYTES", 2 * cfg.trials * 8)
+        stream1.clear()
+        assert _bound_values(cfg, requests) == want
+        assert stream1 == Counter({40: 3, 12: 3, 24: 3})
 
 
 class TestBestSplit:
