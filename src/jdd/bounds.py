@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_ndtr, ndtri_exp
 
-from .channel import TRIALS_PER_BLOCK, _blocks, _on_cores, gaussian_block
+from .channel import TRIALS_PER_BLOCK, _ROW_SPAN, _blocks, _on_cores, gaussian_block
 from .numerics import q_func, q_inv
 
 __all__ = [
@@ -129,6 +129,15 @@ def _q_inv_over(eps, M):
     return float(-ndtri_exp(math.log(eps) - math.log(M)))
 
 
+def _floor_quotient(p, q):
+    """floor(p / q) of two positive floats, exactly, as an int of any size.
+
+    For a quotient past the float range, where p / q overflows to inf.
+    """
+    (a, b), (c, d) = p.as_integer_ratio(), q.as_integer_ratio()
+    return a * d // (b * c)
+
+
 def dad_gamma(n, sigma2, eps_fa, M):
     """Union-bound threshold gamma = sqrt(n sigma2) * Q^-1(eps_fa / M).
 
@@ -171,9 +180,12 @@ def dad_max_code_size(n, sigma2, req, m_star):
     if n < min_blocklength(sigma2, req):
         return 0
     root = np.sqrt(n / sigma2)
-    denom = q_func(q_inv(1.0 - req.eps_md) + root)
+    eps_fa, denom = float(req.eps_fa), float(q_func(q_inv(1.0 - req.eps_md) + root))
     if denom > 0:
-        m_det = min(1 << n, int(np.floor(req.eps_fa / denom)))
+        bound = eps_fa / denom
+        # a subnormal denominator: floor the exact quotient
+        m_det = min(1 << n, math.floor(bound) if math.isfinite(bound)
+                    else _floor_quotient(eps_fa, denom))
     else:
         m_det = 1 << n  # detection term underflows: detection is unconstraining
     if m_det < 1:
@@ -200,11 +212,10 @@ def dad_max_code_size(n, sigma2, req, m_star):
 # information-density Monte Carlo machinery (DT and meta-converse)
 # ---------------------------------------------------------------------------
 
-# values per softplus span (each thread's scratch) and per span of whole rows
-# of the row sums; every step is elementwise or one row's sum, so any span
-# size gives the same values
+# values per softplus span (each thread's scratch); the row sums take spans
+# of whole rows of about channel._ROW_SPAN values. Every step is elementwise
+# or one row's sum, so any span size gives the same values
 _CHUNK = 1 << 14
-_ROW_SPAN = 1 << 16
 
 
 def _density_groups(n, groups):
@@ -382,6 +393,10 @@ def dt_bound_max_M(n, sigma2, target_error, trials, seed, dens=None):
     return lo
 
 
+# exp(-i) is no normal double (subnormal, or 0) for i past this, about 708.4
+_EXP_UNDERFLOW = -math.log(sys.float_info.min)
+
+
 def meta_converse_beta(n, sigma2, eps, trials, seed, lengths=None):
     """beta_{1-eps} for the test joint-law vs (input x induced output law).
 
@@ -389,7 +404,9 @@ def meta_converse_beta(n, sigma2, eps, trials, seed, lengths=None):
     is the interpolated lower eps-quantile of the information density (one
     sample stream). The type-II error is estimated on an independent stream
     by the exact change of measure E_P[exp(-i) 1{i >= t}]. Returns
-    (beta_hat, stderr, threshold).
+    (beta_hat, stderr, threshold). Warns where a weight exp(-i) with i >= t
+    is no normal double: beta_hat then carries too few digits for its
+    stderr to show it.
 
     With ``lengths`` (each 1 <= l <= n), returns one such triple per l, each
     equal to the length-l call: each stream is drawn in one pass (see
@@ -403,8 +420,15 @@ def meta_converse_beta(n, sigma2, eps, trials, seed, lengths=None):
             for d in info_density_samples(n, sigma2, trials, seed, stream=2, lengths=lens)]
     denss = info_density_samples(n, sigma2, trials, seed, stream=3, lengths=lens)
     out = []
-    for t in thrs:
+    for l, t in zip(lens, thrs):
         dens = denss.pop(0)
+        top = dens.max()
+        if top >= t and top > _EXP_UNDERFLOW:
+            warnings.warn(
+                f"meta-converse at n={l}: weights exp(-i) below the normal doubles "
+                f"(i up to {top:.1f}); beta has lost precision and its stderr with it",
+                stacklevel=2,
+            )
         w = np.where(dens >= t, np.exp(-dens), 0.0)
         out.append((float(w.mean()), float(w.std(ddof=1) / np.sqrt(w.size)), t))
     return out if lengths is not None else out[0]
@@ -433,10 +457,9 @@ def meta_converse_max_M(n, sigma2, target_error, trials, seed, lengths=None):
             continue
         # tolerate last-ulp jitter in the weights before flooring
         bound = (1.0 / beta) * (1.0 + 1e-9)
-        if not math.isfinite(bound):  # a subnormal beta: floor the exact quotient
-            (a, b), (c, d) = (1.0 + 1e-9).as_integer_ratio(), beta.as_integer_ratio()
-            bound = a * d // (b * c)
-        Ms.append(min(1 << l, math.floor(bound)))
+        # a subnormal beta: floor the exact quotient
+        Ms.append(min(1 << l, math.floor(bound) if math.isfinite(bound)
+                      else _floor_quotient(1.0 + 1e-9, beta)))
     return Ms if lengths is not None else Ms[0]
 
 

@@ -41,6 +41,9 @@ TRIALS_PER_BLOCK = 4096
 # Values per span of a block kernel: a multiple of 4, and large enough that
 # handing a span to another core costs little against filling it
 _SPAN = 1 << 15
+# Values per span of whole rows, for kernels that reduce or fill rows of a
+# block (row sums, detection statistics, active slots)
+_ROW_SPAN = 1 << 16
 
 _local = threading.local()
 
@@ -98,6 +101,15 @@ def _on_cores(fn, stop, span):
         # a cancelled helper stays queued until a pool thread is free to drop
         # it; it must not keep fn, and the block fn writes, alive until then
         fn = None
+
+
+def _on_rows(fn, rows, width):
+    """Call fn(a, b) for spans [a, b) of whole rows of a (rows, width) block.
+
+    Each span holds about _ROW_SPAN values (at least one row); the spans run
+    on the usable cores as in _on_cores, under the same rules for `fn`.
+    """
+    _on_cores(fn, rows, max(1, _ROW_SPAN // width))
 
 
 def _blocks(trials):

@@ -10,9 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import FramePlan
+from . import codebook
+from .channel import FramePlan, _on_rows
 from .codebook import _argmax_rows, _tiled_correlation
-from .numerics import log_cosh
+from .numerics import _log_cosh_in_place
 
 __all__ = [
     "DetectorSpec",
@@ -78,21 +79,36 @@ def stat_hyped_exact(y, plan, params):
     terms are computed once, from the shortest preamble on, and each split
     sums its own columns of them, so every split's value is bit-identical to
     a call with that split alone.
+
+    The slots are evaluated in spans of whole rows on the usable cores
+    (channel._on_rows), each span writing every split's statistics of its
+    rows. Every term is elementwise or one row's sum, so no value depends on
+    the spans or on the core count.
     """
     plans = [plan] if isinstance(plan, FramePlan) else list(plan)
     y = _check_len(y, plans[0].n)
-    if any(pl.n != plans[0].n for pl in plans):
+    n = plans[0].n
+    if any(pl.n != n for pl in plans):
         raise ValueError("all splits must cover the same slot length")
     s2 = params.sigma2
     first = min(pl.n_p for pl in plans)
-    # the payload LLR of one symbol: ln[(e^a + e^-a)/2] = ln cosh(a), a = y / sigma2
-    terms = log_cosh(y[..., first:] / s2)
-    out = []
-    for pl in plans:
-        payload = terms[..., pl.n_p - first :].sum(axis=-1)
-        pre = y[..., : pl.n_p].sum(axis=-1) / s2
-        out.append(payload + pre - pl.n / (2.0 * s2))
-    return out[0] if isinstance(plan, FramePlan) else np.stack(out)
+    rows = y.reshape(-1, n)  # a single slot or a stack is one matrix of slots
+    out = np.empty((len(plans), len(rows)))
+
+    def fill(a, b):
+        ya = rows[a:b]
+        # the payload LLR of one symbol: ln[(e^t + e^-t)/2] = ln cosh(t), t = y / sigma2
+        terms = np.divide(ya[:, first:], s2)
+        _log_cosh_in_place(terms)
+        for pl, o in zip(plans, out):
+            payload = terms[:, pl.n_p - first :].sum(axis=-1)
+            pre = ya[:, : pl.n_p].sum(axis=-1) / s2
+            np.add(payload, pre, out=o[a:b])
+            o[a:b] -= pl.n / (2.0 * s2)
+
+    _on_rows(fill, len(rows), n)
+    out = out.reshape(len(plans), *y.shape[:-1])
+    return out[0] if isinstance(plan, FramePlan) else out
 
 
 def stat_hyped_heuristic(y, plan, gamma_a):
@@ -108,20 +124,19 @@ def stat_dad(y, cb, plan):
     With n_p = 0 this is exactly the correlation form of the DAD rule; with a
     preamble the known-preamble correlation is added to every codeword
     correlation, making the statistic the joint log-likelihood ratio of the
-    whole slot up to the 1/sigma2 scale. The codeword correlation of a batch
-    is computed and reduced in row tiles (see jdd.codebook), so memory stays
-    at one tile whatever 2^k is.
+    whole slot up to the 1/sigma2 scale. The argmax and the maximum are ML
+    decoding's (codebook.ml_decode), so the returned message estimate is the
+    ML decision and the codeword correlation, reduced in row tiles, is
+    computed once for both; memory stays at one tile whatever 2^k is.
     """
     y = _check_len(y, plan.n)
     if plan.n_c != cb.n_c:
         raise ValueError(f"plan n_c={plan.n_c} != codebook n_c={cb.n_c}")
     y_p, y_c = plan.split(y)
-    m_hat, best = _tiled_correlation(y_c, cb.codewords, _argmax_rows)
+    m_hat, best = codebook.ml_decode(cb, y_c)
     pre = y_p.sum(axis=-1) if plan.n_p else 0.0
     stat = pre + best
-    if y.ndim == 1:
-        return float(stat), int(m_hat) + 1
-    return stat, m_hat + 1
+    return (float(stat) if y.ndim == 1 else stat), m_hat
 
 
 def stat_codebook_aided(y, cb, params, gamma_a):

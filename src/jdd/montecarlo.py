@@ -35,7 +35,12 @@ with that entry alone; a lone spec and plan is the same path with one
 entry, and returns a single result instead of a list.
 Memory: calibration holds an (entries x trials) float64 array of idle
 statistics for the quantile; evaluation statistics are reduced to counts
-block by block and never stored.
+block by block and never stored, and every entry's active slots are written
+into one reused block buffer, in spans of whole rows on the usable cores
+(channel._on_rows). With a code every entry sees the same slots, and a
+block is correlated with the codebook once: DAD's argmax is the ML
+decision, so the first DAD entry's argmax serves every entry that does not
+decode on its own.
 
 Rates carry exact two-sided 95% Clopper-Pearson intervals, whose beta
 quantiles come from ``scipy.special.betaincinv``.
@@ -43,12 +48,13 @@ quantiles come from ``scipy.special.betaincinv``.
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import betaincinv
 
 from . import codebook
-from .channel import TRIALS_PER_BLOCK, FramePlan, _blocks, gaussian_block, uniform_block
+from .channel import TRIALS_PER_BLOCK, FramePlan, _blocks, _on_rows, gaussian_block, uniform_block
 from .detectors import DetectorSpec, batch_statistic
 
 __all__ = [
@@ -171,9 +177,32 @@ def _payload_uniforms(n_c_max, seed, block, count):
     return uniform_block(seed, STREAM_PAYLOAD, block, (count * n_c_max,))
 
 
-def _payload(u, n_c, count):
-    u = u[: count * n_c].reshape(count, n_c)
-    return np.where(u < 0.5, 1.0, -1.0)
+def _payload(u, n_c, a, b):
+    """Rows [a, b) of the random +/-1 payload of length n_c: +1 where u < 1/2."""
+    x = np.subtract(u[a * n_c : b * n_c], 0.5).reshape(b - a, n_c)
+    np.copysign(1.0, x, out=x)  # u = 1/2 gives +0.0, so -1 below
+    return np.negative(x, out=x)
+
+
+def _active_slots(y, z, n_p, payload):
+    """Write the active slots x + z of a noise block z into y, in spans of rows.
+
+    x is +1 on the n_p preamble columns and payload(a, b), the +/-1 rows
+    [a, b) of the codeword segment, after them. IEEE addition commutes, so
+    z + 1.0 and z + x_c are x + z bit for bit.
+    """
+    def fill(a, b):
+        np.add(z[a:b, :n_p], 1.0, out=y[a:b, :n_p])
+        np.add(z[a:b, n_p:], payload(a, b), out=y[a:b, n_p:])
+
+    _on_rows(fill, len(z), z.shape[1])
+
+
+def _transmitted(y, n_p, payload):
+    """The transmitted +/-1 slots of the rows of y (the genie statistic's input)."""
+    x = np.ones_like(y)
+    x[:, n_p:] = payload(0, len(y))
+    return x
 
 
 def _thresholded(spec, plan, params, trials):
@@ -219,35 +248,48 @@ def estimate_rates(spec, plan, params, trials, seed, cb=None):
     one dict per entry is returned.
     """
     trials, specs, plans, single = _thresholded(spec, plan, params, trials)
+    if cb is not None and any(pl.n_c != cb.n_c for pl in plans):
+        raise ValueError(f"every plan must carry the codewords: n_c={cb.n_c}")
     n_md = [0] * len(specs)
     n_detected = [0] * len(specs)
     n_cw_err = [0] * len(specs)
     n_ie = [0] * len(specs)
+    buf = np.empty((min(trials, TRIALS_PER_BLOCK), params.n))  # every block's active slots
     for block, count in _blocks(trials):
         z = gaussian_block(params.sigma2, seed, STREAM_ACTIVE_NOISE, block, (count, params.n))
+        y = buf[:count]
         if cb is not None:
+            # every plan puts the codeword in the same columns: one y per block
             m = _draw_messages(cb.M, seed, block, count)
-            x_c = cb.codewords[m - 1]
+
+            def codewords(a, b):
+                return cb.codewords[m[a:b] - 1]
+
+            n_p = plans[0].n_p
+            _active_slots(y, z, n_p, codewords)
+            genie = any(s.kind == "genie" for s in specs)
+            x = _transmitted(y, n_p, codewords) if genie else None
+            results = batch_statistic(specs, y, plans, params, cb=cb, genie_x=x)
+            # DAD's argmax is ML decoding's: the first one on the block serves
+            # every entry that does not decode on its own
+            decoded = next((m_hat for s, (_, m_hat) in zip(specs, results) if s.kind == "dad"), None)
+            if decoded is None and any(m_hat is None for _, m_hat in results):
+                decoded, _ = codebook.ml_decode(cb, y[:, n_p:])
+            results = [(stats, decoded if m_hat is None else m_hat) for stats, m_hat in results]
         else:
-            m = None
             u = _payload_uniforms(max(pl.n_c for pl in plans), seed, block, count)
-        decoded = None  # every plan puts the codeword in the same columns
-        for i, (s, plan) in enumerate(zip(specs, plans)):
-            if cb is None:
-                x_c = _payload(u, plan.n_c, count)
-            x = np.concatenate([np.broadcast_to(1.0, (count, plan.n_p)), x_c], axis=1)
-            y = x + z
+            results = []
+            for s, plan in zip(specs, plans):
+                payload = partial(_payload, u, plan.n_c)
+                _active_slots(y, z, plan.n_p, payload)
+                x = _transmitted(y, plan.n_p, payload) if s.kind == "genie" else None
+                results.append(batch_statistic(s, y, plan, params, genie_x=x))
 
-            stats, m_hat = batch_statistic(s, y, plan, params, cb=cb, genie_x=x)
+        for i, (s, (stats, m_hat)) in enumerate(zip(specs, results)):
             detected = stats >= s.gamma
-            if m_hat is None and cb is not None:
-                if decoded is None:
-                    decoded, _ = codebook.ml_decode(cb, y[:, plan.n_p :])
-                m_hat = decoded
-
             n_md[i] += int(np.sum(~detected))
             n_detected[i] += int(np.sum(detected))
-            if m is not None and m_hat is not None:
+            if cb is not None:
                 wrong = m_hat != m
                 n_cw_err[i] += int(np.sum(detected & wrong))
                 n_ie[i] += int(np.sum(~detected | wrong))

@@ -37,6 +37,12 @@ def q_inv(p):
 def log_cosh(x):
     """ln cosh(x) without overflow: |x| - ln 2 + log1p(exp(-2|x|))."""
     ax = np.array(x, dtype=float, ndmin=1)  # a copy; 0-d would give scalars, which take no out=
+    _log_cosh_in_place(ax)
+    return ax if np.ndim(x) else float(ax[0])
+
+
+def _log_cosh_in_place(ax):
+    """Overwrite the float array `ax` with log_cosh(ax), value for value."""
     np.abs(ax, out=ax)
     # the correction term is already 0 to machine precision past ~19; the cap
     # just keeps 2*ax from overflowing for astronomically large inputs
@@ -46,5 +52,4 @@ def log_cosh(x):
     np.log1p(t, out=t)
     ax -= np.log(2.0)
     ax += t
-    return ax if np.ndim(x) else float(ax[0])
 

@@ -192,6 +192,18 @@ class TestDadMaxCodeSize:
             assert dad_max_code_size(1100, 0.5, req, oracle) == 2**k
             assert p_es and all(p == pytest.approx(req.eps_ie, rel=1e-4) for p in p_es)
 
+    def test_detection_term_past_float_range(self):
+        # where the detection term's Q(.) is subnormal, eps_fa / Q(.) overflows:
+        # its floor is taken of the exact quotient
+        req = Requirements(0.9, 1e-3, 0.95)
+        assert dad_max_code_size(840, 0.5055, req, lambda *a: 2**10) == 2**10
+        denom = float(q_func(q_inv(1.0 - req.eps_md) + math.sqrt(1100 / 0.664)))
+        assert 0.0 < denom < sys.float_info.min
+        m_det = math.floor(Fraction(req.eps_fa) / Fraction(denom))
+        assert 2**1024 < m_det < 2**1100
+        # an oracle that certifies every size leaves the detection term
+        assert dad_max_code_size(1100, 0.664, req, lambda *a: 2**1100) == m_det
+
     def test_monotone_in_targets(self):
         loose = dad_max_code_size(84, SIGMA2_M3DB, Requirements(1e-3, 1e-3, 1e-2), self.dt_oracle)
         tight = dad_max_code_size(84, SIGMA2_M3DB, Requirements(1e-5, 1e-5, 1e-4), self.dt_oracle)
@@ -608,10 +620,20 @@ class TestMetaConverse:
         # at 6 dB and n = 1100 beta is subnormal and 1 / beta overflows: the
         # code size is the floor of the exact quotient
         sigma2 = snr_to_sigma2(6.0)
-        beta, _, _ = meta_converse_beta(1100, sigma2, 1e-3, 10_000, 0)
-        assert 0.0 < beta < sys.float_info.min
-        M = meta_converse_max_M(1100, sigma2, 1e-3, 10_000, 0)
+        # its weights exp(-i) are no normal doubles: a zero stderr shows
+        # nothing, so the loss of precision is a warning of its own
+        with pytest.warns(UserWarning, match="below the normal doubles") as record:
+            beta, se, _ = meta_converse_beta(1100, sigma2, 1e-3, 10_000, 0)
+        assert len(record) == 1
+        assert 0.0 < beta < sys.float_info.min and se == 0.0
+        with pytest.warns(UserWarning, match="below the normal doubles"):
+            M = meta_converse_max_M(1100, sigma2, 1e-3, 10_000, 0)
         assert M == math.floor(Fraction(1.0 + 1e-9) / Fraction(beta)) > 2**1024
+
+    def test_no_underflow_warning_on_normal_weights(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            meta_converse_beta(84, SIGMA2_M3DB, 1e-3, 10_000, 0)
 
     def test_min_error_holds_one_stream(self):
         # a P_IE bound pass shaped like the paper's -4..0 dB curve: n = 84,

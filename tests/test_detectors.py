@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from conftest import ROW_COUNTS, TILE_EDGE_ROWS, code_76_12
 
-from jdd.channel import ChannelParams, FramePlan, gaussian_block
+from jdd import channel
+from jdd.channel import TRIALS_PER_BLOCK, ChannelParams, FramePlan, gaussian_block
 from jdd.codebook import CORR_TILE_BYTES, Codebook, from_generator, hamming_7_4
 from jdd.detectors import (
     DetectorSpec,
@@ -101,6 +102,53 @@ class TestHypedExact:
         params = ChannelParams.from_db(0.0, 6)
         with pytest.raises(ValueError):
             stat_hyped_exact(np.zeros(6), [FramePlan(n_p=2, n_c=4), FramePlan(n_p=2, n_c=3)], params)
+
+
+def serial_hyped(y, plans, params):
+    """The HyPED statistic of every split by the plain formula, one split at a time."""
+    from jdd.numerics import log_cosh
+
+    s2 = params.sigma2
+    return [log_cosh(y[..., pl.n_p :] / s2).sum(axis=-1) + y[..., : pl.n_p].sum(axis=-1) / s2
+            - pl.n / (2.0 * s2) for pl in plans]
+
+
+class TestHypedSpans:
+    """Row spans on any thread count give the serial formula bit for bit."""
+
+    params = ChannelParams.from_db(-3.0, 84)
+    plans = [FramePlan(n_p=n_p, n_c=84 - n_p) for n_p in (84, 0, 10, 42, 70, 83)]
+
+    def check(self, y):
+        got = stat_hyped_exact(y, self.plans, self.params)
+        assert got.shape == (len(self.plans), *y.shape[:-1])
+        for pl, g, want in zip(self.plans, got, serial_hyped(y, self.plans, self.params)):
+            assert g.tobytes() == np.asarray(want).tobytes()
+            assert stat_hyped_exact(y, pl, self.params).tobytes() == g.tobytes()
+
+    @pytest.mark.parametrize("rows", ROW_COUNTS)
+    def test_block(self, span_helpers, rows):
+        self.check(gaussian_block(self.params.sigma2, 7, 4, 1, (TRIALS_PER_BLOCK, 84))[:rows] + 0.5)
+
+    def test_single_slot(self, span_helpers):
+        y = gaussian_block(self.params.sigma2, 7, 4, 1, (84,)) + 1.0
+        self.check(y)
+        assert np.ndim(stat_hyped_exact(y, self.plans[2], self.params)) == 0
+
+    @pytest.mark.parametrize("rows", [1, 848, 3616])
+    def test_stack(self, span_helpers, rows):
+        y = gaussian_block(self.params.sigma2, 7, 4, 2, (3, rows, 84))
+        self.check(y)
+        self.check(np.swapaxes(y, 0, 1))  # a stack that is no contiguous block
+
+    @pytest.mark.parametrize("span", [1, 84, 85, 3 * 84 + 1])
+    def test_any_span_size(self, span_helpers, monkeypatch, span):
+        # spans of one to three rows: many span edges in one block
+        monkeypatch.setattr(channel, "_ROW_SPAN", span)
+        self.check(gaussian_block(self.params.sigma2, 7, 4, 3, (1025, 84)))
+
+    def test_no_rows(self, span_helpers):
+        self.check(np.empty((0, 84)))
 
 
 class TestBatchStatistic:

@@ -3,11 +3,19 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import ROW_COUNTS
 from scipy.stats import beta, binom
 
-from jdd.channel import TRIALS_PER_BLOCK, ChannelParams, FramePlan
+from jdd.channel import (
+    TRIALS_PER_BLOCK,
+    ChannelParams,
+    FramePlan,
+    _blocks,
+    gaussian_block,
+    uniform_block,
+)
 from jdd.codebook import hamming_7_4, repetition_code
-from jdd.detectors import DetectorSpec
+from jdd.detectors import DetectorSpec, batch_statistic
 from jdd.montecarlo import (
     STREAM_ACTIVE_NOISE,
     STREAM_CALIBRATION,
@@ -16,6 +24,7 @@ from jdd.montecarlo import (
     STREAM_PAYLOAD,
     CalibrationResult,
     RateEstimate,
+    _payload,
     calibrate_threshold,
     clopper_pearson,
     estimate_false_alarm,
@@ -288,6 +297,83 @@ class TestMultiEntry:
             estimate_rates(spec.with_gamma(0.0), plans[0], params, 0, 1)
         with pytest.raises(ValueError):
             estimate_false_alarm(spec.with_gamma(0.0), plans[0], params, 0, 1)
+
+
+class TestActiveSpans:
+    """Active slots filled in row spans score as the slots x + z of the plain formula."""
+
+    params = ChannelParams.from_db(-3.0, 60)
+    plans = [FramePlan(n_p=n_p, n_c=60 - n_p) for n_p in (0, 7, 30, 59, 60)]
+    specs = [DetectorSpec(kind="hyped-exact", gamma=g) for g in (-3.0, 0.0, 8.0, 20.0, 30.0)]
+
+    def reference(self, specs, plans, trials, seed):
+        """P_MD and P_IE counts of every entry: slots formed by where and concatenate."""
+        n_md = [0] * len(specs)
+        for block, count in _blocks(trials):
+            z = gaussian_block(self.params.sigma2, seed, STREAM_ACTIVE_NOISE, block, (count, 60))
+            for i, (s, pl) in enumerate(zip(specs, plans)):
+                u = uniform_block(seed, STREAM_PAYLOAD, block, (count * pl.n_c,))
+                x_c = np.where(u.reshape(count, pl.n_c) < 0.5, 1.0, -1.0)
+                x = np.concatenate([np.ones((count, pl.n_p)), x_c], axis=1)
+                stats, _ = batch_statistic(s, x + z, pl, self.params, genie_x=x)
+                n_md[i] += int(np.sum(stats < s.gamma))
+        return [{"pmd": RateEstimate.from_counts(md, trials),
+                 "pie": RateEstimate.from_counts(md, trials), "pcw": None} for md in n_md]
+
+    @pytest.mark.parametrize("trials", ROW_COUNTS)
+    def test_hyped_splits_equal_plain_slots(self, span_helpers, trials):
+        rates = estimate_rates(self.specs, self.plans, self.params, trials, 2)
+        assert rates == self.reference(self.specs, self.plans, trials, 2)
+        assert rates == [estimate_rates(s, pl, self.params, trials, 2)
+                         for s, pl in zip(self.specs, self.plans)]
+
+    def test_every_kind_without_code(self, span_helpers):
+        # the genie entry gets the transmitted slots, the others none
+        specs = [DetectorSpec(kind="genie", gamma=50.0), DetectorSpec(kind="preamble", gamma=5.0),
+                 DetectorSpec(kind="hyped-heuristic", gamma=30.0, gamma_a=0.5)]
+        plans = [self.plans[2], self.plans[1], self.plans[3]]
+        assert (estimate_rates(specs, plans, self.params, 5000, 4)
+                == self.reference(specs, plans, 5000, 4))
+
+    def test_payload_signs(self):
+        # +1 exactly where the uniform is below 1/2, at the edges too
+        u = np.array([2.0 ** -64, 0.5 - 2.0 ** -54, 0.5, 0.5 + 2.0 ** -53, 1.0 - 2.0 ** -53, 0.25])
+        got = _payload(u, 3, 0, 2)
+        assert got.tobytes() == np.where(u < 0.5, 1.0, -1.0).reshape(2, 3).tobytes()
+        assert _payload(u, 2, 1, 3).tobytes() == np.where(u[2:] < 0.5, 1.0, -1.0).reshape(2, 2).tobytes()
+
+
+class TestTiledCorrelationPerBlock:
+    """With a code, each active block is correlated once, whatever the entry order."""
+
+    def test_dad_and_preamble_in_either_order(self, code, monkeypatch):
+        import jdd.codebook
+
+        correlate, calls = jdd.codebook._tiled_correlation, []
+
+        def counted(y, codewords, reduce):
+            calls.append(len(y))
+            return correlate(y, codewords, reduce)
+
+        monkeypatch.setattr(jdd.codebook, "_tiled_correlation", counted)
+        # at -7 dB every code decodes some blocks wrongly, so a wrong m_hat shows
+        params = ChannelParams.from_db(-7.0, 8 + code.n_c)
+        plan = FramePlan(n_p=8, n_c=code.n_c)
+        dad = DetectorSpec(kind="dad", gamma=0.5 * params.n)
+        pre = DetectorSpec(kind="preamble", gamma=1.0)
+        trials = TRIALS_PER_BLOCK + 848
+        blocks = [TRIALS_PER_BLOCK, 848]
+        got = {}
+        for order in ((dad, pre), (pre, dad)):
+            calls.clear()
+            got[order[0].kind] = estimate_rates(list(order), plan, params, trials, 6, cb=code)
+            assert calls == blocks
+        assert got["dad"] == got["preamble"][::-1]
+        for s, rates in zip((dad, pre), got["dad"]):
+            calls.clear()
+            assert estimate_rates(s, plan, params, trials, 6, cb=code) == rates
+            assert calls == blocks
+            assert rates["pcw"].p_hat > 0.0
 
 
 class TestNoisePasses:
