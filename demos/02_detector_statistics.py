@@ -27,7 +27,6 @@ full_plan = FramePlan(n_p=32 - cb.n_c, n_c=cb.n_c)  # same here, kept explicit
 setups = [
     ("preamble matched filter", DetectorSpec(kind="preamble"), split_plan, None),
     ("HyPED exact LLR", DetectorSpec(kind="hyped-exact"), split_plan, None),
-    ("HyPED heuristic", DetectorSpec(kind="hyped-heuristic", gamma_a=1.0), split_plan, None),
     ("decoder-aided (DAD)", DetectorSpec(kind="dad"), full_plan, cb),
 ]
 

@@ -1,9 +1,10 @@
 """Joint detection and decoding on the BI-AWGN channel.
 
-Detection statistics (preamble, hybrid preamble/energy, decoder-aided,
-codebook-aided, genie), finite-blocklength bounds (blocklength/SNR converse,
-decoder-aided achievability, DT and meta-converse), and a seeded Monte Carlo
-engine for calibrating thresholds and measuring operating points.
+Detection statistics (preamble, hybrid preamble/energy and decoder-aided,
+with codebook-aided and genie references), finite-blocklength bounds
+(blocklength/SNR converse, decoder-aided achievability, DT and
+meta-converse), and a seeded Monte Carlo engine that calibrates thresholds
+and measures operating points of the preamble, HyPED and DAD detectors.
 
 The package re-exports nothing: each name is imported from its own module
 (``jdd.bounds``, ``jdd.channel``, ``jdd.codebook``, ``jdd.detectors``,

@@ -141,29 +141,23 @@ def _tiled_correlation(y, codewords, reduce):
     """Reduce the correlation y @ codewords.T one row tile at a time.
 
     `reduce` maps a (rows, 2^k) tile, which it may overwrite, to a tuple of
-    per-row arrays; each is returned with y's leading shape. A tile holds at
-    most CORR_TILE_BYTES (at least one row), or one row more when that row
-    would otherwise be a tile of its own, and one buffer serves every tile.
-    A 1-D y is one matrix-vector product and its results are scalars;
-    a stack of matrices is tiled matrix by matrix, as y @ codewords.T
-    multiplies it, since BLAS may round a product's rows differently when
-    the product has fewer rows.
+    per-row arrays; each is returned with y's leading shape. A single
+    observation or a stack is one matrix of rows, tiled like any batch. A
+    tile holds at most CORR_TILE_BYTES (at least one row), or one row more
+    when that row would otherwise be a tile of its own, and one buffer
+    serves every tile.
     """
-    if y.ndim == 1:
-        return tuple(r[0] for r in reduce((y @ codewords.T)[None]))
-    if y.ndim > 2:
-        parts = [_tiled_correlation(m, codewords, reduce) for m in y.reshape(-1, *y.shape[-2:])]
-        return tuple(np.stack(p).reshape(y.shape[:-1]) for p in zip(*parts))
-    n = len(y)
+    rows = y.reshape(-1, y.shape[-1])
+    n = len(rows)
     step = max(1, CORR_TILE_BYTES // (8 * len(codewords)))
     starts = list(range(0, max(n, 1), step))  # an empty batch is one empty tile
     if step > 1 and len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()  # a one-row product is a gemv: fold that row into the tile before
     ends = starts[1:] + [n]
     buf = np.empty((max(e - s for s, e in zip(starts, ends)), len(codewords)))
-    parts = [reduce(np.matmul(y[s:e], codewords.T, out=buf[: e - s]))
+    parts = [reduce(np.matmul(rows[s:e], codewords.T, out=buf[: e - s]))
              for s, e in zip(starts, ends)]
-    return tuple(np.concatenate(p) for p in zip(*parts))
+    return tuple(np.concatenate(p).reshape(y.shape[:-1]) for p in zip(*parts))
 
 
 def ml_decode(cb, y):

@@ -4,6 +4,11 @@ Every statistic is a pure function of the observation and accepts either a
 single slot (n,) or a batch (..., n); batching is what makes the Monte Carlo
 engine fast. All likelihood ratios are kept in the log domain so nothing
 underflows at n ~ 100 and sigma2 ~ 1.
+
+DetectorSpec names the three detectors the sweeps simulate (preamble,
+HyPED-exact, DAD), which batch_statistic evaluates for the Monte Carlo
+engine. stat_genie and stat_codebook_aided are reference statistics, called
+directly.
 """
 
 from dataclasses import dataclass
@@ -19,7 +24,6 @@ __all__ = [
     "DetectorSpec",
     "stat_preamble",
     "stat_hyped_exact",
-    "stat_hyped_heuristic",
     "stat_dad",
     "stat_codebook_aided",
     "stat_genie",
@@ -29,28 +33,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DetectorSpec:
-    """Which statistic to threshold, plus its parameters.
+    """Which statistic to threshold, and the detection threshold `gamma`.
 
-    kind: one of "preamble", "hyped-exact", "hyped-heuristic", "dad",
-    "codebook-aided", "genie". `gamma` is the detection threshold;
-    `gamma_a` weights the codebook-sum (codebook-aided) or the preamble
-    correlation (heuristic HyPED).
+    kind: one of "preamble", "hyped-exact", "dad", the detectors the sweeps
+    simulate.
     """
 
     kind: str
     gamma: float = np.nan
-    gamma_a: float = 0.0
 
-    KINDS = ("preamble", "hyped-exact", "hyped-heuristic", "dad", "codebook-aided", "genie")
+    KINDS = ("preamble", "hyped-exact", "dad")
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown detector kind {self.kind!r}")
-        if not (np.isfinite(self.gamma_a) and self.gamma_a >= 0.0):
-            raise ValueError(f"gamma_a must be finite and >= 0, got {self.gamma_a}")
 
     def with_gamma(self, gamma):
-        return DetectorSpec(self.kind, float(gamma), self.gamma_a)
+        return DetectorSpec(self.kind, float(gamma))
 
 
 def _check_len(y, n, what="observation"):
@@ -111,13 +110,6 @@ def stat_hyped_exact(y, plan, params):
     return out[0] if isinstance(plan, FramePlan) else out
 
 
-def stat_hyped_heuristic(y, plan, gamma_a):
-    """Heuristic rule: gamma_a * (preamble correlation) + ||y_c||."""
-    y = _check_len(y, plan.n)
-    y_p, y_c = plan.split(y)
-    return gamma_a * y_p.sum(axis=-1) + np.linalg.norm(y_c, axis=-1)
-
-
 def stat_dad(y, cb, plan):
     """Decoder-aided detection: y_p^T x_p + max_m x_m^T y_c, plus the argmax.
 
@@ -147,6 +139,8 @@ def stat_codebook_aided(y, cb, params, gamma_a):
     common energy term -n/(2 sigma2) (all codewords have norm sqrt(n)) is
     kept so the value matches the density quotient exactly.
     """
+    if not (np.isfinite(gamma_a) and gamma_a >= 0.0):
+        raise ValueError(f"gamma_a must be finite and >= 0, got {gamma_a}")
     if cb.k > 16:
         raise ValueError("codebook-aided detection caps at k <= 16 (exhaustive sum)")
     y = _check_len(y, cb.n_c)
@@ -177,11 +171,11 @@ def stat_genie(y, x_m, params):
     return (y * x_m).sum(axis=-1)
 
 
-def batch_statistic(spec, y, plan, params, cb=None, genie_x=None):
+def batch_statistic(spec, y, plan, params, cb=None):
     """Evaluate a DetectorSpec on a batch; returns (stats, m_hat or None).
 
-    m_hat is 1-based where the statistic itself produces a message estimate
-    (DAD, codebook-aided); other detectors decode separately.
+    m_hat is DAD's 1-based ML decision; the other detectors decode
+    separately.
 
     `spec` and `plan` may instead be equal-length lists of entries that share
     the observation batch `y`; the result is then a list with one
@@ -190,7 +184,7 @@ def batch_statistic(spec, y, plan, params, cb=None, genie_x=None):
     once for all their splits.
     """
     if isinstance(spec, DetectorSpec):
-        return batch_statistic([spec], y, [plan], params, cb, genie_x)[0]
+        return batch_statistic([spec], y, [plan], params, cb)[0]
     if len(spec) != len(plan):
         raise ValueError("need one plan per detector spec")
     out = [None] * len(spec)
@@ -198,29 +192,11 @@ def batch_statistic(spec, y, plan, params, cb=None, genie_x=None):
     for i, (s, pl) in enumerate(zip(spec, plan)):
         if s.kind == "hyped-exact":
             hyped.append(i)
+        elif s.kind == "dad":
+            out[i] = stat_dad(y, cb, pl)
         else:
-            out[i] = _statistic(s, y, pl, params, cb, genie_x)
+            out[i] = stat_preamble(np.asarray(y)[..., : pl.n_p], pl, params), None
     if hyped:
         for i, st in zip(hyped, stat_hyped_exact(y, [plan[i] for i in hyped], params)):
             out[i] = (st, None)
     return out
-
-
-def _statistic(spec, y, plan, params, cb, genie_x):
-    kind = spec.kind
-    if kind == "preamble":
-        y_p = np.asarray(y)[..., : plan.n_p]
-        return stat_preamble(y_p, plan, params), None
-    if kind == "hyped-heuristic":
-        return stat_hyped_heuristic(y, plan, spec.gamma_a), None
-    if kind == "dad":
-        return stat_dad(y, cb, plan)
-    if kind == "codebook-aided":
-        if plan.n_p:
-            raise ValueError("codebook-aided detection runs on full-slot codewords (n_p = 0)")
-        return stat_codebook_aided(y, cb, params, spec.gamma_a)
-    if kind == "genie":
-        if genie_x is None:
-            raise ValueError("genie detection needs the transmitted +/-1 vector(s)")
-        return stat_genie(y, genie_x, params), None
-    raise ValueError(f"unknown detector kind {kind!r}")

@@ -37,10 +37,10 @@ Memory: calibration holds an (entries x trials) float64 array of idle
 statistics for the quantile; evaluation statistics are reduced to counts
 block by block and never stored, and every entry's active slots are written
 into one reused block buffer, in spans of whole rows on the usable cores
-(channel._on_rows). With a code every entry sees the same slots, and a
-block is correlated with the codebook once: DAD's argmax is the ML
-decision, so the first DAD entry's argmax serves every entry that does not
-decode on its own.
+(channel._on_rows). With a code every entry sees the same slots, and each
+block gets one ML decision: the first DAD entry's argmax, which is ML
+decoding's, or else one codebook.ml_decode call, so a block is correlated
+with the codebook once.
 
 Rates carry exact two-sided 95% Clopper-Pearson intervals, whose beta
 quantiles come from ``scipy.special.betaincinv``.
@@ -130,10 +130,9 @@ def _entries(spec, plan, params):
 
 def _idle_stats(specs, plans, params, trials, seed, stream, cb=None):
     """Yield (offset, per-entry idle statistics) for each noise block of `stream`."""
-    genie_x = np.ones(params.n)
     for block, count in _blocks(trials):
         y = gaussian_block(params.sigma2, seed, stream, block, (count, params.n))
-        results = batch_statistic(specs, y, plans, params, cb=cb, genie_x=genie_x)
+        results = batch_statistic(specs, y, plans, params, cb=cb)
         yield block * TRIALS_PER_BLOCK, [stats for stats, _ in results]
 
 
@@ -198,13 +197,6 @@ def _active_slots(y, z, n_p, payload):
     _on_rows(fill, len(z), z.shape[1])
 
 
-def _transmitted(y, n_p, payload):
-    """The transmitted +/-1 slots of the rows of y (the genie statistic's input)."""
-    x = np.ones_like(y)
-    x[:, n_p:] = payload(0, len(y))
-    return x
-
-
 def _thresholded(spec, plan, params, trials):
     """Check an evaluation call: (trials, specs, plans, single), every gamma set."""
     trials = int(trials)
@@ -267,30 +259,24 @@ def estimate_rates(spec, plan, params, trials, seed, cb=None):
 
             n_p = plans[0].n_p
             _active_slots(y, z, n_p, codewords)
-            genie = any(s.kind == "genie" for s in specs)
-            x = _transmitted(y, n_p, codewords) if genie else None
-            results = batch_statistic(specs, y, plans, params, cb=cb, genie_x=x)
-            # DAD's argmax is ML decoding's: the first one on the block serves
-            # every entry that does not decode on its own
-            decoded = next((m_hat for s, (_, m_hat) in zip(specs, results) if s.kind == "dad"), None)
-            if decoded is None and any(m_hat is None for _, m_hat in results):
-                decoded, _ = codebook.ml_decode(cb, y[:, n_p:])
-            results = [(stats, decoded if m_hat is None else m_hat) for stats, m_hat in results]
+            results = batch_statistic(specs, y, plans, params, cb=cb)
+            # one ML decision per block: DAD's argmax is ML decoding's
+            decided = next((m_hat for _, m_hat in results if m_hat is not None), None)
+            if decided is None:
+                decided, _ = codebook.ml_decode(cb, y[:, n_p:])
+            wrong = decided != m
         else:
             u = _payload_uniforms(max(pl.n_c for pl in plans), seed, block, count)
             results = []
             for s, plan in zip(specs, plans):
-                payload = partial(_payload, u, plan.n_c)
-                _active_slots(y, z, plan.n_p, payload)
-                x = _transmitted(y, plan.n_p, payload) if s.kind == "genie" else None
-                results.append(batch_statistic(s, y, plan, params, genie_x=x))
+                _active_slots(y, z, plan.n_p, partial(_payload, u, plan.n_c))
+                results.append(batch_statistic(s, y, plan, params))
 
-        for i, (s, (stats, m_hat)) in enumerate(zip(specs, results)):
+        for i, (s, (stats, _)) in enumerate(zip(specs, results)):
             detected = stats >= s.gamma
             n_md[i] += int(np.sum(~detected))
             n_detected[i] += int(np.sum(detected))
             if cb is not None:
-                wrong = m_hat != m
                 n_cw_err[i] += int(np.sum(detected & wrong))
                 n_ie[i] += int(np.sum(~detected | wrong))
             else:

@@ -78,8 +78,11 @@ class SweepConfig:
         if not self.schemes or not set(self.schemes) <= set(DEFAULT_SCHEMES):
             raise ValueError(f"schemes must name one or more of {','.join(DEFAULT_SCHEMES)}, "
                              f"got {','.join(self.schemes)!r}")
-        if len(set(self.schemes)) < len(self.schemes):
-            raise ValueError(f"schemes must not repeat, got {','.join(self.schemes)!r}")
+        # a repeated entry would write its rows twice
+        for key in ("schemes", "n_grid", "snr_grid", "np_grid", "codes", "refs"):
+            value = getattr(self, key)
+            if len(set(value)) < len(value):
+                raise ValueError(f"{key} must not repeat, got {','.join(map(str, value))!r}")
         if not np.isfinite(self.es_n0_db):
             raise ValueError(f"es_n0_db must be finite, got {self.es_n0_db}")
         if not np.all(np.isfinite(self.snr_grid)):
@@ -195,6 +198,14 @@ def _split_candidates(cfg, n_total, k, scheme):
     return cands
 
 
+def _preamble_pmd(n_p, sigma2, eps_fa):
+    """Closed-form P_MD of the n_p-symbol preamble matched filter at P_FA eps_fa.
+
+    The genie detector is this matched filter over the whole slot (n_p = n).
+    """
+    return float(1.0 - q_func(q_inv(eps_fa) - np.sqrt(n_p / sigma2)))
+
+
 def _split_pmds(scheme, n_ps, params, cfg, req):
     """Missed-detection rate at every candidate preamble split.
 
@@ -205,7 +216,7 @@ def _split_pmds(scheme, n_ps, params, cfg, req):
     No other scheme has a preamble split.
     """
     if scheme == "preamble":
-        return [float(1.0 - q_func(q_inv(req.eps_fa) - np.sqrt(n_p / params.sigma2))) for n_p in n_ps]
+        return [_preamble_pmd(n_p, params.sigma2, req.eps_fa) for n_p in n_ps]
     if scheme != "hyped":
         raise ValueError(f"scheme {scheme!r} has no preamble split")
     if not n_ps:
@@ -423,11 +434,9 @@ def run_pie_sweep(cfg):
                    for quantity in ("dt-error", "mc-min-error"))
         pcw_ach, pcw_se = dt[n]
         pcw_con = con[n]
-        root = np.sqrt(n / sigma2)
 
         if "genie" in cfg.schemes:
-            pmd_genie = float(1.0 - q_func(q_inv(req.eps_fa) - root))
-            lo, hi = bounds.pie_sandwich(pmd_genie, pcw_con, pcw_ach)
+            lo, hi = bounds.pie_sandwich(_preamble_pmd(n, sigma2, req.eps_fa), pcw_con, pcw_ach)
             rows.append(_row("genie", "converse", n, snr, lo, stderr=pcw_se))
             rows.append(_row("genie", "achievability", n, snr, hi, stderr=pcw_se))
         if "dad" in cfg.schemes:

@@ -152,12 +152,13 @@ class TestTiledDecode:
         assert isinstance(m_hat, int) and isinstance(stat, float)
 
     def test_three_dim_batch(self, code):
+        # a stack is one matrix of observations: the full-matrix formula on its rows
         y = self.block(code, 24).reshape(2, 12, code.n_c)
         m_hat, stat = ml_decode(code, y)
         assert m_hat.shape == stat.shape == (2, 12)
-        ref_m, ref_stat = full_matrix_decode(code, y)
-        np.testing.assert_array_equal(m_hat, ref_m)
-        np.testing.assert_array_equal(stat, ref_stat)
+        ref_m, ref_stat = full_matrix_decode(code, y.reshape(-1, code.n_c))
+        np.testing.assert_array_equal(m_hat.ravel(), ref_m)
+        np.testing.assert_array_equal(stat.ravel(), ref_stat)
 
     def test_zero_rows_pick_first_index(self, code):
         y = self.block(code, 4096).copy()

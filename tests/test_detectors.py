@@ -15,7 +15,6 @@ from jdd.detectors import (
     stat_dad,
     stat_genie,
     stat_hyped_exact,
-    stat_hyped_heuristic,
     stat_preamble,
 )
 
@@ -158,14 +157,12 @@ class TestBatchStatistic:
         plan = FramePlan(n_p=3, n_c=7)
         y = gaussian_block(params.sigma2, 2, 4, 0, (4096, 10))[:500]
         specs = [DetectorSpec(kind="hyped-exact"), DetectorSpec(kind="dad"),
-                 DetectorSpec(kind="preamble"), DetectorSpec(kind="hyped-exact"),
-                 DetectorSpec(kind="genie")]
-        plans = [plan, plan, plan, FramePlan(n_p=5, n_c=5), plan]
-        x = np.ones(10)
-        got = batch_statistic(specs, y, plans, params, cb=cb, genie_x=x)
+                 DetectorSpec(kind="preamble"), DetectorSpec(kind="hyped-exact")]
+        plans = [plan, plan, plan, FramePlan(n_p=5, n_c=5)]
+        got = batch_statistic(specs, y, plans, params, cb=cb)
         assert len(got) == len(specs)
         for spec, pl, (stats, m_hat) in zip(specs, plans, got):
-            want_stats, want_m = batch_statistic(spec, y, pl, params, cb=cb, genie_x=x)
+            want_stats, want_m = batch_statistic(spec, y, pl, params, cb=cb)
             np.testing.assert_array_equal(stats, want_stats)
             if want_m is None:
                 assert m_hat is None
@@ -177,23 +174,6 @@ class TestBatchStatistic:
         with pytest.raises(ValueError):
             batch_statistic([DetectorSpec(kind="preamble")] * 2, np.zeros((3, 4)),
                             [FramePlan(n_p=4, n_c=0)], params)
-
-
-class TestHypedHeuristic:
-    def test_three_four_five(self):
-        plan = FramePlan(n_p=2, n_c=2)
-        y = np.array([1.0, 1.0, 3.0, 4.0])
-        assert stat_hyped_heuristic(y, plan, gamma_a=2.0) == pytest.approx(9.0)
-
-    def test_pure_energy(self):
-        plan = FramePlan(n_p=2, n_c=2)
-        y = np.array([5.0, -7.0, 3.0, 4.0])
-        assert stat_hyped_heuristic(y, plan, gamma_a=0.0) == pytest.approx(5.0)
-
-    def test_zero_codeword_segment(self):
-        plan = FramePlan(n_p=3, n_c=2)
-        y = np.array([1.0, 2.0, 3.0, 0.0, 0.0])
-        assert stat_hyped_heuristic(y, plan, gamma_a=1.5) == pytest.approx(1.5 * 6.0)
 
 
 class TestDad:
@@ -351,14 +331,17 @@ class TestTiledStatistics:
 
     @pytest.mark.parametrize("gamma_a", [0.0, 0.5])
     def test_three_dim_batch(self, code, gamma_a):
+        # a stack is one matrix of slots: the full-matrix formula on its rows
         plan = FramePlan(n_p=N_P, n_c=code.n_c)
         y = slot_block(code, 24).reshape(2, 12, -1)
         stat, m_hat = stat_dad(y, code, plan)
         assert stat.shape == m_hat.shape == (2, 12)
-        assert_same((stat, m_hat), full_matrix_dad(y, code, plan))
+        rows = y.reshape(-1, y.shape[-1])
+        assert_same((stat.ravel(), m_hat.ravel()), full_matrix_dad(rows, code, plan))
         y_c = y[..., N_P:]
-        assert_same(stat_codebook_aided(y_c, code, self.params, gamma_a),
-                    full_matrix_codebook_aided(y_c, code, self.params, gamma_a))
+        got = stat_codebook_aided(y_c, code, self.params, gamma_a)
+        assert_same([g.ravel() for g in got],
+                    full_matrix_codebook_aided(rows[:, N_P:], code, self.params, gamma_a))
 
     def test_zero_rows_pick_first_index(self, code):
         plan = FramePlan(n_p=N_P, n_c=code.n_c)
@@ -410,12 +393,21 @@ class TestDetectorSpec:
         with pytest.raises(ValueError):
             DetectorSpec(kind="nonsense")
 
+    @pytest.mark.parametrize("kind", ["genie", "hyped-heuristic", "codebook-aided"])
+    def test_kind_outside_the_sweeps_rejected(self, kind):
+        # the engine runs the three detectors the sweeps simulate; the genie and
+        # codebook-aided statistics are called directly
+        with pytest.raises(ValueError, match="unknown detector kind"):
+            DetectorSpec(kind=kind)
+
     def test_with_gamma(self):
         spec = DetectorSpec(kind="dad").with_gamma(3.0)
         assert spec.gamma == 3.0 and spec.kind == "dad"
 
     @pytest.mark.parametrize("gamma_a", [-0.5, np.nan, np.inf])
     def test_bad_gamma_a(self, gamma_a):
-        # stat_codebook_aided would return NaN for these weights
+        # the weight is checked by the statistic itself, which would return
+        # NaN for these weights
+        params = ChannelParams.from_db(-3.0, 6)
         with pytest.raises(ValueError, match="gamma_a"):
-            DetectorSpec(kind="codebook-aided", gamma_a=gamma_a)
+            stat_codebook_aided(np.zeros(6), toy_code_k3(), params, gamma_a)

@@ -103,22 +103,23 @@ class TestCalibrateThreshold:
             calibrate_threshold(DetectorSpec(kind="preamble"), plan, params, 100, 1e-4, 0)
 
     def test_genie_gamma_matches_quantile(self):
-        # idle genie statistic ~ N(0, n sigma2): gamma ~= sqrt(n sigma2) Q^-1(eps_fa)
+        # the genie detector is the preamble matched filter over the whole slot
+        # (n_p = n), whose idle statistic is ~ N(-n/(2 sigma2), n/sigma2)
         params = ChannelParams.from_db(-3.0, 84)
-        plan = FramePlan(n_p=0, n_c=84)
+        plan = FramePlan(n_p=84, n_c=0)
         eps_fa = 1e-3
         trials = 200_000
-        res = calibrate_threshold(DetectorSpec(kind="genie"), plan, params, trials, eps_fa, 11)
-        scale = math.sqrt(84 * params.sigma2)
-        gamma_true = scale * q_inv(eps_fa)
+        res = calibrate_threshold(DetectorSpec(kind="preamble"), plan, params, trials, eps_fa, 11)
+        scale = math.sqrt(84 / params.sigma2)
+        gamma_true = -84 / (2 * params.sigma2) + scale * q_inv(eps_fa)
         # standard error of the empirical quantile via the density at the target
         pdf = math.exp(-q_inv(eps_fa) ** 2 / 2) / math.sqrt(2 * math.pi) / scale
         se = math.sqrt(eps_fa * (1 - eps_fa) / trials) / pdf
         assert abs(res.gamma - gamma_true) < 5 * se
         assert not res.infeasible
         # the false alarm rate at gamma, measured on the independent evaluation stream
-        pfa = estimate_false_alarm(DetectorSpec(kind="genie").with_gamma(res.gamma), plan, params,
-                                   trials, 11)
+        pfa = estimate_false_alarm(DetectorSpec(kind="preamble").with_gamma(res.gamma), plan,
+                                   params, trials, 11)
         assert pfa.ci_low <= eps_fa <= pfa.ci_high
 
     def test_deterministic(self):
@@ -139,10 +140,12 @@ class TestCalibrateThreshold:
 
     def test_degenerate_statistic_flagged_infeasible(self):
         # noiseless idle slots give a one-atom statistic; no threshold can
-        # achieve a sub-atom false alarm rate
-        params = ChannelParams(es_n0_db=0.0, sigma2=0.0, n=8)
-        plan = FramePlan(n_p=8, n_c=0)
-        res = calibrate_threshold(DetectorSpec(kind="hyped-heuristic"), plan, params, 1000, 0.1, 0)
+        # achieve a sub-atom false alarm rate. DAD's correlation needs no
+        # division by sigma2, unlike the preamble and HyPED statistics
+        params = ChannelParams(es_n0_db=0.0, sigma2=0.0, n=7)
+        plan = FramePlan(n_p=0, n_c=7)
+        res = calibrate_threshold(DetectorSpec(kind="dad"), plan, params, 1000, 0.1, 0,
+                                  cb=hamming_7_4())
         assert res.infeasible
 
 
@@ -182,15 +185,16 @@ class TestEstimateRates:
         assert a == b
 
     def test_genie_pmd_matches_closed_form(self):
-        # active genie statistic ~ N(n, n sigma2)
+        # the genie detector is the preamble matched filter at n_p = n, whose
+        # active statistic is ~ N(n/(2 sigma2), n/sigma2)
         params = ChannelParams.from_db(-3.0, 84)
-        plan = FramePlan(n_p=0, n_c=84)
+        plan = FramePlan(n_p=84, n_c=0)
         gamma = 30.0
-        spec = DetectorSpec(kind="genie").with_gamma(gamma)
+        spec = DetectorSpec(kind="preamble").with_gamma(gamma)
         trials = 100_000
         rates = estimate_rates(spec, plan, params, trials, 3, cb=None)
-        scale = math.sqrt(84 * params.sigma2)
-        pmd_true = 1.0 - q_func((gamma - 84) / scale)
+        scale = math.sqrt(84 / params.sigma2)
+        pmd_true = 1.0 - q_func((gamma - 84 / (2 * params.sigma2)) / scale)
         se = math.sqrt(pmd_true * (1 - pmd_true) / trials)
         assert abs(rates["pmd"].p_hat - pmd_true) < 5 * se
 
@@ -315,7 +319,7 @@ class TestActiveSpans:
                 u = uniform_block(seed, STREAM_PAYLOAD, block, (count * pl.n_c,))
                 x_c = np.where(u.reshape(count, pl.n_c) < 0.5, 1.0, -1.0)
                 x = np.concatenate([np.ones((count, pl.n_p)), x_c], axis=1)
-                stats, _ = batch_statistic(s, x + z, pl, self.params, genie_x=x)
+                stats, _ = batch_statistic(s, x + z, pl, self.params)
                 n_md[i] += int(np.sum(stats < s.gamma))
         return [{"pmd": RateEstimate.from_counts(md, trials),
                  "pie": RateEstimate.from_counts(md, trials), "pcw": None} for md in n_md]
@@ -328,10 +332,10 @@ class TestActiveSpans:
                          for s, pl in zip(self.specs, self.plans)]
 
     def test_every_kind_without_code(self, span_helpers):
-        # the genie entry gets the transmitted slots, the others none
-        specs = [DetectorSpec(kind="genie", gamma=50.0), DetectorSpec(kind="preamble", gamma=5.0),
-                 DetectorSpec(kind="hyped-heuristic", gamma=30.0, gamma_a=0.5)]
-        plans = [self.plans[2], self.plans[1], self.plans[3]]
+        # preamble and HyPED entries of different splits, in one call
+        specs = [DetectorSpec(kind="preamble", gamma=5.0), DetectorSpec(kind="hyped-exact", gamma=8.0),
+                 DetectorSpec(kind="preamble", gamma=30.0)]
+        plans = [self.plans[1], self.plans[2], self.plans[3]]
         assert (estimate_rates(specs, plans, self.params, 5000, 4)
                 == self.reference(specs, plans, 5000, 4))
 

@@ -646,6 +646,25 @@ class TestRunnersValidate:
         with pytest.raises(ValueError, match="schemes must not repeat"):
             runner(cfg)
 
+    # each list key with a repeated entry, which would write its rows twice
+    REPEATS = {"schemes": ("genie", "genie"), "n_grid": (60, 60), "snr_grid": (-3.0, -3.0),
+               "np_grid": (0, 0), "codes": ("a.gen", "a.gen"), "refs": ("r.csv", "r.csv")}
+
+    @pytest.mark.parametrize("key", sorted(REPEATS))
+    def test_repeated_list_entry_rejected(self, monkeypatch, key):
+        import jdd.bounds
+        import jdd.montecarlo
+
+        value = self.REPEATS[key]
+        with pytest.raises(ValueError, match=f"{key} must not repeat"):
+            parse_config(f"{key}={','.join(map(str, value))}\n")
+        monkeypatch.setattr(jdd.bounds, "gaussian_block", None)
+        monkeypatch.setattr(jdd.montecarlo, "gaussian_block", None)
+        for runner in (run_rate_sweep, run_pie_sweep):
+            cfg = small_pie_cfg(**{"n_grid": (40,), key: value})
+            with pytest.raises(ValueError, match=f"{key} must not repeat"):
+                runner(cfg)
+
 
 class TestCli:
     def write_cfg(self, tmp_path, text):
