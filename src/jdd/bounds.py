@@ -16,7 +16,7 @@ block of a stream is the first ``TRIALS_PER_BLOCK * l`` values of the
 flattened ``(TRIALS_PER_BLOCK, n)`` block for the same ``(seed, stream,
 block)`` whenever ``l <= n`` (the flat-prefix contract); a last block of
 b < ``TRIALS_PER_BLOCK`` trials draws only its first b rows.
-``lengths=`` in ``info_density_samples``, ``meta_converse_beta``,
+``lengths=`` in ``info_density_samples``, ``_meta_converse_beta``,
 ``meta_converse_max_M`` and ``meta_converse_min_error`` draws each block
 once at the longest length's width and returns, for every l, exactly what
 the separate length-l call returns.
@@ -62,7 +62,6 @@ __all__ = [
     "info_density_samples",
     "dt_error_estimate",
     "dt_bound_max_M",
-    "meta_converse_beta",
     "meta_converse_max_M",
     "meta_converse_min_error",
     "pie_sandwich",
@@ -397,7 +396,7 @@ def dt_bound_max_M(n, sigma2, target_error, trials, seed, dens=None):
 _EXP_UNDERFLOW = -math.log(sys.float_info.min)
 
 
-def meta_converse_beta(n, sigma2, eps, trials, seed, lengths=None):
+def _meta_converse_beta(n, sigma2, eps, trials, seed, lengths=None):
     """beta_{1-eps} for the test joint-law vs (input x induced output law).
 
     The Neyman-Pearson threshold keeps power 1 - eps under the joint law: it
@@ -438,14 +437,14 @@ def meta_converse_max_M(n, sigma2, target_error, trials, seed, lengths=None):
     """Converse on the code size: M <= 1 / beta_{1 - target_error}.
 
     With ``lengths`` (each 1 <= l <= n), returns one code size per l from one
-    meta_converse_beta pass; each equals the length-l call and warns as it.
+    _meta_converse_beta pass; each equals the length-l call and warns as it.
     Where 1 / beta overflows (a subnormal beta) the floor is taken of the
     exact quotient, so code sizes past 2^1024 do not overflow.
     """
     lens = (n,) if lengths is None else tuple(lengths)
     Ms = []
-    for l, (beta, se, _) in zip(lens, meta_converse_beta(n, sigma2, target_error, trials,
-                                                         seed, lengths=lens)):
+    for l, (beta, se, _) in zip(lens, _meta_converse_beta(n, sigma2, target_error, trials,
+                                                          seed, lengths=lens)):
         if se > 0.1 * max(beta, 1e-300):
             warnings.warn(
                 f"meta-converse at n={l}: relative stderr {se / max(beta, 1e-300):.1%} above 10%; "

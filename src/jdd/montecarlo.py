@@ -46,7 +46,6 @@ Rates carry exact two-sided 95% Clopper-Pearson intervals, whose beta
 quantiles come from ``scipy.special.betaincinv``.
 """
 
-import time
 from dataclasses import dataclass
 from functools import partial
 
@@ -64,7 +63,6 @@ __all__ = [
     "calibrate_threshold",
     "estimate_rates",
     "estimate_false_alarm",
-    "write_manifest",
 ]
 
 # stream tags (streams 1-3 are taken by the bound estimators in jdd.bounds)
@@ -242,10 +240,8 @@ def estimate_rates(spec, plan, params, trials, seed, cb=None):
     trials, specs, plans, single = _thresholded(spec, plan, params, trials)
     if cb is not None and any(pl.n_c != cb.n_c for pl in plans):
         raise ValueError(f"every plan must carry the codewords: n_c={cb.n_c}")
-    n_md = [0] * len(specs)
     n_detected = [0] * len(specs)
     n_cw_err = [0] * len(specs)
-    n_ie = [0] * len(specs)
     buf = np.empty((min(trials, TRIALS_PER_BLOCK), params.n))  # every block's active slots
     for block, count in _blocks(trials):
         z = gaussian_block(params.sigma2, seed, STREAM_ACTIVE_NOISE, block, (count, params.n))
@@ -274,31 +270,19 @@ def estimate_rates(spec, plan, params, trials, seed, cb=None):
 
         for i, (s, (stats, _)) in enumerate(zip(specs, results)):
             detected = stats >= s.gamma
-            n_md[i] += int(np.sum(~detected))
             n_detected[i] += int(np.sum(detected))
             if cb is not None:
                 n_cw_err[i] += int(np.sum(detected & wrong))
-                n_ie[i] += int(np.sum(~detected | wrong))
-            else:
-                n_ie[i] += int(np.sum(~detected))
 
     out = []
     for i in range(len(specs)):
-        rates = {
-            "pmd": RateEstimate.from_counts(n_md[i], trials),
-            "pie": RateEstimate.from_counts(n_ie[i], trials),
-        }
-        if cb is not None and n_detected[i] > 0:
-            rates["pcw"] = RateEstimate.from_counts(n_cw_err[i], n_detected[i])
-        else:
-            rates["pcw"] = None
-        out.append(rates)
+        # a missed slot and a detected wrong message are disjoint, so the
+        # inclusive errors are the misses plus the detected wrong messages
+        n_md = trials - n_detected[i]
+        out.append({
+            "pmd": RateEstimate.from_counts(n_md, trials),
+            "pie": RateEstimate.from_counts(n_md + n_cw_err[i], trials),
+            "pcw": (RateEstimate.from_counts(n_cw_err[i], n_detected[i])
+                    if cb is not None and n_detected[i] > 0 else None),
+        })
     return out[0] if single else out
-
-
-def write_manifest(path, entries):
-    """Write a run manifest as line-based key=value text."""
-    lines = [f"{k}={v}" for k, v in entries.items()]
-    lines.append(f"written_unix={time.time():.3f}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -2,11 +2,12 @@
 
 Outputs one CSV per run with the fixed schema
 ``scheme,kind,n,es_n0_db,value,stderr,flag`` plus a line-based key=value run
-manifest. Reference curves from other tools can be merged in untouched; their
-value columns are copied byte for byte.
+manifest, both written by run_with_manifest, which merges in reference curves
+from other tools untouched: their value columns are copied byte for byte.
 """
 
 import csv
+import decimal
 import functools
 import math
 import operator
@@ -22,7 +23,7 @@ from .bounds import Requirements, dt_error_estimate, info_density_samples
 from .channel import ChannelParams, FramePlan, snr_to_sigma2
 from .codebook import MAX_K, load_generator
 from .detectors import DetectorSpec
-from .montecarlo import calibrate_threshold, estimate_rates, write_manifest
+from .montecarlo import calibrate_threshold, estimate_rates
 from .numerics import q_func, q_inv
 
 __all__ = [
@@ -30,8 +31,9 @@ __all__ = [
     "parse_config",
     "run_rate_sweep",
     "run_pie_sweep",
-    "optimize_preamble_split",
+    "run_optimize_split",
     "run_bounds_report",
+    "run_with_manifest",
     "write_rows",
 ]
 
@@ -42,6 +44,9 @@ DEFAULT_SCHEMES = ("genie", "dad", "hyped", "preamble")
 
 # the schemes a rate sweep has rows for
 RATE_SCHEMES = ("genie", "dad", "hyped")
+
+# the schemes with a preamble split
+SPLIT_SCHEMES = ("hyped", "preamble")
 
 # float64 densities one bound pass holds per stream; keys past it take
 # another pass, so peak memory does not grow with the grids
@@ -141,13 +146,21 @@ def parse_config(text):
     return cfg
 
 
+def _value(value):
+    """A value to 10 significant digits; an int past the float range is rounded exactly."""
+    try:
+        return f"{value:.10g}"
+    except OverflowError:  # a code size past 2^1024
+        return format(decimal.Context(prec=10).create_decimal(value).normalize(), "g")
+
+
 def _row(scheme, kind, n, es_n0_db, value, stderr="", flag=""):
     return {
         "scheme": scheme,
         "kind": kind,
         "n": str(n),
         "es_n0_db": f"{es_n0_db:g}" if not isinstance(es_n0_db, str) else es_n0_db,
-        "value": f"{value:.10g}" if not isinstance(value, str) else value,
+        "value": _value(value) if not isinstance(value, str) else value,
         "stderr": f"{stderr:.4g}" if isinstance(stderr, float) else str(stderr),
         "flag": flag,
     }
@@ -206,19 +219,16 @@ def _preamble_pmd(n_p, sigma2, eps_fa):
     return float(1.0 - q_func(q_inv(eps_fa) - np.sqrt(n_p / sigma2)))
 
 
-def _split_pmds(scheme, n_ps, params, cfg, req):
-    """Missed-detection rate at every candidate preamble split.
+def _split_pmds(scheme, n_ps, params, cfg):
+    """Missed-detection rate at every candidate preamble split of a SPLIT_SCHEMES scheme.
 
     The preamble matched filter has a closed form. For HyPED the exact
     detector is calibrated and evaluated with an i.i.d. random payload, which
     is exactly the model under which the HyPED LLR is the optimal
     Neyman-Pearson statistic; all splits share one pass over the noise blocks.
-    No other scheme has a preamble split.
     """
     if scheme == "preamble":
-        return [_preamble_pmd(n_p, params.sigma2, req.eps_fa) for n_p in n_ps]
-    if scheme != "hyped":
-        raise ValueError(f"scheme {scheme!r} has no preamble split")
+        return [_preamble_pmd(n_p, params.sigma2, cfg.eps_fa) for n_p in n_ps]
     if not n_ps:
         return []
     plans = [FramePlan(n_p=n_p, n_c=params.n - n_p) for n_p in n_ps]
@@ -324,7 +334,7 @@ def run_rate_sweep(cfg):
     sigma2 = snr_to_sigma2(cfg.es_n0_db)
     n_min = bounds.min_blocklength(sigma2, req)
     # the feasible (n_p, pmd) HyPED splits of every n above the converse
-    splits = {n: _feasible_splits(cfg, "hyped", n, 1, ChannelParams.from_db(cfg.es_n0_db, n), req)
+    splits = {n: _feasible_splits(cfg, "hyped", 1, ChannelParams.from_db(cfg.es_n0_db, n))
               if "hyped" in schemes else [] for n in cfg.n_grid if n >= n_min}
     requests = []
     for n, pairs in splits.items():
@@ -361,7 +371,6 @@ def run_rate_sweep(cfg):
             m_ach = {n - n_p: value[sigma2, n - n_p, "dt-max-M", req.eps_ie - pmd]
                      for n_p, pmd in pairs if pmd < req.eps_ie}
             rows.extend(_hyped_rate_point(n, snr, pairs, m_ach, con))
-    rows.extend(r for ref in cfg.refs for r in ingest_reference(ref))
     return rows
 
 
@@ -413,11 +422,12 @@ def run_pie_sweep(cfg):
         if cb.k != k:
             raise ValueError(f"code {path} has dimension k={cb.k}, not the configured k={k}")
     snr_floor = bounds.min_snr_db(n, req)
-    # the feasible (n_p, pmd) splits per scheme at every SNR above the floor
-    splits = {snr: {scheme: _feasible_splits(cfg, scheme, n, k, ChannelParams.from_db(snr, n), req)
-                    for scheme in ("hyped", "preamble") if scheme in cfg.schemes}
-              for snr in cfg.snr_grid if snr >= snr_floor}
-    requests = [(snr_to_sigma2(snr), l, quantity, M) for snr, by_scheme in splits.items()
+    # every SNR above the floor, and its feasible (n_p, pmd) splits per scheme
+    params = {snr: ChannelParams.from_db(snr, n) for snr in cfg.snr_grid if snr >= snr_floor}
+    splits = {snr: {scheme: _feasible_splits(cfg, scheme, k, p)
+                    for scheme in SPLIT_SCHEMES if scheme in cfg.schemes}
+              for snr, p in params.items()}
+    requests = [(params[snr].sigma2, l, quantity, M) for snr, by_scheme in splits.items()
                 for l in sorted({n, *(n - n_p for pairs in by_scheme.values() for n_p, _ in pairs)})
                 for quantity in ("dt-error", "mc-min-error")]
     value = dict(zip(requests, _bound_values(cfg, requests)))
@@ -427,8 +437,7 @@ def run_pie_sweep(cfg):
             for scheme in cfg.schemes:
                 rows.append(_row(scheme, "achievability", n, snr, 1.0, flag="infeasible"))
             continue
-        params = ChannelParams.from_db(snr, n)
-        sigma2 = params.sigma2
+        sigma2 = params[snr].sigma2
         # payload length -> DT (estimate, stderr), and -> meta-converse codeword error
         dt, con = ({l: v for (s2, l, q, _), v in value.items() if (s2, q) == (sigma2, quantity)}
                    for quantity in ("dt-error", "mc-min-error"))
@@ -450,16 +459,15 @@ def run_pie_sweep(cfg):
         for scheme, pairs in splits[snr].items():
             rows.extend(_split_bound_point(scheme, n, snr, pairs, dt, con))
         for cb in codes:
-            rows.extend(_simulated_points(cfg, cb, n, params, req, snr))
-    rows.extend(r for ref in cfg.refs for r in ingest_reference(ref))
+            rows.extend(_simulated_points(cfg, cb, params[snr]))
     return rows
 
 
-def _feasible_splits(cfg, scheme, n, k, params, req):
-    """(n_p, pmd) for every candidate split whose pmd meets eps_md."""
-    n_ps = _split_candidates(cfg, n, k, scheme)
-    return [(n_p, pmd) for n_p, pmd in zip(n_ps, _split_pmds(scheme, n_ps, params, cfg, req))
-            if pmd <= req.eps_md]
+def _feasible_splits(cfg, scheme, k, params):
+    """(n_p, pmd) for every candidate split of the slot whose pmd meets eps_md."""
+    n_ps = _split_candidates(cfg, params.n, k, scheme)
+    return [(n_p, pmd) for n_p, pmd in zip(n_ps, _split_pmds(scheme, n_ps, params, cfg))
+            if pmd <= cfg.eps_md]
 
 
 def _split_bound_point(scheme, n, snr, pairs, dt, con):
@@ -481,13 +489,14 @@ def _split_bound_point(scheme, n, snr, pairs, dt, con):
     return rows
 
 
-def _simulated_points(cfg, cb, n, params, req, snr):
+def _simulated_points(cfg, cb, params):
     """Monte Carlo operating points for every configured scheme with this code.
 
     All schemes share the code's one plan, so one calibrate_threshold call
     and one estimate_rates call evaluate them all on the same noise blocks;
     each scheme's result equals its own single-entry call.
     """
+    n, snr = params.n, params.es_n0_db
     n_p = n - cb.n_c
     plan = FramePlan(n_p=n_p, n_c=cb.n_c)
     kinds = {"dad": "dad", "hyped": "hyped-exact", "preamble": "preamble"}
@@ -496,7 +505,7 @@ def _simulated_points(cfg, cb, n, params, req, snr):
         return []
     specs = [DetectorSpec(kind=kinds[s]) for s in schemes]
     calibs = calibrate_threshold(specs, plan, params, cfg.calibration_trials(),
-                                 req.eps_fa, cfg.seed, cb=cb)
+                                 cfg.eps_fa, cfg.seed, cb=cb)
     live = [i for i, c in enumerate(calibs) if not c.infeasible]
     rates = estimate_rates([specs[i].with_gamma(calibs[i].gamma) for i in live], plan, params,
                            cfg.trials, cfg.seed, cb=cb) if live else []
@@ -513,25 +522,40 @@ def _simulated_points(cfg, cb, n, params, req, snr):
     return rows
 
 
-def optimize_preamble_split(scheme, n_total, k, params, req, cfg):
-    """Grid search the preamble split minimizing the inclusive-error upper bound.
+def run_optimize_split(cfg):
+    """Preamble-split search of each SPLIT_SCHEMES scheme at (n, k, es_n0_db).
 
-    Returns (FramePlan, table) where table lists (n_p, pmd, pcw_upper,
-    pie_upper) for every candidate; the chosen plan attains the minimum.
-    Raises ValueError when every split is infeasible.
+    Per candidate split n_p, rows flagged pmd, pcw-ub (the payload's DT
+    bound) and pie-ub (nan where pmd misses eps_md); then the least pie-ub,
+    ties to the earlier split, flagged best,n_p=..., or the infeasible row:
+    the P_IE sweep's achievability row at this SNR. A config naming no split
+    scheme is rejected, like an invalid one, before any noise is drawn.
     """
-    M = 1 << k
-    table = []
-    n_ps = _split_candidates(cfg, n_total, k, scheme)
-    dts = _bound_values(cfg, [(params.sigma2, n_total - n_p, "dt-error", M) for n_p in n_ps])
-    for n_p, pmd, (pcw_up, _) in zip(n_ps, _split_pmds(scheme, n_ps, params, cfg, req), dts):
-        pie_up = min(1.0, pmd + pcw_up) if pmd <= req.eps_md else float("nan")
-        table.append((n_p, pmd, pcw_up, pie_up))
-    best = min(((pie_up, n_p) for n_p, _, _, pie_up in table if not np.isnan(pie_up)),
-               key=_BY_VALUE, default=None)
-    if best is None:
-        raise ValueError(f"no feasible preamble split for {scheme} at n={n_total}")
-    return FramePlan(n_p=best[1], n_c=n_total - best[1]), table
+    cfg.validate()
+    schemes = [s for s in cfg.schemes if s in SPLIT_SCHEMES]
+    if not schemes:
+        raise ValueError(f"optimize-split needs one or more of {','.join(SPLIT_SCHEMES)} in "
+                         f"schemes, got {','.join(cfg.schemes)!r}")
+    params = ChannelParams.from_db(cfg.es_n0_db, cfg.n)
+    n, snr, M = cfg.n, cfg.es_n0_db, 1 << cfg.k
+    n_ps = {scheme: _split_candidates(cfg, n, cfg.k, scheme) for scheme in schemes}
+    # payload length -> its DT codeword-error bound, all in one bound request list
+    lengths = sorted({n - n_p for cands in n_ps.values() for n_p in cands})
+    dt = dict(zip(lengths, _bound_values(cfg, [(params.sigma2, l, "dt-error", M) for l in lengths])))
+    rows = []
+    for scheme in schemes:
+        pie_ubs = []
+        for n_p, pmd in zip(n_ps[scheme], _split_pmds(scheme, n_ps[scheme], params, cfg)):
+            pcw_ub = dt[n - n_p][0]
+            pie_ub = bounds.pie_sandwich(pmd, 0.0, pcw_ub)[1] if pmd <= cfg.eps_md else math.nan
+            pie_ubs.append((pie_ub, n_p))
+            rows += [_row(scheme, "achievability", n, snr, v, flag=f"{name},n_p={n_p}")
+                     for name, v in (("pmd", pmd), ("pcw-ub", pcw_ub), ("pie-ub", pie_ub))]
+        pie, best = min((p for p in pie_ubs if not math.isnan(p[0])), key=_BY_VALUE,
+                        default=(1.0, None))
+        flag = "infeasible" if best is None else f"best,n_p={best}"
+        rows.append(_row(scheme, "achievability", n, snr, pie, flag=flag))
+    return rows
 
 
 def run_bounds_report(cfg):
@@ -561,23 +585,23 @@ def run_bounds_report(cfg):
 
 
 def run_with_manifest(runner, cfg, out_dir, name):
-    """Execute a sweep, writing results CSV plus the run manifest.
+    """Run runner(cfg); write its rows and cfg.refs' to out_dir/<name>.csv, and the manifest.
 
-    The manifest lists the command, then every config field in field order
-    (tuples comma-joined, so its config lines parse back to `cfg`), then the
-    derived calibration trials and the timing.
+    The manifest's key=value lines list the command, every config field in
+    field order (tuples comma-joined, so its config lines parse back to
+    `cfg`), the derived calibration trials, the timing and the time written.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
-    rows = runner(cfg)
-    csv_path = out / f"{name}.csv"
-    write_rows(rows, csv_path)
+    refs = [r for ref in cfg.refs for r in ingest_reference(ref)]
+    csv_path = write_rows(runner(cfg) + refs, out / f"{name}.csv")
     manifest = {"command": name}
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         manifest[f.name] = ",".join(map(str, value)) if isinstance(value, tuple) else value
     manifest["calibration_trials"] = cfg.calibration_trials()
     manifest["wall_time_s"] = f"{time.time() - started:.3f}"
-    write_manifest(out / f"{name}.manifest.txt", manifest)
+    manifest["written_unix"] = f"{time.time():.3f}"
+    (out / f"{name}.manifest.txt").write_text("".join(f"{k}={v}\n" for k, v in manifest.items()))
     return csv_path

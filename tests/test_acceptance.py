@@ -14,13 +14,13 @@ import pytest
 from scipy.integrate import quad
 
 from jdd.bounds import (
+    _meta_converse_beta,
     Requirements,
     dad_error_bounds,
     dad_gamma,
     dt_bound_max_M,
     dt_error_estimate,
     info_density_samples,
-    meta_converse_beta,
     meta_converse_max_M,
     min_blocklength,
     min_snr_db,
@@ -169,7 +169,7 @@ class TestAcceptance:
 
         # n = 1 converse: beta at the fitted threshold against the exact tail
         eps = 0.3
-        beta_hat, beta_se, t = meta_converse_beta(1, s2, eps, 200_000, 82)
+        beta_hat, beta_se, t = _meta_converse_beta(1, s2, eps, 200_000, 82)
         y_star = -s2 / 2.0 * math.log(2.0 * math.exp(-t) - 1.0)
         sd = math.sqrt(s2)
         beta_true = 0.5 * q_func((y_star - 1.0) / sd) + 0.5 * q_func((y_star + 1.0) / sd)

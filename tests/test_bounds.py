@@ -15,6 +15,7 @@ from scipy.special import log_ndtr, ndtri, ndtri_exp
 import jdd
 from jdd import bounds
 from jdd.bounds import (
+    _meta_converse_beta,
     Requirements,
     dad_error_bounds,
     dad_gamma,
@@ -22,7 +23,6 @@ from jdd.bounds import (
     dt_bound_max_M,
     dt_error_estimate,
     info_density_samples,
-    meta_converse_beta,
     meta_converse_max_M,
     meta_converse_min_error,
     min_blocklength,
@@ -568,8 +568,8 @@ class TestSharedSamples:
 
     @pytest.mark.parametrize("eps", [1e-1, 1e-3])
     def test_meta_converse_beta_lengths(self, eps):
-        got = meta_converse_beta(self.N, SIGMA2_M3DB, eps, 10_000, 2, lengths=self.LENGTHS)
-        assert got == [meta_converse_beta(l, SIGMA2_M3DB, eps, 10_000, 2) for l in self.LENGTHS]
+        got = _meta_converse_beta(self.N, SIGMA2_M3DB, eps, 10_000, 2, lengths=self.LENGTHS)
+        assert got == [_meta_converse_beta(l, SIGMA2_M3DB, eps, 10_000, 2) for l in self.LENGTHS]
 
     @pytest.mark.parametrize("eps", [1e-1, 1e-3])
     def test_meta_converse_max_M_lengths(self, eps):
@@ -600,7 +600,7 @@ class TestMetaConverse:
         # beta at the empirically chosen threshold, against the exact mixture tail
         s2 = SIGMA2_M3DB
         eps = 0.3
-        beta_hat, se, t = meta_converse_beta(1, s2, eps, 200_000, 3)
+        beta_hat, se, t = _meta_converse_beta(1, s2, eps, 200_000, 3)
         # invert the monotone information density for the threshold in y
         y_star = -s2 / 2.0 * math.log(2.0 * math.exp(-t) - 1.0)
         sd = math.sqrt(s2)
@@ -623,7 +623,7 @@ class TestMetaConverse:
         # its weights exp(-i) are no normal doubles: a zero stderr shows
         # nothing, so the loss of precision is a warning of its own
         with pytest.warns(UserWarning, match="below the normal doubles") as record:
-            beta, se, _ = meta_converse_beta(1100, sigma2, 1e-3, 10_000, 0)
+            beta, se, _ = _meta_converse_beta(1100, sigma2, 1e-3, 10_000, 0)
         assert len(record) == 1
         assert 0.0 < beta < sys.float_info.min and se == 0.0
         with pytest.warns(UserWarning, match="below the normal doubles"):
@@ -633,7 +633,7 @@ class TestMetaConverse:
     def test_no_underflow_warning_on_normal_weights(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            meta_converse_beta(84, SIGMA2_M3DB, 1e-3, 10_000, 0)
+            _meta_converse_beta(84, SIGMA2_M3DB, 1e-3, 10_000, 0)
 
     def test_min_error_holds_one_stream(self):
         # a P_IE bound pass shaped like the paper's -4..0 dB curve: n = 84,

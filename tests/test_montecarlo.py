@@ -29,7 +29,6 @@ from jdd.montecarlo import (
     clopper_pearson,
     estimate_false_alarm,
     estimate_rates,
-    write_manifest,
 )
 from jdd.numerics import q_func, q_inv
 from jdd.sweeps import SweepConfig, _split_candidates
@@ -480,13 +479,3 @@ class TestFalseAlarmSplit:
         self.check([spec.with_gamma(c.gamma) for c in calibs], plans, params, 3, [
             {"pfa": (fa, 6003), "pmd": (md, 6003), "pie": (md, 6003), "pcw": None}
             for fa, md in zip(n_fa, n_md)])
-
-
-class TestWriteManifest:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "manifest.txt"
-        write_manifest(path, {"seed": 7, "trials": 1000, "scheme": "dad"})
-        text = path.read_text().splitlines()
-        assert "seed=7" in text
-        assert "trials=1000" in text
-        assert any(line.startswith("written_unix=") for line in text)

@@ -8,7 +8,6 @@ from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from jdd.bounds import (
@@ -20,7 +19,7 @@ from jdd.bounds import (
     meta_converse_max_M,
     meta_converse_min_error,
 )
-from jdd.channel import ChannelParams, snr_to_sigma2
+from jdd.channel import snr_to_sigma2
 from jdd.cli import main
 from jdd.montecarlo import STREAM_ACTIVE_NOISE, STREAM_CALIBRATION, STREAM_MESSAGES, STREAM_PAYLOAD
 from jdd.sweeps import (
@@ -28,13 +27,15 @@ from jdd.sweeps import (
     SweepConfig,
     _bound_values,
     _hyped_rate_point,
+    _row,
     _split_bound_point,
     ingest_reference,
-    optimize_preamble_split,
     parse_config,
     run_bounds_report,
+    run_optimize_split,
     run_pie_sweep,
     run_rate_sweep,
+    run_with_manifest,
     write_rows,
 )
 
@@ -230,8 +231,8 @@ class TestRunRateSweep:
     def test_reference_merge(self, tmp_path):
         p = tmp_path / "ref.csv"
         p.write_text("scheme,kind,n,es_n0_db,value,stderr,flag\nldpc,simulated,40,-3,0.3,,\n")
-        rows = run_rate_sweep(small_rate_cfg(refs=(str(p),)))
-        assert any(r["scheme"] == "ref:ldpc" for r in rows)
+        path = run_with_manifest(run_rate_sweep, small_rate_cfg(refs=(str(p),)), tmp_path, "rate")
+        assert [r["value"] for r in read_csv(path) if r["scheme"] == "ref:ldpc"] == ["0.3"]
 
     def test_high_snr_code_sizes_past_int64(self):
         # at 6 dB and n = 84 the certified code sizes exceed 2^64, which
@@ -352,6 +353,27 @@ class TestRunRateSweep:
             with pytest.warns(UserWarning):
                 path = write_rows(run_bounds_report(cfg), tmp_path / "bounds.csv")
             assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_bounds_report_code_size_past_float_range(self):
+        # at 6 dB the DAD code size at n = 1100 passes 2^1024, which no float
+        # holds: its row gives the exact int to 10 significant digits
+        cfg = SweepConfig(es_n0_db=6.0, n=1100, k=12, trials=10_000)
+        with pytest.warns(UserWarning):  # DT precision at 10k trials
+            rows = run_bounds_report(cfg)
+            (M,) = _bound_values(cfg, [(snr_to_sigma2(6.0), 1100, "dad-max-M", cfg.requirements)])
+        (value,) = [r["value"] for r in rows if r["flag"] == "max-code-size"]
+        mantissa, exponent = value.split("e+")
+        assert M > 2**1024 and int(exponent) == len(str(M)) - 1
+        assert abs(float(mantissa) - M / 10 ** int(exponent)) <= 5e-10
+
+    @pytest.mark.parametrize("value, text", [
+        (2**1100, "1.358298529e+331"), (3 * 10**400 + 7, "3e+400"),
+        (10**400 - 1, "1e+400"), (972144, "972144"), (2**1000, "1.071508607e+301"),
+        (0.5, "0.5"), (float("nan"), "nan")])
+    def test_value_to_ten_digits(self, value, text):
+        # float-range values keep f"{value:.10g}"; past it the int is rounded
+        # exactly, in the same notation
+        assert _row("dad", "achievability", 60, 0.0, value)["value"] == text
 
     def test_bounds_report_one_sample(self, monkeypatch):
         # two DAD fixed-point rounds at n = 60 search one stream-1 sample; an
@@ -596,44 +618,80 @@ class TestRunPieSweep:
         assert after["hyped"] == before["hyped"] and after["preamble"] == before["preamble"]
 
 
+def split_rows(rows):
+    """run_optimize_split rows as {(scheme, flag): value}."""
+    return {(r["scheme"], r["flag"]): r["value"] for r in rows}
+
+
 class TestOptimizeSplit:
+    CFG = {"n": 24, "k": 4, "es_n0_db": 3.0, "schemes": ("hyped", "preamble"),
+           "np_grid": (2, 8, 14)}
+
     def test_single_candidate(self):
-        cfg = small_pie_cfg(np_grid=(8,))
-        params = ChannelParams.from_db(3.0, 24)
-        plan, table = optimize_preamble_split("preamble", 24, 4, params, cfg.requirements, cfg)
-        assert (plan.n_p, plan.n_c) == (8, 16)
-        assert len(table) == 1
+        rows = run_optimize_split(small_pie_cfg(**{**self.CFG, "np_grid": (8,)}))
+        assert [(r["scheme"], r["kind"], r["flag"]) for r in rows] == [
+            (scheme, "achievability", flag) for scheme in ("hyped", "preamble")
+            for flag in ("pmd,n_p=8", "pcw-ub,n_p=8", "pie-ub,n_p=8", "best,n_p=8")]
+        got = split_rows(rows)
+        assert got["preamble", "best,n_p=8"] == got["preamble", "pie-ub,n_p=8"]
 
     def test_picks_feasible_argmin(self):
-        cfg = small_pie_cfg(np_grid=(2, 8, 14))
-        params = ChannelParams.from_db(3.0, 24)
-        plan, table = optimize_preamble_split("preamble", 24, 4, params, cfg.requirements, cfg)
-        feasible = [(pie, n_p) for n_p, pmd, _, pie in table if not np.isnan(pie)]
-        assert plan.n_p == min(feasible)[1]
+        cfg = small_pie_cfg(**self.CFG)
+        got = split_rows(run_optimize_split(cfg))
+        for scheme in cfg.schemes:
+            feasible = [(float(got[scheme, f"pie-ub,n_p={n_p}"]), n_p) for n_p in cfg.np_grid
+                        if float(got[scheme, f"pmd,n_p={n_p}"]) <= cfg.eps_md]
+            pie, n_p = min(feasible)
+            assert got[scheme, f"best,n_p={n_p}"] == f"{pie:.10g}"
+        # recorded from the split table optimize-split printed before it wrote rows
+        assert got["hyped", "best,n_p=2"] == "0.0002998249077"
+        assert got["preamble", "best,n_p=8"] == "0.003771643768"
 
     def test_table_equals_per_length_dt(self):
-        cfg = small_pie_cfg(np_grid=(2, 8, 14))
-        params = ChannelParams.from_db(3.0, 24)
-        _, table = optimize_preamble_split("preamble", 24, 4, params, cfg.requirements, cfg)
-        for n_p, _, pcw_up, _ in table:
-            dens = info_density_samples(24 - n_p, params.sigma2, cfg.trials, cfg.seed)
-            assert pcw_up == dt_error_estimate(dens, 16)[0]
+        cfg = small_pie_cfg(**self.CFG)
+        got = split_rows(run_optimize_split(cfg))
+        sigma2 = snr_to_sigma2(3.0)
+        for scheme in cfg.schemes:
+            for n_p in cfg.np_grid:
+                dens = info_density_samples(24 - n_p, sigma2, cfg.trials, cfg.seed)
+                pcw_ub = dt_error_estimate(dens, 16)[0]
+                pmd = float(got[scheme, f"pmd,n_p={n_p}"])
+                assert got[scheme, f"pcw-ub,n_p={n_p}"] == f"{pcw_ub:.10g}"
+                pie_ub = min(1.0, pmd + pcw_ub) if pmd <= cfg.eps_md else float("nan")
+                assert got[scheme, f"pie-ub,n_p={n_p}"] == f"{pie_ub:.10g}"
 
-    def test_scheme_without_split_raises(self):
-        cfg = small_pie_cfg(np_grid=(8,))
-        params = ChannelParams.from_db(3.0, 24)
-        with pytest.raises(ValueError, match="no preamble split"):
-            optimize_preamble_split("dad", 24, 4, params, cfg.requirements, cfg)
+    def test_scheme_without_split_rejected(self, monkeypatch):
+        # neither hyped nor preamble: rejected before any noise is drawn
+        import jdd.bounds
+        import jdd.montecarlo
 
-    def test_all_infeasible_raises(self):
-        cfg = small_pie_cfg(np_grid=(1,), eps_fa=1e-2, eps_md=1e-6)
-        params = ChannelParams.from_db(-6.0, 24)
-        with pytest.raises(ValueError, match="no feasible"):
-            optimize_preamble_split("preamble", 24, 4, params, cfg.requirements, cfg)
+        monkeypatch.setattr(jdd.bounds, "gaussian_block", None)
+        monkeypatch.setattr(jdd.montecarlo, "gaussian_block", None)
+        with pytest.raises(ValueError, match="optimize-split needs one or more of hyped,preamble"):
+            run_optimize_split(small_pie_cfg(schemes=("genie", "dad"), np_grid=(8,)))
+
+    def test_all_infeasible_writes_infeasible_row(self):
+        cfg = small_pie_cfg(schemes=("preamble",), es_n0_db=-6.0, np_grid=(1,), eps_md=1e-6)
+        rows = run_optimize_split(cfg)
+        assert split_rows(rows)["preamble", "pie-ub,n_p=1"] == "nan"  # pmd misses eps_md
+        assert rows[-1] == {"scheme": "preamble", "kind": "achievability", "n": "24",
+                            "es_n0_db": "-6", "value": "1", "stderr": "", "flag": "infeasible"}
+
+    @pytest.mark.filterwarnings("ignore:DT bound")
+    def test_best_rows_equal_pie_sweep(self):
+        # the split search and the P_IE sweep pick the same split and bound
+        cfg = small_pie_cfg(**self.CFG)
+        best = {(r["scheme"], r["flag"].split(",")[1], r["value"])
+                for r in run_optimize_split(cfg) if r["flag"].startswith("best,")}
+        sweep = {(r["scheme"], r["flag"], r["value"])
+                 for r in run_pie_sweep(small_pie_cfg(**self.CFG, snr_grid=(3.0,)))
+                 if r["kind"] == "achievability" and r["scheme"] in cfg.schemes}
+        assert best == sweep and {s for s, _, _ in best} == {"hyped", "preamble"}
 
 
 class TestRunnersValidate:
-    @pytest.mark.parametrize("runner", [run_rate_sweep, run_pie_sweep, run_bounds_report])
+    @pytest.mark.parametrize("runner", [run_rate_sweep, run_pie_sweep, run_optimize_split,
+                                        run_bounds_report])
     def test_config_built_in_python_validated(self, monkeypatch, runner):
         # a SweepConfig built in Python, as demos/03_sweeps.py builds one,
         # gets parse_config's checks before any noise is drawn
@@ -664,6 +722,25 @@ class TestRunnersValidate:
             cfg = small_pie_cfg(**{"n_grid": (40,), key: value})
             with pytest.raises(ValueError, match=f"{key} must not repeat"):
                 runner(cfg)
+
+
+class TestRunWithManifest:
+    def test_round_trip(self, tmp_path):
+        # key=value lines: the command, every config field in field order,
+        # the calibration trials, the wall time and, last, the time written
+        cfg = SweepConfig(seed=7, trials=1000, schemes=("dad",))
+        path = run_with_manifest(lambda cfg: [], cfg, tmp_path, "run")
+        assert path == tmp_path / "run.csv" and read_csv(path) == []
+        text = (tmp_path / "run.manifest.txt").read_text()
+        assert text.endswith("\n")
+        lines = text.splitlines()
+        keys = [f.name for f in fields(SweepConfig)]
+        assert [line.split("=", 1)[0] for line in lines] == [
+            "command", *keys, "calibration_trials", "wall_time_s", "written_unix"]
+        for line in ("command=run", "seed=7", "trials=1000", "schemes=dad", "n_grid=",
+                     "eps_fa=0.0001", "calibration_trials=500000"):
+            assert line in lines
+        assert parse_config("\n".join(l for l in lines if l.split("=", 1)[0] in keys)) == cfg
 
 
 class TestCli:
@@ -721,20 +798,54 @@ class TestCli:
     def test_optimize_split_stdout(self, tmp_path, capsys):
         cfg = self.write_cfg(
             tmp_path,
-            "n=24\nk=4\nes_n0_db=3\nnp_grid=8\n"
+            "schemes=preamble\nn=24\nk=4\nes_n0_db=3\nnp_grid=8\n"
             "eps_fa=1e-2\neps_md=1e-2\neps_ie=1e-2\ntrials=10000\n",
         )
-        rc = main(["optimize-split", "--scheme", "preamble", "--config", cfg,
-                   "--out", str(tmp_path)])
+        rc = main(["optimize-split", "--config", cfg, "--out", str(tmp_path)])
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "scheme=preamble n_p=8 n_c=16" in out
+        assert capsys.readouterr().out.strip() == str(tmp_path / "optimize_split.csv")
+        recs = read_csv(tmp_path / "optimize_split.csv")
+        assert [(r["scheme"], r["flag"]) for r in recs] == [
+            ("preamble", "best,n_p=8"), ("preamble", "pcw-ub,n_p=8"),
+            ("preamble", "pie-ub,n_p=8"), ("preamble", "pmd,n_p=8")]
+        manifest = (tmp_path / "optimize_split.manifest.txt").read_text().splitlines()
+        for line in ("command=optimize_split", "schemes=preamble", "n=24", "np_grid=8"):
+            assert line in manifest
 
     def test_optimize_split_scheme_without_split(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, "schemes=dad\nn=24\nk=4\n")
+        rc = main(["optimize-split", "--config", cfg, "--out", str(tmp_path)])
+        assert rc != 0
+        assert capsys.readouterr().err.splitlines() == [
+            'error="ValueError: optimize-split needs one or more of hyped,preamble in schemes, '
+            "got 'dad'\""]
+        assert not (tmp_path / "optimize_split.csv").exists()
+
+    @pytest.mark.filterwarnings("ignore:DT bound")
+    @pytest.mark.parametrize("command, text", [
+        ("bounds", "n=60\nk=8\nes_n0_db=0\n"),
+        ("optimize-split", "schemes=preamble\nn=24\nk=4\nes_n0_db=3\nnp_grid=8\n"),
+    ])
+    def test_reference_rows_written(self, tmp_path, capsys, command, text):
+        # every subcommand merges --ref, as its manifest's refs= line says
+        ref = tmp_path / "ref.csv"
+        ref.write_text("scheme,kind,n,es_n0_db,value,stderr,flag\nldpc,simulated,24,3,0.25,,\n")
+        cfg = self.write_cfg(tmp_path, text + "eps_fa=1e-2\neps_md=1e-2\neps_ie=1e-2\n")
+        rc = main([command, "--config", cfg, "--trials", "10000", "--ref", str(ref),
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        name = command.replace("-", "_")
+        assert [r["value"] for r in read_csv(tmp_path / f"{name}.csv")
+                if r["scheme"] == "ref:ldpc"] == ["0.25"]
+        assert f"refs={ref}" in (tmp_path / f"{name}.manifest.txt").read_text().splitlines()
+
+    @pytest.mark.parametrize("command", ["rate-sweep", "optimize-split", "bounds"])
+    def test_code_only_on_pie_sweep(self, tmp_path, capsys, command):
+        # only pie-sweep reads codes; the others refuse --code at parse time
         with pytest.raises(SystemExit) as exc:
-            main(["optimize-split", "--scheme", "dad", "--out", str(tmp_path)])
+            main([command, "--code", "nonexistent.gen", "--out", str(tmp_path)])
         assert exc.value.code != 0
-        assert capsys.readouterr().out == ""
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("line", ["trials=0", "calib_trials=-1", "seed=-1", "n=0",
                                       "k=0", "k=25", "n_grid=60,0", "n_grid=-4",
@@ -808,7 +919,8 @@ class TestCli:
         ("rate-sweep", "schemes=genie,dad,hyped\nn_grid=40\nnp_grid=20\nes_n0_db=-2.5\n"),
         ("pie-sweep", "schemes=dad,hyped\nsnr_grid=2.5\nn=24\nk=4\nnp_grid=17\ncodes={code}\n"),
         ("bounds", "n=60\nk=8\nes_n0_db=0\n"),
-    ], ids=["rate-sweep", "pie-sweep", "bounds"])
+        ("optimize-split", "schemes=hyped,preamble\nn=24\nk=4\nes_n0_db=3\nnp_grid=2,8,14\n"),
+    ], ids=["rate-sweep", "pie-sweep", "bounds", "optimize-split"])
     def test_manifest_round_trip(self, tmp_path, capsys, command, text):
         # the manifest's config lines are the whole config: parsed back they
         # equal the run's config, and re-run they write the same CSV
