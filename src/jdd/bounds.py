@@ -10,34 +10,33 @@ The sweeps plan every pass of these Monte Carlo bounds in one place,
 ``jdd.sweeps._bound_values``, under one 64 MiB budget of densities per
 stream; the keywords below are how a planned pass is handed to this module.
 
-Information densities of several blocklengths share one noise pass. The
-noise is counter-based (see jdd.channel), so the ``(TRIALS_PER_BLOCK, l)``
-block of a stream is the first ``TRIALS_PER_BLOCK * l`` values of the
-flattened ``(TRIALS_PER_BLOCK, n)`` block for the same ``(seed, stream,
-block)`` whenever ``l <= n`` (the flat-prefix contract); a last block of
-b < ``TRIALS_PER_BLOCK`` trials draws only its first b rows.
-``lengths=`` in ``info_density_samples``, ``_meta_converse_beta``,
-``meta_converse_max_M`` and ``meta_converse_min_error`` draws each block
-once at the longest length's width and returns, for every l, exactly what
-the separate length-l call returns.
-``dens=`` in ``dt_bound_max_M`` takes a stream-1 sample drawn that way; the
-search on it equals the call that draws its own sample.
+A pass is named by one flat list of ``(sigma2, length)`` keys: the call's
+own ``(sigma2, n)``, then the keys of its ``more=`` keyword
+(``info_density_samples``, ``_meta_converse_beta``, ``meta_converse_max_M``
+and ``meta_converse_min_error``). With ``more`` the call returns one result
+per key, in key order, each equal bit for bit to that key's own call;
+without it, the one result. ``dens=`` in ``dt_bound_max_M`` takes a
+stream-1 sample drawn that way; the search on it equals the call that draws
+its own sample.
 
-Densities of several noise variances share one draw too. A block is drawn
-once at unit variance and scaled by ``sqrt(sigma2)`` for each variance:
-``gaussian_block(sigma2, ...)`` equals ``sqrt(sigma2) * gaussian_block(1.0,
-...)`` bit for bit, since it forms that same product. ``groups=`` in
-``info_density_samples`` and ``meta_converse_min_error`` takes further
-``(sigma2, lengths)`` groups drawn this way, each group computing its
-terms only over the flat prefix of its own longest length; every group's
-result equals its own call, so no result depends on which variances share a
-draw.
+The keys share one noise pass. The noise is counter-based (see
+jdd.channel), so the ``(TRIALS_PER_BLOCK, l)`` block of a stream is the
+first ``TRIALS_PER_BLOCK * l`` values of the flattened ``(TRIALS_PER_BLOCK,
+n)`` block for the same ``(seed, stream, block)`` whenever ``l <= n`` (the
+flat-prefix contract); a last block of b < ``TRIALS_PER_BLOCK`` trials draws
+only its first b rows. And ``gaussian_block(sigma2, ...)`` equals
+``sqrt(sigma2) * gaussian_block(1.0, ...)`` bit for bit, since it forms that
+same product (the noise-variance contract). So each block is drawn once, at
+unit variance and at the longest key's width, and the keys are grouped by
+variance: each variance scales the flat prefix of its own longest length
+and reduces it to each of its lengths' sums. No result depends on which
+keys share a pass.
 
 ``meta_converse_min_error`` draws each of its two streams once and holds one
 at a time. Its bisection pivot depends on the type-II stream 3 alone, so
-stream 3 is reduced to one pivot per (group, length) and freed; then the
-threshold stream 2 is drawn once, for the lengths that have a pivot only,
-and gives each its bisection range and its count below the threshold.
+stream 3 is reduced to one pivot per key and freed; then the threshold
+stream 2 is drawn once, for the keys that have a pivot only, and gives each
+its bisection range and its count below the threshold.
 """
 
 import math
@@ -216,44 +215,47 @@ def dad_max_code_size(n, sigma2, req, m_star):
 # or one row's sum, so any span size gives the same values
 _CHUNK = 1 << 14
 
-
-def _density_groups(n, groups):
-    """Check (sigma2, lengths) groups; lengths become tuples of ints in 1..n."""
-    out = []
-    for sigma2, lengths in groups:
-        lens = tuple(int(l) for l in lengths)
-        if any(not 1 <= l <= n for l in lens):
-            raise ValueError(f"lengths must lie in 1..{n}, got {lens}")
-        out.append((sigma2, lens))
-    return out
+# the fewest trials (densities) a DT or meta-converse bound is estimated from
+_MIN_TRIALS = 10_000
 
 
-def _density_blocks(groups, trials, seed, stream):
+def _density_keys(n, sigma2, more):
+    """The call's own (sigma2, n) key, then `more`'s; lengths become ints >= 1."""
+    keys = [(sigma2, int(n)), *((s2, int(l)) for s2, l in more or ())]
+    if any(l < 1 for _, l in keys):
+        raise ValueError(f"lengths must be >= 1, got {[l for _, l in keys]}")
+    return keys
+
+
+def _density_blocks(keys, trials, seed, stream):
     """Yield (first trial, densities) for each noise block of `stream`.
 
-    The densities are one array per (group, length) pair, groups in order,
+    The densities are one array per (sigma2, length) key, in key order,
     each holding that block's trials. The block is drawn once at unit
-    variance at the longest length's width, and freed before the next draw;
-    each group scales the flat prefix its own longest length needs into one
-    reused buffer (the product gaussian_block(sigma2) forms) and reduces it
-    to every length's sums (the contracts in the module docstring). Both
-    passes run on the usable cores (channel._on_cores): the softplus in
-    spans of _CHUNK values, each thread with its own scratch, then the row
-    sums of all the group's lengths in spans of whole rows, about _ROW_SPAN
-    values each. Every value is elementwise or one row's sum, so none
-    depends on the spans or on the core count.
+    variance at the longest key's width, and freed before the next draw;
+    the keys are grouped by variance, and each variance scales the flat
+    prefix its own longest length needs into one reused buffer (the product
+    gaussian_block(sigma2) forms) and reduces it to each of its lengths'
+    sums (the contracts in the module docstring). Both passes run on the
+    usable cores (channel._on_cores): the softplus in spans of _CHUNK
+    values, each thread with its own scratch, then the row sums of all the
+    variance's lengths in spans of whole rows, about _ROW_SPAN values each.
+    Every value is elementwise or one row's sum, so none depends on the
+    spans or on the core count.
     """
-    width = max((l for _, lens in groups for l in lens), default=0)
-    if not width:
-        return
+    by_variance = {}  # sigma2 -> the indices of its keys
+    for i, (sigma2, _) in enumerate(keys):
+        by_variance.setdefault(sigma2, []).append(i)
+    width = max(l for _, l in keys)
     buf = np.empty(min(TRIALS_PER_BLOCK, trials) * width)
     # each thread's softplus scratch, kept for this pass only: a buffer that
     # outlived it would stay in the heap between later blocks
     scratch = {}
     for block, b in _blocks(trials):
         unit = gaussian_block(1.0, seed, stream, block, (b, width)).reshape(-1)
-        dens = []
-        for sigma2, lens in groups:
+        dens = [None] * len(keys)
+        for sigma2, where in by_variance.items():
+            lens = [keys[i][1] for i in where]
             root = np.sqrt(sigma2)
 
             def softplus(a, c):
@@ -273,7 +275,7 @@ def _density_blocks(groups, trials, seed, stream):
                 np.maximum(t, 0.0, out=t)
                 t += s
 
-            _on_cores(softplus, b * max(lens, default=0), _CHUNK)
+            _on_cores(softplus, b * max(lens), _CHUNK)
             sums = [np.empty(b) for _ in lens]
             spans = []
             for l, d in zip(lens, sums):
@@ -285,49 +287,32 @@ def _density_blocks(groups, trials, seed, stream):
                 np.add.reduce(buf[a * l : c * l].reshape(c - a, l), axis=1, out=d[a:c])
 
             _on_cores(row_sums, len(spans), 1)
-            for l, d in zip(lens, sums):
-                np.subtract(l * np.log(2.0), d, out=d)
-            dens.extend(sums)
+            for i, l, d in zip(where, lens, sums):
+                dens[i] = np.subtract(l * np.log(2.0), d, out=d)
         del unit  # the block is freed before the next draw
         yield block * TRIALS_PER_BLOCK, dens
 
 
-def _regroup(flat, groups):
-    """Split a flat per-(group, length) list into one list per group."""
-    it = iter(flat)
-    return [[next(it) for _ in lens] for _, lens in groups]
-
-
-def info_density_samples(n, sigma2, trials, seed, stream=1, lengths=None, groups=None):
+def info_density_samples(n, sigma2, trials, seed, stream=1, more=None):
     """i.i.d. samples of the n-use BI-AWGN information density under the joint law.
 
     Equiprobable +/-1 inputs; by symmetry the all-plus input is transmitted
     and i = n ln 2 - sum_j ln(1 + exp(-2 y_j / sigma2)) with y_j = 1 + z_j.
 
-    With ``lengths`` (each 1 <= l <= n), returns a list holding one sample
-    array per l, each equal bit for bit to ``info_density_samples(l, ...)``:
-    every noise block is drawn once at the longest l's width, the per-symbol
-    terms are computed once on that flat prefix, and trial j of length l
-    sums flat values ``j*l .. j*l + l - 1`` (the flat-prefix contract in the
-    module docstring). Without ``lengths`` it is the same pass with
-    ``lengths=(n,)`` and returns the one array.
-
-    With ``groups``, a sequence of further ``(sigma2, lengths)`` pairs,
-    every group shares each block's unit-variance draw, and the result is a
-    list with one entry per group, this call's own first; each entry equals
-    the call for that group alone (the noise-variance contract in the module
-    docstring).
+    With ``more``, further ``(sigma2, length)`` keys (each length >= 1),
+    returns a list holding one sample array per key, this call's own
+    ``(sigma2, n)`` first, each equal bit for bit to the call for that key
+    alone: every noise block is drawn once, at unit variance and at the
+    longest key's width, and trial j of length l sums the terms of flat
+    values ``j*l .. j*l + l - 1`` (the contracts in the module docstring).
     """
-    pairs = _density_groups(n, [(sigma2, (n,) if lengths is None else lengths), *(groups or ())])
+    keys = _density_keys(n, sigma2, more)
     trials = int(trials)
-    outs = [np.empty(trials) for _, lens in pairs for _ in lens]
-    for done, dens in _density_blocks(pairs, trials, seed, stream):
+    outs = [np.empty(trials) for _ in keys]
+    for done, dens in _density_blocks(keys, trials, seed, stream):
         for out, d in zip(outs, dens):
             out[done : done + d.size] = d
-    outs = _regroup(outs, pairs)
-    if lengths is None:
-        outs[0] = outs[0][0]
-    return outs if groups is not None else outs[0]
+    return outs if more is not None else outs[0]
 
 
 def _dt_terms(info_dens, M):
@@ -346,8 +331,12 @@ def dt_error_estimate(info_dens, M):
     """DT bound on the average error for code size M: (estimate, stderr).
 
     E[exp(-max(0, i - ln((M - 1) / 2)))] over the supplied information-density
-    samples. M = 1 is error-free by convention.
+    samples, of which there must be _MIN_TRIALS or more. M = 1 is error-free
+    by convention.
     """
+    if len(info_dens) < _MIN_TRIALS:
+        raise ValueError(f"need at least {_MIN_TRIALS} densities for the DT bound, "
+                         f"got {len(info_dens)}")
     if M <= 1:
         return 0.0, 0.0
     vals = _dt_terms(info_dens, M)
@@ -359,14 +348,14 @@ def dt_bound_max_M(n, sigma2, target_error, trials, seed, dens=None):
 
     A single sample of information densities is reused across the binary
     search over M: ``dens`` when given (the stream-1 sample of length n for
-    this seed and trials, e.g. one array of a ``lengths=`` call of
-    info_density_samples), otherwise drawn here. The search compares the
+    this seed and trials, e.g. one entry of an info_density_samples call
+    with ``more=``), otherwise drawn here. The search compares the
     estimate only, the mean of dt_error_estimate bit for bit; the stderr is
     computed once, by dt_error_estimate at the returned M, which warns when
     it exceeds 10% of the target.
     """
-    if trials < 1e4:
-        raise ValueError("need at least 1e4 trials for the DT bound")
+    if trials < _MIN_TRIALS:
+        raise ValueError(f"need at least {_MIN_TRIALS} trials for the DT bound")
     if dens is None:
         dens = info_density_samples(n, sigma2, trials, seed, stream=1)
 
@@ -396,7 +385,7 @@ def dt_bound_max_M(n, sigma2, target_error, trials, seed, dens=None):
 _EXP_UNDERFLOW = -math.log(sys.float_info.min)
 
 
-def _meta_converse_beta(n, sigma2, eps, trials, seed, lengths=None):
+def _meta_converse_beta(n, sigma2, eps, trials, seed, more=None):
     """beta_{1-eps} for the test joint-law vs (input x induced output law).
 
     The Neyman-Pearson threshold keeps power 1 - eps under the joint law: it
@@ -407,19 +396,18 @@ def _meta_converse_beta(n, sigma2, eps, trials, seed, lengths=None):
     is no normal double: beta_hat then carries too few digits for its
     stderr to show it.
 
-    With ``lengths`` (each 1 <= l <= n), returns one such triple per l, each
-    equal to the length-l call: each stream is drawn in one pass (see
-    info_density_samples), and the threshold stream is reduced to its
-    quantiles before the second stream is drawn.
+    With ``more``, further ``(sigma2, length)`` keys, returns one such triple
+    per key, each equal to that key's own call: each stream is drawn in one
+    pass (see info_density_samples), and the threshold stream is reduced to
+    its quantiles before the second stream is drawn.
     """
-    if trials < 1e4:
-        raise ValueError("need at least 1e4 trials for the meta-converse bound")
-    lens = (n,) if lengths is None else tuple(lengths)
+    if trials < _MIN_TRIALS:
+        raise ValueError(f"need at least {_MIN_TRIALS} trials for the meta-converse bound")
     thrs = [float(np.quantile(d, eps, method="linear"))
-            for d in info_density_samples(n, sigma2, trials, seed, stream=2, lengths=lens)]
-    denss = info_density_samples(n, sigma2, trials, seed, stream=3, lengths=lens)
+            for d in info_density_samples(n, sigma2, trials, seed, stream=2, more=more or ())]
+    denss = info_density_samples(n, sigma2, trials, seed, stream=3, more=more or ())
     out = []
-    for l, t in zip(lens, thrs):
+    for (_, l), t in zip(_density_keys(n, sigma2, more), thrs):
         dens = denss.pop(0)
         top = dens.max()
         if top >= t and top > _EXP_UNDERFLOW:
@@ -430,21 +418,22 @@ def _meta_converse_beta(n, sigma2, eps, trials, seed, lengths=None):
             )
         w = np.where(dens >= t, np.exp(-dens), 0.0)
         out.append((float(w.mean()), float(w.std(ddof=1) / np.sqrt(w.size)), t))
-    return out if lengths is not None else out[0]
+    return out if more is not None else out[0]
 
 
-def meta_converse_max_M(n, sigma2, target_error, trials, seed, lengths=None):
+def meta_converse_max_M(n, sigma2, target_error, trials, seed, more=None):
     """Converse on the code size: M <= 1 / beta_{1 - target_error}.
 
-    With ``lengths`` (each 1 <= l <= n), returns one code size per l from one
-    _meta_converse_beta pass; each equals the length-l call and warns as it.
-    Where 1 / beta overflows (a subnormal beta) the floor is taken of the
-    exact quotient, so code sizes past 2^1024 do not overflow.
+    With ``more``, further ``(sigma2, length)`` keys, returns one code size
+    per key from one _meta_converse_beta pass; each equals that key's own
+    call and warns as it. Where 1 / beta overflows (a subnormal beta) the
+    floor is taken of the exact quotient, so code sizes past 2^1024 do not
+    overflow.
     """
-    lens = (n,) if lengths is None else tuple(lengths)
     Ms = []
-    for l, (beta, se, _) in zip(lens, _meta_converse_beta(n, sigma2, target_error, trials,
-                                                          seed, lengths=lens)):
+    for (_, l), (beta, se, _) in zip(_density_keys(n, sigma2, more),
+                                     _meta_converse_beta(n, sigma2, target_error, trials, seed,
+                                                         more=more or ())):
         if se > 0.1 * max(beta, 1e-300):
             warnings.warn(
                 f"meta-converse at n={l}: relative stderr {se / max(beta, 1e-300):.1%} above 10%; "
@@ -459,10 +448,10 @@ def meta_converse_max_M(n, sigma2, target_error, trials, seed, lengths=None):
         # a subnormal beta: floor the exact quotient
         Ms.append(min(1 << l, math.floor(bound) if math.isfinite(bound)
                       else _floor_quotient(1.0 + 1e-9, beta)))
-    return Ms if lengths is not None else Ms[0]
+    return Ms if more is not None else Ms[0]
 
 
-def meta_converse_min_error(n, sigma2, M, trials, seed, lengths=None, groups=None):
+def meta_converse_min_error(n, sigma2, M, trials, seed, more=None):
     """Smallest error rate consistent with code size M under the meta-converse.
 
     Finds the threshold t at which the estimated type-II error (on stream 3)
@@ -471,29 +460,26 @@ def meta_converse_min_error(n, sigma2, M, trials, seed, lengths=None, groups=Non
     (trials - 1) / trials when even the largest keeps beta above 1/M, and 0
     when the smallest already meets 1/M.
 
-    With ``lengths`` (each 1 <= l <= n), returns one error rate per l, each
-    equal to the length-l call. With ``groups``, further ``(sigma2,
-    lengths)`` pairs, returns one entry per group, this call's own first,
-    each equal to the call for that group alone. Each stream is drawn in one
-    pass for all of them (see info_density_samples), and only one stream's
-    densities are held at a time: stream 3 is reduced to each length's
-    bisection pivot (_meta_converse_pivot) and freed, then stream 2 is drawn
-    once, for the lengths that have a pivot only (a length without one has
-    error 0), and gives each its range, bisection and count below t.
+    With ``more``, further ``(sigma2, length)`` keys, returns one error rate
+    per key, this call's own first, each equal to that key's own call. Each
+    stream is drawn in one pass for all of them (see info_density_samples),
+    and only one stream's densities are held at a time: stream 3 is reduced
+    to each key's bisection pivot (_meta_converse_pivot) and freed, then
+    stream 2 is drawn once, for the keys that have a pivot only (a key
+    without one has error 0), and gives each its range, bisection and count
+    below t.
     """
-    if trials < 1e4:
-        raise ValueError("need at least 1e4 trials for the meta-converse bound")
+    if trials < _MIN_TRIALS:
+        raise ValueError(f"need at least {_MIN_TRIALS} trials for the meta-converse bound")
     trials = int(trials)
-    pairs = _density_groups(n, [(sigma2, (n,) if lengths is None else lengths),
-                                *(groups or ())])
-    denss = [d for g in info_density_samples(n, sigma2, trials, seed, stream=3,
-                                             lengths=pairs[0][1], groups=pairs[1:]) for d in g]
+    denss = info_density_samples(n, sigma2, trials, seed, stream=3, more=more or ())
     # pop each sample so it is dropped as soon as its pivot is found
     pivots = [_meta_converse_pivot(denss.pop(0), 1.0 / M) for _ in range(len(denss))]
-    kept = [(s2, tuple(l for l, d_J in zip(lens, ps) if d_J is not None))
-            for (s2, lens), ps in zip(pairs, _regroup(pivots, pairs))]
-    held = [d for g in info_density_samples(n, sigma2, trials, seed, stream=2,
-                                            lengths=kept[0][1], groups=kept[1:]) for d in g]
+    kept = [key for key, d_J in zip(_density_keys(n, sigma2, more), pivots) if d_J is not None]
+    held = []
+    if kept:
+        (s2, l), *rest = kept
+        held = info_density_samples(l, s2, trials, seed, stream=2, more=rest)
     errs = []
     for d_J in pivots:
         if d_J is None:
@@ -502,10 +488,7 @@ def meta_converse_min_error(n, sigma2, M, trials, seed, lengths=None, groups=Non
         dens = held.pop(0)
         t = _meta_converse_bisect(dens.min(), dens.max(), d_J)
         errs.append((trials - 1) / trials if t == np.inf else np.count_nonzero(dens < t) / trials)
-    errs = _regroup(errs, pairs)
-    if lengths is None:
-        errs[0] = errs[0][0]
-    return errs if groups is not None else errs[0]
+    return errs if more is not None else errs[0]
 
 
 def _meta_converse_pivot(dens, target_beta):

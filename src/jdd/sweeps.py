@@ -123,8 +123,9 @@ def parse_config(text):
     """Parse the line-based key=value grammar; lists are comma-separated.
 
     The keys are SweepConfig's fields, each value converted to its field's
-    type (a tuple field to a tuple of its element type). Out-of-range
-    settings are rejected here (see SweepConfig.validate).
+    type (a tuple field to a tuple of its element type); a value that does
+    not convert raises ValueError("{key}: expected {type}, got {value!r}").
+    Out-of-range settings are rejected here (see SweepConfig.validate).
     """
     types = {f.name: f.type for f in fields(SweepConfig)}
     cfg = SweepConfig()
@@ -137,11 +138,14 @@ def parse_config(text):
         key, value = (s.strip() for s in line.split("=", 1))
         if key not in types:
             raise ValueError(f"unknown config key {key!r}")
-        if get_origin(types[key]) is tuple:
-            conv = get_args(types[key])[0]
-            setattr(cfg, key, tuple(conv(v.strip()) for v in value.split(",") if v.strip()))
-        else:
-            setattr(cfg, key, types[key](value))
+        is_list = get_origin(types[key]) is tuple
+        conv = get_args(types[key])[0] if is_list else types[key]
+        items = [v.strip() for v in value.split(",") if v.strip()] if is_list else [value]
+        try:
+            converted = [conv(v) for v in items]
+        except ValueError:
+            raise ValueError(f"{key}: expected {conv.__name__}, got {value!r}") from None
+        setattr(cfg, key, tuple(converted) if is_list else converted[0])
     cfg.validate()
     return cfg
 
@@ -249,12 +253,12 @@ def _bound_values(cfg, requests):
     1 and each meta-converse (quantity, arg) streams 2 and 3. Each such
     family packs its distinct (sigma2, length) keys, in order of first use,
     into passes whose densities fit DENSITY_BUDGET_BYTES (or of one key); a
-    pass draws each noise block once (see jdd.bounds). Every value equals
-    the request's own call, so the packing changes none. Stream 1 is drawn
-    on first use, so a DAD fixed point that ends before its first round
-    draws none, and each pass is freed before the next.
+    pass is one jdd.bounds call on that flat key list (the first key, then
+    the rest as ``more``), which draws each noise block once. Every value
+    equals the request's own call, so the packing changes none. Stream 1 is
+    drawn on first use, so a DAD fixed point that ends before its first
+    round draws none, and each pass is freed before the next.
     """
-    width = max((l for _, l, _, _ in requests), default=0)
     families = {}  # family -> (sigma2, length) -> its distinct requests
     for r in dict.fromkeys(requests):
         family = r[2:] if r[2].startswith("mc-") else "dt"
@@ -265,25 +269,18 @@ def _bound_values(cfg, requests):
         keys = list(where)
         for a in range(0, len(keys), per_pass):
             part = keys[a : a + per_pass]
-            groups = [(s2, [l for s, l in part if s == s2]) for s2 in dict.fromkeys(s for s, _ in part)]
-            (first, lengths), *rest = groups
+            (s2, l), *more = part
             if family == "dt":  # drawn when a request first reads it
-                sample = functools.cache(lambda: dict(zip(
-                    [(s2, l) for s2, ls in groups for l in ls],
-                    [d for g in info_density_samples(width, first, cfg.trials, cfg.seed,
-                                                     lengths=lengths, groups=rest) for d in g])))
+                sample = functools.cache(lambda: dict(zip(part, info_density_samples(
+                    l, s2, cfg.trials, cfg.seed, more=more))))
                 value.update((r, _dt_value(cfg, r, sample)) for key in part for r in where[key])
                 del sample  # frees the pass
                 continue
             quantity, arg = family
-            if quantity == "mc-max-M":  # it takes no further groups: one call per variance
-                got = [bounds.meta_converse_max_M(width, s2, arg, cfg.trials, cfg.seed, lengths=ls)
-                       for s2, ls in groups]
-            else:
-                got = bounds.meta_converse_min_error(width, first, arg, cfg.trials, cfg.seed,
-                                                     lengths=lengths, groups=rest)
-            value.update(((s2, l, *family), v) for (s2, ls), vs in zip(groups, got)
-                         for l, v in zip(ls, vs))
+            bound = (bounds.meta_converse_max_M if quantity == "mc-max-M"
+                     else bounds.meta_converse_min_error)
+            got = bound(l, s2, arg, cfg.trials, cfg.seed, more=more)
+            value.update(((*key, *family), v) for key, v in zip(part, got))
     return [value[r] for r in requests]
 
 

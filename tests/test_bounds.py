@@ -219,6 +219,12 @@ class TestDtBound:
         with pytest.raises(ValueError):
             dt_bound_max_M(8, 1.0, 1e-3, 100, 0)
 
+    @pytest.mark.parametrize("M", [1, 2, 1 << 8])
+    def test_estimate_trials_precondition(self, M):
+        dens = info_density_samples(8, 1.0, bounds._MIN_TRIALS - 1, 0)
+        with pytest.raises(ValueError, match="need at least 10000 densities"):
+            dt_error_estimate(dens, M)
+
     def test_rate_nondecreasing_in_snr(self):
         rates = []
         for snr_db in (-3.0, 0.0, 3.0):
@@ -242,21 +248,28 @@ class TestDtBound:
         assert abs(est - oracle) < 3 * se
 
 
-class TestMultiLengthDensities:
-    """lengths= draws every block once at width n; each length is exact."""
+def each_key_equals_its_own_call(keys, trials, stream):
+    """A call on a (sigma2, length) key list against each key's own call and the reference."""
+    (sigma2, n), *more = keys
+    got = info_density_samples(n, sigma2, trials, 4, stream=stream, more=more)
+    assert len(got) == len(keys)
+    width = max(l for _, l in keys)
+    for (s2, l), dens in zip(keys, got):
+        np.testing.assert_array_equal(dens, info_density_samples(l, s2, trials, 4, stream=stream))
+        np.testing.assert_array_equal(
+            dens, reference_info_density_samples(width, s2, trials, 4, stream, [l])[0])
 
-    N = 30
-    LENGTHS = (1, 7, 30, 12, 29)
+
+class TestMultiLengthDensities:
+    """Keys of one variance share each block, drawn once at the longest key's width."""
+
+    # the first key is shorter than the later ones
+    KEYS = tuple((SIGMA2_M3DB, l) for l in (1, 7, 30, 12, 29))
 
     @pytest.mark.parametrize("trials", [9001, 4096, 10000])
     @pytest.mark.parametrize("stream", [1, 2, 3])
     def test_equals_per_length_calls(self, trials, stream):
-        got = info_density_samples(self.N, SIGMA2_M3DB, trials, 4, stream=stream,
-                                   lengths=self.LENGTHS)
-        assert len(got) == len(self.LENGTHS)
-        for l, dens in zip(self.LENGTHS, got):
-            np.testing.assert_array_equal(
-                dens, info_density_samples(l, SIGMA2_M3DB, trials, 4, stream=stream))
+        each_key_equals_its_own_call(self.KEYS, trials, stream)
 
     def test_lone_call_matches_out_of_place_formula(self):
         # the in-place block arithmetic reproduces the plain expression bit for bit
@@ -270,23 +283,23 @@ class TestMultiLengthDensities:
         np.testing.assert_array_equal(info_density_samples(l, SIGMA2_M3DB, trials, 6),
                                       np.concatenate(ref))
 
-    def test_single_length_list(self, monkeypatch):
-        (dens,) = info_density_samples(self.N, SIGMA2_M3DB, 5000, 1, lengths=[self.N])
-        np.testing.assert_array_equal(dens, info_density_samples(self.N, SIGMA2_M3DB, 5000, 1))
-        # no length, no noise drawn
-        monkeypatch.setattr(bounds, "gaussian_block", None)
-        assert info_density_samples(self.N, SIGMA2_M3DB, 5000, 1, lengths=[]) == []
+    def test_single_length_list(self):
+        # an empty `more` still asks for the list of results
+        (dens,) = info_density_samples(30, SIGMA2_M3DB, 5000, 1, more=[])
+        np.testing.assert_array_equal(dens, info_density_samples(30, SIGMA2_M3DB, 5000, 1))
 
-    @pytest.mark.parametrize("bad", [(0,), (31,), (5, -1)])
+    @pytest.mark.parametrize("bad", [[(SIGMA2_M3DB, 0)], [(SIGMA2_M3DB, 30), (0.25, 0)],
+                                     [(SIGMA2_M3DB, 5), (SIGMA2_M3DB, -1)]])
     def test_lengths_out_of_range(self, bad):
-        with pytest.raises(ValueError, match="lengths"):
-            info_density_samples(self.N, SIGMA2_M3DB, 100, 0, lengths=bad)
+        (sigma2, n), *more = bad
+        with pytest.raises(ValueError, match="lengths must be >= 1"):
+            info_density_samples(n, sigma2, 100, 0, more=more)
 
     @pytest.mark.parametrize("M", [2, 16, 4096])
     def test_meta_converse_equals_per_length_calls(self, M):
-        got = meta_converse_min_error(self.N, SIGMA2_M3DB, M, 10_000, 2, lengths=self.LENGTHS)
-        assert got == [meta_converse_min_error(l, SIGMA2_M3DB, M, 10_000, 2)
-                       for l in self.LENGTHS]
+        (sigma2, n), *more = self.KEYS
+        got = meta_converse_min_error(n, sigma2, M, 10_000, 2, more=more)
+        assert got == [meta_converse_min_error(l, s2, M, 10_000, 2) for s2, l in self.KEYS]
 
 
 def reference_info_density_samples(n, sigma2, trials, seed, stream=1, lengths=None):
@@ -362,12 +375,12 @@ class TestDensitySpans:
     def test_equals_serial_formula(self, span_helpers):
         # the last block here ends in a one-row span of its 84-value rows
         trials = TRIALS_PER_BLOCK + bounds._ROW_SPAN // 84 + 1
-        groups = [(SIGMA2_M3DB, (84, 12, 1)), (0.3, (40, 84)), (2.0, (7,))]
-        got = info_density_samples(84, SIGMA2_M3DB, trials, 5, lengths=groups[0][1],
-                                   groups=groups[1:])
-        for (sigma2, lens), outs in zip(groups, got):
-            for l, dens in zip(lens, outs):
-                assert dens.tobytes() == serial_densities(l, sigma2, trials, 5).tobytes()
+        keys = [(SIGMA2_M3DB, 84), (SIGMA2_M3DB, 12), (0.3, 40), (SIGMA2_M3DB, 1), (0.3, 84),
+                (2.0, 7)]
+        (sigma2, n), *more = keys
+        got = info_density_samples(n, sigma2, trials, 5, more=more)
+        for (s2, l), dens in zip(keys, got):
+            assert dens.tobytes() == serial_densities(l, s2, trials, 5).tobytes()
 
 
 DIGEST_SOURCE = """
@@ -379,10 +392,9 @@ from jdd.channel import gaussian_block
 
 def digest():
     h = hashlib.sha256(gaussian_block(0.5, 9, 1, 3, (4096, 84)).tobytes())
-    for group in info_density_samples(84, 0.5, 4096 + 196, 9, lengths=(84, 12),
-                                      groups=[(0.3, (40, 84))]):
-        for dens in group:
-            h.update(dens.tobytes())
+    for dens in info_density_samples(84, 0.5, 4096 + 196, 9,
+                                     more=[(0.5, 12), (0.3, 40), (0.3, 84)]):
+        h.update(dens.tobytes())
     return h.hexdigest()
 """
 
@@ -404,35 +416,27 @@ def test_one_core_child_gets_the_same_values():
 
 
 class TestSharedVariances:
-    """groups= shares each unit-variance block; each group equals its own call."""
+    """Keys of several variances share each unit-variance block; each equals its own call."""
 
     N = 30
-    GROUPS = ((SIGMA2_M3DB, (30, 7, 1)), (0.25, (12, 29)), (2.0, (30,)))
-    SHORT = ((SIGMA2_M3DB, (7, 12)), (0.25, (20,)))  # drawn at width 20 < n
+    GROUPS = ((SIGMA2_M3DB, 30), (SIGMA2_M3DB, 7), (SIGMA2_M3DB, 1), (0.25, 12), (0.25, 29),
+              (2.0, 30))
+    # a first key shorter than a later one, the variances interleaved: drawn at width 20 < N
+    SHORT = ((SIGMA2_M3DB, 7), (0.25, 20), (SIGMA2_M3DB, 12), (0.25, 3))
 
     @pytest.mark.parametrize("trials", [1000, TRIALS_PER_BLOCK + 17, 10000])
     @pytest.mark.parametrize("stream", [1, 3])
     @pytest.mark.parametrize("groups", ["GROUPS", "SHORT"])
     def test_density_groups_equal_per_variance_calls(self, trials, stream, groups):
-        (sigma2, lengths), *rest = getattr(self, groups)
-        got = info_density_samples(self.N, sigma2, trials, 4, stream=stream, lengths=lengths,
-                                   groups=rest)
-        assert len(got) == 1 + len(rest)
-        for (s2, lens), dens in zip(getattr(self, groups), got):
-            assert len(dens) == len(lens)
-            for l, d in zip(lens, dens):
-                np.testing.assert_array_equal(
-                    d, reference_info_density_samples(self.N, s2, trials, 4, stream, [l])[0])
-                np.testing.assert_array_equal(
-                    d, info_density_samples(l, s2, trials, 4, stream=stream))
+        each_key_equals_its_own_call(getattr(self, groups), trials, stream)
 
-    def test_density_groups_without_lengths(self):
-        first, (second,) = info_density_samples(self.N, 0.5, 5000, 2, groups=[(0.25, (9,))])
-        np.testing.assert_array_equal(first, info_density_samples(self.N, 0.5, 5000, 2))
-        np.testing.assert_array_equal(second, info_density_samples(9, 0.25, 5000, 2))
-        assert len(info_density_samples(self.N, 0.5, 5000, 2, lengths=[5], groups=[])) == 1
-        with pytest.raises(ValueError, match="lengths"):
-            info_density_samples(self.N, 0.5, 100, 0, groups=[(0.25, (31,))])
+    def test_call_without_more_returns_one_array(self):
+        first = info_density_samples(self.N, 0.5, 5000, 2)
+        assert isinstance(first, np.ndarray)
+        got = info_density_samples(self.N, 0.5, 5000, 2, more=[(0.25, 9)])
+        np.testing.assert_array_equal(got[0], first)
+        np.testing.assert_array_equal(got[1], info_density_samples(9, 0.25, 5000, 2))
+        assert len(got) == 2
 
     def test_unit_draw_scales_to_every_variance(self):
         unit = gaussian_block(1.0, 5, 2, 1, (300, 7))
@@ -442,13 +446,12 @@ class TestSharedVariances:
     @pytest.mark.parametrize("M", [2, 16, 4096])
     @pytest.mark.parametrize("trials", [10000, 12289])
     def test_meta_converse_groups_equal_per_snr_calls(self, M, trials):
-        (sigma2, lengths), *rest = self.GROUPS
-        got = meta_converse_min_error(self.N, sigma2, M, trials, 2, lengths=lengths, groups=rest)
-        assert got == [reference_meta_converse_min_error(self.N, s2, M, trials, 2, lens)
-                       for s2, lens in self.GROUPS]
-        assert got == [[meta_converse_min_error(l, s2, M, trials, 2) for l in lens]
-                       for s2, lens in self.GROUPS]
-        assert meta_converse_min_error(self.N, sigma2, M, trials, 2) == got[0][0]
+        (sigma2, n), *more = self.GROUPS
+        got = meta_converse_min_error(n, sigma2, M, trials, 2, more=more)
+        assert got == [reference_meta_converse_min_error(self.N, s2, M, trials, 2, [l])[0]
+                       for s2, l in self.GROUPS]
+        assert got == [meta_converse_min_error(l, s2, M, trials, 2) for s2, l in self.GROUPS]
+        assert meta_converse_min_error(n, sigma2, M, trials, 2) == got[0]
 
     @staticmethod
     def bisect(dens_thr, dens, target_beta):
@@ -538,14 +541,16 @@ class TestDtSearch:
 
 
 class TestSharedSamples:
-    """dens= and lengths= searches equal the calls that draw their own samples."""
+    """dens= and more= searches equal the calls that draw their own samples."""
 
-    N = 30
     LENGTHS = (1, 7, 12, 29, 30)
+    # two variances, as one meta-converse pass of a rate or P_IE sweep can hold
+    KEYS = ((SIGMA2_M3DB, 1), (SIGMA2_M3DB, 7), (0.25, 12), (SIGMA2_M3DB, 29), (0.25, 30))
 
     @pytest.mark.parametrize("sigma2", [SIGMA2_M3DB, 0.25])
     def test_dt_bound_on_shared_sample(self, sigma2):
-        denss = info_density_samples(self.N, sigma2, 10_000, 3, lengths=self.LENGTHS)
+        n, *rest = self.LENGTHS
+        denss = info_density_samples(n, sigma2, 10_000, 3, more=[(sigma2, l) for l in rest])
         warned = 0
         for l, dens in zip(self.LENGTHS, denss):
             for target in (1e-1, 1e-2, 1e-3):
@@ -568,20 +573,21 @@ class TestSharedSamples:
 
     @pytest.mark.parametrize("eps", [1e-1, 1e-3])
     def test_meta_converse_beta_lengths(self, eps):
-        got = _meta_converse_beta(self.N, SIGMA2_M3DB, eps, 10_000, 2, lengths=self.LENGTHS)
-        assert got == [_meta_converse_beta(l, SIGMA2_M3DB, eps, 10_000, 2) for l in self.LENGTHS]
+        (sigma2, n), *more = self.KEYS
+        got = _meta_converse_beta(n, sigma2, eps, 10_000, 2, more=more)
+        assert got == [_meta_converse_beta(l, s2, eps, 10_000, 2) for s2, l in self.KEYS]
 
     @pytest.mark.parametrize("eps", [1e-1, 1e-3])
     def test_meta_converse_max_M_lengths(self, eps):
+        (sigma2, n), *more = self.KEYS
         with warnings.catch_warnings(record=True) as multi:
             warnings.simplefilter("always")
-            got = meta_converse_max_M(self.N, SIGMA2_M3DB, eps, 10_000, 2, lengths=self.LENGTHS)
+            got = meta_converse_max_M(n, sigma2, eps, 10_000, 2, more=more)
         with warnings.catch_warnings(record=True) as serial:
             warnings.simplefilter("always")
-            want = [meta_converse_max_M(l, SIGMA2_M3DB, eps, 10_000, 2) for l in self.LENGTHS]
+            want = [meta_converse_max_M(l, s2, eps, 10_000, 2) for s2, l in self.KEYS]
         assert got == want
         assert messages(multi) == messages(serial)
-        assert meta_converse_max_M(self.N, SIGMA2_M3DB, eps, 10_000, 2, lengths=[]) == []
 
 
 class TestMetaConverse:
@@ -642,19 +648,18 @@ class TestMetaConverse:
         # stream's densities plus a few 4096 x 84 blocks; holding both streams
         # would add another 8 * trials * 25 bytes
         n, trials = 84, 50_000
-        groups = [(snr_to_sigma2(snr), lens) for snr, lens in (
+        keys = [(snr_to_sigma2(snr), l) for snr, lens in (
             (-4.0, (12, 14, 84)), (-3.0, (12, 14, 24, 84)), (-2.0, (12, 14, 24, 34, 84)),
-            (-1.0, (12, 14, 24, 34, 44, 84)), (0.0, (12, 14, 24, 34, 44, 54, 84)))]
-        (sigma2, lengths), *rest = groups
+            (-1.0, (12, 14, 24, 34, 44, 84)), (0.0, (12, 14, 24, 34, 44, 54, 84))) for l in lens]
+        (sigma2, l), *more = keys
         tracemalloc.start()
         try:
-            errs = meta_converse_min_error(n, sigma2, 1 << 12, trials, 0, lengths=lengths,
-                                           groups=rest)
+            errs = meta_converse_min_error(l, sigma2, 1 << 12, trials, 0, more=more)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert [len(e) for e in errs] == [3, 4, 5, 6, 7]
-        held = 8 * trials * sum(len(lens) for _, lens in groups)
+        assert len(errs) == len(keys) == 25
+        held = 8 * trials * len(keys)
         assert peak < held + 3 * (8 * TRIALS_PER_BLOCK * n) + (1 << 20)
 
 

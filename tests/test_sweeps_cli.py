@@ -135,6 +135,17 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="unknown"):
             parse_config("bogus=1")
 
+    @pytest.mark.parametrize("line, message", [
+        ("seed=1.5", "seed: expected int, got '1.5'"),
+        ("trials=1e5", "trials: expected int, got '1e5'"),
+        ("n=", "n: expected int, got ''"),
+        ("snr_grid=1,a", "snr_grid: expected float, got '1,a'"),
+    ])
+    def test_unconvertible_value_names_its_key(self, line, message):
+        with pytest.raises(ValueError) as exc:
+            parse_config(line)
+        assert str(exc.value) == message
+
     def test_range_edges_accepted(self):
         cfg = parse_config("trials=1\nseed=0\nn=1\nk=1\n")
         assert (cfg.trials, cfg.n, cfg.k) == (1, 1, 1)
@@ -442,16 +453,24 @@ class TestBoundValues:
             return gaussian_block(sigma2, seed, stream, block, shape)
 
         monkeypatch.setattr(bounds, "gaussian_block", counted)
+        # one meta-converse call per pass, whatever variances the pass holds
+        passes = Counter()
+        for name in ("meta_converse_max_M", "meta_converse_min_error"):
+            monkeypatch.setattr(bounds, name, lambda *a, fn=getattr(bounds, name), name=name,
+                                **kw: passes.update([name]) or fn(*a, **kw))
         assert _bound_values(cfg, requests) == want
         # the six stream-1 keys share one pass at the longest length: one
         # draw per block
         assert stream1 == Counter({40: 3})
+        assert passes == Counter(meta_converse_max_M=2, meta_converse_min_error=2)
         # two densities per pass: the two variances of each length take one
         # pass, drawn at that length
         monkeypatch.setattr(sweeps, "DENSITY_BUDGET_BYTES", 2 * cfg.trials * 8)
         stream1.clear()
+        passes.clear()
         assert _bound_values(cfg, requests) == want
         assert stream1 == Counter({40: 3, 12: 3, 24: 3})
+        assert passes == Counter(meta_converse_max_M=4, meta_converse_min_error=4)
 
 
 class TestBestSplit:
@@ -670,6 +689,11 @@ class TestOptimizeSplit:
         with pytest.raises(ValueError, match="optimize-split needs one or more of hyped,preamble"):
             run_optimize_split(small_pie_cfg(schemes=("genie", "dad"), np_grid=(8,)))
 
+    def test_dt_estimate_refuses_too_few_trials(self):
+        # one density gave a DT bound, and rows, from a single sample
+        with pytest.raises(ValueError, match="need at least 10000 densities for the DT bound"):
+            run_optimize_split(small_pie_cfg(**self.CFG, trials=1))
+
     def test_all_infeasible_writes_infeasible_row(self):
         cfg = small_pie_cfg(schemes=("preamble",), es_n0_db=-6.0, np_grid=(1,), eps_md=1e-6)
         rows = run_optimize_split(cfg)
@@ -811,6 +835,22 @@ class TestCli:
         manifest = (tmp_path / "optimize_split.manifest.txt").read_text().splitlines()
         for line in ("command=optimize_split", "schemes=preamble", "n=24", "np_grid=8"):
             assert line in manifest
+
+    def test_unconvertible_value_names_its_key(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, "n_grid=60\ntrials=1e5\n")
+        rc = main(["rate-sweep", "--config", cfg, "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            'error="ValueError: trials: expected int, got \'1e5\'"']
+
+    def test_optimize_split_too_few_trials(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, "schemes=hyped,preamble\nn=24\nk=4\nes_n0_db=3\n"
+                                       "np_grid=2,8,14\ntrials=1\n")
+        rc = main(["optimize-split", "--config", cfg, "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            'error="ValueError: need at least 10000 densities for the DT bound, got 1"']
+        assert not (tmp_path / "optimize_split.csv").exists()
 
     def test_optimize_split_scheme_without_split(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, "schemes=dad\nn=24\nk=4\n")
