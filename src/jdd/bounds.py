@@ -315,16 +315,79 @@ def info_density_samples(n, sigma2, trials, seed, stream=1, more=None):
     return outs if more is not None else outs[0]
 
 
-def _dt_terms(info_dens, M):
-    """The DT bound's per-sample terms exp(-max(0, i - ln((M - 1) / 2))) for M > 1.
+def _dt_threshold(M):
+    """ln((M - 1) / 2), the DT bound's density threshold for code size M > 1.
 
-    For an int M past the float range the threshold is ln(M - 1) - ln 2.
+    For an int M past the float range it is ln(M - 1) - ln 2.
     """
     try:
-        thr = np.log((M - 1) / 2.0)
+        return np.log((M - 1) / 2.0)
     except OverflowError:  # an int M past the float range
-        thr = math.log(M - 1) - math.log(2.0)
-    return np.exp(-np.maximum(0.0, info_dens - thr))
+        return math.log(M - 1) - math.log(2.0)
+
+
+def _dt_terms(info_dens, M):
+    """The DT bound's per-sample terms exp(-max(0, i - ln((M - 1) / 2))) for M > 1."""
+    return np.exp(-np.maximum(0.0, info_dens - _dt_threshold(M)))
+
+
+def _dt_guide(info_dens):
+    """A cheap approximation of the DT estimate's mean, as a function of M.
+
+    With the N densities sorted, d_0 <= ... <= d_{N-1}, and k = #{d <= t}
+    at t = ln((M - 1) / 2), the mean of _dt_terms is
+    (k + sum_{j >= k} e^(t - d_j)) / N = (k + e^(t - d_k) R_k) / N, where
+    R_k = sum_{j >= k} e^(d_k - d_j) lies in [1, N - k]. R is e^(d_k - d_0)
+    times the suffix sums of the shifted exponentials e^(d_0 - d_j), every
+    shift clipped at 700, and t - d_k < 0: nothing overflows however large
+    the threshold (about 690 at n = 1000). The value differs from the
+    pairwise mean by rounding (and by the clipped shifts, past a range of
+    700 nats); it guides the search, never decides it.
+    """
+    d = np.sort(info_dens)
+    shift = np.minimum(d - d[0], 700.0)
+    ratio = np.exp(shift) * np.cumsum(np.exp(-shift)[::-1])[::-1]
+
+    def mean(M):
+        t = _dt_threshold(M)
+        k = int(np.searchsorted(d, t, side="right"))
+        return 1.0 if k == d.size else (k + math.exp(t - d[k]) * ratio[k]) / d.size
+
+    return mean
+
+
+def _largest_meeting(meets, top, start):
+    """The largest M in [1, top] with meets(M), or 1, at which meets is never called.
+
+    `meets` must hold up to some M and fail above it. The search gallops
+    from `start`, doubling its step, to a bracket of the answer, then
+    bisects inside it, so a start at the answer costs two calls.
+    """
+    lo, hi, step = 1, top, 1
+    start = min(max(start, 1), top)
+    if start == 1 or meets(start):
+        lo = start
+        while lo < hi:
+            probe = min(hi, lo + step)
+            if not meets(probe):
+                hi = probe - 1
+                break
+            lo, step = probe, 2 * step
+    else:
+        hi = start - 1
+        while lo < hi:
+            probe = max(lo + 1, hi - step + 1)
+            if meets(probe):
+                lo = probe
+                break
+            hi, step = probe - 1, 2 * step
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if meets(mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 def dt_error_estimate(info_dens, M):
@@ -353,24 +416,32 @@ def dt_bound_max_M(n, sigma2, target_error, trials, seed, dens=None):
     estimate only, the mean of dt_error_estimate bit for bit; the stderr is
     computed once, by dt_error_estimate at the returned M, which warns when
     it exceeds 10% of the target.
+
+    The estimate is monotone in M (every step of _dt_terms is, and so is a
+    pairwise sum in each term), so any search that brackets where it passes
+    the target returns the M of the plain bisection over [1, 2^n]. A guide
+    from the sorted sample (_dt_guide), searched at no cost in estimates,
+    says where to start, and the estimate itself confirms a bracket and
+    bisects inside it. Past 2^53 many M share one threshold, so each
+    threshold's estimate is computed once: a few estimates instead of n.
     """
     if trials < _MIN_TRIALS:
         raise ValueError(f"need at least {_MIN_TRIALS} trials for the DT bound")
     if dens is None:
         dens = info_density_samples(n, sigma2, trials, seed, stream=1)
 
-    def meets(M):  # every M tried is >= 2
-        return float(_dt_terms(dens, M).mean()) <= target_error
+    means = {}  # threshold -> estimate: M is read only through ln((M - 1) / 2)
 
-    lo, hi = 1, 1 << n  # noiseless BPSK cannot carry more than n bits
-    if meets(hi):
-        lo = hi
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if meets(mid):
-            lo = mid
-        else:
-            hi = mid - 1
+    def meets(M):  # every M tried is >= 2
+        t = _dt_threshold(M)
+        if t not in means:
+            means[t] = float(_dt_terms(dens, M).mean())
+        return means[t] <= target_error
+
+    guide = _dt_guide(dens)
+    top = 1 << n  # noiseless BPSK cannot carry more than n bits
+    guess = _largest_meeting(lambda M: guide(M) <= target_error, top, 2)
+    lo = _largest_meeting(meets, top, guess)
     _, se = dt_error_estimate(dens, lo)
     if se > 0.1 * target_error:
         warnings.warn(

@@ -7,16 +7,18 @@ underflows at n ~ 100 and sigma2 ~ 1.
 
 DetectorSpec names the three detectors the sweeps simulate (preamble,
 HyPED-exact, DAD), which batch_statistic evaluates for the Monte Carlo
-engine. stat_genie and stat_codebook_aided are reference statistics, called
-directly.
+engine; active slots with random payloads take the engine's other path,
+_random_payload_statistics, which shares HyPED's row kernel. stat_genie and
+stat_codebook_aided are reference statistics, called directly.
 """
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import codebook
-from .channel import FramePlan, _on_rows
+from .channel import _SPAN, FramePlan, _on_cores, _on_rows
 from .codebook import _argmax_rows, _tiled_correlation
 from .numerics import _log_cosh_in_place
 
@@ -29,6 +31,10 @@ __all__ = [
     "stat_genie",
     "batch_statistic",
 ]
+
+
+# the bits of 1/2, as an int64
+_HALF_BITS = np.float64(0.5).view(np.int64)
 
 
 @dataclass(frozen=True)
@@ -100,14 +106,120 @@ def stat_hyped_exact(y, plan, params):
         terms = np.divide(ya[:, first:], s2)
         _log_cosh_in_place(terms)
         for pl, o in zip(plans, out):
-            payload = terms[:, pl.n_p - first :].sum(axis=-1)
-            pre = ya[:, : pl.n_p].sum(axis=-1) / s2
-            np.add(payload, pre, out=o[a:b])
-            o[a:b] -= pl.n / (2.0 * s2)
+            _hyped_rows(o[a:b], ya[:, : pl.n_p].sum(axis=-1), terms[:, pl.n_p - first :], pl.n, s2)
 
     _on_rows(fill, len(rows), n)
     out = out.reshape(len(plans), *y.shape[:-1])
     return out[0] if isinstance(plan, FramePlan) else out
+
+
+def _hyped_rows(out, pre, terms, n, s2):
+    """Write HyPED's statistics of a span of rows to `out`, which `pre` may be.
+
+    `pre` holds the rows' preamble sums sum(y_p) and `terms` their payload
+    terms ln cosh(y_c / sigma2); the statistic of a slot of length n is
+    pre / sigma2 + sum(terms) - n / (2 sigma2).
+    """
+    np.add(terms.sum(axis=-1), pre / s2, out=out)
+    out -= n / (2.0 * s2)
+
+
+def _random_payload_statistics(specs, plans, z, count, u, params, table, scratch):
+    """Statistics of active slots x + z with i.i.d. random payloads, one array per entry.
+
+    `z` is a flat noise block of `count` rows; the entry of a plan of length
+    n reads its first count * n values as (count, n) slots. x is +1 on the
+    preamble and, at symbol j of row r of the payload of length n_c, +1
+    where the uniform u[r * n_c + j] is below 1/2 and -1 elsewhere (the
+    payloads of jdd.montecarlo). The entries are preamble and HyPED-exact.
+
+    A payload symbol adds one of two HyPED terms, ln cosh((z + 1) / sigma2)
+    or ln cosh((z - 1) / sigma2), so both are computed once per noise value:
+    the first over `z` in place, the second into `table`, a buffer of z's
+    size, which then holds the XOR of the two terms' bits. Each HyPED entry
+    picks its terms by their bits, (+1 term) XOR (XOR & mask), with the mask
+    all ones where the symbol is -1, and sums them through
+    stat_hyped_exact's row kernel; so every value equals stat_hyped_exact on
+    the assembled slots bit for bit. The preamble sums are taken first,
+    while `z` still holds the noise, and `u` is overwritten by the masks.
+
+    Rows are filled in spans of whole rows on the usable cores
+    (channel._on_rows), each thread reusing its own buffer, which `scratch`
+    (a dict the caller keeps) holds by thread.
+    """
+    s2 = params.sigma2
+    out = [np.empty(count) for _ in specs]
+    lengths = {}  # slot length -> the indices of its HyPED entries
+    for i, (s, pl) in enumerate(zip(specs, plans)):
+        if s.kind == "preamble":  # the sweeps never simulate it without a code
+            slots = z[: count * pl.n].reshape(count, pl.n)
+            out[i] = stat_preamble(slots[:, : pl.n_p] + 1.0, pl, params)
+        elif s.kind == "hyped-exact":
+            lengths.setdefault(pl.n, []).append(i)
+        else:
+            raise ValueError(f"{s.kind} detection needs a codebook")
+    if not lengths:
+        return out
+
+    def buffer(size):
+        # this thread's values, grown to the largest span it has filled
+        buf = scratch.get(threading.get_ident())
+        if buf is None or buf.size < size:
+            buf = scratch[threading.get_ident()] = np.empty(size)
+        return buf
+
+    for n, hyped in lengths.items():
+        slots = z[: count * n].reshape(count, n)
+
+        def preamble_sums(a, b):
+            buf = buffer((b - a) * n)
+            for i in hyped:
+                n_p = plans[i].n_p
+                y_p = np.add(slots[a:b, :n_p], 1.0, out=buf[: (b - a) * n_p].reshape(b - a, n_p))
+                np.add.reduce(y_p, axis=-1, out=out[i][a:b])
+
+        _on_rows(preamble_sums, count, n)
+
+    # the same values as int64 bit patterns, for the masks and the picks
+    u_bits, z_bits, table_bits = (a.view(np.int64) for a in (u, z, table))
+
+    def tables(a, b):
+        # z - 1.0 is z + x at x = -1, and z + 1.0 at x = +1, bit for bit
+        minus = np.subtract(z[a:b], 1.0, out=table[a:b])
+        minus /= s2
+        _log_cosh_in_place(minus)
+        plus = z[a:b]
+        plus += 1.0
+        plus /= s2
+        _log_cosh_in_place(plus)
+        np.bitwise_xor(table_bits[a:b], z_bits[a:b], out=table_bits[a:b])
+
+    def masks(a, b):
+        # positive doubles order as their bits: bits(1/2) - 1 - bits(u) is
+        # negative, and shifts to all ones, exactly where u >= 1/2 (x = -1)
+        m = u_bits[a:b]
+        np.subtract(_HALF_BITS - 1, m, out=m)
+        np.right_shift(m, 63, out=m)
+
+    _on_cores(tables, count * max(lengths), _SPAN)
+    _on_cores(masks, u.size, _SPAN)
+
+    for n, hyped in lengths.items():
+        plus_bits, flips = (t[: count * n].reshape(count, n) for t in (z_bits, table_bits))
+
+        def payload_sums(a, b):
+            buf = buffer((b - a) * n)
+            for i in hyped:
+                n_p, n_c = plans[i].n_p, plans[i].n_c
+                terms = buf[: (b - a) * n_c].reshape(b - a, n_c)
+                picked = terms.view(np.int64)
+                np.bitwise_and(flips[a:b, n_p:], u_bits[a * n_c : b * n_c].reshape(b - a, n_c),
+                               out=picked)
+                np.bitwise_xor(picked, plus_bits[a:b, n_p:], out=picked)
+                _hyped_rows(out[i][a:b], out[i][a:b], terms, n, s2)
+
+        _on_rows(payload_sums, count, n)
+    return out
 
 
 def stat_dad(y, cb, plan):

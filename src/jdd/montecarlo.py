@@ -24,37 +24,54 @@ estimate and false-alarm triple draws every (stream, block) at most once.
 
 Entries
 -------
-Every function takes one detector spec and one frame plan, or sequences of
-them (a lone spec or plan is broadcast against the other sequence); every
-(spec, plan) entry must cover the same slot length n. All entries are
-evaluated in one pass: each noise block of a stream is drawn once and every
-entry's statistic is evaluated on it, and the random payloads of all lengths
-come from one payload draw per block. Because a trial's noise depends only
-on (seed, stream, trial index), each entry's result is identical to a call
-with that entry alone; a lone spec and plan is the same path with one
-entry, and returns a single result instead of a list.
-Memory: calibration holds an (entries x trials) float64 array of idle
-statistics for the quantile; evaluation statistics are reduced to counts
-block by block and never stored, and every entry's active slots are written
-into one reused block buffer, in spans of whole rows on the usable cores
-(channel._on_rows). With a code every entry sees the same slots, and each
-block gets one ML decision: the first DAD entry's argmax, which is ML
-decoding's, or else one codebook.ml_decode call, so a block is correlated
-with the codebook once.
+Every function takes one detector spec, one frame plan and one ChannelParams,
+or sequences of them (a lone one is broadcast against the sequences). Each
+plan covers its own params.n, so entries may have any slot length, but they
+share one noise variance: a call that mixes sigma2 values is rejected. All
+entries are evaluated in one pass: each (stream, block) is drawn once, at the
+longest slot, and an entry of length n reads its flat prefix (count, n), the
+block its own call draws (channel's counter-based noise; jdd.bounds relies
+on the same flat-prefix contract). The random payloads of all lengths come
+from one payload draw per block. Because a trial's noise depends only on
+(seed, stream, trial index), each entry's result is identical to a call with
+that entry alone, whichever entries share its call; a lone spec, plan and
+params is the same path with one entry, and returns a single result instead
+of a list.
+
+Memory: calibration keeps, per entry, only the K = N - floor((N - 1)(1 -
+eps_fa)) + 2 largest of its N idle statistics, the order statistics its
+quantile reads, merged block by block: entries x K values instead of
+entries x N. Evaluation statistics are reduced to counts block by block and
+never stored. Without a code, the two ln cosh tables of HyPED's random
+payload (jdd.detectors) overwrite the noise block and fill one reused block
+buffer. With a code, each slot length's active slots are written into that
+buffer, in spans of whole rows on the usable cores (channel._on_rows), and
+every entry of a length sees the same slots: each block gets one ML decision
+per slot length, the first DAD entry's argmax, which is ML decoding's, or
+else one codebook.ml_decode call, so a slot is correlated with the codebook
+once.
 
 Rates carry exact two-sided 95% Clopper-Pearson intervals, whose beta
 quantiles come from ``scipy.special.betaincinv``.
 """
 
+import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy.special import betaincinv
 
 from . import codebook
-from .channel import TRIALS_PER_BLOCK, FramePlan, _blocks, _on_rows, gaussian_block, uniform_block
-from .detectors import DetectorSpec, batch_statistic
+from .channel import (
+    TRIALS_PER_BLOCK,
+    ChannelParams,
+    FramePlan,
+    _blocks,
+    _on_rows,
+    gaussian_block,
+    uniform_block,
+)
+from .detectors import DetectorSpec, _random_payload_statistics, batch_statistic
 
 __all__ = [
     "RateEstimate",
@@ -107,31 +124,59 @@ class CalibrationResult:
 
 
 def _entries(spec, plan, params):
-    """Pair detector specs with frame plans; a lone spec or plan is broadcast.
+    """Line up detector specs, frame plans and channel params; a lone one is broadcast.
 
-    Returns (specs, plans, single), where `single` says both arguments were
-    lone values, so the caller unwraps its one-entry result.
+    Returns (specs, plans, params, single), where `single` says all three
+    arguments were lone values, so the caller unwraps its one-entry result.
     """
-    single = isinstance(spec, DetectorSpec) and isinstance(plan, FramePlan)
-    specs = [spec] if isinstance(spec, DetectorSpec) else list(spec)
-    plans = [plan] if isinstance(plan, FramePlan) else list(plan)
-    if len(specs) == 1:
-        specs = specs * len(plans)
-    elif len(plans) == 1:
-        plans = plans * len(specs)
-    if not specs or len(specs) != len(plans):
-        raise ValueError("need one or more (spec, plan) entries; a lone spec or plan is broadcast")
-    if any(pl.n != params.n for pl in plans):
-        raise ValueError(f"every plan must cover the slot length n={params.n}")
-    return specs, plans, single
+    single = (isinstance(spec, DetectorSpec) and isinstance(plan, FramePlan)
+              and isinstance(params, ChannelParams))
+    columns = [[arg] if isinstance(arg, kind) else list(arg) for arg, kind in
+               ((spec, DetectorSpec), (plan, FramePlan), (params, ChannelParams))]
+    size = max(map(len, columns))
+    columns = [col * size if len(col) == 1 else col for col in columns]
+    if not size or any(len(col) != size for col in columns):
+        raise ValueError("need one or more (spec, plan, params) entries; a lone one is broadcast")
+    specs, plans, params = columns
+    if any(pl.n != p.n for pl, p in zip(plans, params)):
+        raise ValueError("every plan must cover its own slot length params.n")
+    if len({p.sigma2 for p in params}) > 1:
+        raise ValueError("the entries of one call must share one noise variance sigma2")
+    return specs, plans, params, single
+
+
+def _by_length(plans):
+    """Slot length -> the indices of its entries, in order of first use."""
+    lengths = {}
+    for i, pl in enumerate(plans):
+        lengths.setdefault(pl.n, []).append(i)
+    return lengths
 
 
 def _idle_stats(specs, plans, params, trials, seed, stream, cb=None):
-    """Yield (offset, per-entry idle statistics) for each noise block of `stream`."""
+    """Yield (offset, per-entry idle statistics) for each noise block of `stream`.
+
+    Each block is drawn once at the longest slot; the entries of length n
+    are evaluated together on its flat prefix (count, n).
+    """
+    lengths = _by_length(plans)
     for block, count in _blocks(trials):
-        y = gaussian_block(params.sigma2, seed, stream, block, (count, params.n))
-        results = batch_statistic(specs, y, plans, params, cb=cb)
-        yield block * TRIALS_PER_BLOCK, [stats for stats, _ in results]
+        z = gaussian_block(params[0].sigma2, seed, stream, block, (count, max(lengths))).reshape(-1)
+        stats = [None] * len(specs)
+        for n, idx in lengths.items():
+            results = batch_statistic([specs[i] for i in idx], z[: count * n].reshape(count, n),
+                                      [plans[i] for i in idx], params[idx[0]], cb=cb)
+            for i, (entry_stats, _) in zip(idx, results):
+                stats[i] = entry_stats
+        del z  # freed before the next block is drawn
+        yield block * TRIALS_PER_BLOCK, stats
+
+
+def _largest(values, k):
+    """The k largest of `values` (all of them if there are no more), in no order."""
+    if values.size <= k:
+        return values
+    return np.partition(values, values.size - k)[values.size - k :]
 
 
 def calibrate_threshold(spec, plan, params, trials, eps_fa, seed, cb=None):
@@ -144,22 +189,37 @@ def calibrate_threshold(spec, plan, params, trials, eps_fa, seed, cb=None):
     resolvable. `infeasible` flags a statistic whose atom at its maximum
     outweighs eps_fa, so no threshold meets the target.
 
-    With a sequence of specs and/or plans (see the module docstring) all
-    entries are calibrated on the same noise blocks and a list with one
+    Only the K = N - floor((N - 1)(1 - eps_fa)) + 2 largest of the N idle
+    statistics are kept, merged block by block: the quantile reads the two
+    order statistics around position (N - 1)(1 - eps_fa), which lie among
+    them with a margin for rounding. np.quantile then runs on an N-array of
+    those K values with every other element set to their minimum, whose
+    order statistics from N - K on are the full sample's, so gamma is the
+    full sample's bit for bit. So is `infeasible`: an atom at the maximum
+    that fills all K kept values outweighs eps_fa in either array, since
+    K > N eps_fa.
+
+    With sequences of specs, plans and/or params (see the module docstring)
+    all entries are calibrated on the same noise blocks and a list with one
     CalibrationResult per entry is returned.
     """
     trials = int(trials)
     if trials < 50 / eps_fa:
         raise ValueError(f"need >= {int(np.ceil(50 / eps_fa))} trials to resolve eps_fa={eps_fa}")
-    specs, plans, single = _entries(spec, plan, params)
-    stats = np.empty((len(specs), trials))
-    for offset, block_stats in _idle_stats(specs, plans, params, trials, seed, STREAM_CALIBRATION, cb):
-        for row, entry_stats in zip(stats, block_stats):
-            row[offset : offset + len(entry_stats)] = entry_stats
-    gammas = [float(np.quantile(row, 1.0 - eps_fa, method="linear")) for row in stats]
-    # degenerate statistic: an atom at the maximum heavier than the target
-    infeasible = [bool(np.mean(row >= row.max()) > eps_fa) for row in stats]
-    out = [CalibrationResult(gamma=g, infeasible=inf) for g, inf in zip(gammas, infeasible)]
+    specs, plans, params, single = _entries(spec, plan, params)
+    keep = min(trials, trials - math.floor((trials - 1) * (1.0 - eps_fa)) + 2)
+    tops = [np.empty(0)] * len(specs)
+    for _, block_stats in _idle_stats(specs, plans, params, trials, seed, STREAM_CALIBRATION, cb):
+        tops = [_largest(np.concatenate([top, stats]), keep)
+                for top, stats in zip(tops, block_stats)]
+    out = []
+    for top in tops:
+        row = np.full(trials, top.min())
+        row[: top.size] = top
+        gamma = float(np.quantile(row, 1.0 - eps_fa, method="linear"))
+        # degenerate statistic: an atom at the maximum heavier than the target
+        infeasible = bool(np.mean(row >= row.max()) > eps_fa)
+        out.append(CalibrationResult(gamma=gamma, infeasible=infeasible))
     return out[0] if single else out
 
 
@@ -170,40 +230,34 @@ def _draw_messages(M, seed, block, count):
 
 def _payload_uniforms(n_c_max, seed, block, count):
     # a (count, n_c) draw is the leading count * n_c values of this one, so a
-    # single draw serves every payload length
+    # single draw serves every payload length; symbol (r, j) of a payload of
+    # length n_c is +1 where u[r * n_c + j] < 1/2 (jdd.detectors)
     return uniform_block(seed, STREAM_PAYLOAD, block, (count * n_c_max,))
 
 
-def _payload(u, n_c, a, b):
-    """Rows [a, b) of the random +/-1 payload of length n_c: +1 where u < 1/2."""
-    x = np.subtract(u[a * n_c : b * n_c], 0.5).reshape(b - a, n_c)
-    np.copysign(1.0, x, out=x)  # u = 1/2 gives +0.0, so -1 below
-    return np.negative(x, out=x)
-
-
-def _active_slots(y, z, n_p, payload):
+def _active_slots(y, z, n_p, codewords):
     """Write the active slots x + z of a noise block z into y, in spans of rows.
 
-    x is +1 on the n_p preamble columns and payload(a, b), the +/-1 rows
+    x is +1 on the n_p preamble columns and codewords(a, b), the +/-1 rows
     [a, b) of the codeword segment, after them. IEEE addition commutes, so
     z + 1.0 and z + x_c are x + z bit for bit.
     """
     def fill(a, b):
         np.add(z[a:b, :n_p], 1.0, out=y[a:b, :n_p])
-        np.add(z[a:b, n_p:], payload(a, b), out=y[a:b, n_p:])
+        np.add(z[a:b, n_p:], codewords(a, b), out=y[a:b, n_p:])
 
     _on_rows(fill, len(z), z.shape[1])
 
 
 def _thresholded(spec, plan, params, trials):
-    """Check an evaluation call: (trials, specs, plans, single), every gamma set."""
+    """Check an evaluation call: (trials, specs, plans, params, single), every gamma set."""
     trials = int(trials)
     if trials < 1:
         raise ValueError("need at least one trial")
-    specs, plans, single = _entries(spec, plan, params)
+    specs, plans, params, single = _entries(spec, plan, params)
     if not all(np.isfinite(s.gamma) for s in specs):
         raise ValueError("detector threshold gamma is not set; calibrate first")
-    return trials, specs, plans, single
+    return trials, specs, plans, params, single
 
 
 def estimate_false_alarm(spec, plan, params, trials, seed, cb=None):
@@ -211,11 +265,11 @@ def estimate_false_alarm(spec, plan, params, trials, seed, cb=None):
 
     Idle slots of the evaluation stream, independent of the calibration
     stream, give the one estimate of the false alarm rate at gamma, as a
-    RateEstimate. With a sequence of specs and/or plans (see the module
-    docstring) all entries share the idle noise and a list with one
+    RateEstimate. With sequences of specs, plans and/or params (see the
+    module docstring) all entries share the idle noise and a list with one
     RateEstimate per entry is returned.
     """
-    trials, specs, plans, single = _thresholded(spec, plan, params, trials)
+    trials, specs, plans, params, single = _thresholded(spec, plan, params, trials)
     n_fa = [0] * len(specs)
     for _, block_stats in _idle_stats(specs, plans, params, trials, seed, STREAM_IDLE_EVAL, cb):
         for i, (stats, s) in enumerate(zip(block_stats, specs)):
@@ -233,46 +287,52 @@ def estimate_rates(spec, plan, params, trials, seed, cb=None):
     or no trial was detected. No idle slot is drawn here: the false alarm
     rate comes from estimate_false_alarm.
 
-    With a sequence of specs and/or plans (see the module docstring) all
-    entries share the active noise and the message draws, and a list with
-    one dict per entry is returned.
+    With sequences of specs, plans and/or params (see the module docstring)
+    all entries share the active noise and the message draws, and a list
+    with one dict per entry is returned.
     """
-    trials, specs, plans, single = _thresholded(spec, plan, params, trials)
+    trials, specs, plans, params, single = _thresholded(spec, plan, params, trials)
     if cb is not None and any(pl.n_c != cb.n_c for pl in plans):
         raise ValueError(f"every plan must carry the codewords: n_c={cb.n_c}")
+    lengths = _by_length(plans)
+    width = max(lengths)
     n_detected = [0] * len(specs)
     n_cw_err = [0] * len(specs)
-    buf = np.empty((min(trials, TRIALS_PER_BLOCK), params.n))  # every block's active slots
+    # with a code, every block's active slots; without one, HyPED's second table
+    buf = np.empty(min(trials, TRIALS_PER_BLOCK) * width)
+    scratch = {}  # each thread's span buffers, kept across blocks
     for block, count in _blocks(trials):
-        z = gaussian_block(params.sigma2, seed, STREAM_ACTIVE_NOISE, block, (count, params.n))
-        y = buf[:count]
-        if cb is not None:
-            # every plan puts the codeword in the same columns: one y per block
-            m = _draw_messages(cb.M, seed, block, count)
+        z = gaussian_block(params[0].sigma2, seed, STREAM_ACTIVE_NOISE, block,
+                           (count, width)).reshape(-1)
+        if cb is None:
+            u = _payload_uniforms(max(pl.n_c for pl in plans), seed, block, count)
+            stats = _random_payload_statistics(specs, plans, z, count, u, params[0], buf, scratch)
+            del z, u  # freed before the next block is drawn
+            for i, (s, entry_stats) in enumerate(zip(specs, stats)):
+                n_detected[i] += int(np.sum(entry_stats >= s.gamma))
+            continue
+        m = _draw_messages(cb.M, seed, block, count)
 
-            def codewords(a, b):
-                return cb.codewords[m[a:b] - 1]
+        def codewords(a, b):
+            return cb.codewords[m[a:b] - 1]
 
-            n_p = plans[0].n_p
-            _active_slots(y, z, n_p, codewords)
-            results = batch_statistic(specs, y, plans, params, cb=cb)
-            # one ML decision per block: DAD's argmax is ML decoding's
+        for n, idx in lengths.items():
+            # every plan of a length puts the codeword in the same columns
+            y = buf[: count * n].reshape(count, n)
+            n_p = n - cb.n_c
+            _active_slots(y, z[: count * n].reshape(count, n), n_p, codewords)
+            results = batch_statistic([specs[i] for i in idx], y, [plans[i] for i in idx],
+                                      params[idx[0]], cb=cb)
+            # one ML decision per block and length: DAD's argmax is ML decoding's
             decided = next((m_hat for _, m_hat in results if m_hat is not None), None)
             if decided is None:
                 decided, _ = codebook.ml_decode(cb, y[:, n_p:])
             wrong = decided != m
-        else:
-            u = _payload_uniforms(max(pl.n_c for pl in plans), seed, block, count)
-            results = []
-            for s, plan in zip(specs, plans):
-                _active_slots(y, z, plan.n_p, partial(_payload, u, plan.n_c))
-                results.append(batch_statistic(s, y, plan, params))
-
-        for i, (s, (stats, _)) in enumerate(zip(specs, results)):
-            detected = stats >= s.gamma
-            n_detected[i] += int(np.sum(detected))
-            if cb is not None:
+            for i, (stats, _) in zip(idx, results):
+                detected = stats >= specs[i].gamma
+                n_detected[i] += int(np.sum(detected))
                 n_cw_err[i] += int(np.sum(detected & wrong))
+        del z  # freed before the next block is drawn
 
     out = []
     for i in range(len(specs)):

@@ -223,24 +223,33 @@ def _preamble_pmd(n_p, sigma2, eps_fa):
     return float(1.0 - q_func(q_inv(eps_fa) - np.sqrt(n_p / sigma2)))
 
 
-def _split_pmds(scheme, n_ps, params, cfg):
-    """Missed-detection rate at every candidate preamble split of a SPLIT_SCHEMES scheme.
+def _split_pmds(scheme, splits, cfg):
+    """Missed-detection rate at every (n_p, params) preamble split of a SPLIT_SCHEMES scheme.
 
     The preamble matched filter has a closed form. For HyPED the exact
     detector is calibrated and evaluated with an i.i.d. random payload, which
     is exactly the model under which the HyPED LLR is the optimal
-    Neyman-Pearson statistic; all splits share one pass over the noise blocks.
+    Neyman-Pearson statistic; all splits, of every slot length (one SNR),
+    share one calibrate_threshold call and one estimate_rates call.
     """
     if scheme == "preamble":
-        return [_preamble_pmd(n_p, params.sigma2, cfg.eps_fa) for n_p in n_ps]
-    if not n_ps:
+        return [_preamble_pmd(n_p, p.sigma2, cfg.eps_fa) for n_p, p in splits]
+    if not splits:
         return []
-    plans = [FramePlan(n_p=n_p, n_c=params.n - n_p) for n_p in n_ps]
+    plans = [FramePlan(n_p=n_p, n_c=p.n - n_p) for n_p, p in splits]
+    params = [p for _, p in splits]
     spec = DetectorSpec(kind="hyped-exact")
     calibs = calibrate_threshold(spec, plans, params, cfg.calibration_trials(), cfg.eps_fa, cfg.seed)
     rates = estimate_rates([spec.with_gamma(c.gamma) for c in calibs], plans, params,
                            cfg.trials, cfg.seed)
     return [r["pmd"].p_hat for r in rates]
+
+
+def _need_bound_trials(cfg):
+    """Refuse, before any simulation, trials too few for the bounds a run reads."""
+    if cfg.trials < bounds._MIN_TRIALS:
+        raise ValueError(f"need at least {bounds._MIN_TRIALS} trials for the DT and "
+                         f"meta-converse bounds, got {cfg.trials}")
 
 
 def _bound_values(cfg, requests):
@@ -314,11 +323,14 @@ def run_rate_sweep(cfg):
     detection-feasibility combined with DT/meta-converse payload rates, and
     the genie DT/meta-converse reference rates. A configured preamble scheme
     gets no rows, and a config naming none of genie, dad and hyped is
-    rejected before any noise is drawn. Every DT search (the genie, each DAD
-    fixed-point round, each split's payload) and every meta-converse code
-    size of the whole n grid is one request to _bound_values, so a sweep
-    over an n grid writes the same rows as one sweep per n. The config is
-    validated first (see SweepConfig.validate), as parse_config does.
+    rejected before any noise is drawn, as are trials too few for the genie's
+    DT search. The HyPED splits of every feasible n are calibrated and
+    scored in one Monte Carlo pass (_feasible_splits), and every DT search
+    (the genie, each DAD fixed-point round, each split's payload) and every
+    meta-converse code size of the whole n grid is one request to
+    _bound_values, so a sweep over an n grid writes the same rows as one
+    sweep per n. The config is validated first (see SweepConfig.validate),
+    as parse_config does.
     """
     cfg.validate()
     if not cfg.n_grid:
@@ -330,9 +342,13 @@ def run_rate_sweep(cfg):
     req = cfg.requirements
     sigma2 = snr_to_sigma2(cfg.es_n0_db)
     n_min = bounds.min_blocklength(sigma2, req)
+    feasible = [n for n in cfg.n_grid if n >= n_min]
+    if "genie" in schemes and feasible:  # a DT search at every feasible n
+        _need_bound_trials(cfg)
     # the feasible (n_p, pmd) HyPED splits of every n above the converse
-    splits = {n: _feasible_splits(cfg, "hyped", 1, ChannelParams.from_db(cfg.es_n0_db, n))
-              if "hyped" in schemes else [] for n in cfg.n_grid if n >= n_min}
+    slots = [ChannelParams.from_db(cfg.es_n0_db, n) for n in feasible]
+    splits = dict(zip(feasible, _feasible_splits(cfg, "hyped", 1, slots) if "hyped" in schemes
+                      else [[] for _ in feasible]))
     requests = []
     for n, pairs in splits.items():
         if "genie" in schemes:
@@ -404,7 +420,8 @@ def run_pie_sweep(cfg):
     _bound_values call, so a sweep over an SNR grid writes the same rows as
     one sweep per SNR. An invalid config (see
     SweepConfig.validate), a code longer than the slot, or one whose
-    dimension is not k, is rejected before any noise is drawn.
+    dimension is not k, is rejected before any noise is drawn, and so are
+    trials too few for the bounds when an SNR lies above the floor.
     """
     cfg.validate()
     if not cfg.snr_grid:
@@ -421,7 +438,9 @@ def run_pie_sweep(cfg):
     snr_floor = bounds.min_snr_db(n, req)
     # every SNR above the floor, and its feasible (n_p, pmd) splits per scheme
     params = {snr: ChannelParams.from_db(snr, n) for snr in cfg.snr_grid if snr >= snr_floor}
-    splits = {snr: {scheme: _feasible_splits(cfg, scheme, k, p)
+    if params:  # each reads the slot's DT and meta-converse bounds
+        _need_bound_trials(cfg)
+    splits = {snr: {scheme: _feasible_splits(cfg, scheme, k, [p])[0]
                     for scheme in SPLIT_SCHEMES if scheme in cfg.schemes}
               for snr, p in params.items()}
     requests = [(params[snr].sigma2, l, quantity, M) for snr, by_scheme in splits.items()
@@ -460,11 +479,13 @@ def run_pie_sweep(cfg):
     return rows
 
 
-def _feasible_splits(cfg, scheme, k, params):
-    """(n_p, pmd) for every candidate split of the slot whose pmd meets eps_md."""
-    n_ps = _split_candidates(cfg, params.n, k, scheme)
-    return [(n_p, pmd) for n_p, pmd in zip(n_ps, _split_pmds(scheme, n_ps, params, cfg))
-            if pmd <= cfg.eps_md]
+def _feasible_splits(cfg, scheme, k, slots):
+    """Per ChannelParams of `slots` (one SNR), the (n_p, pmd) of every candidate
+    split of its slot whose pmd meets eps_md: one _split_pmds call for all."""
+    splits = [[(n_p, p) for n_p in _split_candidates(cfg, p.n, k, scheme)] for p in slots]
+    pmds = iter(_split_pmds(scheme, [split for per in splits for split in per], cfg))
+    return [[(n_p, pmd) for (n_p, _), pmd in zip(per, pmds) if pmd <= cfg.eps_md]
+            for per in splits]
 
 
 def _split_bound_point(scheme, n, snr, pairs, dt, con):
@@ -542,7 +563,8 @@ def run_optimize_split(cfg):
     rows = []
     for scheme in schemes:
         pie_ubs = []
-        for n_p, pmd in zip(n_ps[scheme], _split_pmds(scheme, n_ps[scheme], params, cfg)):
+        pmds = _split_pmds(scheme, [(n_p, params) for n_p in n_ps[scheme]], cfg)
+        for n_p, pmd in zip(n_ps[scheme], pmds):
             pcw_ub = dt[n - n_p][0]
             pie_ub = bounds.pie_sandwich(pmd, 0.0, pcw_ub)[1] if pmd <= cfg.eps_md else math.nan
             pie_ubs.append((pie_ub, n_p))

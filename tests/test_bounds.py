@@ -540,6 +540,69 @@ class TestDtSearch:
         assert dt_error_estimate(dens, M)[0] <= 1e-3 < dt_error_estimate(dens, M + 1)[0]
 
 
+def plain_dt_bisection(dens, n, target):
+    """The DT search as a plain bisection over [1, 2^n] on the estimate's mean."""
+    def meets(M):
+        return float(bounds._dt_terms(dens, M).mean()) <= target
+
+    lo, hi = 1, 1 << n
+    if meets(hi):
+        lo = hi
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if meets(mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+class TestGuidedDtSearch:
+    """The guided search returns the plain bisection's M in a few estimates."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("es_n0_db", [-4.0, -3.0, -1.0, 1.0])
+    def test_equals_plain_bisection(self, monkeypatch, seed, es_n0_db):
+        sigma2 = snr_to_sigma2(es_n0_db)
+        terms, evals = bounds._dt_terms, []
+        monkeypatch.setattr(bounds, "_dt_terms", lambda d, M: evals.append(M) or terms(d, M))
+        for n in (24, 60, 84, 120):
+            dens = info_density_samples(n, sigma2, 10_000, seed)
+            for target in (1e-1, 1e-2, 1e-3, 1e-4):
+                want = plain_dt_bisection(dens, n, target)
+                evals.clear()
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)
+                    assert dt_bound_max_M(n, sigma2, target, 10_000, seed, dens=dens) == want
+                assert len(evals) <= 8  # the stderr's estimate included
+
+    @pytest.mark.parametrize("n, es_n0_db", [(1000, -3.0), (1000, 6.0), (1100, 1.0)])
+    def test_guide_finite_past_the_float_range(self, n, es_n0_db):
+        # thresholds near 690 nats and code sizes past 2^1024: the guide
+        # raises no floating-point error and the search still equals the plain one
+        sigma2 = snr_to_sigma2(es_n0_db)
+        dens = info_density_samples(n, sigma2, 10_000, 0)
+        with np.errstate(all="raise"):
+            guide = bounds._dt_guide(dens)
+            values = [guide(M) for M in (2, 3, 2**60, 2**690, 2**1000, 2**1024 + 1, 1 << n)]
+        assert all(0.0 <= v <= 1.0 + 1e-12 for v in values)
+        for target in (1e-2, 1e-4):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                assert (dt_bound_max_M(n, sigma2, target, 10_000, 0, dens=dens)
+                        == plain_dt_bisection(dens, n, target))
+
+    def test_largest_meeting_from_any_start(self):
+        # every answer, every start, tops of a few sizes: never a call at 1
+        for top in (1, 2, 3, 7, 64, 100):
+            for answer in range(1, top + 1):
+                def meets(M):
+                    assert 2 <= M <= top
+                    return M <= answer
+                for start in range(0, top + 2):
+                    assert bounds._largest_meeting(meets, top, start) == answer
+
+
 class TestSharedSamples:
     """dens= and more= searches equal the calls that draw their own samples."""
 

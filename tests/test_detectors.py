@@ -10,6 +10,7 @@ from jdd.channel import TRIALS_PER_BLOCK, ChannelParams, FramePlan, gaussian_blo
 from jdd.codebook import CORR_TILE_BYTES, Codebook, from_generator, hamming_7_4
 from jdd.detectors import (
     DetectorSpec,
+    _random_payload_statistics,
     batch_statistic,
     stat_codebook_aided,
     stat_dad,
@@ -148,6 +149,48 @@ class TestHypedSpans:
 
     def test_no_rows(self, span_helpers):
         self.check(np.empty((0, 84)))
+
+
+class TestRandomPayloadTables:
+    """HyPED from the two ln cosh tables equals stat_hyped_exact on the assembled slots."""
+
+    sigma2 = ChannelParams.from_db(-3.0, 84).sigma2
+    # three slot lengths, n_c = 0 and n_p = 0 among them, and a preamble entry
+    plans = [FramePlan(n_p=n_p, n_c=n - n_p) for n, n_p in
+             ((84, 0), (84, 42), (60, 60), (60, 7), (84, 83), (23, 5), (60, 0))]
+    kinds = ["hyped-exact"] * 5 + ["preamble", "hyped-exact"]
+
+    def check(self, rows, seed):
+        z = gaussian_block(self.sigma2, seed, 6, 0, (rows, 84)).reshape(-1)
+        n_c_max = max(pl.n_c for pl in self.plans)
+        u = channel.uniform_block(seed, 8, 0, (rows * n_c_max,))
+        u[::7] = 0.5  # u = 1/2 exactly gives -1, as jdd.montecarlo's payloads do
+        specs = [DetectorSpec(kind=k) for k in self.kinds]
+        params = ChannelParams.from_db(-3.0, 84)
+        table = np.empty(z.size)
+        got = _random_payload_statistics(specs, self.plans, z.copy(), rows, u.copy(), params,
+                                         table, {})
+        for s, pl, g in zip(specs, self.plans, got):
+            x_c = np.where(u[: rows * pl.n_c] < 0.5, 1.0, -1.0).reshape(rows, pl.n_c)
+            x = np.concatenate([np.ones((rows, pl.n_p)), x_c], axis=1)
+            y = x + z[: rows * pl.n].reshape(rows, pl.n)
+            want, _ = batch_statistic(s, y, pl, ChannelParams.from_db(-3.0, pl.n))
+            assert g.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rows", ROW_COUNTS)
+    def test_block(self, span_helpers, rows):
+        self.check(rows, 3)
+
+    @pytest.mark.parametrize("span", [1, 84, 3 * 60 + 1])
+    def test_any_span_size(self, span_helpers, monkeypatch, span):
+        monkeypatch.setattr(channel, "_ROW_SPAN", span)
+        self.check(1025, 4)
+
+    def test_dad_needs_a_code(self):
+        params = ChannelParams.from_db(0.0, 10)
+        with pytest.raises(ValueError, match="needs a codebook"):
+            _random_payload_statistics([DetectorSpec(kind="dad")], [FramePlan(n_p=3, n_c=7)],
+                                       np.zeros(10), 1, np.zeros(7), params, np.empty(10), {})
 
 
 class TestBatchStatistic:

@@ -15,7 +15,12 @@ from jdd.channel import (
     uniform_block,
 )
 from jdd.codebook import hamming_7_4, repetition_code
-from jdd.detectors import DetectorSpec, batch_statistic
+from jdd.detectors import (
+    DetectorSpec,
+    _random_payload_statistics,
+    batch_statistic,
+    stat_hyped_exact,
+)
 from jdd.montecarlo import (
     STREAM_ACTIVE_NOISE,
     STREAM_CALIBRATION,
@@ -24,7 +29,8 @@ from jdd.montecarlo import (
     STREAM_PAYLOAD,
     CalibrationResult,
     RateEstimate,
-    _payload,
+    _entries,
+    _idle_stats,
     calibrate_threshold,
     clopper_pearson,
     estimate_false_alarm,
@@ -148,6 +154,65 @@ class TestCalibrateThreshold:
         assert res.infeasible
 
 
+def full_calibration(specs, plans, params, trials, eps_fa, seed, cb=None):
+    """gamma and infeasible from the whole (entries x trials) idle statistic array."""
+    specs, plans, params, _ = _entries(specs, plans, params)
+    blocks = [stats for _, stats in _idle_stats(specs, plans, params, trials, seed,
+                                                 STREAM_CALIBRATION, cb)]
+    rows = [np.concatenate(entry) for entry in zip(*blocks)]
+    assert all(row.size == trials for row in rows)
+    return [CalibrationResult(gamma=float(np.quantile(row, 1.0 - eps_fa, method="linear")),
+                              infeasible=bool(np.mean(row >= row.max()) > eps_fa)) for row in rows]
+
+
+class TestTopKCalibration:
+    """Keeping the K largest statistics gives the full array's quantile and flag bit for bit."""
+
+    params = ChannelParams.from_db(-3.0, 20)
+    plans = [FramePlan(n_p=n_p, n_c=20 - n_p) for n_p in (0, 3, 10, 20)]
+    specs = [DetectorSpec(kind="hyped-exact")] * 3 + [DetectorSpec(kind="preamble")]
+
+    @pytest.mark.parametrize("trials, eps_fa", [
+        (10_000, 1e-2), (20_000, 5e-3), (9001, 1e-2),  # eps_fa * N an integer (and not)
+        (50_000, 1e-3), (5000, 1e-2), (1667, 3e-2)])   # N = ceil(50 / eps_fa)
+    def test_equals_full_array(self, trials, eps_fa):
+        assert trials >= math.ceil(50 / eps_fa)
+        got = calibrate_threshold(self.specs, self.plans, self.params, trials, eps_fa, 4)
+        assert got == full_calibration(self.specs, self.plans, self.params, trials, eps_fa, 4)
+        assert not any(c.infeasible for c in got)
+
+    @pytest.mark.parametrize("excess", [-2, -1, 0, 1, 2, 3, 4, 10, 400])
+    def test_atom_at_the_maximum(self, monkeypatch, excess):
+        # the statistics capped at their c-th largest value: an atom of c at
+        # the maximum, c around N eps_fa = 100 and K = 103 and far above both
+        import jdd.montecarlo as montecarlo
+
+        trials, eps_fa = 10_000, 1e-2
+        atom = trials // 100 + excess
+        batch = montecarlo.batch_statistic
+        blocks = [s for _, s in _idle_stats(self.specs, self.plans, [self.params] * 4, trials, 5,
+                                            STREAM_CALIBRATION)]
+        caps = {pl: np.sort(np.concatenate(entry))[-atom]
+                for pl, entry in zip(self.plans, zip(*blocks))}
+
+        def capped(specs, y, plans, params, cb=None):
+            return [(np.minimum(st, caps[pl]), m)
+                    for pl, (st, m) in zip(plans, batch(specs, y, plans, params, cb=cb))]
+
+        monkeypatch.setattr(montecarlo, "batch_statistic", capped)
+        got = calibrate_threshold(self.specs, self.plans, self.params, trials, eps_fa, 5)
+        assert got == full_calibration(self.specs, self.plans, self.params, trials, eps_fa, 5)
+        assert [c.infeasible for c in got] == [atom > trials * eps_fa] * 4
+
+    def test_one_atom_statistic(self):
+        # noiseless idle slots: every statistic sits on the maximum
+        params = ChannelParams(es_n0_db=0.0, sigma2=0.0, n=7)
+        plan = FramePlan(n_p=0, n_c=7)
+        args = (DetectorSpec(kind="dad"), plan, params, 5000, 0.01, 0)
+        got = calibrate_threshold(*args, cb=hamming_7_4())
+        assert got.infeasible and [got] == full_calibration(*args, cb=hamming_7_4())
+
+
 class TestEstimateRates:
     def setup_method(self):
         self.cb = hamming_7_4()
@@ -232,6 +297,42 @@ class TestEstimateRates:
         assert rep["pcw"].p_hat < ham["pcw"].p_hat
 
 
+@pytest.fixture
+def statistics(monkeypatch):
+    """Record every statistic array the engine computes: (kind, plan) -> arrays in order.
+
+    take() returns what was recorded since the last take().
+    """
+    import jdd.montecarlo as montecarlo
+
+    record = {}
+    batch, tables = montecarlo.batch_statistic, montecarlo._random_payload_statistics
+
+    def keep(specs, plans, stats):
+        for s, pl, st in zip(specs, plans, stats):
+            record.setdefault((s.kind, pl), []).append(st.tobytes())
+
+    def recorded_batch(specs, y, plans, params, cb=None):
+        results = batch(specs, y, plans, params, cb=cb)
+        keep(specs, plans, [st for st, _ in results])
+        return results
+
+    def recorded_tables(specs, plans, *args):
+        stats = tables(specs, plans, *args)
+        keep(specs, plans, stats)
+        return stats
+
+    monkeypatch.setattr(montecarlo, "batch_statistic", recorded_batch)
+    monkeypatch.setattr(montecarlo, "_random_payload_statistics", recorded_tables)
+
+    def take():
+        got = dict(record)
+        record.clear()
+        return got
+
+    return take
+
+
 class TestMultiEntry:
     """A multi-entry call must equal the per-entry serial calls exactly."""
 
@@ -240,17 +341,35 @@ class TestMultiEntry:
 
     def assert_matches_serial(self, specs, plans, params, seed, cb=None):
         assert self.CALIB % TRIALS_PER_BLOCK and self.TRIALS % TRIALS_PER_BLOCK
+        entries = list(zip(*_entries(specs, plans, params)[:3]))
         calibs = calibrate_threshold(specs, plans, params, self.CALIB, 1e-2, seed, cb=cb)
-        serial = [calibrate_threshold(s, p, params, self.CALIB, 1e-2, seed, cb=cb)
-                  for s, p in zip(specs, plans)]
+        serial = [calibrate_threshold(s, pl, p, self.CALIB, 1e-2, seed, cb=cb)
+                  for s, pl, p in entries]
         assert calibs == serial  # gamma and infeasible alike
-        tuned = [s.with_gamma(c.gamma) for s, c in zip(specs, calibs)]
+        tuned = [s.with_gamma(c.gamma) for (s, _, _), c in zip(entries, calibs)]
         rates = estimate_rates(tuned, plans, params, self.TRIALS, seed, cb=cb)
-        assert rates == [estimate_rates(s, p, params, self.TRIALS, seed, cb=cb)
-                         for s, p in zip(tuned, plans)]
+        assert rates == [estimate_rates(s, pl, p, self.TRIALS, seed, cb=cb)
+                         for s, (_, pl, p) in zip(tuned, entries)]
         assert (estimate_false_alarm(tuned, plans, params, self.TRIALS, seed, cb=cb)
-                == [estimate_false_alarm(s, p, params, self.TRIALS, seed, cb=cb)
-                    for s, p in zip(tuned, plans)])
+                == [estimate_false_alarm(s, pl, p, self.TRIALS, seed, cb=cb)
+                    for s, (_, pl, p) in zip(tuned, entries)])
+        return rates
+
+    def assert_statistics_match(self, take, specs, plans, params, seed, cb=None):
+        """assert_matches_serial, and each statistic array of the shared calls is its own call's."""
+        rates = self.assert_matches_serial(specs, plans, params, seed, cb=cb)
+        tuned = [s.with_gamma(g) for s, g in zip(specs, np.linspace(-2.0, 2.0, len(specs)))]
+        take()
+        calibrate_threshold(specs, plans, params, self.CALIB, 1e-2, seed, cb=cb)
+        estimate_rates(tuned, plans, params, self.TRIALS, seed, cb=cb)
+        estimate_false_alarm(tuned, plans, params, self.TRIALS, seed, cb=cb)
+        shared = take()
+        for s, t, pl, p in zip(specs, tuned, plans, params):
+            calibrate_threshold(s, pl, p, self.CALIB, 1e-2, seed, cb=cb)
+            estimate_rates(t, pl, p, self.TRIALS, seed, cb=cb)
+            estimate_false_alarm(t, pl, p, self.TRIALS, seed, cb=cb)
+        assert len(shared) == len(specs)
+        assert shared == take()
         return rates
 
     def test_hyped_exact_over_split_grid(self):
@@ -275,6 +394,36 @@ class TestMultiEntry:
         specs = [DetectorSpec(kind="dad"), DetectorSpec(kind="preamble"), DetectorSpec(kind="hyped-exact")]
         rates = self.assert_matches_serial(specs, [plan] * 3, params, 5, cb=cb)
         assert all(r["pcw"] is not None for r in rates)
+
+    def test_mixed_lengths_without_code(self, statistics):
+        # HyPED splits of three slot lengths and a preamble entry: each entry
+        # reads the flat prefix of the longest slot's block, and its own
+        # call draws exactly that prefix
+        plans = [FramePlan(n_p=n_p, n_c=n - n_p) for n, n_p in
+                 ((60, 0), (84, 42), (60, 60), (23, 5), (84, 83), (60, 7))]
+        specs = [DetectorSpec(kind="hyped-exact")] * 5 + [DetectorSpec(kind="preamble")]
+        params = [ChannelParams.from_db(-3.0, pl.n) for pl in plans]
+        self.assert_statistics_match(statistics, specs, plans, params, 3)
+
+    def test_mixed_lengths_with_code(self, statistics):
+        # DAD, preamble and HyPED on the codewords of one code after preambles
+        # of three lengths: one ML decision per block and slot length
+        cb = hamming_7_4()
+        plans = [FramePlan(n_p=n_p, n_c=7) for n_p in (3, 0, 10, 3, 10, 3)]
+        specs = [DetectorSpec(kind=k) for k in
+                 ("dad", "dad", "preamble", "preamble", "hyped-exact", "hyped-exact")]
+        params = [ChannelParams.from_db(-1.0, pl.n) for pl in plans]
+        rates = self.assert_statistics_match(statistics, specs, plans, params, 5, cb=cb)
+        assert all(r["pcw"] is not None for r in rates)
+
+    def test_mixed_variances_rejected(self):
+        plans = [FramePlan(n_p=2, n_c=18), FramePlan(n_p=2, n_c=10)]
+        params = [ChannelParams.from_db(-3.0, 20), ChannelParams.from_db(-2.0, 12)]
+        with pytest.raises(ValueError, match="one noise variance"):
+            calibrate_threshold(DetectorSpec(kind="hyped-exact"), plans, params, 1000, 0.1, 1)
+        with pytest.raises(ValueError, match="its own slot length"):  # the plan of n = 12 at n = 20
+            estimate_rates(DetectorSpec(kind="preamble", gamma=0.0), plans,
+                           ChannelParams.from_db(-3.0, 20), 100, 1)
 
     def test_lone_spec_or_plan_is_broadcast(self):
         params = ChannelParams.from_db(-3.0, 20)
@@ -339,11 +488,22 @@ class TestActiveSpans:
                 == self.reference(specs, plans, 5000, 4))
 
     def test_payload_signs(self):
-        # +1 exactly where the uniform is below 1/2, at the edges too
+        # +1 exactly where the uniform is below 1/2, at the edges too: the
+        # statistic from the two ln cosh tables is that of the slots x + z
         u = np.array([2.0 ** -64, 0.5 - 2.0 ** -54, 0.5, 0.5 + 2.0 ** -53, 1.0 - 2.0 ** -53, 0.25])
-        got = _payload(u, 3, 0, 2)
-        assert got.tobytes() == np.where(u < 0.5, 1.0, -1.0).reshape(2, 3).tobytes()
-        assert _payload(u, 2, 1, 3).tobytes() == np.where(u[2:] < 0.5, 1.0, -1.0).reshape(2, 2).tobytes()
+        z = gaussian_block(self.params.sigma2, 5, STREAM_ACTIVE_NOISE, 0, (6,))
+        spec = DetectorSpec(kind="hyped-exact")
+        for rows, n_c in ((2, 3), (3, 2)):
+            params = ChannelParams.from_db(-3.0, n_c)
+            plan = FramePlan(n_p=0, n_c=n_c)
+            (got,) = _random_payload_statistics([spec], [plan], z.copy(), rows, u.copy(), params,
+                                                np.empty(z.size), {})
+            x = np.where(u < 0.5, 1.0, -1.0)
+            want = stat_hyped_exact((x + z).reshape(rows, n_c), plan, params)
+            assert got.tobytes() == want.tobytes()
+            x[2] = 1.0  # u = 1/2 read as +1 gives another statistic
+            flipped = stat_hyped_exact((x + z).reshape(rows, n_c), plan, params)
+            assert got[2 // n_c] != flipped[2 // n_c]
 
 
 class TestTiledCorrelationPerBlock:
@@ -439,6 +599,34 @@ class TestNoisePasses:
         draws.clear()
         estimate_false_alarm(spec, plan, params, 5000, 3, cb=hamming_7_4())
         assert draws == once((STREAM_IDLE_EVAL, noise(5000, 10)))
+
+
+    def test_mixed_lengths_drawn_once_at_the_longest(self, draws):
+        # entries of lengths 12, 20 and 7 share each block, drawn once at n = 20;
+        # one payload draw per block at the longest payload (n_c = 18), one
+        # message draw per block with a code
+        plans = [FramePlan(n_p=n_p, n_c=n - n_p) for n, n_p in ((12, 2), (20, 2), (7, 7), (20, 15))]
+        params = [ChannelParams.from_db(-3.0, pl.n) for pl in plans]
+        spec = DetectorSpec(kind="hyped-exact")
+        calibrate_threshold(spec, plans, params, 9001, 1e-2, 3)
+        estimate_rates(spec.with_gamma(0.0), plans, params, 9001, 3)
+        estimate_false_alarm(spec.with_gamma(0.0), plans, params, 9001, 3)
+        want = Counter()
+        for b, count in enumerate((TRIALS_PER_BLOCK, TRIALS_PER_BLOCK, 809)):
+            for stream in (STREAM_CALIBRATION, STREAM_ACTIVE_NOISE, STREAM_IDLE_EVAL):
+                want[stream, b, (count, 20)] += 1
+            want[STREAM_PAYLOAD, b, (count * 18,)] += 1
+        assert draws == want
+
+        cb = hamming_7_4()
+        plans = [FramePlan(n_p=n_p, n_c=7) for n_p in (3, 0, 10)]
+        params = [ChannelParams.from_db(0.0, pl.n) for pl in plans]
+        draws.clear()
+        estimate_rates(DetectorSpec(kind="dad", gamma=0.0), plans, params, 5000, 3, cb=cb)
+        assert draws == Counter({(stream, b, shape): 1
+                                 for b, count in enumerate((TRIALS_PER_BLOCK, 904))
+                                 for stream, shape in ((STREAM_ACTIVE_NOISE, (count, 17)),
+                                                       (STREAM_MESSAGES, (count,)))})
 
 
 class TestFalseAlarmSplit:

@@ -327,16 +327,49 @@ class TestRunRateSweep:
                                  for width in widths[stream] for b in blocks})
 
     def test_n_grid_equals_one_n_sweeps(self):
+        # the 4-point grid has feasible HyPED splits at three lengths, which
+        # share one calibration and one estimation pass
+        for grid in ((16, 48, 72), (16, 40, 56, 72)):
+            cfg = self.split_rate_cfg()
+            cfg.n_grid = grid
+            with pytest.warns(UserWarning):  # DT precision at 10k trials
+                rows = run_rate_sweep(cfg)
+            per_n = []
+            for n in grid:
+                cfg.n_grid = (n,)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)
+                    per_n += run_rate_sweep(cfg)
+            assert rows == per_n
+
+    def test_one_engine_pass_for_the_n_grid(self, monkeypatch):
+        # every HyPED split of every feasible n: one calibrate_threshold call
+        # and one estimate_rates call, each over all the splits' lengths
+        import jdd.sweeps as sweeps
+
+        calls = []
+        for name in ("calibrate_threshold", "estimate_rates"):
+            def counted(spec, plans, params, *args, _name=name, _fn=getattr(sweeps, name), **kw):
+                calls.append((_name, sorted({pl.n for pl in plans})))
+                return _fn(spec, plans, params, *args, **kw)
+            monkeypatch.setattr(sweeps, name, counted)
         cfg = self.split_rate_cfg()
-        with pytest.warns(UserWarning):  # DT precision at 10k trials
-            rows = run_rate_sweep(cfg)
-        per_n = []
-        for n in cfg.n_grid:
-            cfg.n_grid = (n,)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
-                per_n += run_rate_sweep(cfg)
-        assert rows == per_n
+        cfg.n_grid = (16, 40, 56, 72)
+        with pytest.warns(UserWarning):
+            run_rate_sweep(cfg)
+        assert calls == [("calibrate_threshold", [40, 56, 72]), ("estimate_rates", [40, 56, 72])]
+
+    def test_genie_below_dt_trials_fails_before_simulation(self, monkeypatch):
+        # the genie row reads a DT search at every feasible n, so 9999 trials
+        # are refused before any split is calibrated
+        import jdd.bounds as bounds
+        import jdd.montecarlo as montecarlo
+
+        for mod in (montecarlo, bounds):
+            monkeypatch.setattr(mod, "gaussian_block", None)
+        with pytest.raises(ValueError, match="need at least 10000 trials"):
+            run_rate_sweep(small_rate_cfg(schemes=("genie", "hyped"), n_grid=(16, 40),
+                                          trials=9999))
 
     def test_no_bound_searched_below_dt_trials(self, monkeypatch):
         # at n = 22 the DAD fixed point ends before its first round and no split
@@ -543,6 +576,19 @@ class TestRunPieSweep:
         # the split lengths differ between the SNRs; -6 dB is below the floor
         return small_pie_cfg(schemes=("genie", "dad", "hyped", "preamble"),
                              np_grid=(0, 2, 8, 14, 17), snr_grid=snr_grid)
+
+    def test_below_dt_trials_fails_before_simulation(self, monkeypatch):
+        # every SNR above the floor reads the slot's DT and meta-converse, so
+        # 9999 trials are refused before any HyPED split is calibrated
+        import jdd.bounds as bounds
+        import jdd.montecarlo as montecarlo
+
+        for mod in (montecarlo, bounds):
+            monkeypatch.setattr(mod, "gaussian_block", None)
+        cfg = parse_config("schemes=hyped\nn=84\nk=12\nsnr_grid=-3,-1\neps_fa=1e-3\n"
+                           "eps_md=1e-3\neps_ie=1e-2\ntrials=9999\n")
+        with pytest.raises(ValueError, match="need at least 10000 trials"):
+            run_pie_sweep(cfg)
 
     def test_snr_grid_equals_one_snr_sweeps(self):
         cfg = self.snr_grid_cfg()
