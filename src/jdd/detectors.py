@@ -124,24 +124,44 @@ def _hyped_rows(out, pre, terms, n, s2):
     out -= n / (2.0 * s2)
 
 
-def _random_payload_statistics(specs, plans, z, count, u, params, table, scratch):
+def _payload_masks(u):
+    """Sign masks of random payload symbols, written over their uniforms `u`.
+
+    Returns u's memory as int64: all ones where the symbol is -1 (u >= 1/2)
+    and zero where it is +1, the masks _random_payload_statistics reads.
+    """
+    bits = u.view(np.int64)
+
+    def masks(a, b):
+        # positive doubles order as their bits: bits(1/2) - 1 - bits(u) is
+        # negative, and shifts to all ones, exactly where u >= 1/2 (x = -1)
+        m = bits[a:b]
+        np.subtract(_HALF_BITS - 1, m, out=m)
+        np.right_shift(m, 63, out=m)
+
+    _on_cores(masks, bits.size, _SPAN)
+    return bits
+
+
+def _random_payload_statistics(specs, plans, z, count, masks, params, table, scratch):
     """Statistics of active slots x + z with i.i.d. random payloads, one array per entry.
 
     `z` is a flat noise block of `count` rows; the entry of a plan of length
     n reads its first count * n values as (count, n) slots. x is +1 on the
     preamble and, at symbol j of row r of the payload of length n_c, +1
     where the uniform u[r * n_c + j] is below 1/2 and -1 elsewhere (the
-    payloads of jdd.montecarlo). The entries are preamble and HyPED-exact.
+    payloads of jdd.montecarlo); `masks` is _payload_masks(u). The entries
+    are preamble and HyPED-exact.
 
     A payload symbol adds one of two HyPED terms, ln cosh((z + 1) / sigma2)
     or ln cosh((z - 1) / sigma2), so both are computed once per noise value:
     the first over `z` in place, the second into `table`, a buffer of z's
     size, which then holds the XOR of the two terms' bits. Each HyPED entry
-    picks its terms by their bits, (+1 term) XOR (XOR & mask), with the mask
-    all ones where the symbol is -1, and sums them through
-    stat_hyped_exact's row kernel; so every value equals stat_hyped_exact on
-    the assembled slots bit for bit. The preamble sums are taken first,
-    while `z` still holds the noise, and `u` is overwritten by the masks.
+    picks its terms by their bits, (+1 term) XOR (XOR & mask), and sums them
+    through stat_hyped_exact's row kernel; so every value equals
+    stat_hyped_exact on the assembled slots bit for bit. The preamble sums
+    are taken first, while `z` still holds the noise; `masks` is only read,
+    so one set serves every noise variance of a block.
 
     Rows are filled in spans of whole rows on the usable cores
     (channel._on_rows), each thread reusing its own buffer, which `scratch`
@@ -180,8 +200,8 @@ def _random_payload_statistics(specs, plans, z, count, u, params, table, scratch
 
         _on_rows(preamble_sums, count, n)
 
-    # the same values as int64 bit patterns, for the masks and the picks
-    u_bits, z_bits, table_bits = (a.view(np.int64) for a in (u, z, table))
+    # the same values as int64 bit patterns, for the picks
+    z_bits, table_bits = (a.view(np.int64) for a in (z, table))
 
     def tables(a, b):
         # z - 1.0 is z + x at x = -1, and z + 1.0 at x = +1, bit for bit
@@ -194,15 +214,7 @@ def _random_payload_statistics(specs, plans, z, count, u, params, table, scratch
         _log_cosh_in_place(plus)
         np.bitwise_xor(table_bits[a:b], z_bits[a:b], out=table_bits[a:b])
 
-    def masks(a, b):
-        # positive doubles order as their bits: bits(1/2) - 1 - bits(u) is
-        # negative, and shifts to all ones, exactly where u >= 1/2 (x = -1)
-        m = u_bits[a:b]
-        np.subtract(_HALF_BITS - 1, m, out=m)
-        np.right_shift(m, 63, out=m)
-
     _on_cores(tables, count * max(lengths), _SPAN)
-    _on_cores(masks, u.size, _SPAN)
 
     for n, hyped in lengths.items():
         plus_bits, flips = (t[: count * n].reshape(count, n) for t in (z_bits, table_bits))
@@ -213,7 +225,7 @@ def _random_payload_statistics(specs, plans, z, count, u, params, table, scratch
                 n_p, n_c = plans[i].n_p, plans[i].n_c
                 terms = buf[: (b - a) * n_c].reshape(b - a, n_c)
                 picked = terms.view(np.int64)
-                np.bitwise_and(flips[a:b, n_p:], u_bits[a * n_c : b * n_c].reshape(b - a, n_c),
+                np.bitwise_and(flips[a:b, n_p:], masks[a * n_c : b * n_c].reshape(b - a, n_c),
                                out=picked)
                 np.bitwise_xor(picked, plus_bits[a:b, n_p:], out=picked)
                 _hyped_rows(out[i][a:b], out[i][a:b], terms, n, s2)

@@ -26,30 +26,47 @@ Entries
 -------
 Every function takes one detector spec, one frame plan and one ChannelParams,
 or sequences of them (a lone one is broadcast against the sequences). Each
-plan covers its own params.n, so entries may have any slot length, but they
-share one noise variance: a call that mixes sigma2 values is rejected. All
-entries are evaluated in one pass: each (stream, block) is drawn once, at the
-longest slot, and an entry of length n reads its flat prefix (count, n), the
-block its own call draws (channel's counter-based noise; jdd.bounds relies
-on the same flat-prefix contract). The random payloads of all lengths come
-from one payload draw per block. Because a trial's noise depends only on
-(seed, stream, trial index), each entry's result is identical to a call with
-that entry alone, whichever entries share its call; a lone spec, plan and
-params is the same path with one entry, and returns a single result instead
-of a list.
+plan covers its own params.n, so entries may have any slot length and any
+noise variance. All entries are evaluated in one pass: each (stream, block)
+is drawn once, at unit variance and the longest slot, and an entry of length
+n and variance sigma2 reads sqrt(sigma2) times its flat prefix (count, n).
+gaussian_block scales its unit draw by sqrt(sigma2), so that is the block
+the entry's own call draws, bit for bit (channel's counter-based noise;
+jdd.bounds relies on the same scaling and flat-prefix contracts). The random
+payloads of all lengths come from one payload draw per block, and the
+message draws from one per block.
+
+DAD's idle statistic T(y) = y_p^T 1 + max_m x_m^T y_c has no sigma2 term
+and is homogeneous of degree one in y. So on the idle streams each DAD plan
+is correlated once per block, on the unit block w, and each of its entries
+takes sqrt(sigma2) T(w). This is the one value that may differ in its last
+bits from the statistic of gaussian_block(sigma2, ...) noise, T(sqrt(sigma2)
+w): for a (76, 12) code at -3 and -1 dB, 50 000 calibration trials and
+seeds 0-2, the thresholds of the two forms lay at most 2 ulps (3.1e-16
+relative) apart and every P_IE was the same; a rate moves only where a
+statistic lies within those ulps of the threshold. A lone DAD entry takes
+the same path, so every entry's result is identical to a call with that
+entry alone, whichever entries share its call; a lone spec, plan and params
+is the same path with one entry, and returns a single result instead of a
+list. At sigma2 = 0 the noise is zero (of either sign), so noiseless slots
+are the signals exactly.
 
 Memory: calibration keeps, per entry, only the K = N - floor((N - 1)(1 -
 eps_fa)) + 2 largest of its N idle statistics, the order statistics its
 quantile reads, merged block by block: entries x K values instead of
 entries x N. Evaluation statistics are reduced to counts block by block and
-never stored. Without a code, the two ln cosh tables of HyPED's random
-payload (jdd.detectors) overwrite the noise block and fill one reused block
-buffer. With a code, each slot length's active slots are written into that
-buffer, in spans of whole rows on the usable cores (channel._on_rows), and
-every entry of a length sees the same slots: each block gets one ML decision
-per slot length, the first DAD entry's argmax, which is ML decoding's, or
-else one codebook.ml_decode call, so a slot is correlated with the codebook
-once.
+never stored. Each variance of a block but the last reads a scaled copy of
+the unit block, freed before the next variance's is made, and the last
+scales the block in place, so a call with one variance holds one noise
+block. Without a code, the two ln cosh tables of HyPED's random payload
+(jdd.detectors) overwrite the scaled noise and fill one reused block
+buffer. With a code, the active slots sqrt(sigma2) w + x of each (variance,
+slot length) are written into that buffer straight from w, in spans of
+whole rows on the usable cores (channel._on_rows), and every entry of a
+(variance, length) sees the same slots: each block gets one ML decision per
+(variance, slot length), the first DAD entry's argmax, which is ML
+decoding's, or else one codebook.ml_decode call, so a slot is correlated
+with the codebook once.
 
 Rates carry exact two-sided 95% Clopper-Pearson intervals, whose beta
 quantiles come from ``scipy.special.betaincinv``.
@@ -71,7 +88,7 @@ from .channel import (
     gaussian_block,
     uniform_block,
 )
-from .detectors import DetectorSpec, _random_payload_statistics, batch_statistic
+from .detectors import DetectorSpec, _payload_masks, _random_payload_statistics, batch_statistic
 
 __all__ = [
     "RateEstimate",
@@ -140,35 +157,58 @@ def _entries(spec, plan, params):
     specs, plans, params = columns
     if any(pl.n != p.n for pl, p in zip(plans, params)):
         raise ValueError("every plan must cover its own slot length params.n")
-    if len({p.sigma2 for p in params}) > 1:
-        raise ValueError("the entries of one call must share one noise variance sigma2")
     return specs, plans, params, single
 
 
-def _by_length(plans):
-    """Slot length -> the indices of its entries, in order of first use."""
-    lengths = {}
-    for i, pl in enumerate(plans):
-        lengths.setdefault(pl.n, []).append(i)
-    return lengths
+def _by_slot(indices, plans, params):
+    """sigma2 -> slot length -> the entries of `indices` with that slot, in order of first use."""
+    groups = {}
+    for i in indices:
+        groups.setdefault(params[i].sigma2, {}).setdefault(plans[i].n, []).append(i)
+    return groups
+
+
+def _scaled(w, sigma2, size, in_place):
+    """The first `size` values of sqrt(sigma2) * w, in place or in a new array.
+
+    For the unit-variance block w of a key this is gaussian_block(sigma2,
+    ...) of that key bit for bit, since gaussian_block forms that product.
+    """
+    return np.multiply(w[:size], np.sqrt(sigma2), out=w[:size] if in_place else None)
 
 
 def _idle_stats(specs, plans, params, trials, seed, stream, cb=None):
     """Yield (offset, per-entry idle statistics) for each noise block of `stream`.
 
-    Each block is drawn once at the longest slot; the entries of length n
-    are evaluated together on its flat prefix (count, n).
+    Each block is drawn once, at unit variance and the longest slot. A DAD
+    plan is correlated once on the block's flat prefix, and each of its
+    entries scales the statistics by sqrt(sigma2); the other entries of each
+    (sigma2, length) are evaluated together on the flat prefix (count, n) of
+    sqrt(sigma2) times the block, the last variance scaling it in place.
     """
-    lengths = _by_length(plans)
+    dad = {}  # DAD plan -> the indices of its entries
+    for i, (s, pl) in enumerate(zip(specs, plans)):
+        if s.kind == "dad":
+            dad.setdefault(pl, []).append(i)
+    groups = _by_slot([i for i, s in enumerate(specs) if s.kind != "dad"], plans, params)
+    width = max(pl.n for pl in plans)
     for block, count in _blocks(trials):
-        z = gaussian_block(params[0].sigma2, seed, stream, block, (count, max(lengths))).reshape(-1)
+        w = gaussian_block(1.0, seed, stream, block, (count, width)).reshape(-1)
         stats = [None] * len(specs)
-        for n, idx in lengths.items():
-            results = batch_statistic([specs[i] for i in idx], z[: count * n].reshape(count, n),
-                                      [plans[i] for i in idx], params[idx[0]], cb=cb)
-            for i, (entry_stats, _) in zip(idx, results):
-                stats[i] = entry_stats
-        del z  # freed before the next block is drawn
+        for pl, idx in dad.items():
+            unit, _ = batch_statistic(specs[idx[0]], w[: count * pl.n].reshape(count, pl.n), pl,
+                                      params[idx[0]], cb=cb)
+            for i in idx:
+                stats[i] = np.sqrt(params[i].sigma2) * unit
+        for g, (sigma2, lengths) in enumerate(groups.items()):
+            z = _scaled(w, sigma2, count * max(lengths), in_place=g == len(groups) - 1)
+            for n, idx in lengths.items():
+                results = batch_statistic([specs[i] for i in idx], z[: count * n].reshape(count, n),
+                                          [plans[i] for i in idx], params[idx[0]], cb=cb)
+                for i, (entry_stats, _) in zip(idx, results):
+                    stats[i] = entry_stats
+            del z  # freed before the next variance's copy is made
+        del w  # freed before the next block is drawn
         yield block * TRIALS_PER_BLOCK, stats
 
 
@@ -235,18 +275,76 @@ def _payload_uniforms(n_c_max, seed, block, count):
     return uniform_block(seed, STREAM_PAYLOAD, block, (count * n_c_max,))
 
 
-def _active_slots(y, z, n_p, codewords):
-    """Write the active slots x + z of a noise block z into y, in spans of rows.
+def _active_slots(y, w, scale, n_p, codewords):
+    """Write the active slots x + scale * w of a unit noise block w into y, in spans of rows.
 
     x is +1 on the n_p preamble columns and codewords(a, b), the +/-1 rows
-    [a, b) of the codeword segment, after them. IEEE addition commutes, so
-    z + 1.0 and z + x_c are x + z bit for bit.
+    [a, b) of the codeword segment, after them. The noise scale * w is
+    rounded first, as gaussian_block rounds it, and IEEE addition commutes,
+    so each slot is x + z bit for bit, z being gaussian_block's noise.
     """
     def fill(a, b):
-        np.add(z[a:b, :n_p], 1.0, out=y[a:b, :n_p])
-        np.add(z[a:b, n_p:], codewords(a, b), out=y[a:b, n_p:])
+        np.multiply(w[a:b], scale, out=y[a:b])
+        y[a:b, :n_p] += 1.0
+        y[a:b, n_p:] += codewords(a, b)
 
-    _on_rows(fill, len(z), z.shape[1])
+    _on_rows(fill, len(w), w.shape[1])
+
+
+def _active_stats(specs, plans, params, trials, seed, cb=None):
+    """Yield, per block of active slots, each entry's statistics and wrong ML decisions.
+
+    Each noise block is drawn once, at unit variance and the longest slot.
+    Without a code, the random payloads of every entry come from one payload
+    draw and one set of sign masks per block, and each variance's noise is
+    sqrt(sigma2) times the block, the last variance scaling it in place; the
+    wrong decisions are None. With a code, one message draw per block gives
+    the codewords, each (sigma2, length) writes its slots into one reused
+    buffer, and its entries share one ML decision, whose mismatches with the
+    messages are the wrong decisions.
+    """
+    groups = _by_slot(range(len(specs)), plans, params)
+    width = max(pl.n for pl in plans)
+    # with a code, every block's active slots; without one, HyPED's second table
+    buf = np.empty(min(trials, TRIALS_PER_BLOCK) * width)
+    scratch = {}  # each thread's span buffers, kept across blocks
+    for block, count in _blocks(trials):
+        w = gaussian_block(1.0, seed, STREAM_ACTIVE_NOISE, block, (count, width)).reshape(-1)
+        stats, wrong = [None] * len(specs), [None] * len(specs)
+        if cb is None:
+            masks = _payload_masks(_payload_uniforms(max(pl.n_c for pl in plans), seed, block, count))
+            for g, (sigma2, lengths) in enumerate(groups.items()):
+                idx = [i for entries in lengths.values() for i in entries]
+                z = _scaled(w, sigma2, count * max(lengths), in_place=g == len(groups) - 1)
+                results = _random_payload_statistics([specs[i] for i in idx], [plans[i] for i in idx],
+                                                     z, count, masks, params[idx[0]], buf, scratch)
+                for i, entry_stats in zip(idx, results):
+                    stats[i] = entry_stats
+                del z  # freed before the next variance's copy is made
+            del masks  # freed before the next block is drawn
+        else:
+            m = _draw_messages(cb.M, seed, block, count)
+
+            def codewords(a, b):
+                return cb.codewords[m[a:b] - 1]
+
+            for sigma2, lengths in groups.items():
+                for n, idx in lengths.items():
+                    # every plan of a length puts the codeword in the same columns
+                    y = buf[: count * n].reshape(count, n)
+                    n_p = n - cb.n_c
+                    _active_slots(y, w[: count * n].reshape(count, n), np.sqrt(sigma2), n_p,
+                                  codewords)
+                    results = batch_statistic([specs[i] for i in idx], y, [plans[i] for i in idx],
+                                              params[idx[0]], cb=cb)
+                    # one ML decision per block and slot: DAD's argmax is ML decoding's
+                    decided = next((m_hat for _, m_hat in results if m_hat is not None), None)
+                    if decided is None:
+                        decided, _ = codebook.ml_decode(cb, y[:, n_p:])
+                    for i, (entry_stats, _) in zip(idx, results):
+                        stats[i], wrong[i] = entry_stats, decided != m
+        del w  # freed before the next block is drawn
+        yield stats, wrong
 
 
 def _thresholded(spec, plan, params, trials):
@@ -294,45 +392,14 @@ def estimate_rates(spec, plan, params, trials, seed, cb=None):
     trials, specs, plans, params, single = _thresholded(spec, plan, params, trials)
     if cb is not None and any(pl.n_c != cb.n_c for pl in plans):
         raise ValueError(f"every plan must carry the codewords: n_c={cb.n_c}")
-    lengths = _by_length(plans)
-    width = max(lengths)
     n_detected = [0] * len(specs)
     n_cw_err = [0] * len(specs)
-    # with a code, every block's active slots; without one, HyPED's second table
-    buf = np.empty(min(trials, TRIALS_PER_BLOCK) * width)
-    scratch = {}  # each thread's span buffers, kept across blocks
-    for block, count in _blocks(trials):
-        z = gaussian_block(params[0].sigma2, seed, STREAM_ACTIVE_NOISE, block,
-                           (count, width)).reshape(-1)
-        if cb is None:
-            u = _payload_uniforms(max(pl.n_c for pl in plans), seed, block, count)
-            stats = _random_payload_statistics(specs, plans, z, count, u, params[0], buf, scratch)
-            del z, u  # freed before the next block is drawn
-            for i, (s, entry_stats) in enumerate(zip(specs, stats)):
-                n_detected[i] += int(np.sum(entry_stats >= s.gamma))
-            continue
-        m = _draw_messages(cb.M, seed, block, count)
-
-        def codewords(a, b):
-            return cb.codewords[m[a:b] - 1]
-
-        for n, idx in lengths.items():
-            # every plan of a length puts the codeword in the same columns
-            y = buf[: count * n].reshape(count, n)
-            n_p = n - cb.n_c
-            _active_slots(y, z[: count * n].reshape(count, n), n_p, codewords)
-            results = batch_statistic([specs[i] for i in idx], y, [plans[i] for i in idx],
-                                      params[idx[0]], cb=cb)
-            # one ML decision per block and length: DAD's argmax is ML decoding's
-            decided = next((m_hat for _, m_hat in results if m_hat is not None), None)
-            if decided is None:
-                decided, _ = codebook.ml_decode(cb, y[:, n_p:])
-            wrong = decided != m
-            for i, (stats, _) in zip(idx, results):
-                detected = stats >= specs[i].gamma
-                n_detected[i] += int(np.sum(detected))
+    for block_stats, block_wrong in _active_stats(specs, plans, params, trials, seed, cb):
+        for i, (s, stats, wrong) in enumerate(zip(specs, block_stats, block_wrong)):
+            detected = stats >= s.gamma
+            n_detected[i] += int(np.sum(detected))
+            if wrong is not None:
                 n_cw_err[i] += int(np.sum(detected & wrong))
-        del z  # freed before the next block is drawn
 
     out = []
     for i in range(len(specs)):

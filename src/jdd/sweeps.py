@@ -52,6 +52,10 @@ SPLIT_SCHEMES = ("hyped", "preamble")
 # another pass, so peak memory does not grow with the grids
 DENSITY_BUDGET_BYTES = 64 << 20
 
+# slot-symbols (trials x longest slot) that the Monte Carlo calibrations and
+# evaluations of one run may draw: about 3-4 minutes of noise on 2 cores
+MAX_SLOT_SYMBOLS = 1e10
+
 # ranks (value, n_p) pairs by value; max and min keep the first of equal
 # values, so ties go to the smaller n_p of the ascending split grid
 _BY_VALUE = operator.itemgetter(0)
@@ -229,7 +233,7 @@ def _split_pmds(scheme, splits, cfg):
     The preamble matched filter has a closed form. For HyPED the exact
     detector is calibrated and evaluated with an i.i.d. random payload, which
     is exactly the model under which the HyPED LLR is the optimal
-    Neyman-Pearson statistic; all splits, of every slot length (one SNR),
+    Neyman-Pearson statistic; all splits, of every slot length and SNR,
     share one calibrate_threshold call and one estimate_rates call.
     """
     if scheme == "preamble":
@@ -243,6 +247,20 @@ def _split_pmds(scheme, splits, cfg):
     rates = estimate_rates([spec.with_gamma(c.gamma) for c in calibs], plans, params,
                            cfg.trials, cfg.seed)
     return [r["pmd"].p_hat for r in rates]
+
+
+def _need_bounded_work(cfg, width):
+    """Refuse, before any noise is drawn, Monte Carlo passes past MAX_SLOT_SYMBOLS.
+
+    `width` sums the longest slot of every engine pass the run plans; each
+    pass is one calibration of cfg.calibration_trials() and one evaluation
+    of cfg.trials slots.
+    """
+    work = (cfg.calibration_trials() + cfg.trials) * width
+    if work > MAX_SLOT_SYMBOLS:
+        raise ValueError(f"eps_fa={cfg.eps_fa} needs {cfg.calibration_trials()} calibration "
+                         f"trials, and with trials={cfg.trials} the Monte Carlo passes would draw "
+                         f"{work:.3g} slot-symbols, past the limit of {MAX_SLOT_SYMBOLS:.3g}")
 
 
 def _need_bound_trials(cfg):
@@ -324,12 +342,12 @@ def run_rate_sweep(cfg):
     the genie DT/meta-converse reference rates. A configured preamble scheme
     gets no rows, and a config naming none of genie, dad and hyped is
     rejected before any noise is drawn, as are trials too few for the genie's
-    DT search. The HyPED splits of every feasible n are calibrated and
-    scored in one Monte Carlo pass (_feasible_splits), and every DT search
-    (the genie, each DAD fixed-point round, each split's payload) and every
-    meta-converse code size of the whole n grid is one request to
-    _bound_values, so a sweep over an n grid writes the same rows as one
-    sweep per n. The config is validated first (see SweepConfig.validate),
+    DT search and a split search past MAX_SLOT_SYMBOLS. The HyPED splits of
+    every feasible n are calibrated and scored in one Monte Carlo pass
+    (_feasible_splits), and every DT search (the genie, each DAD fixed-point
+    round, each split's payload) and every meta-converse code size of the
+    whole n grid is one request to _bound_values, so a sweep over an n grid
+    writes the same rows as one sweep per n. The config is validated first (see SweepConfig.validate),
     as parse_config does.
     """
     cfg.validate()
@@ -345,6 +363,8 @@ def run_rate_sweep(cfg):
     feasible = [n for n in cfg.n_grid if n >= n_min]
     if "genie" in schemes and feasible:  # a DT search at every feasible n
         _need_bound_trials(cfg)
+    if "hyped" in schemes and feasible:  # one split search at the longest feasible n
+        _need_bounded_work(cfg, max(feasible))
     # the feasible (n_p, pmd) HyPED splits of every n above the converse
     slots = [ChannelParams.from_db(cfg.es_n0_db, n) for n in feasible]
     splits = dict(zip(feasible, _feasible_splits(cfg, "hyped", 1, slots) if "hyped" in schemes
@@ -417,11 +437,14 @@ def run_pie_sweep(cfg):
     simulated operating points (kind = "simulated"). The DT and
     meta-converse bounds of the full slot and of every feasible split's
     payload, at every SNR above the converse floor, are requests to one
-    _bound_values call, so a sweep over an SNR grid writes the same rows as
-    one sweep per SNR. An invalid config (see
-    SweepConfig.validate), a code longer than the slot, or one whose
-    dimension is not k, is rejected before any noise is drawn, and so are
-    trials too few for the bounds when an SNR lies above the floor.
+    _bound_values call; the HyPED splits of every such SNR are one Monte
+    Carlo pass (_feasible_splits), and so are each code's simulated points
+    (_simulated_points). So a sweep over an SNR grid writes the same rows as
+    one sweep per SNR. An invalid config (see SweepConfig.validate), a code
+    longer than the slot, or one whose dimension is not k, is rejected
+    before any noise is drawn, and so are trials too few for the bounds when
+    an SNR lies above the floor, and Monte Carlo passes past
+    MAX_SLOT_SYMBOLS.
     """
     cfg.validate()
     if not cfg.snr_grid:
@@ -440,9 +463,19 @@ def run_pie_sweep(cfg):
     params = {snr: ChannelParams.from_db(snr, n) for snr in cfg.snr_grid if snr >= snr_floor}
     if params:  # each reads the slot's DT and meta-converse bounds
         _need_bound_trials(cfg)
-    splits = {snr: {scheme: _feasible_splits(cfg, scheme, k, [p])[0]
-                    for scheme in SPLIT_SCHEMES if scheme in cfg.schemes}
-              for snr, p in params.items()}
+        # HyPED's split search and each simulating code are one pass each
+        passes = ("hyped" in cfg.schemes) + sum(bool(_simulated_schemes(cfg, n - cb.n_c))
+                                                for cb in codes)
+        _need_bounded_work(cfg, n * passes)
+    slots = list(params.values())
+    per_scheme = {scheme: _feasible_splits(cfg, scheme, k, slots)
+                  for scheme in SPLIT_SCHEMES if scheme in cfg.schemes}
+    splits = {snr: {scheme: per[i] for scheme, per in per_scheme.items()}
+              for i, snr in enumerate(params)}
+    simulated = {snr: [] for snr in params}
+    for cb in codes:
+        for snr, points in zip(params, _simulated_points(cfg, cb, slots)):
+            simulated[snr] += points
     requests = [(params[snr].sigma2, l, quantity, M) for snr, by_scheme in splits.items()
                 for l in sorted({n, *(n - n_p for pairs in by_scheme.values() for n_p, _ in pairs)})
                 for quantity in ("dt-error", "mc-min-error")]
@@ -474,14 +507,13 @@ def run_pie_sweep(cfg):
                 rows.append(_row("dad", "achievability", n, snr, 1.0, flag="infeasible"))
         for scheme, pairs in splits[snr].items():
             rows.extend(_split_bound_point(scheme, n, snr, pairs, dt, con))
-        for cb in codes:
-            rows.extend(_simulated_points(cfg, cb, params[snr]))
+        rows.extend(simulated[snr])
     return rows
 
 
 def _feasible_splits(cfg, scheme, k, slots):
-    """Per ChannelParams of `slots` (one SNR), the (n_p, pmd) of every candidate
-    split of its slot whose pmd meets eps_md: one _split_pmds call for all."""
+    """Per ChannelParams of `slots`, the (n_p, pmd) of every candidate split of
+    its slot whose pmd meets eps_md: one _split_pmds call for all."""
     splits = [[(n_p, p) for n_p in _split_candidates(cfg, p.n, k, scheme)] for p in slots]
     pmds = iter(_split_pmds(scheme, [split for per in splits for split in per], cfg))
     return [[(n_p, pmd) for (n_p, _), pmd in zip(per, pmds) if pmd <= cfg.eps_md]
@@ -507,36 +539,48 @@ def _split_bound_point(scheme, n, snr, pairs, dt, con):
     return rows
 
 
-def _simulated_points(cfg, cb, params):
-    """Monte Carlo operating points for every configured scheme with this code.
+# the detector of each scheme a code's operating point simulates
+_SIMULATED_KINDS = {"dad": "dad", "hyped": "hyped-exact", "preamble": "preamble"}
 
-    All schemes share the code's one plan, so one calibrate_threshold call
-    and one estimate_rates call evaluate them all on the same noise blocks;
-    each scheme's result equals its own single-entry call.
+
+def _simulated_schemes(cfg, n_p):
+    """The configured schemes simulated with a code after an n_p-symbol preamble."""
+    return [s for s in cfg.schemes if s in _SIMULATED_KINDS and (s != "preamble" or n_p >= 1)]
+
+
+def _simulated_points(cfg, cb, slots):
+    """Monte Carlo operating points of every configured scheme with this code, per slot.
+
+    All schemes and SNRs share the code's one plan, so one
+    calibrate_threshold call and one estimate_rates call evaluate them all
+    on the same noise blocks; each (scheme, SNR) result equals its own
+    single-entry call. Returns one list of rows per ChannelParams of `slots`.
     """
-    n, snr = params.n, params.es_n0_db
+    n = cfg.n
     n_p = n - cb.n_c
     plan = FramePlan(n_p=n_p, n_c=cb.n_c)
-    kinds = {"dad": "dad", "hyped": "hyped-exact", "preamble": "preamble"}
-    schemes = [s for s in cfg.schemes if s in kinds and (s != "preamble" or n_p >= 1)]
-    if not schemes:
-        return []
-    specs = [DetectorSpec(kind=kinds[s]) for s in schemes]
+    schemes = _simulated_schemes(cfg, n_p)
+    if not schemes or not slots:
+        return [[] for _ in slots]
+    entries = [(j, scheme) for j in range(len(slots)) for scheme in schemes]
+    specs = [DetectorSpec(kind=_SIMULATED_KINDS[scheme]) for _, scheme in entries]
+    params = [slots[j] for j, _ in entries]
     calibs = calibrate_threshold(specs, plan, params, cfg.calibration_trials(),
                                  cfg.eps_fa, cfg.seed, cb=cb)
     live = [i for i, c in enumerate(calibs) if not c.infeasible]
-    rates = estimate_rates([specs[i].with_gamma(calibs[i].gamma) for i in live], plan, params,
-                           cfg.trials, cfg.seed, cb=cb) if live else []
+    rates = estimate_rates([specs[i].with_gamma(calibs[i].gamma) for i in live], plan,
+                           [params[i] for i in live], cfg.trials, cfg.seed, cb=cb) if live else []
     rates = dict(zip(live, rates))
-    rows = []
-    for i, scheme in enumerate(schemes):
+    rows = [[] for _ in slots]
+    for i, (j, scheme) in enumerate(entries):
+        snr = slots[j].es_n0_db
         if i not in rates:
-            rows.append(_row(scheme, "simulated", n, snr, 1.0, flag="calibration-infeasible"))
+            rows[j].append(_row(scheme, "simulated", n, snr, 1.0, flag="calibration-infeasible"))
             continue
         pie = rates[i]["pie"]
         se = (pie.ci_high - pie.ci_low) / 4.0  # ~ 1 sigma from the 95% CI width
-        rows.append(_row(scheme, "simulated", n, snr, pie.p_hat, stderr=se,
-                         flag=f"n_p={n_p},trials={pie.trials}"))
+        rows[j].append(_row(scheme, "simulated", n, snr, pie.p_hat, stderr=se,
+                            flag=f"n_p={n_p},trials={pie.trials}"))
     return rows
 
 
@@ -547,7 +591,8 @@ def run_optimize_split(cfg):
     bound) and pie-ub (nan where pmd misses eps_md); then the least pie-ub,
     ties to the earlier split, flagged best,n_p=..., or the infeasible row:
     the P_IE sweep's achievability row at this SNR. A config naming no split
-    scheme is rejected, like an invalid one, before any noise is drawn.
+    scheme is rejected, like an invalid one, before any noise is drawn, and
+    so is a HyPED split search past MAX_SLOT_SYMBOLS.
     """
     cfg.validate()
     schemes = [s for s in cfg.schemes if s in SPLIT_SCHEMES]
@@ -557,6 +602,8 @@ def run_optimize_split(cfg):
     params = ChannelParams.from_db(cfg.es_n0_db, cfg.n)
     n, snr, M = cfg.n, cfg.es_n0_db, 1 << cfg.k
     n_ps = {scheme: _split_candidates(cfg, n, cfg.k, scheme) for scheme in schemes}
+    if n_ps.get("hyped"):  # one split search
+        _need_bounded_work(cfg, n)
     # payload length -> its DT codeword-error bound, all in one bound request list
     lengths = sorted({n - n_p for cands in n_ps.values() for n_p in cands})
     dt = dict(zip(lengths, _bound_values(cfg, [(params.sigma2, l, "dt-error", M) for l in lengths])))

@@ -10,6 +10,7 @@ from jdd.channel import TRIALS_PER_BLOCK, ChannelParams, FramePlan, gaussian_blo
 from jdd.codebook import CORR_TILE_BYTES, Codebook, from_generator, hamming_7_4
 from jdd.detectors import (
     DetectorSpec,
+    _payload_masks,
     _random_payload_statistics,
     batch_statistic,
     stat_codebook_aided,
@@ -168,8 +169,8 @@ class TestRandomPayloadTables:
         specs = [DetectorSpec(kind=k) for k in self.kinds]
         params = ChannelParams.from_db(-3.0, 84)
         table = np.empty(z.size)
-        got = _random_payload_statistics(specs, self.plans, z.copy(), rows, u.copy(), params,
-                                         table, {})
+        got = _random_payload_statistics(specs, self.plans, z.copy(), rows, _payload_masks(u.copy()),
+                                         params, table, {})
         for s, pl, g in zip(specs, self.plans, got):
             x_c = np.where(u[: rows * pl.n_c] < 0.5, 1.0, -1.0).reshape(rows, pl.n_c)
             x = np.concatenate([np.ones((rows, pl.n_p)), x_c], axis=1)

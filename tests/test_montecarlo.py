@@ -17,6 +17,7 @@ from jdd.channel import (
 from jdd.codebook import hamming_7_4, repetition_code
 from jdd.detectors import (
     DetectorSpec,
+    _payload_masks,
     _random_payload_statistics,
     batch_statistic,
     stat_hyped_exact,
@@ -299,31 +300,28 @@ class TestEstimateRates:
 
 @pytest.fixture
 def statistics(monkeypatch):
-    """Record every statistic array the engine computes: (kind, plan) -> arrays in order.
+    """Record every entry's statistic arrays: (kind, plan, sigma2) -> arrays in order.
 
-    take() returns what was recorded since the last take().
+    The idle and the active statistics are recorded as the engine's block
+    generators yield them, after DAD's scaling. take() returns what was
+    recorded since the last take().
     """
     import jdd.montecarlo as montecarlo
 
     record = {}
-    batch, tables = montecarlo.batch_statistic, montecarlo._random_payload_statistics
 
-    def keep(specs, plans, stats):
-        for s, pl, st in zip(specs, plans, stats):
-            record.setdefault((s.kind, pl), []).append(st.tobytes())
+    def recorded(blocks, pick):
+        def wrapper(specs, plans, params, *args):
+            for item in blocks(specs, plans, params, *args):
+                for s, pl, p, st in zip(specs, plans, params, pick(item)):
+                    record.setdefault((s.kind, pl, p.sigma2), []).append(st.tobytes())
+                yield item
+        return wrapper
 
-    def recorded_batch(specs, y, plans, params, cb=None):
-        results = batch(specs, y, plans, params, cb=cb)
-        keep(specs, plans, [st for st, _ in results])
-        return results
-
-    def recorded_tables(specs, plans, *args):
-        stats = tables(specs, plans, *args)
-        keep(specs, plans, stats)
-        return stats
-
-    monkeypatch.setattr(montecarlo, "batch_statistic", recorded_batch)
-    monkeypatch.setattr(montecarlo, "_random_payload_statistics", recorded_tables)
+    monkeypatch.setattr(montecarlo, "_idle_stats",
+                        recorded(montecarlo._idle_stats, lambda item: item[1]))
+    monkeypatch.setattr(montecarlo, "_active_stats",
+                        recorded(montecarlo._active_stats, lambda item: item[0]))
 
     def take():
         got = dict(record)
@@ -416,11 +414,54 @@ class TestMultiEntry:
         rates = self.assert_statistics_match(statistics, specs, plans, params, 5, cb=cb)
         assert all(r["pcw"] is not None for r in rates)
 
-    def test_mixed_variances_rejected(self):
+    def test_mixed_variances_without_code(self, statistics):
+        # HyPED and preamble entries at three SNRs and three slot lengths: each
+        # (variance, length) reads sqrt(sigma2) times the flat prefix of one
+        # unit-variance block, which is the block its own call draws
+        slots = ((-3.0, 20, 2, "hyped-exact"), (-2.0, 12, 2, "hyped-exact"),
+                 (-2.0, 20, 0, "hyped-exact"), (1.0, 20, 2, "hyped-exact"),
+                 (1.0, 23, 5, "hyped-exact"), (-3.0, 12, 4, "preamble"), (1.0, 20, 20, "preamble"))
+        specs = [DetectorSpec(kind=kind) for *_, kind in slots]
+        plans = [FramePlan(n_p=n_p, n_c=n - n_p) for _, n, n_p, _ in slots]
+        params = [ChannelParams.from_db(snr, n) for snr, n, *_ in slots]
+        self.assert_statistics_match(statistics, specs, plans, params, 3)
+
+    def test_mixed_variances_with_code(self, statistics):
+        # DAD twice on one plan at two SNRs (one correlation of each idle
+        # block, scaled per variance), and every kind at three SNRs and two
+        # lengths: one ML decision per block, variance and slot length
+        cb = hamming_7_4()
+        slots = ((-1.0, 3, "dad"), (2.0, 3, "dad"), (2.0, 0, "dad"), (-1.0, 3, "preamble"),
+                 (0.5, 3, "preamble"), (2.0, 3, "hyped-exact"), (0.5, 0, "hyped-exact"))
+        specs = [DetectorSpec(kind=kind) for *_, kind in slots]
+        plans = [FramePlan(n_p=n_p, n_c=7) for _, n_p, _ in slots]
+        params = [ChannelParams.from_db(snr, pl.n) for (snr, *_), pl in zip(slots, plans)]
+        rates = self.assert_statistics_match(statistics, specs, plans, params, 5, cb=cb)
+        assert all(r["pcw"] is not None for r in rates)
+
+    def test_mixed_variances_gamma_oracle(self):
+        # each threshold against np.quantile over the statistics of its own
+        # gaussian_block(sigma2, ...) noise: preamble and HyPED bit for bit,
+        # DAD's sqrt(sigma2) T(w) within a few ulps of T(sqrt(sigma2) w)
+        cb = hamming_7_4()
+        slots = ((-1.0, 3, "dad"), (2.0, 3, "dad"), (-3.0, 0, "dad"), (-1.0, 3, "preamble"),
+                 (2.0, 10, "preamble"), (2.0, 3, "hyped-exact"), (-3.0, 0, "hyped-exact"))
+        specs = [DetectorSpec(kind=kind) for *_, kind in slots]
+        plans = [FramePlan(n_p=n_p, n_c=7) for _, n_p, _ in slots]
+        params = [ChannelParams.from_db(snr, pl.n) for (snr, *_), pl in zip(slots, plans)]
+        got = calibrate_threshold(specs, plans, params, self.CALIB, 1e-2, 7, cb=cb)
+        for s, pl, p, c in zip(specs, plans, params, got):
+            stats = np.concatenate([
+                batch_statistic(s, gaussian_block(p.sigma2, 7, STREAM_CALIBRATION, b, (count, pl.n)),
+                                pl, p, cb=cb)[0] for b, count in _blocks(self.CALIB)])
+            want = float(np.quantile(stats, 1.0 - 1e-2, method="linear"))
+            if s.kind == "dad":
+                assert c.gamma == pytest.approx(want, rel=1e-13, abs=0.0)
+            else:
+                assert c.gamma == want
+
+    def test_plan_of_another_length_rejected(self):
         plans = [FramePlan(n_p=2, n_c=18), FramePlan(n_p=2, n_c=10)]
-        params = [ChannelParams.from_db(-3.0, 20), ChannelParams.from_db(-2.0, 12)]
-        with pytest.raises(ValueError, match="one noise variance"):
-            calibrate_threshold(DetectorSpec(kind="hyped-exact"), plans, params, 1000, 0.1, 1)
         with pytest.raises(ValueError, match="its own slot length"):  # the plan of n = 12 at n = 20
             estimate_rates(DetectorSpec(kind="preamble", gamma=0.0), plans,
                            ChannelParams.from_db(-3.0, 20), 100, 1)
@@ -496,8 +537,8 @@ class TestActiveSpans:
         for rows, n_c in ((2, 3), (3, 2)):
             params = ChannelParams.from_db(-3.0, n_c)
             plan = FramePlan(n_p=0, n_c=n_c)
-            (got,) = _random_payload_statistics([spec], [plan], z.copy(), rows, u.copy(), params,
-                                                np.empty(z.size), {})
+            (got,) = _random_payload_statistics([spec], [plan], z.copy(), rows,
+                                                _payload_masks(u.copy()), params, np.empty(z.size), {})
             x = np.where(u < 0.5, 1.0, -1.0)
             want = stat_hyped_exact((x + z).reshape(rows, n_c), plan, params)
             assert got.tobytes() == want.tobytes()

@@ -1,8 +1,10 @@
 import csv
 import hashlib
 import os
+import re
 import subprocess
 import sys
+import time
 import warnings
 from collections import Counter
 from dataclasses import fields
@@ -647,16 +649,48 @@ class TestRunPieSweep:
         path = write_rows(run_pie_sweep(cfg), tmp_path / "pie.csv")
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
+    def test_simulated_snrs_share_each_block(self, tmp_path, monkeypatch):
+        # one calibration and one evaluation for both SNRs: each block of the
+        # calibration (4), active noise (6) and message (7) streams is drawn
+        # once, the noise at unit variance, and the rows are the one-SNR sweeps'
+        import jdd.montecarlo as montecarlo
+
+        code = tmp_path / "ham.txt"
+        code.write_text(HAMMING_G)
+        cfg = lambda grid: small_pie_cfg(schemes=("dad", "preamble"), snr_grid=grid,
+                                         codes=(str(code),))
+        single = [row for snr in (0.0, 3.0) for row in run_pie_sweep(cfg((snr,)))]
+        draws = Counter()
+        gaussian_block, uniform_block = montecarlo.gaussian_block, montecarlo.uniform_block
+
+        def counted(sigma2, seed, stream, block, shape):
+            draws[sigma2, stream, block, shape] += 1
+            return gaussian_block(sigma2, seed, stream, block, shape)
+
+        def counted_uniform(seed, stream, block, shape):
+            draws[None, stream, block, shape] += 1
+            return uniform_block(seed, stream, block, shape)
+
+        monkeypatch.setattr(montecarlo, "gaussian_block", counted)
+        monkeypatch.setattr(montecarlo, "uniform_block", counted_uniform)
+        assert run_pie_sweep(cfg((0.0, 3.0))) == single
+        rows = (4096, 4096, 1808)  # 10 000 calibration and evaluation trials alike
+        assert draws == Counter(
+            [(1.0, stream, b, (r, 24)) for stream in (STREAM_CALIBRATION, STREAM_ACTIVE_NOISE)
+             for b, r in enumerate(rows)]
+            + [(None, STREAM_MESSAGES, b, (r,)) for b, r in enumerate(rows)])
+
     def test_simulated_points_one_pass(self, tmp_path, monkeypatch):
-        # one calibrate and one estimate call per (code, SNR) for all schemes;
-        # a calibration-infeasible scheme is flagged and left out of estimate
+        # one calibrate and one estimate call per code for all schemes and
+        # SNRs; a calibration-infeasible entry is flagged and left out of estimate
         import jdd.sweeps as sweeps
 
         code = tmp_path / "ham.txt"
         code.write_text(HAMMING_G)
-        cfg = small_pie_cfg(schemes=("dad", "hyped", "preamble"), snr_grid=(3.0,),
+        cfg = small_pie_cfg(schemes=("dad", "hyped", "preamble"), snr_grid=(0.0, 3.0),
                             codes=(str(code),))
-        sim = lambda rows: {r["scheme"]: r for r in rows if r["kind"] == "simulated"}
+        sim = lambda rows: {(r["scheme"], r["es_n0_db"]): r for r in rows
+                            if r["kind"] == "simulated"}
         before = sim(run_pie_sweep(cfg))
         calib, estimate = sweeps.calibrate_threshold, sweeps.estimate_rates
         kinds = []
@@ -677,10 +711,12 @@ class TestRunPieSweep:
         monkeypatch.setattr(sweeps, "calibrate_threshold", infeasible_dad)
         monkeypatch.setattr(sweeps, "estimate_rates", counted_estimate)
         after = sim(run_pie_sweep(cfg))
-        assert kinds == [["dad", "hyped-exact", "preamble"], ["hyped-exact", "preamble"]]
-        assert after["dad"]["flag"] == "calibration-infeasible"
-        assert after["dad"]["value"] == "1"
-        assert after["hyped"] == before["hyped"] and after["preamble"] == before["preamble"]
+        assert kinds == [["dad", "hyped-exact", "preamble"] * 2, ["hyped-exact", "preamble"] * 2]
+        for snr in ("0", "3"):
+            assert after["dad", snr]["flag"] == "calibration-infeasible"
+            assert after["dad", snr]["value"] == "1"
+            for scheme in ("hyped", "preamble"):
+                assert after[scheme, snr] == before[scheme, snr]
 
 
 def split_rows(rows):
@@ -792,6 +828,46 @@ class TestRunnersValidate:
             cfg = small_pie_cfg(**{"n_grid": (40,), key: value})
             with pytest.raises(ValueError, match=f"{key} must not repeat"):
                 runner(cfg)
+
+
+class TestWorkBound:
+    """Each runner sums (calibration + evaluation trials) x the longest slot of its passes."""
+
+    @staticmethod
+    def refused_past(monkeypatch, runner, cfg, work):
+        # the planned work is refused one slot-symbol below it, before any
+        # draw; at the limit the runner goes on to draw noise
+        import jdd.bounds
+        import jdd.montecarlo
+        import jdd.sweeps as sweeps
+
+        monkeypatch.setattr(jdd.bounds, "gaussian_block", None)
+        monkeypatch.setattr(jdd.montecarlo, "gaussian_block", None)
+        monkeypatch.setattr(sweeps, "MAX_SLOT_SYMBOLS", work - 1)
+        with pytest.raises(ValueError, match=re.escape(
+                f"eps_fa={cfg.eps_fa} needs {cfg.calibration_trials()} calibration trials, and "
+                f"with trials={cfg.trials} the Monte Carlo passes would draw {work:.3g}")):
+            runner(cfg)
+        monkeypatch.setattr(sweeps, "MAX_SLOT_SYMBOLS", work)
+        with pytest.raises(TypeError):  # the first draw
+            runner(cfg)
+
+    def test_pie_sweep_counts_a_code_once(self, tmp_path, monkeypatch):
+        # HyPED's split search and one code, each one pass for 0 and 3 dB (-6 dB
+        # lies below the floor): 2 x (10 000 + 10 000) x 24
+        code = tmp_path / "ham.txt"
+        code.write_text(HAMMING_G)
+        cfg = small_pie_cfg(schemes=("dad", "hyped", "preamble"), snr_grid=(-6.0, 0.0, 3.0),
+                            codes=(str(code),))
+        self.refused_past(monkeypatch, run_pie_sweep, cfg, 2 * 20_000 * 24)
+
+    def test_rate_sweep_counts_the_longest_feasible_n(self, monkeypatch):
+        cfg = small_rate_cfg(schemes=("genie", "hyped"), n_grid=(40, 60, 20))
+        self.refused_past(monkeypatch, run_rate_sweep, cfg, 20_000 * 60)
+
+    def test_optimize_split_counts_its_split_search(self, monkeypatch):
+        cfg = small_pie_cfg(**TestOptimizeSplit.CFG, eps_fa=1e-3)
+        self.refused_past(monkeypatch, run_optimize_split, cfg, (50_000 + 10_000) * 24)
 
 
 class TestRunWithManifest:
@@ -1036,6 +1112,26 @@ class TestCli:
         assert rc != 0
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith('error="ValueError')
+
+    def test_work_bound_refused_before_any_draw(self, tmp_path, capsys, monkeypatch):
+        # eps_fa = 1e-12 asks HyPED's split search at 4 dB, above the converse
+        # floor, for 5e13 calibration trials: refused at once, no noise drawn
+        import jdd.bounds
+        import jdd.montecarlo
+
+        monkeypatch.setattr(jdd.bounds, "gaussian_block", None)
+        monkeypatch.setattr(jdd.montecarlo, "gaussian_block", None)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("schemes=hyped\nn=84\nk=12\nsnr_grid=4\neps_fa=1e-12\neps_md=1e-3\n"
+                       "eps_ie=1e-2\ntrials=10000\n")
+        started = time.perf_counter()
+        rc = main(["pie-sweep", "--config", str(cfg), "--out", str(tmp_path)])
+        assert time.perf_counter() - started < 1.0
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith('error="ValueError: eps_fa=1e-12 needs 50000000000000 '
+                                 'calibration trials, and with trials=10000')
 
     def test_fresh_import_loads_no_scipy_stats(self):
         # the package needs scipy.special only; a subprocess, because the test
