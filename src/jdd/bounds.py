@@ -87,13 +87,13 @@ def _clip01(p):
 
 
 def min_blocklength(sigma2, req):
-    """Genie converse: n >= sigma2 * (Q^-1(eps_fa) - Q^-1(1 - eps_md))^2.
+    """Genie converse: n >= sigma2 * (Q^-1(eps_fa) + Q^-1(eps_md))^2.
 
     Returns the real-valued bound; take the ceiling for integer feasibility.
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    gap = q_inv(req.eps_fa) - q_inv(1.0 - req.eps_md)
+    gap = q_inv(req.eps_fa) + q_inv(req.eps_md)
     return float(sigma2 * gap * gap)
 
 
@@ -104,7 +104,7 @@ def min_snr_db(n, req):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    gap = q_inv(req.eps_fa) - q_inv(1.0 - req.eps_md)
+    gap = q_inv(req.eps_fa) + q_inv(req.eps_md)
     if gap <= 0:
         return float("-inf")
     return float(10.0 * np.log10(gap * gap / (2.0 * n)))
@@ -169,7 +169,7 @@ def dad_max_code_size(n, sigma2, req, m_star):
     """Largest code size certified by the DAD achievability bound.
 
     Fixed-point iteration: start at the detection-limited term
-    floor(eps_fa / Q(Q^-1(1 - eps_md) + sqrt(n / sigma2))), then repeatedly
+    floor(eps_fa / Q(sqrt(n / sigma2) - Q^-1(eps_md))), then repeatedly
     cap by m_star(p_e, n, sigma2) where
     p_e = eps_ie - 1 + Q(Q^-1(eps_fa / M) - sqrt(n / sigma2)) until M is
     stable, for at most 100 rounds. Returns 0 when infeasible. `m_star` is any achievability oracle
@@ -178,7 +178,7 @@ def dad_max_code_size(n, sigma2, req, m_star):
     if n < min_blocklength(sigma2, req):
         return 0
     root = np.sqrt(n / sigma2)
-    eps_fa, denom = float(req.eps_fa), float(q_func(q_inv(1.0 - req.eps_md) + root))
+    eps_fa, denom = float(req.eps_fa), float(q_func(root - q_inv(req.eps_md)))
     if denom > 0:
         bound = eps_fa / denom
         # a subnormal denominator: floor the exact quotient

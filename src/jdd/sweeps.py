@@ -56,7 +56,7 @@ DENSITY_BUDGET_BYTES = 64 << 20
 # evaluations of one run may draw: about 3-4 minutes of noise on 2 cores
 MAX_SLOT_SYMBOLS = 1e10
 
-# ranks (value, n_p) pairs by value; max and min keep the first of equal
+# ranks (value, flag) pairs by value; max and min keep the first of equal
 # values, so ties go to the smaller n_p of the ascending split grid
 _BY_VALUE = operator.itemgetter(0)
 
@@ -99,6 +99,10 @@ class SweepConfig:
         self.requirements  # Requirements rejects eps_* outside (0, 1)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        # one key's densities, 8 bytes a trial, must fit one bound pass
+        if self.trials > DENSITY_BUDGET_BYTES // 8:
+            raise ValueError(f"trials must be <= {DENSITY_BUDGET_BYTES // 8}, the densities of "
+                             f"one bound pass, got {self.trials}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
         if self.n < 1:
@@ -167,8 +171,8 @@ def _row(scheme, kind, n, es_n0_db, value, stderr="", flag=""):
         "scheme": scheme,
         "kind": kind,
         "n": str(n),
-        "es_n0_db": f"{es_n0_db:g}" if not isinstance(es_n0_db, str) else es_n0_db,
-        "value": _value(value) if not isinstance(value, str) else value,
+        "es_n0_db": f"{es_n0_db:g}",
+        "value": _value(value),
         "stderr": f"{stderr:.4g}" if isinstance(stderr, float) else str(stderr),
         "flag": flag,
     }
@@ -380,8 +384,6 @@ def run_rate_sweep(cfg):
                      for n_p, pmd in pairs if pmd < req.eps_ie]
         requests += [(sigma2, n - n_p, "mc-max-M", req.eps_ie) for n_p, _ in pairs]
     value = dict(zip(requests, _bound_values(cfg, requests)))
-    # every meta-converse request has target eps_ie: payload length -> code size
-    con = {l: M for (_, l, quantity, _), M in value.items() if quantity == "mc-max-M"}
     snr = cfg.es_n0_db
     rows = []
     for n in cfg.n_grid:
@@ -392,7 +394,8 @@ def run_rate_sweep(cfg):
         if "genie" in schemes:
             rows.append(_row("genie", "achievability", n, snr,
                              _log2(value[sigma2, n, "dt-max-M", req.eps_ie]) / n))
-            rows.append(_row("genie", "converse", n, snr, _log2(max(con[n], 1)) / n))
+            rows.append(_row("genie", "converse", n, snr,
+                             _log2(max(value[sigma2, n, "mc-max-M", req.eps_ie], 1)) / n))
         if "dad" in schemes:
             dad_M = value[sigma2, n, "dad-max-M", req]
             if dad_M >= 1:
@@ -400,33 +403,26 @@ def run_rate_sweep(cfg):
             else:
                 rows.append(_row("dad", "achievability", n, snr, 0.0, flag="infeasible"))
         if "hyped" in schemes:
-            pairs = splits[n]
-            m_ach = {n - n_p: value[sigma2, n - n_p, "dt-max-M", req.eps_ie - pmd]
-                     for n_p, pmd in pairs if pmd < req.eps_ie}
-            rows.extend(_hyped_rate_point(n, snr, pairs, m_ach, con))
+            ach = [(_log2(value[sigma2, n - n_p, "dt-max-M", req.eps_ie - pmd]) / n,
+                    f"n_p={n_p}") for n_p, pmd in splits[n] if pmd < req.eps_ie]
+            con = [(_log2(max(value[sigma2, n - n_p, "mc-max-M", req.eps_ie], 1)) / n,
+                    f"n_p={n_p}") for n_p, _ in splits[n]]
+            rows += _best_rows("hyped", n, snr, [("achievability", ach), ("converse", con)],
+                               max, 0.0)
     return rows
 
 
-def _hyped_rate_point(n, es_n0_db, pairs, m_ach, m_con):
-    """Best HyPED rate bounds over the preamble-split grid at one blocklength.
+def _best_rows(scheme, n, snr, ranked, pick, worst):
+    """The best split's row of each kind, for `ranked` = [(kind, [(value, flag), ...]), ...].
 
-    `pairs` are the feasible (n_p, pmd) splits; `m_ach` and `m_con` map a
-    payload length to its DT and meta-converse code sizes (`m_ach` only for
-    the splits whose pmd leaves eps_ie budget).
+    `pick` (max for rates, min for error probabilities) keeps the first of
+    equal values, the smaller n_p of the ascending split grid; a kind with
+    no candidate gets `worst` flagged infeasible.
     """
-    best_ach = max(((_log2(m_ach[n - n_p]) / n, n_p) for n_p, _ in pairs
-                    if n - n_p in m_ach), key=_BY_VALUE, default=None)
-    best_con = max(((_log2(max(m_con[n - n_p], 1)) / n, n_p) for n_p, _ in pairs),
-                   key=_BY_VALUE, default=None)
     rows = []
-    if best_ach:
-        rows.append(_row("hyped", "achievability", n, es_n0_db, best_ach[0], flag=f"n_p={best_ach[1]}"))
-    else:
-        rows.append(_row("hyped", "achievability", n, es_n0_db, 0.0, flag="infeasible"))
-    if best_con:
-        rows.append(_row("hyped", "converse", n, es_n0_db, best_con[0], flag=f"n_p={best_con[1]}"))
-    else:
-        rows.append(_row("hyped", "converse", n, es_n0_db, 0.0, flag="infeasible"))
+    for kind, candidates in ranked:
+        value, flag = pick(candidates, key=_BY_VALUE, default=(worst, "infeasible"))
+        rows.append(_row(scheme, kind, n, snr, value, flag=flag))
     return rows
 
 
@@ -487,11 +483,8 @@ def run_pie_sweep(cfg):
                 rows.append(_row(scheme, "achievability", n, snr, 1.0, flag="infeasible"))
             continue
         sigma2 = params[snr].sigma2
-        # payload length -> DT (estimate, stderr), and -> meta-converse codeword error
-        dt, con = ({l: v for (s2, l, q, _), v in value.items() if (s2, q) == (sigma2, quantity)}
-                   for quantity in ("dt-error", "mc-min-error"))
-        pcw_ach, pcw_se = dt[n]
-        pcw_con = con[n]
+        pcw_ach, pcw_se = value[sigma2, n, "dt-error", M]
+        pcw_con = value[sigma2, n, "mc-min-error", M]
 
         if "genie" in cfg.schemes:
             lo, hi = bounds.pie_sandwich(_preamble_pmd(n, sigma2, req.eps_fa), pcw_con, pcw_ach)
@@ -506,7 +499,14 @@ def run_pie_sweep(cfg):
             else:
                 rows.append(_row("dad", "achievability", n, snr, 1.0, flag="infeasible"))
         for scheme, pairs in splits[snr].items():
-            rows.extend(_split_bound_point(scheme, n, snr, pairs, dt, con))
+            # the (converse, achievability) sandwich of each feasible split
+            sandwiches = [(bounds.pie_sandwich(pmd, value[sigma2, n - n_p, "mc-min-error", M],
+                                               value[sigma2, n - n_p, "dt-error", M][0]),
+                           f"n_p={n_p}") for n_p, pmd in pairs]
+            ranked = [("achievability", [(up, flag) for (_, up), flag in sandwiches])]
+            if pairs:  # with no feasible split, the achievability row alone says so
+                ranked.append(("converse", [(lo, flag) for (lo, _), flag in sandwiches]))
+            rows += _best_rows(scheme, n, snr, ranked, min, 1.0)
         rows.extend(simulated[snr])
     return rows
 
@@ -518,25 +518,6 @@ def _feasible_splits(cfg, scheme, k, slots):
     pmds = iter(_split_pmds(scheme, [split for per in splits for split in per], cfg))
     return [[(n_p, pmd) for (n_p, _), pmd in zip(per, pmds) if pmd <= cfg.eps_md]
             for per in splits]
-
-
-def _split_bound_point(scheme, n, snr, pairs, dt, con):
-    """HyPED / preamble-only inclusive-error bound rows at one SNR.
-
-    `pairs` are the feasible (n_p, pmd) splits; `dt` and `con` map a payload
-    length to its DT (estimate, stderr) and meta-converse codeword error.
-    """
-    sandwiches = [(bounds.pie_sandwich(pmd, con[n - n_p], dt[n - n_p][0]), n_p)
-                  for n_p, pmd in pairs]
-    best_lo = min(((lo, n_p) for (lo, _), n_p in sandwiches), key=_BY_VALUE, default=None)
-    best_up = min(((up, n_p) for (_, up), n_p in sandwiches), key=_BY_VALUE, default=None)
-    rows = []
-    if best_up:
-        rows.append(_row(scheme, "achievability", n, snr, best_up[0], flag=f"n_p={best_up[1]}"))
-        rows.append(_row(scheme, "converse", n, snr, best_lo[0], flag=f"n_p={best_lo[1]}"))
-    else:
-        rows.append(_row(scheme, "achievability", n, snr, 1.0, flag="infeasible"))
-    return rows
 
 
 # the detector of each scheme a code's operating point simulates
@@ -609,18 +590,17 @@ def run_optimize_split(cfg):
     dt = dict(zip(lengths, _bound_values(cfg, [(params.sigma2, l, "dt-error", M) for l in lengths])))
     rows = []
     for scheme in schemes:
-        pie_ubs = []
+        feasible = []
         pmds = _split_pmds(scheme, [(n_p, params) for n_p in n_ps[scheme]], cfg)
         for n_p, pmd in zip(n_ps[scheme], pmds):
             pcw_ub = dt[n - n_p][0]
-            pie_ub = bounds.pie_sandwich(pmd, 0.0, pcw_ub)[1] if pmd <= cfg.eps_md else math.nan
-            pie_ubs.append((pie_ub, n_p))
+            pie_ub = math.nan
+            if pmd <= cfg.eps_md:
+                pie_ub = bounds.pie_sandwich(pmd, 0.0, pcw_ub)[1]
+                feasible.append((pie_ub, f"best,n_p={n_p}"))
             rows += [_row(scheme, "achievability", n, snr, v, flag=f"{name},n_p={n_p}")
                      for name, v in (("pmd", pmd), ("pcw-ub", pcw_ub), ("pie-ub", pie_ub))]
-        pie, best = min((p for p in pie_ubs if not math.isnan(p[0])), key=_BY_VALUE,
-                        default=(1.0, None))
-        flag = "infeasible" if best is None else f"best,n_p={best}"
-        rows.append(_row(scheme, "achievability", n, snr, pie, flag=flag))
+        rows += _best_rows(scheme, n, snr, [("achievability", feasible)], min, 1.0)
     return rows
 
 

@@ -63,6 +63,12 @@ class TestMinBlocklength:
         with pytest.raises(ValueError):
             min_blocklength(0.0, REQ)
 
+    def test_tiny_eps_md(self):
+        # Q^-1(eps_md) itself: Q^-1(1 - eps_md) lost ~4e-7 of the gap here
+        req = Requirements(1e-3, 1e-12, 1e-2)
+        expected = SIGMA2_M3DB * (ndtri(1e-3) + ndtri(1e-12)) ** 2
+        assert min_blocklength(SIGMA2_M3DB, req) == pytest.approx(expected, rel=1e-14)
+
 
 class TestMinSnr:
     def test_reference_point(self):

@@ -20,6 +20,8 @@ from jdd.bounds import (
     info_density_samples,
     meta_converse_max_M,
     meta_converse_min_error,
+    min_blocklength,
+    min_snr_db,
 )
 from jdd.channel import snr_to_sigma2
 from jdd.cli import main
@@ -27,10 +29,9 @@ from jdd.montecarlo import STREAM_ACTIVE_NOISE, STREAM_CALIBRATION, STREAM_MESSA
 from jdd.sweeps import (
     CSV_HEADER,
     SweepConfig,
+    _best_rows,
     _bound_values,
-    _hyped_rate_point,
     _row,
-    _split_bound_point,
     ingest_reference,
     parse_config,
     run_bounds_report,
@@ -155,6 +156,10 @@ class TestParseConfig:
         assert (cfg.n, cfg.k) == (24, 24)
         with pytest.raises(ValueError, match="seed"):
             parse_config(f"seed={2**64}")
+        # one key's densities, 8 bytes a trial, fill the 64 MiB of a bound pass
+        assert parse_config("trials=8388608\n").trials == 8_388_608
+        with pytest.raises(ValueError, match="trials must be <= 8388608"):
+            parse_config("trials=8388609\n")
 
     def test_calibration_trials_floor(self):
         cfg = parse_config("eps_fa=1e-3\ntrials=1000\n")
@@ -510,15 +515,28 @@ class TestBoundValues:
 
 class TestBestSplit:
     def test_tie_keeps_smaller_n_p(self):
-        # two splits with equal bounds: every row names the first, smaller n_p
-        pairs = [(4, 1e-3), (8, 1e-3)]
-        rate_rows = _hyped_rate_point(40, -3.0, pairs, {36: 2**10, 32: 2**10},
-                                      {36: 2**12, 32: 2**12})
-        pie_rows = _split_bound_point("hyped", 40, -3.0, pairs, {36: (1e-3, 0.0), 32: (1e-3, 0.0)},
-                                      {36: 1e-4, 32: 1e-4})
-        assert [(r["kind"], r["flag"]) for r in rate_rows + pie_rows] == [
-            ("achievability", "n_p=4"), ("converse", "n_p=4"),
-            ("achievability", "n_p=4"), ("converse", "n_p=4")]
+        # equal values: the first candidate, the smaller n_p, names the row;
+        # no candidate: `worst`, flagged infeasible
+        ranked = [("achievability", [(0.25, "n_p=4"), (0.25, "n_p=8")]), ("converse", [])]
+        for pick, worst in ((max, 0.0), (min, 1.0)):
+            assert _best_rows("hyped", 40, -3.0, ranked, pick, worst) == [
+                _row("hyped", "achievability", 40, -3.0, 0.25, flag="n_p=4"),
+                _row("hyped", "converse", 40, -3.0, worst, flag="infeasible")]
+
+    def test_runners_write_their_own_infeasible_rows(self):
+        # one preamble symbol misses eps_md at -2 dB, above the P_IE converse
+        # floor: the P_IE sweep writes the achievability row alone
+        cfg = small_pie_cfg(schemes=("preamble",), snr_grid=(-2.0,), np_grid=(1,))
+        assert -2.0 >= min_snr_db(cfg.n, cfg.requirements)
+        assert run_pie_sweep(cfg) == [
+            _row("preamble", "achievability", 24, -2.0, 1.0, flag="infeasible")]
+        # n = 40 lies above the blocklength converse, and no HyPED split meets
+        # eps_md = 1e-3 there: the rate sweep writes both kinds infeasible
+        cfg = small_rate_cfg(schemes=("hyped",), n_grid=(40,), eps_md=1e-3, np_grid=(1,))
+        assert 40 >= min_blocklength(snr_to_sigma2(-3.0), cfg.requirements)
+        assert run_rate_sweep(cfg) == [
+            _row("hyped", kind, 40, -3.0, 0.0, flag="infeasible")
+            for kind in ("achievability", "converse")]
 
 
 class TestRunPieSweep:
@@ -1132,6 +1150,37 @@ class TestCli:
         assert len(err) == 1
         assert err[0].startswith('error="ValueError: eps_fa=1e-12 needs 50000000000000 '
                                  'calibration trials, and with trials=10000')
+
+    def test_trials_past_one_bound_pass_refused(self, tmp_path, capsys, monkeypatch):
+        # 1e8 trials would hold 800 MB of densities in one bound pass (and
+        # ~4.5 GiB at peak): refused at once, no noise drawn
+        import jdd.bounds
+        import jdd.montecarlo
+
+        monkeypatch.setattr(jdd.bounds, "gaussian_block", None)
+        monkeypatch.setattr(jdd.montecarlo, "gaussian_block", None)
+        error = "trials must be <= 8388608, the densities of one bound pass, got 100000000"
+        started = time.perf_counter()
+        rc = main(["bounds", "--trials", "100000000", "--out", str(tmp_path)])
+        assert time.perf_counter() - started < 1.0
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [f'error="ValueError: {error}"']
+        assert not (tmp_path / "bounds.csv").exists()
+        with pytest.raises(ValueError) as exc:
+            parse_config("trials=100000000\n")
+        assert str(exc.value) == error
+
+    def test_eps_md_past_double_resolution_runs(self, tmp_path, capsys):
+        # 1 - 1e-17 rounds to 1.0, so the converse and DAD's detection term
+        # take Q^-1(eps_md) itself; the config parses, so it must run
+        cfg = self.write_cfg(tmp_path, "schemes=genie,dad\nn_grid=200\nes_n0_db=0\n"
+                                       "eps_fa=1e-3\neps_md=1e-17\neps_ie=1e-2\ntrials=10000\n")
+        rc = main(["rate-sweep", "--config", cfg, "--out", str(tmp_path)])
+        assert rc == 0, capsys.readouterr().err
+        recs = read_csv(tmp_path / "rate_sweep.csv")
+        assert [(r["scheme"], r["kind"]) for r in recs] == [
+            ("dad", "achievability"), ("genie", "achievability"), ("genie", "converse")]
+        assert all(0.0 < float(r["value"]) < 1.0 and r["flag"] == "" for r in recs)
 
     def test_fresh_import_loads_no_scipy_stats(self):
         # the package needs scipy.special only; a subprocess, because the test
