@@ -33,22 +33,23 @@ and reduces it to each of its lengths' sums. No result depends on which
 keys share a pass.
 
 ``meta_converse_min_error`` draws each of its two streams once and holds one
-at a time. Its bisection pivot depends on the type-II stream 3 alone, so
+at a time. Its threshold, the pivot, is a sample of the type-II stream 3,
+read off that sorted sample by one cumulative sum of its weights, so
 stream 3 is reduced to one pivot per key and freed; then the threshold
 stream 2 is drawn once, for the keys that have a pivot only, and gives each
-its bisection range and its count below the threshold.
+its count at or below the pivot.
 """
 
 import math
 import sys
-import threading
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import log_ndtr, ndtri_exp
 
-from .channel import TRIALS_PER_BLOCK, _ROW_SPAN, _blocks, _on_cores, gaussian_block
+from .channel import (TRIALS_PER_BLOCK, _ROW_SPAN, _blocks, _on_cores, _thread_buffer,
+                      gaussian_block)
 from .numerics import q_func, q_inv
 
 __all__ = [
@@ -89,7 +90,11 @@ def _clip01(p):
 def min_blocklength(sigma2, req):
     """Genie converse: n >= sigma2 * (Q^-1(eps_fa) + Q^-1(eps_md))^2.
 
-    Returns the real-valued bound; take the ceiling for integer feasibility.
+    It is the genie's detection-only converse, so it does not depend on the
+    code size M: at -3 dB with targets (1e-4, 1e-4, 1e-3) it gives 55.2,
+    where P_IE >= Q(sqrt(n / sigma2) - Q^-1(eps_fa / M)), which counts M's
+    false alarms, needs n >= 72.9 at M = 2^12. Returns the real-valued
+    bound; take the ceiling for integer feasibility.
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
@@ -265,10 +270,7 @@ def _density_blocks(keys, trials, seed, stream):
                 t += 1.0
                 t *= -2.0
                 t /= sigma2
-                s = scratch.get(threading.get_ident())
-                if s is None:
-                    s = scratch[threading.get_ident()] = np.empty(min(_CHUNK, buf.size))
-                s = np.abs(t, out=s[: c - a])
+                s = np.abs(t, out=_thread_buffer(scratch, c - a))
                 np.negative(s, out=s)
                 np.exp(s, out=s)
                 np.log1p(s, out=s)
@@ -525,20 +527,20 @@ def meta_converse_max_M(n, sigma2, target_error, trials, seed, more=None):
 def meta_converse_min_error(n, sigma2, M, trials, seed, more=None):
     """Smallest error rate consistent with code size M under the meta-converse.
 
-    Finds the threshold t at which the estimated type-II error (on stream 3)
-    equals 1/M and reports the joint-law lower-tail mass below t (on stream
-    2), the thresholds ranging over the stream-2 samples. Returns
-    (trials - 1) / trials when even the largest keeps beta above 1/M, and 0
-    when the smallest already meets 1/M.
+    The threshold is the pivot d_J, the largest stream-3 sample whose
+    estimated type-II error beta_hat(d_J) exceeds 1/M (_meta_converse_pivot),
+    and the error is the joint-law mass at or below it, #{stream-2 samples
+    <= d_J} / trials: the limit of a float bisection of beta_hat(t) = 1/M.
+    Returns (trials - 1) / trials when every stream-2 sample lies at or below
+    d_J, and 0 when no sample keeps beta_hat above 1/M.
 
     With ``more``, further ``(sigma2, length)`` keys, returns one error rate
     per key, this call's own first, each equal to that key's own call. Each
     stream is drawn in one pass for all of them (see info_density_samples),
     and only one stream's densities are held at a time: stream 3 is reduced
-    to each key's bisection pivot (_meta_converse_pivot) and freed, then
-    stream 2 is drawn once, for the keys that have a pivot only (a key
-    without one has error 0), and gives each its range, bisection and count
-    below t.
+    to each key's pivot and freed, then stream 2 is drawn once, for the keys
+    that have a pivot only (a key without one has error 0), and gives each
+    its count at or below the pivot.
     """
     if trials < _MIN_TRIALS:
         raise ValueError(f"need at least {_MIN_TRIALS} trials for the meta-converse bound")
@@ -557,8 +559,8 @@ def meta_converse_min_error(n, sigma2, M, trials, seed, more=None):
             errs.append(0.0)  # the smallest threshold already meets 1/M
             continue
         dens = held.pop(0)
-        t = _meta_converse_bisect(dens.min(), dens.max(), d_J)
-        errs.append((trials - 1) / trials if t == np.inf else np.count_nonzero(dens < t) / trials)
+        errs.append((trials - 1) / trials if dens.max() <= d_J
+                    else np.count_nonzero(dens <= d_J) / trials)
     return errs if more is not None else errs[0]
 
 
@@ -566,53 +568,16 @@ def _meta_converse_pivot(dens, target_beta):
     """The largest sample d_J of `dens` with beta_hat(d_J) > target_beta, or None.
 
     beta_hat(t) = mean(exp(-d) 1{d >= t}) over `dens` is constant for t in
-    (d_{j-1}, d_j] between sorted samples d_j and cannot rise with t, since a
-    pairwise sum of non-negative floats is monotone in each term. So
-    beta_hat(t) > target_beta exactly when t <= d_J, and a binary search over
-    the samples finds d_J in ~log2(trials) evaluations. None means no
-    threshold keeps beta_hat above the target (beta_hat(d_0) already meets
-    it).
+    (d_{j-1}, d_j] between sorted samples d_j: it is the suffix sums of the
+    sorted weights, one cumulative sum. Adding a non-negative float never
+    lowers a sum, so the samples above the target are a prefix of the sort
+    (tied copies share a value, and the first one's sum counts them all).
+    None means beta_hat(d_0) already meets the target.
     """
-    w = np.exp(-dens)
-
-    def beta_at(t):
-        return float(np.where(dens >= t, w, 0.0).mean())
-
-    d = np.unique(dens)
-    if beta_at(d[0]) <= target_beta:
-        return None
-    # beta_at(d[a]) > target_beta holds at a = 0; past the last sample beta_at is 0
-    a, b = 0, d.size
-    while b - a > 1:
-        m = (a + b) // 2
-        if beta_at(d[m]) > target_beta:
-            a = m
-        else:
-            b = m
-    return d[a]
-
-
-def _meta_converse_bisect(lo, hi, d_J):
-    """Threshold of the 80-step bisection of beta_hat(t) = target on [lo, hi].
-
-    `d_J` is the pivot of _meta_converse_pivot, so beta_hat(mid) > target
-    exactly when mid <= d_J: each step is a scalar comparison, and the
-    midpoints are those of the bisection on beta_hat bit for bit. Returns
-    +inf when hi <= d_J (beta_hat stays above the target at the most
-    selective observed threshold: M is out of reach) and -inf when lo > d_J
-    (beta_hat already meets it at lo: no sample lies below the threshold).
-    """
-    if hi <= d_J:
-        return np.inf
-    if lo > d_J:
-        return -np.inf
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if mid <= d_J:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    d = np.sort(dens)
+    beta = np.cumsum(np.exp(-d)[::-1])[::-1] / d.size
+    above = np.count_nonzero(beta > target_beta)
+    return d[above - 1] if above else None
 
 
 def pie_sandwich(pmd, pcw_lower, pcw_upper):

@@ -112,6 +112,14 @@ def _on_rows(fn, rows, width):
     _on_cores(fn, rows, max(1, _ROW_SPAN // width))
 
 
+def _thread_buffer(scratch, size):
+    """This thread's buffer in `scratch` (a dict by thread), grown to `size`: buf[:size]."""
+    buf = scratch.get(threading.get_ident())
+    if buf is None or buf.size < size:
+        buf = scratch[threading.get_ident()] = np.empty(size)
+    return buf[:size]
+
+
 def _blocks(trials):
     """Yield (block, count) for `trials` trials on the grid, block 0 first.
 

@@ -12,13 +12,12 @@ _random_payload_statistics, which shares HyPED's row kernel. stat_genie and
 stat_codebook_aided are reference statistics, called directly.
 """
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import codebook
-from .channel import _SPAN, FramePlan, _on_cores, _on_rows
+from .channel import _SPAN, FramePlan, _on_cores, _on_rows, _thread_buffer
 from .codebook import _argmax_rows, _tiled_correlation
 from .numerics import _log_cosh_in_place
 
@@ -181,18 +180,11 @@ def _random_payload_statistics(specs, plans, z, count, masks, params, table, scr
     if not lengths:
         return out
 
-    def buffer(size):
-        # this thread's values, grown to the largest span it has filled
-        buf = scratch.get(threading.get_ident())
-        if buf is None or buf.size < size:
-            buf = scratch[threading.get_ident()] = np.empty(size)
-        return buf
-
     for n, hyped in lengths.items():
         slots = z[: count * n].reshape(count, n)
 
         def preamble_sums(a, b):
-            buf = buffer((b - a) * n)
+            buf = _thread_buffer(scratch, (b - a) * n)
             for i in hyped:
                 n_p = plans[i].n_p
                 y_p = np.add(slots[a:b, :n_p], 1.0, out=buf[: (b - a) * n_p].reshape(b - a, n_p))
@@ -220,7 +212,7 @@ def _random_payload_statistics(specs, plans, z, count, masks, params, table, scr
         plus_bits, flips = (t[: count * n].reshape(count, n) for t in (z_bits, table_bits))
 
         def payload_sums(a, b):
-            buf = buffer((b - a) * n)
+            buf = _thread_buffer(scratch, (b - a) * n)
             for i in hyped:
                 n_p, n_c = plans[i].n_p, plans[i].n_c
                 terms = buf[: (b - a) * n_c].reshape(b - a, n_c)

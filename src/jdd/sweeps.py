@@ -56,6 +56,10 @@ DENSITY_BUDGET_BYTES = 64 << 20
 # evaluations of one run may draw: about 3-4 minutes of noise on 2 cores
 MAX_SLOT_SYMBOLS = 1e10
 
+# largest |SNR| in dB a config may give: 10^(dB/10) over- or underflows
+# near 3080 dB, well inside the finite doubles
+MAX_ABS_SNR_DB = 300.0
+
 # ranks (value, flag) pairs by value; max and min keep the first of equal
 # values, so ties go to the smaller n_p of the ascending split grid
 _BY_VALUE = operator.itemgetter(0)
@@ -92,10 +96,11 @@ class SweepConfig:
             value = getattr(self, key)
             if len(set(value)) < len(value):
                 raise ValueError(f"{key} must not repeat, got {','.join(map(str, value))!r}")
-        if not np.isfinite(self.es_n0_db):
-            raise ValueError(f"es_n0_db must be finite, got {self.es_n0_db}")
-        if not np.all(np.isfinite(self.snr_grid)):
-            raise ValueError(f"snr_grid entries must be finite, got {self.snr_grid}")
+        for key, snrs in (("es_n0_db", (self.es_n0_db,)), ("snr_grid", self.snr_grid)):
+            bad = [snr for snr in snrs if not abs(snr) <= MAX_ABS_SNR_DB]  # nan is bad too
+            if bad:
+                raise ValueError(f"{key} must lie in [-{MAX_ABS_SNR_DB:g}, {MAX_ABS_SNR_DB:g}] dB, "
+                                 f"got {bad[0]}")
         self.requirements  # Requirements rejects eps_* outside (0, 1)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")

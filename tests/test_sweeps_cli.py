@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import math
 import os
 import re
 import subprocess
@@ -160,6 +161,10 @@ class TestParseConfig:
         assert parse_config("trials=8388608\n").trials == 8_388_608
         with pytest.raises(ValueError, match="trials must be <= 8388608"):
             parse_config("trials=8388609\n")
+        # 10^(dB/10) stays a normal double out to +-300 dB
+        cfg = parse_config("es_n0_db=-300\nsnr_grid=-300,300\n")
+        assert (cfg.es_n0_db, cfg.snr_grid) == (-300.0, (-300.0, 300.0))
+        assert parse_config("es_n0_db=300\n").es_n0_db == 300.0
 
     def test_calibration_trials_floor(self):
         cfg = parse_config("eps_fa=1e-3\ntrials=1000\n")
@@ -168,7 +173,8 @@ class TestParseConfig:
 
 class TestWriteRows:
     def rows(self):
-        return run_bounds_report(SweepConfig(trials=10_000, seed=0))
+        with pytest.warns(UserWarning, match="DT bound at n="):  # DT precision at 10k trials
+            return run_bounds_report(SweepConfig(trials=10_000, seed=0))
 
     def test_schema(self, tmp_path):
         path = write_rows(self.rows(), tmp_path / "out.csv")
@@ -914,7 +920,8 @@ class TestCli:
         return str(p)
 
     def test_bounds_subcommand(self, tmp_path, capsys):
-        rc = main(["bounds", "--trials", "10000", "--out", str(tmp_path)])
+        with pytest.warns(UserWarning, match="DT bound at n="):  # DT precision at 10k trials
+            rc = main(["bounds", "--trials", "10000", "--out", str(tmp_path)])
         assert rc == 0
         out = capsys.readouterr().out.strip()
         assert out.endswith("bounds.csv")
@@ -1169,6 +1176,50 @@ class TestCli:
         with pytest.raises(ValueError) as exc:
             parse_config("trials=100000000\n")
         assert str(exc.value) == error
+
+    # 10^(dB/10) overflows at 3100 dB and underflows at -4000 dB, each finite
+    SNR_OUT_OF_RANGE = [
+        ("rate-sweep", "schemes=genie,dad\nn_grid=100\nes_n0_db=3100\n", "es_n0_db", 3100.0),
+        ("rate-sweep", "schemes=genie,dad\nn_grid=100\nes_n0_db=-4000\n", "es_n0_db", -4000.0),
+        ("pie-sweep", "n=24\nk=4\nsnr_grid=-4,3100\n", "snr_grid", 3100.0),
+        ("pie-sweep", "n=24\nk=4\nsnr_grid=-4000\n", "snr_grid", -4000.0),
+        ("optimize-split", "schemes=hyped,preamble\nn=24\nk=4\nes_n0_db=3100\n", "es_n0_db",
+         3100.0),
+        ("bounds", "es_n0_db=3100\n", "es_n0_db", 3100.0),
+        ("bounds", "es_n0_db=-3100\n", "es_n0_db", -3100.0),
+    ]
+
+    @pytest.mark.parametrize("command, text, key, snr", SNR_OUT_OF_RANGE)
+    def test_snr_out_of_range_refused(self, tmp_path, capsys, monkeypatch, command, text, key,
+                                      snr):
+        # such a config would exit 2 mid-run (OverflowError, ZeroDivisionError)
+        # or, at -3100 dB, write a bounds report at sigma2 = inf: refused at
+        # once, no noise drawn
+        import jdd.bounds
+        import jdd.montecarlo
+
+        monkeypatch.setattr(jdd.bounds, "gaussian_block", None)
+        monkeypatch.setattr(jdd.montecarlo, "gaussian_block", None)
+        text += "eps_fa=1e-2\neps_md=1e-2\neps_ie=1e-2\ntrials=10000\n"
+        error = f"{key} must lie in [-300, 300] dB, got {snr}"
+        started = time.perf_counter()
+        rc = main([command, "--config", self.write_cfg(tmp_path, text), "--out", str(tmp_path)])
+        assert time.perf_counter() - started < 1.0
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [f'error="ValueError: {error}"']
+        assert not (tmp_path / f"{command.replace('-', '_')}.csv").exists()
+        with pytest.raises(ValueError) as exc:
+            parse_config(text)
+        assert str(exc.value) == error
+
+    @pytest.mark.parametrize("snr", [-300, 300])
+    def test_snr_at_range_edge_runs(self, tmp_path, capsys, snr):
+        cfg = self.write_cfg(tmp_path, f"n=84\nk=12\nes_n0_db={snr}\neps_fa=1e-2\neps_md=1e-2\n"
+                                       "eps_ie=1e-2\ntrials=10000\n")
+        rc = main(["bounds", "--config", cfg, "--out", str(tmp_path)])
+        assert rc == 0, capsys.readouterr().err
+        recs = read_csv(tmp_path / "bounds.csv")
+        assert len(recs) == 6 and all(math.isfinite(float(r["value"])) for r in recs)
 
     def test_eps_md_past_double_resolution_runs(self, tmp_path, capsys):
         # 1 - 1e-17 rounds to 1.0, so the converse and DAD's detection term
