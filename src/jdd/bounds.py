@@ -173,12 +173,16 @@ def dad_error_bounds(n, sigma2, gamma, M):
 def dad_max_code_size(n, sigma2, req, m_star):
     """Largest code size certified by the DAD achievability bound.
 
-    Fixed-point iteration: start at the detection-limited term
-    floor(eps_fa / Q(sqrt(n / sigma2) - Q^-1(eps_md))), then repeatedly
-    cap by m_star(p_e, n, sigma2) where
-    p_e = eps_ie - 1 + Q(Q^-1(eps_fa / M) - sqrt(n / sigma2)) until M is
-    stable, for at most 100 rounds. Returns 0 when infeasible. `m_star` is any achievability oracle
-    for synchronous transmission (the DT bound in this package).
+    The detection limit m_det = floor(eps_fa / Q(sqrt(n / sigma2) - Q^-1(eps_md)))
+    keeps P_MD's bound, 1 - Q(Q^-1(eps_fa / M) - sqrt(n / sigma2)), within
+    eps_md. While that bound alone uses up eps_ie at M = m_det, that is while
+    p_e = eps_ie - 1 + Q(Q^-1(eps_fa / M) - sqrt(n / sigma2)) <= 0, m_det is
+    halved. The code size is then min(m_det, m_star(p_e, n, sigma2)): one
+    call of `m_star`, any achievability oracle for synchronous transmission
+    that is monotone in its target (the DT bound in this package), at the
+    inclusive-error budget P_MD leaves. P_MD's bound falls as M falls, so at
+    any smaller M that budget only grows, and the oracle's cap there could
+    only confirm this one. Returns 0 when infeasible.
     """
     if n < min_blocklength(sigma2, req):
         return 0
@@ -191,24 +195,12 @@ def dad_max_code_size(n, sigma2, req, m_star):
                     else _floor_quotient(eps_fa, denom))
     else:
         m_det = 1 << n  # detection term underflows: detection is unconstraining
-    if m_det < 1:
-        return 0
-    M = m_det
-    for _ in range(100):
-        p_e = req.eps_ie - 1.0 + q_func(_q_inv_over(req.eps_fa, M) - root)
-        if p_e <= 0.0:
-            # the missed-detection term alone exceeds the eps_ie budget
-            M //= 2
-            if M < 1:
-                return 0
-            continue
-        M_new = min(m_det, int(m_star(p_e, n, sigma2)))
-        if M_new < 1:
-            return 0
-        if M_new >= M:
-            return M
-        M = M_new
-    return M
+    while m_det >= 1:
+        p_e = req.eps_ie - 1.0 + q_func(_q_inv_over(req.eps_fa, m_det) - root)
+        if p_e > 0.0:
+            return max(0, min(m_det, int(m_star(p_e, n, sigma2))))
+        m_det //= 2
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -232,69 +224,6 @@ def _density_keys(n, sigma2, more):
     return keys
 
 
-def _density_blocks(keys, trials, seed, stream):
-    """Yield (first trial, densities) for each noise block of `stream`.
-
-    The densities are one array per (sigma2, length) key, in key order,
-    each holding that block's trials. The block is drawn once at unit
-    variance at the longest key's width, and freed before the next draw;
-    the keys are grouped by variance, and each variance scales the flat
-    prefix its own longest length needs into one reused buffer (the product
-    gaussian_block(sigma2) forms) and reduces it to each of its lengths'
-    sums (the contracts in the module docstring). Both passes run on the
-    usable cores (channel._on_cores): the softplus in spans of _CHUNK
-    values, each thread with its own scratch, then the row sums of all the
-    variance's lengths in spans of whole rows, about _ROW_SPAN values each.
-    Every value is elementwise or one row's sum, so none depends on the
-    spans or on the core count.
-    """
-    by_variance = {}  # sigma2 -> the indices of its keys
-    for i, (sigma2, _) in enumerate(keys):
-        by_variance.setdefault(sigma2, []).append(i)
-    width = max(l for _, l in keys)
-    buf = np.empty(min(TRIALS_PER_BLOCK, trials) * width)
-    # each thread's softplus scratch, kept for this pass only: a buffer that
-    # outlived it would stay in the heap between later blocks
-    scratch = {}
-    for block, b in _blocks(trials):
-        unit = gaussian_block(1.0, seed, stream, block, (b, width)).reshape(-1)
-        dens = [None] * len(keys)
-        for sigma2, where in by_variance.items():
-            lens = [keys[i][1] for i in where]
-            root = np.sqrt(sigma2)
-
-            def softplus(a, c):
-                # z = sqrt(sigma2) * unit, y = 1 + z, t = -2 y / sigma2, then the
-                # stable softplus ln(1 + e^t) = max(t, 0) + log1p(exp(-|t|))
-                t = np.multiply(unit[a:c], root, out=buf[a:c])
-                t += 1.0
-                t *= -2.0
-                t /= sigma2
-                s = np.abs(t, out=_thread_buffer(scratch, c - a))
-                np.negative(s, out=s)
-                np.exp(s, out=s)
-                np.log1p(s, out=s)
-                np.maximum(t, 0.0, out=t)
-                t += s
-
-            _on_cores(softplus, b * max(lens), _CHUNK)
-            sums = [np.empty(b) for _ in lens]
-            spans = []
-            for l, d in zip(lens, sums):
-                rows = max(1, _ROW_SPAN // l)
-                spans += [(l, d, a, min(a + rows, b)) for a in range(0, b, rows)]
-
-            def row_sums(j, _):
-                l, d, a, c = spans[j]
-                np.add.reduce(buf[a * l : c * l].reshape(c - a, l), axis=1, out=d[a:c])
-
-            _on_cores(row_sums, len(spans), 1)
-            for i, l, d in zip(where, lens, sums):
-                dens[i] = np.subtract(l * np.log(2.0), d, out=d)
-        del unit  # the block is freed before the next draw
-        yield block * TRIALS_PER_BLOCK, dens
-
-
 def info_density_samples(n, sigma2, trials, seed, stream=1, more=None):
     """i.i.d. samples of the n-use BI-AWGN information density under the joint law.
 
@@ -304,16 +233,66 @@ def info_density_samples(n, sigma2, trials, seed, stream=1, more=None):
     With ``more``, further ``(sigma2, length)`` keys (each length >= 1),
     returns a list holding one sample array per key, this call's own
     ``(sigma2, n)`` first, each equal bit for bit to the call for that key
-    alone: every noise block is drawn once, at unit variance and at the
-    longest key's width, and trial j of length l sums the terms of flat
-    values ``j*l .. j*l + l - 1`` (the contracts in the module docstring).
+    alone: trial j of length l sums the terms of flat values
+    ``j*l .. j*l + l - 1`` (the contracts in the module docstring).
+
+    Each noise block is drawn once, at unit variance and at the longest
+    key's width, and freed before the next draw. The keys are grouped by
+    variance: each variance scales the flat prefix its own longest length
+    needs into one reused buffer (the product gaussian_block(sigma2) forms),
+    and the row sums of each of its keys go straight into that key's output
+    slice, where l ln 2 - sum is formed in place. Both passes run on the
+    usable cores (channel._on_cores): the softplus in spans of _CHUNK values,
+    each thread with its own scratch, then the row sums of all the
+    variance's lengths in spans of whole rows, about _ROW_SPAN values each.
+    Every value is elementwise or one row's sum, so none depends on the
+    spans or on the core count.
     """
     keys = _density_keys(n, sigma2, more)
     trials = int(trials)
     outs = [np.empty(trials) for _ in keys]
-    for done, dens in _density_blocks(keys, trials, seed, stream):
-        for out, d in zip(outs, dens):
-            out[done : done + d.size] = d
+    by_variance = {}  # sigma2 -> its keys' (length, output)
+    for (s2, l), out in zip(keys, outs):
+        by_variance.setdefault(s2, []).append((l, out))
+    width = max(l for _, l in keys)
+    buf = np.empty(min(TRIALS_PER_BLOCK, trials) * width)
+    # each thread's softplus scratch, kept for this call only: a buffer that
+    # outlived it would stay in the heap between later calls
+    scratch = {}
+    for block, b in _blocks(trials):
+        done = block * TRIALS_PER_BLOCK
+        unit = gaussian_block(1.0, seed, stream, block, (b, width)).reshape(-1)
+        for s2, entries in by_variance.items():
+            root = np.sqrt(s2)
+
+            def softplus(a, c):
+                # z = sqrt(sigma2) * unit, y = 1 + z, t = -2 y / sigma2, then the
+                # stable softplus ln(1 + e^t) = max(t, 0) + log1p(exp(-|t|))
+                t = np.multiply(unit[a:c], root, out=buf[a:c])
+                t += 1.0
+                t *= -2.0
+                t /= s2
+                s = np.abs(t, out=_thread_buffer(scratch, c - a))
+                np.negative(s, out=s)
+                np.exp(s, out=s)
+                np.log1p(s, out=s)
+                np.maximum(t, 0.0, out=t)
+                t += s
+
+            _on_cores(softplus, b * max(l for l, _ in entries), _CHUNK)
+            spans = []
+            for l, out in entries:
+                rows = max(1, _ROW_SPAN // l)
+                spans += [(l, out, a, min(a + rows, b)) for a in range(0, b, rows)]
+
+            def row_sums(j, _):
+                l, out, a, c = spans[j]
+                d = np.add.reduce(buf[a * l : c * l].reshape(c - a, l), axis=1,
+                                  out=out[done + a : done + c])
+                np.subtract(l * np.log(2.0), d, out=d)
+
+            _on_cores(row_sums, len(spans), 1)
+        del unit  # the block is freed before the next draw
     return outs if more is not None else outs[0]
 
 

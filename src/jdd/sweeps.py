@@ -60,6 +60,12 @@ MAX_SLOT_SYMBOLS = 1e10
 # near 3080 dB, well inside the finite doubles
 MAX_ABS_SNR_DB = 300.0
 
+# longest blocklength a config may give: a density pass holds two 4096 x n
+# float64 blocks (64 KiB per symbol of n) and a HyPED engine pass up to four,
+# 2 GiB at this length; a much longer n would exhaust memory mid-run rather
+# than be refused at parse time
+MAX_BLOCKLENGTH = 1 << 14
+
 # ranks (value, flag) pairs by value; max and min keep the first of equal
 # values, so ties go to the smaller n_p of the ascending split grid
 _BY_VALUE = operator.itemgetter(0)
@@ -110,14 +116,15 @@ class SweepConfig:
                              f"one bound pass, got {self.trials}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        if not 1 <= self.n <= MAX_BLOCKLENGTH:
+            raise ValueError(f"n must lie in 1..{MAX_BLOCKLENGTH}, got {self.n}")
         if not 1 <= self.k <= MAX_K:
             raise ValueError(f"k must lie in 1..{MAX_K}, got {self.k}")
         if self.k > self.n:
             raise ValueError(f"k must be <= n, got k={self.k}, n={self.n}")
-        if any(n < 1 for n in self.n_grid):
-            raise ValueError(f"n_grid entries must be >= 1, got {self.n_grid}")
+        bad = [n for n in self.n_grid if not 1 <= n <= MAX_BLOCKLENGTH]
+        if bad:
+            raise ValueError(f"n_grid entries must lie in 1..{MAX_BLOCKLENGTH}, got {bad[0]}")
         if any(n_p < 0 for n_p in self.np_grid):
             raise ValueError(f"np_grid entries must be >= 0, got {self.np_grid}")
         # a list entry is cut at ',' and a config line at '#', so such a path
@@ -284,7 +291,7 @@ def _bound_values(cfg, requests):
 
     A request is (sigma2, length, quantity, arg): "dt-error" at M
     (dt_error_estimate's (estimate, stderr)), "dt-max-M" at eps,
-    "dad-max-M" at Requirements (dad_max_code_size, each round a DT search),
+    "dad-max-M" at Requirements (dad_max_code_size, at most one DT search),
     "mc-max-M" at eps or "mc-min-error" at M. The DT quantities read stream
     1 and each meta-converse (quantity, arg) streams 2 and 3. Each such
     family packs its distinct (sigma2, length) keys, in order of first use,
@@ -292,8 +299,8 @@ def _bound_values(cfg, requests):
     pass is one jdd.bounds call on that flat key list (the first key, then
     the rest as ``more``), which draws each noise block once. Every value
     equals the request's own call, so the packing changes none. Stream 1 is
-    drawn on first use, so a DAD fixed point that ends before its first
-    round draws none, and each pass is freed before the next.
+    drawn on first use, so a DAD code size that is 0 before its DT search
+    draws none, and each pass is freed before the next.
     """
     families = {}  # family -> (sigma2, length) -> its distinct requests
     for r in dict.fromkeys(requests):
@@ -353,8 +360,8 @@ def run_rate_sweep(cfg):
     rejected before any noise is drawn, as are trials too few for the genie's
     DT search and a split search past MAX_SLOT_SYMBOLS. The HyPED splits of
     every feasible n are calibrated and scored in one Monte Carlo pass
-    (_feasible_splits), and every DT search (the genie, each DAD fixed-point
-    round, each split's payload) and every meta-converse code size of the
+    (_feasible_splits), and every DT search (the genie, DAD's code size,
+    each split's payload) and every meta-converse code size of the
     whole n grid is one request to _bound_values, so a sweep over an n grid
     writes the same rows as one sweep per n. The config is validated first (see SweepConfig.validate),
     as parse_config does.

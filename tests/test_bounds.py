@@ -157,10 +157,80 @@ class TestDadErrorBounds:
         assert dad_error_bounds(1100, 0.5, 400.0, M)[0] == 1.0
 
 
+def reference_dad_max_code_size(n, sigma2, req, m_star):
+    """The fixed-point loop of at most 100 rounds that one oracle call replaced."""
+    if n < min_blocklength(sigma2, req):
+        return 0
+    root = np.sqrt(n / sigma2)
+    m_det = min(1 << n, math.floor(req.eps_fa / q_func(root - q_inv(req.eps_md))))
+    if m_det < 1:
+        return 0
+    M = m_det
+    for _ in range(100):
+        p_e = req.eps_ie - 1.0 + q_func(q_inv(req.eps_fa / M) - root)
+        if p_e <= 0.0:
+            M //= 2
+            if M < 1:
+                return 0
+            continue
+        M_new = min(m_det, int(m_star(p_e, n, sigma2)))
+        if M_new < 1:
+            return 0
+        if M_new >= M:
+            return M
+        M = M_new
+    return M
+
+
+def shared_dt_oracle(n, sigma2, trials, seed):
+    """A DT oracle searching one stream-1 sample, as the sweeps hand it one."""
+    dens = info_density_samples(n, sigma2, trials, seed)
+    return lambda target, *_: dt_bound_max_M(n, sigma2, target, trials, seed, dens=dens), dens
+
+
 class TestDadMaxCodeSize:
     @staticmethod
     def dt_oracle(target_error, n, sigma2):
         return dt_bound_max_M(n, sigma2, target_error, 20_000, 42)
+
+    @pytest.mark.parametrize("n, sigma2, req, calls", [
+        (40, SIGMA2_M3DB, REQ, 0),  # below the converse
+        (58, SIGMA2_M3DB, REQ, 1),  # detection-limited
+        (32, 0.01, REQ, 1),  # decoding-limited
+        (400, SIGMA2_M3DB, Requirements(1e-3, 0.99, 1e-2), 1),  # the limit is halved first
+        (24, SIGMA2_M3DB, Requirements(1e-2, 0.5, 1e-3), 0),  # halved below one codeword
+    ])
+    def test_one_oracle_call(self, n, sigma2, req, calls):
+        # P_MD's bound falls as M falls, so the budget at any smaller M only
+        # grows: one oracle call settles the size
+        targets = []
+        dad_max_code_size(n, sigma2, req, lambda p_e, *_: targets.append(p_e) or 1 << 10)
+        assert len(targets) == calls
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # DT precision at 10k trials
+    @pytest.mark.parametrize("es_n0_db", [-3.0, 0.0, 3.0])
+    def test_equals_round_loop(self, es_n0_db):
+        # where eps_md <= eps_ie the detection limit leaves a budget, and the
+        # old loop's second round only confirmed its first round's cap
+        sigma2 = snr_to_sigma2(es_n0_db)
+        for n in (24, 60, 84, 200):
+            oracle, _ = shared_dt_oracle(n, sigma2, 10_000, 7)
+            for req in (Requirements(1e-3, 1e-3, 1e-2), REQ, Requirements(1e-2, 1e-2, 1e-2),
+                        Requirements(1e-3, 1e-4, 1e-2)):
+                assert (dad_max_code_size(n, sigma2, req, oracle)
+                        == reference_dad_max_code_size(n, sigma2, req, oracle))
+
+    def test_missed_detection_spends_the_budget(self):
+        # eps_md = 0.99 > eps_ie: P_MD at the detection limit alone spends
+        # eps_ie, so the limit is halved until P_MD leaves a budget; a cap of
+        # 100 halvings left M = 2^256 here, whose P_MD is about 1
+        n, sigma2, req = 400, snr_to_sigma2(-3.0), Requirements(1e-3, 0.99, 1e-2)
+        oracle, dens = shared_dt_oracle(n, sigma2, 10_000, 0)
+        with pytest.warns(UserWarning, match="DT bound at n=400"):
+            M = dad_max_code_size(n, sigma2, req, oracle)
+        _, pmd = dad_error_bounds(n, sigma2, dad_gamma(n, sigma2, req.eps_fa, M), M)
+        assert M > 1 and pmd <= req.eps_md
+        assert pmd + dt_error_estimate(dens, M)[0] <= req.eps_ie
 
     def test_infeasible_blocklength(self):
         assert dad_max_code_size(40, SIGMA2_M3DB, REQ, self.dt_oracle) == 0
@@ -176,8 +246,8 @@ class TestDadMaxCodeSize:
         # at sigma2 = 0.01 detection is trivial; the DT oracle caps the size
         M = dad_max_code_size(32, 0.01, REQ, self.dt_oracle)
         assert M > 1 << 10  # far beyond anything detection-limited
-        # fixed-point consistency: M is what the DT oracle certifies at the
-        # inclusive-error budget left after missed detection
+        # M is what the DT oracle certifies at the inclusive-error budget
+        # left after missed detection
         p_e = REQ.eps_ie - 1.0 + q_func(q_inv(REQ.eps_fa / M) - math.sqrt(32 / 0.01))
         assert M == self.dt_oracle(p_e, 32, 0.01)
 

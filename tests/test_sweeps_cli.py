@@ -165,6 +165,13 @@ class TestParseConfig:
         cfg = parse_config("es_n0_db=-300\nsnr_grid=-300,300\n")
         assert (cfg.es_n0_db, cfg.snr_grid) == (-300.0, (-300.0, 300.0))
         assert parse_config("es_n0_db=300\n").es_n0_db == 300.0
+        # a density pass holds two 4096 x n float64 blocks: n stops at 2^14
+        cfg = parse_config("n=16384\nn_grid=1,16384\n")
+        assert (cfg.n, cfg.n_grid) == (16384, (1, 16384))
+        for text, key in (("n=16385\n", "n"), ("n_grid=16384,16385\n", "n_grid entries")):
+            with pytest.raises(ValueError) as exc:
+                parse_config(text)
+            assert str(exc.value) == f"{key} must lie in 1..16384, got 16385"
 
     def test_calibration_trials_floor(self):
         cfg = parse_config("eps_fa=1e-3\ntrials=1000\n")
@@ -230,6 +237,16 @@ class TestRunRateSweep:
 
     def test_deterministic(self):
         assert run_rate_sweep(small_rate_cfg()) == run_rate_sweep(small_rate_cfg())
+
+    def test_dad_below_genie_converse_when_eps_md_exceeds_eps_ie(self):
+        # P_MD at DAD's detection limit alone spends eps_ie, so the limit is
+        # halved until P_MD leaves a budget; capped at 100 halvings, DAD's
+        # row read 0.6404 bits/use, above the genie converse's 0.4096
+        cfg = small_rate_cfg(n_grid=(400,), eps_fa=1e-3, eps_md=0.99, eps_ie=1e-2, seed=0)
+        with pytest.warns(UserWarning):  # bound precision at 10k trials
+            rows = run_rate_sweep(cfg)
+        value = {(r["scheme"], r["kind"]): float(r["value"]) for r in rows}
+        assert 0.0 < value["dad", "achievability"] <= value["genie", "converse"]
 
     def test_hyped_split_search(self):
         cfg = small_rate_cfg(schemes=("hyped",), n_grid=(40,), np_grid=(20,))
@@ -385,7 +402,7 @@ class TestRunRateSweep:
                                           trials=9999))
 
     def test_no_bound_searched_below_dt_trials(self, monkeypatch):
-        # at n = 22 the DAD fixed point ends before its first round and no split
+        # at n = 22 DAD's code size is 0 before its DT search and no split
         # meets eps_md, so no bound runs and 5000 trials (under the bounds'
         # 1e4 minimum) still give the infeasible rows, without drawing noise
         import jdd.sweeps as sweeps
@@ -433,7 +450,7 @@ class TestRunRateSweep:
         assert _row("dad", "achievability", 60, 0.0, value)["value"] == text
 
     def test_bounds_report_one_sample(self, monkeypatch):
-        # two DAD fixed-point rounds at n = 60 search one stream-1 sample; an
+        # DAD's DT search at n = 60 reads the run's one stream-1 sample; an
         # infeasible n draws none
         import jdd.sweeps as sweeps
 
@@ -1211,6 +1228,33 @@ class TestCli:
         with pytest.raises(ValueError) as exc:
             parse_config(text)
         assert str(exc.value) == error
+
+    # a blocklength past MAX_BLOCKLENGTH, 2^14
+    N_OUT_OF_RANGE = [
+        ("rate-sweep", "schemes=genie\nn_grid=100,16385\n", "n_grid entries"),
+        ("pie-sweep", "n=16385\nk=4\nsnr_grid=0\n", "n"),
+        ("bounds", "n=16385\n", "n"),
+    ]
+
+    @pytest.mark.parametrize("command, text, key", N_OUT_OF_RANGE)
+    def test_blocklength_out_of_range_refused(self, tmp_path, capsys, monkeypatch, command, text,
+                                              key):
+        # a density pass holds 64 KiB per symbol of n (a genie rate sweep
+        # peaked at 62 MiB at n = 100 and 306 MiB at n = 4000), so a long
+        # enough n is killed mid-run: refused at once, no noise drawn
+        import jdd.bounds
+        import jdd.montecarlo
+
+        monkeypatch.setattr(jdd.bounds, "gaussian_block", None)
+        monkeypatch.setattr(jdd.montecarlo, "gaussian_block", None)
+        text += "eps_fa=1e-2\neps_md=1e-2\neps_ie=1e-2\ntrials=10000\n"
+        error = f"{key} must lie in 1..16384, got 16385"
+        started = time.perf_counter()
+        rc = main([command, "--config", self.write_cfg(tmp_path, text), "--out", str(tmp_path)])
+        assert time.perf_counter() - started < 1.0
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [f'error="ValueError: {error}"']
+        assert not (tmp_path / f"{command.replace('-', '_')}.csv").exists()
 
     @pytest.mark.parametrize("snr", [-300, 300])
     def test_snr_at_range_edge_runs(self, tmp_path, capsys, snr):
