@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_ndtr, ndtri_exp
 
-from .channel import (TRIALS_PER_BLOCK, _ROW_SPAN, _blocks, _on_cores, _thread_buffer,
+from .channel import (TRIALS_PER_BLOCK, _ROW_SPAN, _SPAN, _blocks, _on_cores, _thread_buffer,
                       gaussian_block)
 from .numerics import q_func, q_inv
 
@@ -207,11 +207,6 @@ def dad_max_code_size(n, sigma2, req, m_star):
 # information-density Monte Carlo machinery (DT and meta-converse)
 # ---------------------------------------------------------------------------
 
-# values per softplus span (each thread's scratch); the row sums take spans
-# of whole rows of about channel._ROW_SPAN values. Every step is elementwise
-# or one row's sum, so any span size gives the same values
-_CHUNK = 1 << 14
-
 # the fewest trials (densities) a DT or meta-converse bound is estimated from
 _MIN_TRIALS = 10_000
 
@@ -242,8 +237,8 @@ def info_density_samples(n, sigma2, trials, seed, stream=1, more=None):
     needs into one reused buffer (the product gaussian_block(sigma2) forms),
     and the row sums of each of its keys go straight into that key's output
     slice, where l ln 2 - sum is formed in place. Both passes run on the
-    usable cores (channel._on_cores): the softplus in spans of _CHUNK values,
-    each thread with its own scratch, then the row sums of all the
+    usable cores (channel._on_cores): the softplus in spans of channel._SPAN
+    values, each thread with its own scratch, then the row sums of all the
     variance's lengths in spans of whole rows, about _ROW_SPAN values each.
     Every value is elementwise or one row's sum, so none depends on the
     spans or on the core count.
@@ -279,7 +274,7 @@ def info_density_samples(n, sigma2, trials, seed, stream=1, more=None):
                 np.maximum(t, 0.0, out=t)
                 t += s
 
-            _on_cores(softplus, b * max(l for l, _ in entries), _CHUNK)
+            _on_cores(softplus, b * max(l for l, _ in entries), _SPAN)
             spans = []
             for l, out in entries:
                 rows = max(1, _ROW_SPAN // l)

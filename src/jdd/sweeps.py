@@ -93,7 +93,11 @@ class SweepConfig:
         return Requirements(self.eps_fa, self.eps_md, self.eps_ie)
 
     def validate(self):
-        """Raise ValueError for settings no sweep can run with."""
+        """Raise ValueError, from the config alone, for settings no sweep can run with.
+
+        `trials` must lie in bounds._MIN_TRIALS..DENSITY_BUDGET_BYTES // 8,
+        even for a run that would read no bound.
+        """
         if not self.schemes or not set(self.schemes) <= set(DEFAULT_SCHEMES):
             raise ValueError(f"schemes must name one or more of {','.join(DEFAULT_SCHEMES)}, "
                              f"got {','.join(self.schemes)!r}")
@@ -108,8 +112,9 @@ class SweepConfig:
                 raise ValueError(f"{key} must lie in [-{MAX_ABS_SNR_DB:g}, {MAX_ABS_SNR_DB:g}] dB, "
                                  f"got {bad[0]}")
         self.requirements  # Requirements rejects eps_* outside (0, 1)
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.trials < bounds._MIN_TRIALS:
+            raise ValueError(f"trials must be >= {bounds._MIN_TRIALS}, the fewest the DT and "
+                             f"meta-converse estimators take, got {self.trials}")
         # one key's densities, 8 bytes a trial, must fit one bound pass
         if self.trials > DENSITY_BUDGET_BYTES // 8:
             raise ValueError(f"trials must be <= {DENSITY_BUDGET_BYTES // 8}, the densities of "
@@ -135,8 +140,14 @@ class SweepConfig:
                 raise ValueError(f"{key} paths cannot contain ',' or '#', got {bad[0]!r}")
 
     def calibration_trials(self):
-        """Trials that resolve the (1 - eps_fa)-quantile, and no fewer than `trials`."""
-        return max(int(np.ceil(50 / self.eps_fa)), self.trials)
+        """Trials that resolve the (1 - eps_fa)-quantile, and no fewer than `trials`.
+
+        Where 50 / eps_fa overflows a float, its ceiling is taken in integers.
+        """
+        quotient = 50 / self.eps_fa
+        num, den = self.eps_fa.as_integer_ratio()  # eps_fa = num / den exactly
+        need = int(np.ceil(quotient)) if math.isfinite(quotient) else -(-50 * den // num)
+        return max(need, self.trials)
 
 
 def parse_config(text):
@@ -276,14 +287,7 @@ def _need_bounded_work(cfg, width):
     if work > MAX_SLOT_SYMBOLS:
         raise ValueError(f"eps_fa={cfg.eps_fa} needs {cfg.calibration_trials()} calibration "
                          f"trials, and with trials={cfg.trials} the Monte Carlo passes would draw "
-                         f"{work:.3g} slot-symbols, past the limit of {MAX_SLOT_SYMBOLS:.3g}")
-
-
-def _need_bound_trials(cfg):
-    """Refuse, before any simulation, trials too few for the bounds a run reads."""
-    if cfg.trials < bounds._MIN_TRIALS:
-        raise ValueError(f"need at least {bounds._MIN_TRIALS} trials for the DT and "
-                         f"meta-converse bounds, got {cfg.trials}")
+                         f"{work} slot-symbols, past the limit of {MAX_SLOT_SYMBOLS:.3g}")
 
 
 def _bound_values(cfg, requests):
@@ -295,18 +299,18 @@ def _bound_values(cfg, requests):
     "mc-max-M" at eps or "mc-min-error" at M. The DT quantities read stream
     1 and each meta-converse (quantity, arg) streams 2 and 3. Each such
     family packs its distinct (sigma2, length) keys, in order of first use,
-    into passes whose densities fit DENSITY_BUDGET_BYTES (or of one key); a
-    pass is one jdd.bounds call on that flat key list (the first key, then
-    the rest as ``more``), which draws each noise block once. Every value
-    equals the request's own call, so the packing changes none. Stream 1 is
-    drawn on first use, so a DAD code size that is 0 before its DT search
-    draws none, and each pass is freed before the next.
+    into passes whose densities fit DENSITY_BUDGET_BYTES (validate caps the
+    trials at one key's pass); a pass is one jdd.bounds call on that flat key
+    list (the first key, then the rest as ``more``), which draws each noise
+    block once. Every value equals the request's own call, so the packing
+    changes none. Stream 1 is drawn on first use, so a DAD code size that is
+    0 before its DT search draws none, and each pass is freed before the next.
     """
     families = {}  # family -> (sigma2, length) -> its distinct requests
     for r in dict.fromkeys(requests):
         family = r[2:] if r[2].startswith("mc-") else "dt"
         families.setdefault(family, {}).setdefault(r[:2], []).append(r)
-    per_pass = max(1, DENSITY_BUDGET_BYTES // (8 * cfg.trials))
+    per_pass = DENSITY_BUDGET_BYTES // (8 * cfg.trials)
     value = {}
     for family, where in families.items():
         keys = list(where)
@@ -357,13 +361,13 @@ def run_rate_sweep(cfg):
     detection-feasibility combined with DT/meta-converse payload rates, and
     the genie DT/meta-converse reference rates. A configured preamble scheme
     gets no rows, and a config naming none of genie, dad and hyped is
-    rejected before any noise is drawn, as are trials too few for the genie's
-    DT search and a split search past MAX_SLOT_SYMBOLS. The HyPED splits of
-    every feasible n are calibrated and scored in one Monte Carlo pass
-    (_feasible_splits), and every DT search (the genie, DAD's code size,
-    each split's payload) and every meta-converse code size of the
-    whole n grid is one request to _bound_values, so a sweep over an n grid
-    writes the same rows as one sweep per n. The config is validated first (see SweepConfig.validate),
+    rejected before any noise is drawn, as is a split search past
+    MAX_SLOT_SYMBOLS. The HyPED splits of every feasible n are calibrated
+    and scored in one Monte Carlo pass (_feasible_splits), and every DT
+    search (the genie, DAD's code size, each split's payload) and every
+    meta-converse code size of the whole n grid is one request to
+    _bound_values, so a sweep over an n grid writes the same rows as one
+    sweep per n. The config is validated first (see SweepConfig.validate),
     as parse_config does.
     """
     cfg.validate()
@@ -377,8 +381,6 @@ def run_rate_sweep(cfg):
     sigma2 = snr_to_sigma2(cfg.es_n0_db)
     n_min = bounds.min_blocklength(sigma2, req)
     feasible = [n for n in cfg.n_grid if n >= n_min]
-    if "genie" in schemes and feasible:  # a DT search at every feasible n
-        _need_bound_trials(cfg)
     if "hyped" in schemes and feasible:  # one split search at the longest feasible n
         _need_bounded_work(cfg, max(feasible))
     # the feasible (n_p, pmd) HyPED splits of every n above the converse
@@ -450,8 +452,7 @@ def run_pie_sweep(cfg):
     (_simulated_points). So a sweep over an SNR grid writes the same rows as
     one sweep per SNR. An invalid config (see SweepConfig.validate), a code
     longer than the slot, or one whose dimension is not k, is rejected
-    before any noise is drawn, and so are trials too few for the bounds when
-    an SNR lies above the floor, and Monte Carlo passes past
+    before any noise is drawn, and so are Monte Carlo passes past
     MAX_SLOT_SYMBOLS.
     """
     cfg.validate()
@@ -469,9 +470,7 @@ def run_pie_sweep(cfg):
     snr_floor = bounds.min_snr_db(n, req)
     # every SNR above the floor, and its feasible (n_p, pmd) splits per scheme
     params = {snr: ChannelParams.from_db(snr, n) for snr in cfg.snr_grid if snr >= snr_floor}
-    if params:  # each reads the slot's DT and meta-converse bounds
-        _need_bound_trials(cfg)
-        # HyPED's split search and each simulating code are one pass each
+    if params:  # HyPED's split search and each simulating code are one pass each
         passes = ("hyped" in cfg.schemes) + sum(bool(_simulated_schemes(cfg, n - cb.n_c))
                                                 for cb in codes)
         _need_bounded_work(cfg, n * passes)
@@ -648,12 +647,13 @@ def run_with_manifest(runner, cfg, out_dir, name):
     The manifest's key=value lines list the command, every config field in
     field order (tuples comma-joined, so its config lines parse back to
     `cfg`), the derived calibration trials, the timing and the time written.
+    Both are formed before either is written, so a failed run leaves neither.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
     refs = [r for ref in cfg.refs for r in ingest_reference(ref)]
-    csv_path = write_rows(runner(cfg) + refs, out / f"{name}.csv")
+    rows = runner(cfg) + refs
     manifest = {"command": name}
     for f in fields(cfg):
         value = getattr(cfg, f.name)
@@ -661,5 +661,7 @@ def run_with_manifest(runner, cfg, out_dir, name):
     manifest["calibration_trials"] = cfg.calibration_trials()
     manifest["wall_time_s"] = f"{time.time() - started:.3f}"
     manifest["written_unix"] = f"{time.time():.3f}"
-    (out / f"{name}.manifest.txt").write_text("".join(f"{k}={v}\n" for k, v in manifest.items()))
+    text = "".join(f"{k}={v}\n" for k, v in manifest.items())
+    csv_path = write_rows(rows, out / f"{name}.csv")
+    (out / f"{name}.manifest.txt").write_text(text)
     return csv_path

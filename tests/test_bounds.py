@@ -464,6 +464,17 @@ class TestDensitySpans:
         for (s2, l), dens in zip(keys, got):
             assert dens.tobytes() == serial_densities(l, s2, trials, 5).tobytes()
 
+    @pytest.mark.parametrize("span", [4, 1000, 3 * 84 + 4])
+    def test_softplus_span_changes_no_value(self, monkeypatch, span_helpers, span):
+        # every softplus step is elementwise, so spans that split a row, or
+        # hold a row and a few values, give the default span's bytes
+        keys = [(SIGMA2_M3DB, 84), (SIGMA2_M3DB, 12), (0.3, 40), (0.3, 84)]
+        (sigma2, n), *more = keys
+        want = info_density_samples(n, sigma2, 300, 5, more=more)
+        monkeypatch.setattr(bounds, "_SPAN", span)
+        got = info_density_samples(n, sigma2, 300, 5, more=more)
+        assert [d.tobytes() for d in got] == [d.tobytes() for d in want]
+
 
 DIGEST_SOURCE = """
 import hashlib

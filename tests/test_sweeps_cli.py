@@ -9,6 +9,7 @@ import time
 import warnings
 from collections import Counter
 from dataclasses import fields
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -116,13 +117,13 @@ class TestParseConfig:
     def test_scalars_and_lists(self):
         cfg = parse_config(
             "es_n0_db = -2.5\n"
-            "trials=5000\n"
+            "trials=20000\n"
             "n_grid = 20, 40, 60\n"
             "schemes=genie,dad\n"
             "snr_grid=-6,-3,0\n"
         )
         assert cfg.es_n0_db == -2.5
-        assert cfg.trials == 5000
+        assert cfg.trials == 20_000
         assert cfg.n_grid == (20, 40, 60)
         assert cfg.schemes == ("genie", "dad")
         assert cfg.snr_grid == (-6.0, -3.0, 0.0)
@@ -151,8 +152,13 @@ class TestParseConfig:
         assert str(exc.value) == message
 
     def test_range_edges_accepted(self):
-        cfg = parse_config("trials=1\nseed=0\nn=1\nk=1\n")
-        assert (cfg.trials, cfg.n, cfg.k) == (1, 1, 1)
+        cfg = parse_config("trials=10000\nseed=0\nn=1\nk=1\n")
+        assert (cfg.trials, cfg.n, cfg.k) == (10_000, 1, 1)
+        # the DT and meta-converse estimators refuse fewer than 10 000 samples
+        with pytest.raises(ValueError) as exc:
+            parse_config("trials=9999\n")
+        assert str(exc.value) == ("trials must be >= 10000, the fewest the DT and "
+                                  "meta-converse estimators take, got 9999")
         cfg = parse_config("n=24\nk=24\n")  # k = n: the most bits n symbols can carry
         assert (cfg.n, cfg.k) == (24, 24)
         with pytest.raises(ValueError, match="seed"):
@@ -174,7 +180,7 @@ class TestParseConfig:
             assert str(exc.value) == f"{key} must lie in 1..16384, got 16385"
 
     def test_calibration_trials_floor(self):
-        cfg = parse_config("eps_fa=1e-3\ntrials=1000\n")
+        cfg = parse_config("eps_fa=1e-3\ntrials=10000\n")
         assert cfg.calibration_trials() == 50_000
 
 
@@ -390,32 +396,33 @@ class TestRunRateSweep:
         assert calls == [("calibrate_threshold", [40, 56, 72]), ("estimate_rates", [40, 56, 72])]
 
     def test_genie_below_dt_trials_fails_before_simulation(self, monkeypatch):
-        # the genie row reads a DT search at every feasible n, so 9999 trials
-        # are refused before any split is calibrated
+        # 9999 trials are refused by the config alone, before any split is
+        # calibrated, whether or not an n is feasible
         import jdd.bounds as bounds
         import jdd.montecarlo as montecarlo
 
         for mod in (montecarlo, bounds):
             monkeypatch.setattr(mod, "gaussian_block", None)
-        with pytest.raises(ValueError, match="need at least 10000 trials"):
-            run_rate_sweep(small_rate_cfg(schemes=("genie", "hyped"), n_grid=(16, 40),
-                                          trials=9999))
+        for n_grid in ((16, 40), (16,)):
+            with pytest.raises(ValueError, match="trials must be >= 10000"):
+                run_rate_sweep(small_rate_cfg(schemes=("genie", "hyped"), n_grid=n_grid,
+                                              trials=9999))
 
     def test_no_bound_searched_below_dt_trials(self, monkeypatch):
-        # at n = 22 DAD's code size is 0 before its DT search and no split
-        # meets eps_md, so no bound runs and 5000 trials (under the bounds'
-        # 1e4 minimum) still give the infeasible rows, without drawing noise
+        # at n = 24, above the converse, DAD's code size is 0 before its DT
+        # search and no split meets eps_md (n_p = 23 misses it), so no bound
+        # runs: the infeasible rows come without a stream-1 draw
         import jdd.sweeps as sweeps
 
         monkeypatch.setattr(sweeps, "info_density_samples", None)
-        rows = run_rate_sweep(small_rate_cfg(schemes=("dad", "hyped"), n_grid=(16, 22),
-                                             eps_ie=1e-3, trials=5000))
+        rows = run_rate_sweep(small_rate_cfg(schemes=("dad", "hyped"), n_grid=(16, 24),
+                                             eps_md=5e-3, eps_ie=1e-3))
         assert [(r["scheme"], r["kind"], r["n"], r["flag"]) for r in rows] == [
             ("dad", "achievability", "16", "infeasible"),
             ("hyped", "achievability", "16", "infeasible"),
-            ("dad", "achievability", "22", "infeasible"),
-            ("hyped", "achievability", "22", "infeasible"),
-            ("hyped", "converse", "22", "infeasible")]
+            ("dad", "achievability", "24", "infeasible"),
+            ("hyped", "achievability", "24", "infeasible"),
+            ("hyped", "converse", "24", "infeasible")]
 
     def test_bounds_report_pinned(self, tmp_path):
         # recorded before the DAD fixed-point rounds shared one stream-1 sample
@@ -621,16 +628,20 @@ class TestRunPieSweep:
                              np_grid=(0, 2, 8, 14, 17), snr_grid=snr_grid)
 
     def test_below_dt_trials_fails_before_simulation(self, monkeypatch):
-        # every SNR above the floor reads the slot's DT and meta-converse, so
-        # 9999 trials are refused before any HyPED split is calibrated
+        # 9999 trials are refused by parse_config, and by the runner for a
+        # config built in Python, before any HyPED split is calibrated
         import jdd.bounds as bounds
         import jdd.montecarlo as montecarlo
 
         for mod in (montecarlo, bounds):
             monkeypatch.setattr(mod, "gaussian_block", None)
-        cfg = parse_config("schemes=hyped\nn=84\nk=12\nsnr_grid=-3,-1\neps_fa=1e-3\n"
-                           "eps_md=1e-3\neps_ie=1e-2\ntrials=9999\n")
-        with pytest.raises(ValueError, match="need at least 10000 trials"):
+        text = ("schemes=hyped\nn=84\nk=12\nsnr_grid=-3,-1\neps_fa=1e-3\n"
+                "eps_md=1e-3\neps_ie=1e-2\ntrials=9999\n")
+        with pytest.raises(ValueError, match="trials must be >= 10000"):
+            parse_config(text)
+        cfg = parse_config(text.replace("9999", "10000"))
+        cfg.trials = 9999
+        with pytest.raises(ValueError, match="trials must be >= 10000"):
             run_pie_sweep(cfg)
 
     def test_snr_grid_equals_one_snr_sweeps(self):
@@ -812,10 +823,17 @@ class TestOptimizeSplit:
         with pytest.raises(ValueError, match="optimize-split needs one or more of hyped,preamble"):
             run_optimize_split(small_pie_cfg(schemes=("genie", "dad"), np_grid=(8,)))
 
-    def test_dt_estimate_refuses_too_few_trials(self):
-        # one density gave a DT bound, and rows, from a single sample
-        with pytest.raises(ValueError, match="need at least 10000 densities for the DT bound"):
-            run_optimize_split(small_pie_cfg(**self.CFG, trials=1))
+    def test_dt_estimate_refuses_too_few_trials(self, monkeypatch):
+        # one density gave a DT bound, and rows, from a single sample; the
+        # config is refused before the DT pass draws any noise
+        import jdd.bounds
+        import jdd.montecarlo
+
+        monkeypatch.setattr(jdd.bounds, "gaussian_block", None)
+        monkeypatch.setattr(jdd.montecarlo, "gaussian_block", None)
+        for trials in (1, 9999):
+            with pytest.raises(ValueError, match=f"trials must be >= 10000, .* got {trials}$"):
+                run_optimize_split(small_pie_cfg(**self.CFG, trials=trials))
 
     def test_all_infeasible_writes_infeasible_row(self):
         cfg = small_pie_cfg(schemes=("preamble",), es_n0_db=-6.0, np_grid=(1,), eps_md=1e-6)
@@ -887,7 +905,7 @@ class TestWorkBound:
         monkeypatch.setattr(sweeps, "MAX_SLOT_SYMBOLS", work - 1)
         with pytest.raises(ValueError, match=re.escape(
                 f"eps_fa={cfg.eps_fa} needs {cfg.calibration_trials()} calibration trials, and "
-                f"with trials={cfg.trials} the Monte Carlo passes would draw {work:.3g}")):
+                f"with trials={cfg.trials} the Monte Carlo passes would draw {work} ")):
             runner(cfg)
         monkeypatch.setattr(sweeps, "MAX_SLOT_SYMBOLS", work)
         with pytest.raises(TypeError):  # the first draw
@@ -915,7 +933,7 @@ class TestRunWithManifest:
     def test_round_trip(self, tmp_path):
         # key=value lines: the command, every config field in field order,
         # the calibration trials, the wall time and, last, the time written
-        cfg = SweepConfig(seed=7, trials=1000, schemes=("dad",))
+        cfg = SweepConfig(seed=7, trials=10_000, schemes=("dad",))
         path = run_with_manifest(lambda cfg: [], cfg, tmp_path, "run")
         assert path == tmp_path / "run.csv" and read_csv(path) == []
         text = (tmp_path / "run.manifest.txt").read_text()
@@ -924,7 +942,7 @@ class TestRunWithManifest:
         keys = [f.name for f in fields(SweepConfig)]
         assert [line.split("=", 1)[0] for line in lines] == [
             "command", *keys, "calibration_trials", "wall_time_s", "written_unix"]
-        for line in ("command=run", "seed=7", "trials=1000", "schemes=dad", "n_grid=",
+        for line in ("command=run", "seed=7", "trials=10000", "schemes=dad", "n_grid=",
                      "eps_fa=0.0001", "calibration_trials=500000"):
             assert line in lines
         assert parse_config("\n".join(l for l in lines if l.split("=", 1)[0] in keys)) == cfg
@@ -1007,13 +1025,20 @@ class TestCli:
         assert capsys.readouterr().err.splitlines() == [
             'error="ValueError: trials: expected int, got \'1e5\'"']
 
-    def test_optimize_split_too_few_trials(self, tmp_path, capsys):
+    def test_optimize_split_too_few_trials(self, tmp_path, capsys, monkeypatch):
+        # refused at parse time, before the DT pass draws any noise
+        import jdd.bounds
+        import jdd.montecarlo
+
+        monkeypatch.setattr(jdd.bounds, "gaussian_block", None)
+        monkeypatch.setattr(jdd.montecarlo, "gaussian_block", None)
         cfg = self.write_cfg(tmp_path, "schemes=hyped,preamble\nn=24\nk=4\nes_n0_db=3\n"
                                        "np_grid=2,8,14\ntrials=1\n")
         rc = main(["optimize-split", "--config", cfg, "--out", str(tmp_path)])
         assert rc == 2
         assert capsys.readouterr().err.splitlines() == [
-            'error="ValueError: need at least 10000 densities for the DT bound, got 1"']
+            'error="ValueError: trials must be >= 10000, the fewest the DT and meta-converse '
+            'estimators take, got 1"']
         assert not (tmp_path / "optimize_split.csv").exists()
 
     def test_optimize_split_scheme_without_split(self, tmp_path, capsys):
@@ -1255,6 +1280,79 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err.splitlines() == [f'error="ValueError: {error}"']
         assert not (tmp_path / f"{command.replace('-', '_')}.csv").exists()
+
+    # 9999 trials, one fewer than the DT and meta-converse estimators take:
+    # the first four configs drew noise before they were refused, and the pie
+    # sweep, whose SNRs all lie below its -6.4 dB floor, ran
+    BELOW_MIN_TRIALS = [
+        ("rate-sweep", "schemes=hyped\nn_grid=84\nes_n0_db=-3\n"),
+        ("rate-sweep", "schemes=dad\nn_grid=84\nes_n0_db=-3\n"),
+        ("bounds", "n=84\nk=12\nes_n0_db=-3\n"),
+        ("optimize-split", "schemes=hyped,preamble\nn=84\nk=12\nes_n0_db=-3\n"),
+        ("pie-sweep", "schemes=genie,dad,hyped,preamble\nn=84\nk=12\nsnr_grid=-12,-9\n"),
+    ]
+
+    @pytest.mark.parametrize("command, text", BELOW_MIN_TRIALS,
+                             ids=["rate-hyped", "rate-dad", "bounds", "optimize-split",
+                                  "pie-below-floor"])
+    def test_trials_below_bound_minimum_refused(self, tmp_path, capsys, monkeypatch, command,
+                                                text):
+        # whether trials are enough is decided from the config alone, not from
+        # what the run finds: refused at once, no noise drawn
+        import jdd.bounds
+        import jdd.montecarlo
+
+        monkeypatch.setattr(jdd.bounds, "gaussian_block", None)
+        monkeypatch.setattr(jdd.montecarlo, "gaussian_block", None)
+        text += "eps_fa=1e-3\neps_md=1e-3\neps_ie=1e-2\ntrials=9999\n"
+        error = ("trials must be >= 10000, the fewest the DT and meta-converse estimators "
+                 "take, got 9999")
+        started = time.perf_counter()
+        rc = main([command, "--config", self.write_cfg(tmp_path, text), "--out", str(tmp_path)])
+        assert time.perf_counter() - started < 1.0
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [f'error="ValueError: {error}"']
+        assert not (tmp_path / f"{command.replace('-', '_')}.csv").exists()
+        with pytest.raises(ValueError) as exc:
+            parse_config(text)
+        assert str(exc.value) == error
+
+    # 50 / 5e-324 overflows a float; the exact ceiling is an int of 326 digits
+    SUBNORMAL_EPS_FA = "eps_fa=5e-324\ntrials=10000\n"
+
+    @pytest.mark.parametrize("command, text", [
+        ("bounds", ""),
+        ("rate-sweep", "schemes=genie\nn_grid=200\nes_n0_db=0\neps_md=1e-3\neps_ie=1e-2\n"),
+    ])
+    def test_subnormal_eps_fa_runs(self, tmp_path, capsys, command, text):
+        # the manifest's calibration trials are the exact integer ceiling, and
+        # both files are written (an OverflowError left the CSV alone)
+        name = command.replace("-", "_")
+        cfg = self.write_cfg(tmp_path, text + self.SUBNORMAL_EPS_FA)
+        rc = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 0, capsys.readouterr().err
+        assert read_csv(tmp_path / "out" / f"{name}.csv")
+        manifest = (tmp_path / "out" / f"{name}.manifest.txt").read_text().splitlines()
+        assert f"calibration_trials={math.ceil(50 / Fraction(5e-324))}" in manifest
+
+    def test_subnormal_eps_fa_work_bound_refused(self, tmp_path, capsys, monkeypatch):
+        # HyPED's split search at 12 dB, above the floor, would calibrate on
+        # ~1e325 trials: the work bound's own message, before any draw
+        import jdd.bounds
+        import jdd.montecarlo
+
+        monkeypatch.setattr(jdd.bounds, "gaussian_block", None)
+        monkeypatch.setattr(jdd.montecarlo, "gaussian_block", None)
+        cfg = self.write_cfg(tmp_path, "schemes=hyped\nn=84\nk=12\nsnr_grid=12\n"
+                                       + self.SUBNORMAL_EPS_FA)
+        rc = main(["pie-sweep", "--config", cfg, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f'error="ValueError: eps_fa=5e-324 needs '
+                                 f'{math.ceil(50 / Fraction(5e-324))} calibration trials, and '
+                                 f'with trials=10000 the Monte Carlo passes would draw ')
+        assert not (tmp_path / "pie_sweep.csv").exists()
 
     @pytest.mark.parametrize("snr", [-300, 300])
     def test_snr_at_range_edge_runs(self, tmp_path, capsys, snr):
