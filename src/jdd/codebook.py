@@ -49,26 +49,6 @@ class Codebook:
         return 1 << self.k
 
 
-def _gf2_rank(G):
-    A = G.copy() % 2
-    rank = 0
-    rows, cols = A.shape
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if A[r, col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        A[[rank, pivot]] = A[[pivot, rank]]
-        mask = A[:, col].astype(bool).copy()
-        mask[rank] = False
-        A[mask] ^= A[rank]
-        rank += 1
-    return rank
-
-
 def _messages(k):
     """All 2^k messages as a (2^k, k) bit matrix in binary counting order."""
     idx = np.arange(1 << k, dtype=np.uint32)
@@ -77,20 +57,23 @@ def _messages(k):
 
 
 def from_generator(G):
-    """Build a Codebook from a (k, n_c) 0/1 generator matrix."""
+    """Build a Codebook from a (k, n_c) 0/1 generator matrix of GF(2) rank k."""
     G = np.asarray(G, dtype=np.uint8) % 2
     if G.ndim != 2 or G.size == 0:
         raise ValueError("generator must be a non-empty 2-D bit matrix")
     k, n_c = G.shape
+    if k > n_c:
+        raise ValueError(f"a {k} x {n_c} generator has GF(2) rank at most {n_c} < k={k}")
     if k > MAX_K:
         raise ValueError(f"k={k} exceeds the cache guard (k <= {MAX_K})")
     cache_bytes = (1 << k) * n_c * 8
     if cache_bytes > CACHE_BUDGET_BYTES:
         raise ValueError(f"a ({n_c}, {k}) code needs a {cache_bytes / 2**30:.3g} GiB codeword "
                          f"cache, over the {CACHE_BUDGET_BYTES / 2**30:.3g} GiB budget")
-    if _gf2_rank(G) != k:
-        raise ValueError("generator matrix is rank-deficient over GF(2)")
     bits = (_messages(k) @ G) % 2
+    # full rank: x -> xG is injective, so no nonzero message encodes to the zero word
+    if not bits[1:].any(axis=1).all():
+        raise ValueError("generator matrix is rank-deficient over GF(2)")
     return Codebook(n_c=n_c, k=k, G=G, codewords=modulate(bits))
 
 

@@ -32,10 +32,6 @@ __all__ = [
 ]
 
 
-# the bits of 1/2, as an int64
-_HALF_BITS = np.float64(0.5).view(np.int64)
-
-
 @dataclass(frozen=True)
 class DetectorSpec:
     """Which statistic to threshold, and the detection threshold `gamma`.
@@ -123,34 +119,15 @@ def _hyped_rows(out, pre, terms, n, s2):
     out -= n / (2.0 * s2)
 
 
-def _payload_masks(u):
-    """Sign masks of random payload symbols, written over their uniforms `u`.
-
-    Returns u's memory as int64: all ones where the symbol is -1 (u >= 1/2)
-    and zero where it is +1, the masks _random_payload_statistics reads.
-    """
-    bits = u.view(np.int64)
-
-    def masks(a, b):
-        # positive doubles order as their bits: bits(1/2) - 1 - bits(u) is
-        # negative, and shifts to all ones, exactly where u >= 1/2 (x = -1)
-        m = bits[a:b]
-        np.subtract(_HALF_BITS - 1, m, out=m)
-        np.right_shift(m, 63, out=m)
-
-    _on_cores(masks, bits.size, _SPAN)
-    return bits
-
-
 def _random_payload_statistics(specs, plans, z, count, masks, params, table, scratch):
     """Statistics of active slots x + z with i.i.d. random payloads, one array per entry.
 
     `z` is a flat noise block of `count` rows; the entry of a plan of length
     n reads its first count * n values as (count, n) slots. x is +1 on the
-    preamble and, at symbol j of row r of the payload of length n_c, +1
-    where the uniform u[r * n_c + j] is below 1/2 and -1 elsewhere (the
-    payloads of jdd.montecarlo); `masks` is _payload_masks(u). The entries
-    are preamble and HyPED-exact.
+    preamble, and symbol j of row r of the payload of length n_c is -1 where
+    the int64 masks[r * n_c + j] is all ones and +1 where it is zero (the
+    payloads of jdd.montecarlo, which forms the masks from its uniforms).
+    The entries are preamble and HyPED-exact.
 
     A payload symbol adds one of two HyPED terms, ln cosh((z + 1) / sigma2)
     or ln cosh((z - 1) / sigma2), so both are computed once per noise value:

@@ -52,9 +52,8 @@ list. At sigma2 = 0 the noise is zero (of either sign), so noiseless slots
 are the signals exactly.
 
 Memory: calibration keeps, per entry, only the K = N - floor((N - 1)(1 -
-eps_fa)) + 2 largest of its N idle statistics, the order statistics its
-quantile reads, merged block by block: entries x K values instead of
-entries x N. Evaluation statistics are reduced to counts block by block and
+eps_fa)) + 2 largest of its N idle statistics, merged block by block, and
+reads gamma off them: entries x K values, and no array of N. Evaluation statistics are reduced to counts block by block and
 never stored. Each variance of a block but the last reads a scaled copy of
 the unit block, freed before the next variance's is made, and the last
 scales the block in place, so a call with one variance holds one noise
@@ -88,7 +87,7 @@ from .channel import (
     gaussian_block,
     uniform_block,
 )
-from .detectors import DetectorSpec, _payload_masks, _random_payload_statistics, batch_statistic
+from .detectors import DetectorSpec, _random_payload_statistics, batch_statistic
 
 __all__ = [
     "RateEstimate",
@@ -212,6 +211,16 @@ def _idle_stats(specs, plans, params, trials, seed, stream, cb=None):
         yield block * TRIALS_PER_BLOCK, stats
 
 
+def _calibration_floor(eps_fa):
+    """ceil(50 / eps_fa), the fewest calibration trials that resolve eps_fa.
+
+    Where 50 / eps_fa overflows a float, its ceiling is taken in integers.
+    """
+    quotient = 50 / eps_fa
+    num, den = eps_fa.as_integer_ratio()  # eps_fa = num / den exactly
+    return math.ceil(quotient) if math.isfinite(quotient) else -(-50 * den // num)
+
+
 def _largest(values, k):
     """The k largest of `values` (all of them if there are no more), in no order."""
     if values.size <= k:
@@ -229,37 +238,43 @@ def calibrate_threshold(spec, plan, params, trials, eps_fa, seed, cb=None):
     resolvable. `infeasible` flags a statistic whose atom at its maximum
     outweighs eps_fa, so no threshold meets the target.
 
-    Only the K = N - floor((N - 1)(1 - eps_fa)) + 2 largest of the N idle
-    statistics are kept, merged block by block: the quantile reads the two
-    order statistics around position (N - 1)(1 - eps_fa), which lie among
-    them with a margin for rounding. np.quantile then runs on an N-array of
-    those K values with every other element set to their minimum, whose
-    order statistics from N - K on are the full sample's, so gamma is the
-    full sample's bit for bit. So is `infeasible`: an atom at the maximum
-    that fills all K kept values outweighs eps_fa in either array, since
-    K > N eps_fa.
+    Only the K = N - j + 2 largest of the N idle statistics are kept,
+    merged block by block, where j = floor(h) and h = (N - 1)(1 - eps_fa):
+    sorted, they are the order statistics N - K to N - 1 of the full sample,
+    so its j-th and (j + 1)-th, a and b, sit at index j - (N - K) and one
+    above. gamma interpolates them as np.quantile's linear rule does, with
+    t = h - j: a + (b - a) t, or b - (b - a)(1 - t) for t >= 1/2, so it is
+    the full sample's quantile bit for bit. `infeasible` counts the kept
+    values equal to the maximum; an atom that fills all K of them outweighs
+    eps_fa either way, since K > N eps_fa.
 
     With sequences of specs, plans and/or params (see the module docstring)
     all entries are calibrated on the same noise blocks and a list with one
     CalibrationResult per entry is returned.
     """
-    trials = int(trials)
-    if trials < 50 / eps_fa:
-        raise ValueError(f"need >= {int(np.ceil(50 / eps_fa))} trials to resolve eps_fa={eps_fa}")
+    trials, eps_fa = int(trials), float(eps_fa)
+    if not 0.0 < eps_fa <= 1.0:  # a quantile level 1 - eps_fa in [0, 1)
+        raise ValueError(f"eps_fa must lie in (0, 1], got {eps_fa}")
+    need = _calibration_floor(eps_fa)
+    if trials < need:
+        raise ValueError(f"need >= {need} trials to resolve eps_fa={eps_fa}")
     specs, plans, params, single = _entries(spec, plan, params)
-    keep = min(trials, trials - math.floor((trials - 1) * (1.0 - eps_fa)) + 2)
+    h = (trials - 1) * (1.0 - eps_fa)
+    j = math.floor(h)
+    keep = min(trials, trials - j + 2)
     tops = [np.empty(0)] * len(specs)
     for _, block_stats in _idle_stats(specs, plans, params, trials, seed, STREAM_CALIBRATION, cb):
         tops = [_largest(np.concatenate([top, stats]), keep)
                 for top, stats in zip(tops, block_stats)]
+    t = h - j
     out = []
     for top in tops:
-        row = np.full(trials, top.min())
-        row[: top.size] = top
-        gamma = float(np.quantile(row, 1.0 - eps_fa, method="linear"))
+        top = np.sort(top)
+        a, b = (float(top[i - (trials - top.size)]) for i in (j, j + 1))
+        gamma = b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
         # degenerate statistic: an atom at the maximum heavier than the target
-        infeasible = bool(np.mean(row >= row.max()) > eps_fa)
-        out.append(CalibrationResult(gamma=gamma, infeasible=infeasible))
+        infeasible = np.count_nonzero(top == top[-1]) / trials > eps_fa
+        out.append(CalibrationResult(gamma=gamma, infeasible=bool(infeasible)))
     return out[0] if single else out
 
 
@@ -268,11 +283,13 @@ def _draw_messages(M, seed, block, count):
     return np.minimum((u * M).astype(np.int64), M - 1) + 1
 
 
-def _payload_uniforms(n_c_max, seed, block, count):
-    # a (count, n_c) draw is the leading count * n_c values of this one, so a
-    # single draw serves every payload length; symbol (r, j) of a payload of
-    # length n_c is +1 where u[r * n_c + j] < 1/2 (jdd.detectors)
-    return uniform_block(seed, STREAM_PAYLOAD, block, (count * n_c_max,))
+def _sign_masks(u):
+    """Sign masks of random payload symbols, written over their uniforms `u`.
+
+    A symbol is +1 where its uniform is below 1/2 and -1 elsewhere; its mask,
+    an int64 in u's memory, is zero or all ones (_random_payload_statistics).
+    """
+    return np.negative(u >= 0.5, dtype=np.int64, out=u.view(np.int64))
 
 
 def _active_slots(y, w, scale, n_p, codewords):
@@ -312,7 +329,9 @@ def _active_stats(specs, plans, params, trials, seed, cb=None):
         w = gaussian_block(1.0, seed, STREAM_ACTIVE_NOISE, block, (count, width)).reshape(-1)
         stats, wrong = [None] * len(specs), [None] * len(specs)
         if cb is None:
-            masks = _payload_masks(_payload_uniforms(max(pl.n_c for pl in plans), seed, block, count))
+            # one draw serves every payload length: a (count, n_c) draw is its prefix
+            masks = _sign_masks(uniform_block(seed, STREAM_PAYLOAD, block,
+                                              (count * max(pl.n_c for pl in plans),)))
             for g, (sigma2, lengths) in enumerate(groups.items()):
                 idx = [i for entries in lengths.values() for i in entries]
                 z = _scaled(w, sigma2, count * max(lengths), in_place=g == len(groups) - 1)

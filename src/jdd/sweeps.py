@@ -23,7 +23,7 @@ from .bounds import Requirements, dt_error_estimate, info_density_samples
 from .channel import ChannelParams, FramePlan, snr_to_sigma2
 from .codebook import MAX_K, load_generator
 from .detectors import DetectorSpec
-from .montecarlo import calibrate_threshold, estimate_rates
+from .montecarlo import _calibration_floor, calibrate_threshold, estimate_rates
 from .numerics import q_func, q_inv
 
 __all__ = [
@@ -140,14 +140,8 @@ class SweepConfig:
                 raise ValueError(f"{key} paths cannot contain ',' or '#', got {bad[0]!r}")
 
     def calibration_trials(self):
-        """Trials that resolve the (1 - eps_fa)-quantile, and no fewer than `trials`.
-
-        Where 50 / eps_fa overflows a float, its ceiling is taken in integers.
-        """
-        quotient = 50 / self.eps_fa
-        num, den = self.eps_fa.as_integer_ratio()  # eps_fa = num / den exactly
-        need = int(np.ceil(quotient)) if math.isfinite(quotient) else -(-50 * den // num)
-        return max(need, self.trials)
+        """Trials that resolve the (1 - eps_fa)-quantile, and no fewer than `trials`."""
+        return max(_calibration_floor(self.eps_fa), self.trials)
 
 
 def parse_config(text):

@@ -62,6 +62,37 @@ class TestLoadGenerator:
             from_generator(G)
 
 
+class TestGeneratorRank:
+    """x -> xG must be injective: no nonzero message may encode to the zero word."""
+
+    @pytest.mark.parametrize("G", [
+        [[1, 0, 1, 1], [0, 0, 0, 0], [0, 1, 1, 0]],                  # a zero row
+        [[1, 1, 0, 1, 0], [0, 1, 1, 0, 1], [1, 1, 0, 1, 0]],         # a repeated row
+        [[1, 0, 0, 1, 1], [0, 1, 0, 1, 0], [0, 0, 1, 1, 1], [1, 1, 0, 0, 1]],  # row 0 ^ row 1
+    ])
+    def test_deficient_rank_rejected(self, G):
+        with pytest.raises(ValueError, match="rank"):
+            from_generator(G)
+
+    def test_more_rows_than_columns_rejected_before_encoding(self, monkeypatch):
+        import jdd.codebook as codebook
+
+        calls = []
+        monkeypatch.setattr(codebook, "_messages", lambda k: calls.append(k) or 1 / 0)
+        G = np.random.default_rng(3).integers(0, 2, (6, 5), dtype=np.uint8)
+        with pytest.raises(ValueError, match="rank"):
+            from_generator(G)
+        assert calls == []
+
+    @pytest.mark.parametrize("make, n_c, k", [
+        (lambda: repetition_code(5), 5, 1), (hamming_7_4, 7, 4),
+        (lambda: reed_muller_1(1), 2, 2), (lambda: reed_muller_1(4), 16, 5)])
+    def test_full_rank_codes_build(self, make, n_c, k):
+        cb = make()
+        assert (cb.n_c, cb.k, cb.M) == (n_c, k, 1 << k)
+        assert len({row.tobytes() for row in cb.codewords}) == cb.M
+
+
 class TestEncode:
     def test_all_zero_message(self):
         cb = hamming_7_4()

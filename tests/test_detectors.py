@@ -10,7 +10,6 @@ from jdd.channel import TRIALS_PER_BLOCK, ChannelParams, FramePlan, gaussian_blo
 from jdd.codebook import CORR_TILE_BYTES, Codebook, from_generator, hamming_7_4
 from jdd.detectors import (
     DetectorSpec,
-    _payload_masks,
     _random_payload_statistics,
     batch_statistic,
     stat_codebook_aided,
@@ -19,6 +18,7 @@ from jdd.detectors import (
     stat_hyped_exact,
     stat_preamble,
 )
+from jdd.montecarlo import _sign_masks
 
 
 def toy_code_k3():
@@ -165,11 +165,13 @@ class TestRandomPayloadTables:
         z = gaussian_block(self.sigma2, seed, 6, 0, (rows, 84)).reshape(-1)
         n_c_max = max(pl.n_c for pl in self.plans)
         u = channel.uniform_block(seed, 8, 0, (rows * n_c_max,))
-        u[::7] = 0.5  # u = 1/2 exactly gives -1, as jdd.montecarlo's payloads do
+        # the edges of the sign rule: u = 1/2 exactly gives -1, as in jdd.montecarlo
+        for i, edge in enumerate((0.5, 2.0 ** -64, 0.5 - 2.0 ** -54, 0.5 + 2.0 ** -53)):
+            u[i::7] = edge
         specs = [DetectorSpec(kind=k) for k in self.kinds]
         params = ChannelParams.from_db(-3.0, 84)
         table = np.empty(z.size)
-        got = _random_payload_statistics(specs, self.plans, z.copy(), rows, _payload_masks(u.copy()),
+        got = _random_payload_statistics(specs, self.plans, z.copy(), rows, _sign_masks(u.copy()),
                                          params, table, {})
         for s, pl, g in zip(specs, self.plans, got):
             x_c = np.where(u[: rows * pl.n_c] < 0.5, 1.0, -1.0).reshape(rows, pl.n_c)

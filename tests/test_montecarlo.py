@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ from jdd.channel import (
 from jdd.codebook import hamming_7_4, repetition_code
 from jdd.detectors import (
     DetectorSpec,
-    _payload_masks,
     _random_payload_statistics,
     batch_statistic,
     stat_hyped_exact,
@@ -32,6 +33,7 @@ from jdd.montecarlo import (
     RateEstimate,
     _entries,
     _idle_stats,
+    _sign_masks,
     calibrate_threshold,
     clopper_pearson,
     estimate_false_alarm,
@@ -108,6 +110,21 @@ class TestCalibrateThreshold:
         with pytest.raises(ValueError):
             calibrate_threshold(DetectorSpec(kind="preamble"), plan, params, 100, 1e-4, 0)
 
+    @pytest.mark.parametrize("eps_fa", [0.0, -1e-3, 1.5, math.nan])
+    def test_eps_fa_outside_unit_interval_refused(self, eps_fa):
+        # the order statistics read would lie outside the sample
+        with pytest.raises(ValueError, match="eps_fa must lie in"):
+            calibrate_threshold(DetectorSpec("preamble"), FramePlan(2, 2), ChannelParams.from_db(0, 4),
+                                10**4, eps_fa, 0)
+
+    def test_overflowing_trials_floor_named(self):
+        # 50 / 5e-324 overflows a float; the floor is its exact integer ceiling
+        need = math.ceil(50 / Fraction(5e-324))
+        assert len(str(need)) == 326
+        with pytest.raises(ValueError, match=f"need >= {need} trials to resolve eps_fa=5e-324"):
+            calibrate_threshold(DetectorSpec("preamble"), FramePlan(2, 2), ChannelParams.from_db(0, 4),
+                                10**6, 5e-324, 0)
+
     def test_genie_gamma_matches_quantile(self):
         # the genie detector is the preamble matched filter over the whole slot
         # (n_p = n), whose idle statistic is ~ N(-n/(2 sigma2), n/sigma2)
@@ -181,6 +198,35 @@ class TestTopKCalibration:
         got = calibrate_threshold(self.specs, self.plans, self.params, trials, eps_fa, 4)
         assert got == full_calibration(self.specs, self.plans, self.params, trials, eps_fa, 4)
         assert not any(c.infeasible for c in got)
+
+    @pytest.mark.parametrize("trials, eps_fa, t_low, t_high, all_kept", [
+        (5003, 1e-2, 0.5, 1.0, False), (1003, 5e-2, 0.5, 1.0, False),  # t >= 0.5
+        (100, 0.5, 0.5, 0.5, False),                                   # t = 1/2 exactly
+        (52, 0.98, 0.0, 0.5, True), (52, 0.97, 0.5, 1.0, True)])       # K = N = ceil(50 / eps_fa)
+    def test_interpolation_regimes(self, trials, eps_fa, t_low, t_high, all_kept):
+        # t is the fractional part of the quantile's position (N - 1)(1 - eps_fa);
+        # numpy's linear rule reads a + (b - a) t below 1/2 and b - (b - a)(1 - t) from it
+        h = (trials - 1) * (1.0 - eps_fa)
+        t = h - math.floor(h)
+        assert t_low <= t <= t_high and t != 1.0
+        assert (trials - math.floor(h) + 2 >= trials) == all_kept
+        assert trials >= math.ceil(50 / eps_fa)
+        got = calibrate_threshold(self.specs, self.plans, self.params, trials, eps_fa, 6)
+        assert got == full_calibration(self.specs, self.plans, self.params, trials, eps_fa, 6)
+
+    def test_memory_holds_the_kept_values(self):
+        # 5e6 calibration trials at eps_fa = 1e-5: the 53 kept values and one
+        # 4096 x 4 noise block, not a 40 MB array of all the statistics
+        params = ChannelParams.from_db(-3.0, 4)
+        tracemalloc.start()
+        try:
+            got = calibrate_threshold(DetectorSpec("preamble"), FramePlan(4, 0), params,
+                                      5_000_000, 1e-5, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+        assert math.isfinite(got.gamma) and not got.infeasible
 
     @pytest.mark.parametrize("excess", [-2, -1, 0, 1, 2, 3, 4, 10, 400])
     def test_atom_at_the_maximum(self, monkeypatch, excess):
@@ -537,8 +583,10 @@ class TestActiveSpans:
         for rows, n_c in ((2, 3), (3, 2)):
             params = ChannelParams.from_db(-3.0, n_c)
             plan = FramePlan(n_p=0, n_c=n_c)
-            (got,) = _random_payload_statistics([spec], [plan], z.copy(), rows,
-                                                _payload_masks(u.copy()), params, np.empty(z.size), {})
+            masks = _sign_masks(u.copy())
+            assert masks.dtype == np.int64 and masks.tolist() == [0, 0, -1, -1, -1, 0]
+            (got,) = _random_payload_statistics([spec], [plan], z.copy(), rows, masks, params,
+                                                np.empty(z.size), {})
             x = np.where(u < 0.5, 1.0, -1.0)
             want = stat_hyped_exact((x + z).reshape(rows, n_c), plan, params)
             assert got.tobytes() == want.tobytes()
