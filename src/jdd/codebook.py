@@ -9,17 +9,29 @@ channel, evaluated against this cache under two memory budgets. The cache
 rejects a larger code before allocating anything. A batch's correlation with
 the cache is never held whole: it is computed in row tiles of about
 CORR_TILE_BYTES, one matrix product per tile into one reused buffer, and each
-tile is reduced (argmax, max, ...) before the next. Tiles split rows only, so
-ties still break toward the smallest index and every row gets the values one
-product over the whole batch would give.
+tile is reduced (argmax, max, ...) before the next. A remainder shorter than
+an eighth of a tile (or a single row) is folded into the tile before it:
+BLAS takes other kernels for short products, whose last bits differ. Tiles
+split rows only, so ties still break toward the smallest index and every row
+gets the values one product over the whole batch would give.
+
+A caller that names the comparisons it will make of ML decoding's statistics
+(_Exact: the largest few of the batch, each against a threshold, the
+argmax) has the batch screened in float32 first. The forward error bound of
+a dot product, which holds for every summation order, bounds each float32
+correlation's distance from the float64 one, and a row whose bound settles
+every named comparison keeps its float32 value. Every other row is
+recomputed in float64 in a product of its tile's shape, at its own position
+in it and the other rows zero (BLAS may take other kernels for a product's
+last few rows), so its values are the full float64 path's bit for bit. Each
+recomputed row checks its own bound, and a BLAS that breaks it raises. The
+float32 tiles fill the first half of the tile buffer.
 """
 
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-from .channel import modulate
 
 __all__ = [
     "Codebook",
@@ -49,11 +61,17 @@ class Codebook:
         return 1 << self.k
 
 
-def _messages(k):
-    """All 2^k messages as a (2^k, k) bit matrix in binary counting order."""
-    idx = np.arange(1 << k, dtype=np.uint32)
-    shifts = np.arange(k - 1, -1, -1, dtype=np.uint32)
-    return ((idx[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+def _codeword_bits(G):
+    """The 2^k codeword bit rows of generator G, in binary counting order of the messages.
+
+    XOR doubling: the codewords of messages 2^j to 2^(j+1) - 1 are those of
+    messages 0 to 2^j - 1 plus G's row k - 1 - j, the message's bit j.
+    """
+    k, n_c = G.shape
+    bits = np.zeros((1 << k, n_c), dtype=np.uint8)
+    for j, row in enumerate(G[::-1]):
+        np.bitwise_xor(bits[: 1 << j], row, out=bits[1 << j : 2 << j])
+    return bits
 
 
 def from_generator(G):
@@ -70,11 +88,15 @@ def from_generator(G):
     if cache_bytes > CACHE_BUDGET_BYTES:
         raise ValueError(f"a ({n_c}, {k}) code needs a {cache_bytes / 2**30:.3g} GiB codeword "
                          f"cache, over the {CACHE_BUDGET_BYTES / 2**30:.3g} GiB budget")
-    bits = (_messages(k) @ G) % 2
+    bits = _codeword_bits(G)
     # full rank: x -> xG is injective, so no nonzero message encodes to the zero word
     if not bits[1:].any(axis=1).all():
         raise ValueError("generator matrix is rank-deficient over GF(2)")
-    return Codebook(n_c=n_c, k=k, G=G, codewords=modulate(bits))
+    # BPSK, bit 0 -> +1 and bit 1 -> -1, with no second cache-sized temporary
+    codewords = np.multiply(bits, -2.0)
+    del bits
+    codewords += 1.0
+    return Codebook(n_c=n_c, k=k, G=G, codewords=codewords)
 
 
 def load_generator(path):
@@ -120,41 +142,185 @@ def _argmax_rows(tile):
     return m, tile[np.arange(len(tile)), m]
 
 
-def _tiled_correlation(y, codewords, reduce):
+def _tiles(n, M):
+    """(start, end) of each row tile of an n-row batch correlated with M codewords.
+
+    A tile holds at most CORR_TILE_BYTES of float64 (at least one row); a
+    remainder shorter than an eighth of that, or a single row, is folded
+    into the tile before it. An empty batch is one empty tile.
+    """
+    step = max(1, CORR_TILE_BYTES // (8 * M))
+    starts = list(range(0, max(n, 1), step))
+    if step > 1 and len(starts) > 1 and n - starts[-1] < max(2, step / 8):
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
+
+
+def _tiled_correlation(y, codewords, reduce, buf=None):
     """Reduce the correlation y @ codewords.T one row tile at a time.
 
     `reduce` maps a (rows, 2^k) tile, which it may overwrite, to a tuple of
     per-row arrays; each is returned with y's leading shape. A single
-    observation or a stack is one matrix of rows, tiled like any batch. A
-    tile holds at most CORR_TILE_BYTES (at least one row), or one row more
-    when that row would otherwise be a tile of its own, and one buffer
-    serves every tile.
+    observation or a stack is one matrix of rows, tiled like any batch
+    (_tiles), and each tile of rows is rounded to the codewords' dtype. One
+    buffer serves every tile: `buf`, a float64 array of the largest tile's
+    shape, if given, whose first half then holds the tiles of float32
+    codewords.
     """
     rows = y.reshape(-1, y.shape[-1])
-    n = len(rows)
-    step = max(1, CORR_TILE_BYTES // (8 * len(codewords)))
-    starts = list(range(0, max(n, 1), step))  # an empty batch is one empty tile
-    if step > 1 and len(starts) > 1 and n - starts[-1] == 1:
-        starts.pop()  # a one-row product is a gemv: fold that row into the tile before
-    ends = starts[1:] + [n]
-    buf = np.empty((max(e - s for s, e in zip(starts, ends)), len(codewords)))
-    parts = [reduce(np.matmul(rows[s:e], codewords.T, out=buf[: e - s]))
-             for s, e in zip(starts, ends)]
+    tiles = _tiles(len(rows), len(codewords))
+    shape = (max(e - s for s, e in tiles), len(codewords))
+    if buf is None:
+        buf = np.empty(shape, dtype=codewords.dtype)
+    buf = buf.reshape(-1).view(codewords.dtype)
+    parts = [reduce(np.matmul(rows[s:e].astype(codewords.dtype, copy=False), codewords.T,
+                              out=buf[: (e - s) * shape[1]].reshape(e - s, shape[1])))
+             for s, e in tiles]
     return tuple(np.concatenate(p).reshape(y.shape[:-1]) for p in zip(*parts))
 
 
-def ml_decode(cb, y):
+@dataclass(frozen=True)
+class _Exact:
+    """The comparisons a caller makes of ML decoding's statistics of a batch.
+
+    The statistic of row r is offset[r] + max_m x_m^T y_r (offset a scalar
+    or one value per row). ml_decode keeps exact: the `top` largest
+    statistics of the batch, but for those `floor` rules out, which have
+    scale * statistic < value for every (scale, value) pair of `floor` (the
+    caller holds `top` larger values); whether scale * statistic >= gamma,
+    for each (scale, gamma) pair of `at`; and, with `argmax`, the ML
+    decision. Every scale is >= 0. Any other value it returns may be a
+    float32 one.
+    """
+
+    top: int = 0
+    floor: tuple = ()
+    at: tuple = ()
+    argmax: bool = False
+    offset: object = 0.0
+
+
+_U32, _U64 = 2.0 ** -24, 2.0 ** -53  # unit roundoffs of float32 and float64
+
+
+def _screen_radius(rows):
+    """Twice a bound on |c32 - c64| for every codeword correlation of each row.
+
+    With K = n_c and gamma_K(u) = Ku / (1 - Ku), a float32 dot product of the
+    float32-rounded row is within gamma_K(u32)(1 + u32)|y|_1 + u32 |y|_1 of
+    the exact correlation, and a float64 one within gamma_K(u64)|y|_1,
+    whatever the summation order (Higham, Accuracy and Stability of
+    Numerical Algorithms, 3.1); K 2^-149 covers rows rounded to float32
+    subnormals. The factor 2 covers the rounding of the bound itself. A row
+    past half the float32 range, or not finite, has no bound (inf).
+    """
+    K = rows.shape[-1]
+    gamma = [K * u / (1.0 - K * u) if K * u < 1.0 else np.inf for u in (_U32, _U64)]
+    norm = np.abs(rows).sum(axis=-1)
+    delta = 2.0 * ((gamma[0] * (1.0 + _U32) + _U32 + gamma[1]) * norm + K * 2.0 ** -149)
+    return np.where(norm < np.finfo(np.float32).max / 2, delta, np.inf)
+
+
+def _screened_correlation(y, codewords, exact):
+    """(argmax, max) of each row of y @ codewords.T, exact where `exact` reads them.
+
+    Every row is correlated in float32, in the tiles of _tiled_correlation.
+    A row is recomputed in float64 unless its interval [c32 - delta, c32 +
+    delta] (delta from _screen_radius) settles each comparison `exact`
+    names: its statistic's interval lies below the top-th largest lower
+    bound of the batch or under the floor, on one side of each threshold,
+    and its best codeword's lower bound above its second best's upper
+    bound. The bounds are rounded outward and the statistic and its scaling
+    are monotone, so a row that keeps its float32 value orders and compares
+    as its float64 value would. The rows to recompute are laid out at their
+    positions in zero tiles of their tile's shape, as few as hold them, and
+    each is correlated in float64.
+    """
+    rows = y.reshape(-1, y.shape[-1])
+    n, M = len(rows), len(codewords)
+    tiles = _tiles(n, M)
+    buf = np.empty((max(e - s for s, e in tiles), M))
+
+    def reduce(tile):  # a float32 tile: (argmax, max[, second largest])
+        m, best = _argmax_rows(tile)
+        if not exact.argmax:
+            return m, best
+        tile[np.arange(len(tile)), m] = -np.inf
+        return m, best, tile.max(axis=1)
+
+    # a row past the float32 range overflows to inf or nan here, and is recomputed
+    with np.errstate(over="ignore", invalid="ignore"):
+        m_hat, best32, *second = _tiled_correlation(rows, codewords.astype(np.float32), reduce,
+                                                    buf)
+        best = best32.astype(np.float64)
+        delta = np.concatenate([_screen_radius(rows[s:e]) for s, e in tiles])
+        lo, hi = np.nextafter(best - delta, -np.inf), np.nextafter(best + delta, np.inf)
+        offset = np.reshape(exact.offset, -1)  # a scalar or one value per row
+        low, high = offset + lo, offset + hi
+        settled = np.ones(n, dtype=bool)
+        if exact.top:
+            below = exact.top < n and high < np.partition(low, n - exact.top)[n - exact.top]
+            if exact.floor:
+                below |= np.logical_and.reduce([scale * high < value
+                                                for scale, value in exact.floor])
+            settled &= below
+        for scale, gamma in exact.at:
+            settled &= (scale * low >= gamma) | (scale * high < gamma)
+        if exact.argmax:
+            settled &= lo > np.nextafter(second[0] + delta, np.inf)
+
+    # each row to redo at its own position in a product of its tile's shape, the other
+    # rows zero: BLAS may take other kernels for a product's last few rows; rows of
+    # different tiles at one position take one product each
+    redo = np.flatnonzero(~settled)
+    starts, sizes = (np.array(col) for col in zip(*[(s, e - s) for s, e in tiles]))
+    tile_of = np.searchsorted(starts, redo, side="right") - 1
+    for size in np.unique(sizes[tile_of]):
+        mine = sizes[tile_of] == size
+        pos = redo[mine] - starts[tile_of[mine]]
+        order = np.argsort(pos, kind="stable")
+        todo, pos = redo[mine][order], pos[order]
+        layer = np.arange(len(pos)) - np.searchsorted(pos, pos)  # rows before it at its position
+        for k in range(layer.max() + 1):
+            part, here = todo[layer == k], pos[layer == k]
+            padded = np.zeros((size, rows.shape[1]))
+            padded[here] = rows[part]
+            tile = np.matmul(padded, codewords.T, out=buf[:size])
+            for j, h in enumerate(here):  # to the front in place: `here` ascends
+                tile[j] = tile[h]
+            m64, best64 = _argmax_rows(tile[: len(here)])
+            broken = np.abs(best64 - best[part]) > delta[part]
+            if broken.any():
+                r = part[np.argmax(broken)]
+                raise ArithmeticError(f"row {r}'s float32 correlation is past its error bound "
+                                      f"{float(delta[r])!r} from the float64 one: the BLAS "
+                                      "breaks the dot-product error bound")
+            m_hat[part], best[part] = m64, best64
+    return m_hat.reshape(y.shape[:-1]), best.reshape(y.shape[:-1])
+
+
+def ml_decode(cb, y, _exact=None):
     """Exhaustive ML decoding by correlation argmax.
 
     Accepts a single observation (n_c,) or a batch (..., n_c); returns
     (m_hat, stat) with 1-based indices, ties broken toward the smallest
     index (argmax picks the first maximum). A batch is correlated in row
     tiles (see the module docstring), so memory stays at one tile.
+
+    `_exact` (an _Exact, private to the Monte Carlo engine) names the
+    comparisons the caller will make of the statistics of a batch; the batch
+    is then screened in float32 and only the rows whose outcome the float32
+    value could change are correlated in float64, so those comparisons, and
+    only those, are exact. Without it, or for a single observation, every
+    value is the float64 correlation's.
     """
     y = np.asarray(y, dtype=float)
     if y.shape[-1] != cb.n_c:
         raise ValueError(f"observation length {y.shape[-1]} != n_c={cb.n_c}")
-    m_hat, stat = _tiled_correlation(y, cb.codewords, _argmax_rows)
+    if _exact is None or y.ndim == 1:
+        m_hat, stat = _tiled_correlation(y, cb.codewords, _argmax_rows)
+    else:
+        m_hat, stat = _screened_correlation(y, cb.codewords, _exact)
     if y.ndim == 1:
         return int(m_hat) + 1, float(stat)
     return m_hat + 1, stat

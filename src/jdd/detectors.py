@@ -12,7 +12,7 @@ _random_payload_statistics, which shares HyPED's row kernel. stat_genie and
 stat_codebook_aided are reference statistics, called directly.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -203,7 +203,7 @@ def _random_payload_statistics(specs, plans, z, count, masks, params, table, scr
     return out
 
 
-def stat_dad(y, cb, plan):
+def stat_dad(y, cb, plan, _exact=None):
     """Decoder-aided detection: y_p^T x_p + max_m x_m^T y_c, plus the argmax.
 
     With n_p = 0 this is exactly the correlation form of the DAD rule; with a
@@ -213,13 +213,18 @@ def stat_dad(y, cb, plan):
     decoding's (codebook.ml_decode), so the returned message estimate is the
     ML decision and the codeword correlation, reduced in row tiles, is
     computed once for both; memory stays at one tile whatever 2^k is.
+
+    `_exact` (a codebook._Exact, private to the Monte Carlo engine) names
+    the comparisons the caller will make of the statistics: ml_decode
+    screens the batch in float32 and keeps those comparisons, and only
+    those, exact (the preamble sum is the offset of each row's statistic).
     """
     y = _check_len(y, plan.n)
     if plan.n_c != cb.n_c:
         raise ValueError(f"plan n_c={plan.n_c} != codebook n_c={cb.n_c}")
     y_p, y_c = plan.split(y)
-    m_hat, best = codebook.ml_decode(cb, y_c)
     pre = y_p.sum(axis=-1) if plan.n_p else 0.0
+    m_hat, best = codebook.ml_decode(cb, y_c, _exact=_exact and replace(_exact, offset=pre))
     stat = pre + best
     return (float(stat) if y.ndim == 1 else stat), m_hat
 
@@ -264,11 +269,11 @@ def stat_genie(y, x_m, params):
     return (y * x_m).sum(axis=-1)
 
 
-def batch_statistic(spec, y, plan, params, cb=None):
+def batch_statistic(spec, y, plan, params, cb=None, _exact=None):
     """Evaluate a DetectorSpec on a batch; returns (stats, m_hat or None).
 
     m_hat is DAD's 1-based ML decision; the other detectors decode
-    separately.
+    separately. `_exact` is handed to every DAD entry's stat_dad.
 
     `spec` and `plan` may instead be equal-length lists of entries that share
     the observation batch `y`; the result is then a list with one
@@ -277,7 +282,7 @@ def batch_statistic(spec, y, plan, params, cb=None):
     once for all their splits.
     """
     if isinstance(spec, DetectorSpec):
-        return batch_statistic([spec], y, [plan], params, cb)[0]
+        return batch_statistic([spec], y, [plan], params, cb, _exact=_exact)[0]
     if len(spec) != len(plan):
         raise ValueError("need one plan per detector spec")
     out = [None] * len(spec)
@@ -286,7 +291,7 @@ def batch_statistic(spec, y, plan, params, cb=None):
         if s.kind == "hyped-exact":
             hyped.append(i)
         elif s.kind == "dad":
-            out[i] = stat_dad(y, cb, pl)
+            out[i] = stat_dad(y, cb, pl, _exact=_exact)
         else:
             out[i] = stat_preamble(np.asarray(y)[..., : pl.n_p], pl, params), None
     if hyped:

@@ -51,6 +51,18 @@ is the same path with one entry, and returns a single result instead of a
 list. At sigma2 = 0 the noise is zero (of either sign), so noiseless slots
 are the signals exactly.
 
+Each consumer names the comparisons it makes of DAD's and ML decoding's
+statistics (codebook._Exact), and ML decoding screens each batch in float32
+and recomputes in float64 only the rows whose outcome in those comparisons
+the float32 value could change. Calibration names the K largest unit
+statistics of each block, which a positive scaling keeps the K largest of
+each entry, less those under the K values every entry already holds;
+estimate_false_alarm names each entry's comparison of
+sqrt(sigma2) T(w) with its gamma; estimate_rates names each DAD entry's
+comparison with its gamma and the ML decision. So every threshold, flag and
+count is that of the float64 statistics, and only a statistic no comparison
+reads may keep a float32 value.
+
 Memory: calibration keeps, per entry, only the K = N - floor((N - 1)(1 -
 eps_fa)) + 2 largest of its N idle statistics, merged block by block, and
 reads gamma off them: entries x K values, and no array of N. Evaluation statistics are reduced to counts block by block and
@@ -176,7 +188,7 @@ def _scaled(w, sigma2, size, in_place):
     return np.multiply(w[:size], np.sqrt(sigma2), out=w[:size] if in_place else None)
 
 
-def _idle_stats(specs, plans, params, trials, seed, stream, cb=None):
+def _idle_stats(specs, plans, params, trials, seed, stream, cb=None, exact=None):
     """Yield (offset, per-entry idle statistics) for each noise block of `stream`.
 
     Each block is drawn once, at unit variance and the longest slot. A DAD
@@ -184,6 +196,8 @@ def _idle_stats(specs, plans, params, trials, seed, stream, cb=None):
     entries scales the statistics by sqrt(sigma2); the other entries of each
     (sigma2, length) are evaluated together on the flat prefix (count, n) of
     sqrt(sigma2) times the block, the last variance scaling it in place.
+    `exact` maps a DAD plan's entry indices to the codebook._Exact its
+    caller reads of the unit statistics; without it every value is exact.
     """
     dad = {}  # DAD plan -> the indices of its entries
     for i, (s, pl) in enumerate(zip(specs, plans)):
@@ -196,7 +210,7 @@ def _idle_stats(specs, plans, params, trials, seed, stream, cb=None):
         stats = [None] * len(specs)
         for pl, idx in dad.items():
             unit, _ = batch_statistic(specs[idx[0]], w[: count * pl.n].reshape(count, pl.n), pl,
-                                      params[idx[0]], cb=cb)
+                                      params[idx[0]], cb=cb, _exact=exact and exact(idx))
             for i in idx:
                 stats[i] = np.sqrt(params[i].sigma2) * unit
         for g, (sigma2, lengths) in enumerate(groups.items()):
@@ -263,7 +277,15 @@ def calibrate_threshold(spec, plan, params, trials, eps_fa, seed, cb=None):
     j = math.floor(h)
     keep = min(trials, trials - j + 2)
     tops = [np.empty(0)] * len(specs)
-    for _, block_stats in _idle_stats(specs, plans, params, trials, seed, STREAM_CALIBRATION, cb):
+
+    def top_exact(idx):
+        # a positive scaling keeps a block's largest; a value under each entry's
+        # K kept ones cannot enter them
+        held = [(np.sqrt(params[i].sigma2), tops[i].min()) for i in idx if tops[i].size == keep]
+        return codebook._Exact(top=keep, floor=tuple(held) if len(held) == len(idx) else ())
+
+    for _, block_stats in _idle_stats(specs, plans, params, trials, seed, STREAM_CALIBRATION, cb,
+                                      top_exact):
         tops = [_largest(np.concatenate([top, stats]), keep)
                 for top, stats in zip(tops, block_stats)]
     t = h - j
@@ -354,12 +376,15 @@ def _active_stats(specs, plans, params, trials, seed, cb=None):
                     n_p = n - cb.n_c
                     _active_slots(y, w[: count * n].reshape(count, n), np.sqrt(sigma2), n_p,
                                   codewords)
+                    # read: each DAD entry's statistic against its gamma, and the ML decision
+                    exact = codebook._Exact(at=tuple((1.0, specs[i].gamma) for i in idx
+                                                     if specs[i].kind == "dad"), argmax=True)
                     results = batch_statistic([specs[i] for i in idx], y, [plans[i] for i in idx],
-                                              params[idx[0]], cb=cb)
+                                              params[idx[0]], cb=cb, _exact=exact)
                     # one ML decision per block and slot: DAD's argmax is ML decoding's
                     decided = next((m_hat for _, m_hat in results if m_hat is not None), None)
                     if decided is None:
-                        decided, _ = codebook.ml_decode(cb, y[:, n_p:])
+                        decided, _ = codebook.ml_decode(cb, y[:, n_p:], _exact=exact)
                     for i, (entry_stats, _) in zip(idx, results):
                         stats[i], wrong[i] = entry_stats, decided != m
         del w  # freed before the next block is drawn
@@ -388,7 +413,12 @@ def estimate_false_alarm(spec, plan, params, trials, seed, cb=None):
     """
     trials, specs, plans, params, single = _thresholded(spec, plan, params, trials)
     n_fa = [0] * len(specs)
-    for _, block_stats in _idle_stats(specs, plans, params, trials, seed, STREAM_IDLE_EVAL, cb):
+
+    def at_gammas(idx):  # each entry compares sqrt(sigma2) times the unit statistic
+        return codebook._Exact(at=tuple((np.sqrt(params[i].sigma2), specs[i].gamma) for i in idx))
+
+    for _, block_stats in _idle_stats(specs, plans, params, trials, seed, STREAM_IDLE_EVAL, cb,
+                                      at_gammas):
         for i, (stats, s) in enumerate(zip(block_stats, specs)):
             n_fa[i] += int(np.sum(stats >= s.gamma))
     out = [RateEstimate.from_counts(n, trials) for n in n_fa]

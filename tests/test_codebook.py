@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 from conftest import ROW_COUNTS, TILE_EDGE_ROWS, random_systematic
 
-from jdd.channel import ChannelParams, gaussian_block
+import jdd.codebook as codebook
+from jdd.channel import ChannelParams, gaussian_block, modulate
 from jdd.cli import main
 from jdd.codebook import (
+    _codeword_bits,
+    _Exact,
+    _screen_radius,
     encode,
     from_generator,
     hamming_7_4,
@@ -78,7 +82,7 @@ class TestGeneratorRank:
         import jdd.codebook as codebook
 
         calls = []
-        monkeypatch.setattr(codebook, "_messages", lambda k: calls.append(k) or 1 / 0)
+        monkeypatch.setattr(codebook, "_codeword_bits", lambda G: calls.append(G) or 1 / 0)
         G = np.random.default_rng(3).integers(0, 2, (6, 5), dtype=np.uint8)
         with pytest.raises(ValueError, match="rank"):
             from_generator(G)
@@ -91,6 +95,40 @@ class TestGeneratorRank:
         cb = make()
         assert (cb.n_c, cb.k, cb.M) == (n_c, k, 1 << k)
         assert len({row.tobytes() for row in cb.codewords}) == cb.M
+
+
+def messages(k):
+    """All 2^k messages as a (2^k, k) bit matrix in binary counting order."""
+    idx = np.arange(1 << k, dtype=np.uint32)
+    shifts = np.arange(k - 1, -1, -1, dtype=np.uint32)
+    return ((idx[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+
+
+class TestCodewordBits:
+    """XOR doubling gives the codewords of the message-by-generator product."""
+
+    @pytest.mark.parametrize("G", [
+        np.ones((1, 5), dtype=np.uint8), hamming_7_4().G,
+        *(reed_muller_1(m).G for m in range(1, 7)),
+        *(random_systematic(k, n_c, seed=k) for k, n_c in ((2, 3), (8, 20), (12, 76), (16, 24))),
+    ], ids=lambda G: f"{G.shape[1]}-{G.shape[0]}")
+    def test_equals_message_product(self, G):
+        want = (messages(len(G)) @ G) % 2
+        np.testing.assert_array_equal(_codeword_bits(G), want)
+        cb = from_generator(G)
+        assert cb.codewords.dtype == np.float64
+        np.testing.assert_array_equal(cb.codewords, modulate(want))
+
+    def test_memory_near_the_cache(self):
+        # the bits take an eighth of the cache, and the +/-1 map no second copy
+        G = random_systematic(16, 64, seed=5)
+        tracemalloc.start()
+        try:
+            cb = from_generator(G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * cb.codewords.nbytes
 
 
 class TestEncode:
@@ -202,13 +240,113 @@ class TestTiledDecode:
         m_hat, stat = ml_decode(code, np.zeros((0, code.n_c)))
         assert m_hat.shape == stat.shape == (0,)
 
+    # 32768- and 16384-row tiles of RM(1, 5) and RM(1, 6) and a short tail:
+    # BLAS takes other kernels for short products, which change last bits
+    @pytest.mark.parametrize("m, rows", [(5, 32768 + t) for t in range(2, 19)]
+                             + [(6, 16384 + t) for t in range(2, 10)])
+    def test_short_tail_folds(self, m, rows):
+        cb = reed_muller_1(m)
+        y = gaussian_block(1.5, 11, 0, 0, (rows, cb.n_c))
+        m_hat, stat = ml_decode(cb, y)
+        ref_m, ref_stat = full_matrix_decode(cb, y)
+        np.testing.assert_array_equal(m_hat, ref_m)
+        np.testing.assert_array_equal(stat, ref_stat)
+
+
+def adversarial_batch(cb, rows):
+    """Gaussian rows with exact ties, zero rows, rows far from unit scale and duplicates."""
+    y = gaussian_block(1.5, 11, 0, 0, (4096, cb.n_c))
+    x, M = cb.codewords, cb.M
+    special = [(x[a] + x[b]) / 2 for a, b in ((0, M - 1), (M - 1, 1), (M // 2, M // 2 - 1), (3, 2))]
+    # a row whose float32 partial sums may overflow while its float64 ones do not
+    wide = np.zeros(cb.n_c)
+    wide[:4] = [2e38, 2e38, -3e38, -3e38]
+    special += [np.zeros(cb.n_c)] * 3 + [y[5] * 1e6, y[6] * 1e-300, y[7] * 1e40, wide]
+    special += [y[8]] * 6  # duplicates, which tie at whatever rank they take
+    at = sorted({0, 1, 2, 3, 4, *TILE_EDGE_ROWS,
+                 *np.random.default_rng(2).choice(4096, len(special), replace=False)})
+    y[at[: len(special)]] = special
+    return y[:rows]
+
+
+class TestScreen:
+    """A screened batch makes the comparisons it names as the float64 batch does."""
+
+    def exacts(self, cb, y, full):
+        """The comparisons to check: top statistics, thresholds at statistics, the argmax."""
+        rows = len(y)
+        offset = y[:, : min(3, cb.n_c)].sum(axis=1)  # as a preamble sum would be
+        stat = offset + full
+        gammas = [(1.0, 0.0), (1.0, float(np.median(stat))), (0.5, 0.5 * float(stat.max())),
+                  (1.0, 1.5e39),
+                  (float(np.sqrt(2.0)), float(np.sqrt(2.0)) * stat[rows // 3]), (1.0, stat[-1])]
+        held = float(np.median(stat))  # what a caller holding 53 larger values would pass
+        floor = ((1.0, held), (float(np.sqrt(2.0)), float(np.sqrt(2.0)) * held))
+        return [_Exact(top=top, offset=offset) for top in (1, 53, rows - 1, rows, rows + 1)] + [
+            _Exact(top=53, floor=floor, offset=offset),
+            _Exact(at=tuple(gammas), offset=offset), _Exact(argmax=True),
+            _Exact(top=53, at=((1.0, float(np.median(full))),), argmax=True)]
+
+    @pytest.mark.parametrize("rows", [7, 848, 1025, 3616, 4096])
+    def test_named_comparisons_exact(self, code, rows):
+        y = adversarial_batch(code, rows)
+        full_m, full = ml_decode(code, y)
+        for exact in self.exacts(code, y, full):
+            m_hat, stat = ml_decode(code, y, _exact=exact)
+            got, want = exact.offset + stat, exact.offset + full
+            if exact.top:  # the k largest, merged with k values a floor's caller holds
+                k = min(exact.top, rows)
+                for scale, value in exact.floor or ((1.0, -np.inf),):
+                    got_k, want_k = (np.sort(np.concatenate([np.full(k, value), scale * v]))[-k:]
+                                     for v in (got, want))
+                    assert got_k.tobytes() == want_k.tobytes()
+            for scale, gamma in exact.at:
+                np.testing.assert_array_equal(scale * got >= gamma, scale * want >= gamma)
+            if exact.argmax:
+                np.testing.assert_array_equal(m_hat, full_m)
+        if rows >= 848:  # float32 values were kept: the screen settled rows
+            assert np.any(ml_decode(code, y, _exact=_Exact(argmax=True))[1] != full)
+
+    def test_ties_pick_the_smaller_index(self, code):
+        x, M = code.codewords, code.M
+        pairs = [(0, M - 1), (M - 1, 1), (M // 2, M // 2 - 1), (3, 2)]
+        y = np.array([(x[a] + x[b]) / 2 for a, b in pairs])
+        m_hat, _ = ml_decode(code, y, _exact=_Exact(argmax=True))
+        np.testing.assert_array_equal(m_hat, ml_decode(code, y)[0])
+        assert all(m <= min(a, b) + 1 for m, (a, b) in zip(m_hat, pairs))
+
+    def test_single_observation_unscreened(self, code):
+        y = adversarial_batch(code, 4)[3]
+        assert ml_decode(code, y, _exact=_Exact(argmax=True)) == ml_decode(code, y)
+
+    def test_broken_bound_raises(self, code, monkeypatch):
+        # a float32 product 2 delta off its float64 value breaks the certificate
+        correlate = codebook._tiled_correlation
+
+        def off(y, codewords, reduce, *buf):
+            delta = _screen_radius(y)
+            done = [0]
+
+            def shifted(tile):
+                if tile.dtype == np.float32:
+                    tile += 2.0 * delta[done[0] : done[0] + len(tile), None]
+                    done[0] += len(tile)
+                return reduce(tile)
+
+            return correlate(y, codewords, shifted, *buf)
+
+        monkeypatch.setattr(codebook, "_tiled_correlation", off)
+        y = adversarial_batch(code, 848)
+        with pytest.raises(ArithmeticError, match="error bound"):
+            ml_decode(code, y, _exact=_Exact(top=5))
+
 
 class TestCacheBudget:
     def test_cli_one_error_line(self, tmp_path, capsys, monkeypatch):
         import jdd.codebook as codebook
 
         calls = []
-        monkeypatch.setattr(codebook, "_messages", lambda k: calls.append(k) or 1 / 0)
+        monkeypatch.setattr(codebook, "_codeword_bits", lambda G: calls.append(G) or 1 / 0)
         G = random_systematic(24, 84, seed=1)
         code_file = tmp_path / "k24.txt"
         code_file.write_text("\n".join("".join(map(str, row)) for row in G) + "\n")

@@ -603,9 +603,9 @@ class TestTiledCorrelationPerBlock:
 
         correlate, calls = jdd.codebook._tiled_correlation, []
 
-        def counted(y, codewords, reduce):
+        def counted(y, codewords, reduce, *buf):
             calls.append(len(y))
-            return correlate(y, codewords, reduce)
+            return correlate(y, codewords, reduce, *buf)
 
         monkeypatch.setattr(jdd.codebook, "_tiled_correlation", counted)
         # at -7 dB every code decodes some blocks wrongly, so a wrong m_hat shows
@@ -626,6 +626,120 @@ class TestTiledCorrelationPerBlock:
             assert estimate_rates(s, plan, params, trials, 6, cb=code) == rates
             assert calls == blocks
             assert rates["pcw"].p_hat > 0.0
+
+
+def unscreened(fn, *args, **kwargs):
+    """fn(*args, **kwargs) with every ML decoding on the full float64 path."""
+    import jdd.codebook as codebook
+
+    decode = codebook.ml_decode
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(codebook, "ml_decode", lambda cb, y, _exact=None: decode(cb, y))
+        return fn(*args, **kwargs)
+
+
+class TestScreenedEngine:
+    """The float32 screen of DAD and ML decoding changes no threshold bit, flag or count.
+
+    Every noise block carries adversarial rows: zero rows, rows scaled by
+    1e6 and 1e-300, duplicated rows, an atom of equal rows above every other
+    idle statistic, and active slots past the float32 range and at an exact
+    or near tie between their codeword and another; the thresholds of the
+    estimates sit exactly on statistics.
+    """
+
+    TRIALS, EPS_FA = 5000, 1e-2  # K = 53 kept statistics; an atom of over 50 is infeasible
+
+    @pytest.fixture
+    def screened(self, monkeypatch):
+        """The number of screened ML decoding calls, which runs outside unscreened()."""
+        import jdd.codebook as codebook
+
+        screen, calls = codebook._screened_correlation, []
+
+        def counted(*args):
+            calls.append(1)
+            return screen(*args)
+
+        monkeypatch.setattr(codebook, "_screened_correlation", counted)
+        return calls
+
+    def entries(self, code):
+        """Two DAD entries of one plan, one at sqrt(sigma2) = 1/2, and a preamble entry."""
+        plan = FramePlan(n_p=4, n_c=code.n_c)
+        half = ChannelParams(es_n0_db=10 * math.log10(2.0), sigma2=0.25, n=plan.n)
+        specs = [DetectorSpec(kind="dad"), DetectorSpec(kind="dad"), DetectorSpec(kind="preamble")]
+        return specs, [plan] * 3, [half, ChannelParams.from_db(-1.0, plan.n), half]
+
+    def adversarial(self, monkeypatch, code, n_p, atom):
+        import jdd.montecarlo as montecarlo
+
+        draw, messages = montecarlo.gaussian_block, montecarlo._draw_messages
+
+        def block(sigma2, seed, stream, b, shape):
+            rows = draw(sigma2, seed, stream, b, shape).reshape(shape[0], -1)
+            rows[:3] = 0.0
+            rows[3:5] *= np.array([1e6, 1e-300])[:, None]
+            rows[6:12] = rows[12]
+            rows[20 : 20 + (atom // 2 if b == 0 else atom - atom // 2)] = 1e8  # above row 3
+            if stream == STREAM_ACTIVE_NOISE:
+                rows[5] *= 1e40  # past the float32 range
+
+                # sqrt(sigma2) w = (x_b - x_m) / 2 at sigma2 = 1/4: y_c = (x_m + x_b) / 2,
+                # then moved by 1e-7 times the noise in rows 140 to 179, a near tie
+                m = messages(code.M, seed, b, shape[0])
+                for r in range(100, 180):
+                    b_r = 2 if m[r] == 1 else r % (m[r] - 1) + 1  # mostly below m[r]: it wins
+                    rows[r, n_p:] = (code.codewords[b_r - 1] - code.codewords[m[r] - 1]
+                                     + (1e-7 if r >= 140 else 0.0) * rows[r, n_p:])
+            return rows.reshape(shape)
+
+        monkeypatch.setattr(montecarlo, "gaussian_block", block)
+
+    @pytest.mark.parametrize("atom", [0, 50, 51, 52, 53, 54])
+    def test_calibration(self, code, span_helpers, monkeypatch, screened, atom):
+        specs, plans, params = self.entries(code)
+        self.adversarial(monkeypatch, code, plans[0].n_p, atom)
+        args = (specs, plans, params, self.TRIALS, self.EPS_FA, 3)
+        got = calibrate_threshold(*args, cb=code)
+        want = unscreened(calibrate_threshold, *args, cb=code)
+        assert screened
+        assert [c.infeasible for c in got] == [c.infeasible for c in want]
+        assert got[0].infeasible == (atom > 50)
+        assert (np.array([c.gamma for c in got]).tobytes()
+                == np.array([c.gamma for c in want]).tobytes())
+
+    def at_statistics(self, specs, plans, params, stats, rows):
+        """Each entry once per row of `rows`, its gamma that row's statistic."""
+        picked = [(s.with_gamma(st[r]), pl, p)
+                  for s, pl, p, st in zip(specs, plans, params, stats) for r in rows]
+        return [list(col) for col in zip(*picked)]
+
+    def test_false_alarm_at_statistics(self, code, span_helpers, monkeypatch, screened):
+        specs, plans, params = self.entries(code)
+        self.adversarial(monkeypatch, code, plans[0].n_p, 51)
+        stats = [np.concatenate(st) for st in zip(*(
+            s for _, s in _idle_stats(specs, plans, params, self.TRIALS, 3, STREAM_IDLE_EVAL, code)))]
+        args = (*self.at_statistics(specs, plans, params, stats, [0, 6, 20, 777, 4100, 4990]),
+                self.TRIALS, 3)
+        got = estimate_false_alarm(*args, cb=code)
+        assert screened
+        assert got == unscreened(estimate_false_alarm, *args, cb=code)
+
+    def test_rates_at_statistics(self, code, span_helpers, monkeypatch, screened):
+        import jdd.montecarlo as montecarlo
+
+        specs, plans, params = self.entries(code)
+        self.adversarial(monkeypatch, code, plans[0].n_p, 51)
+        blocks = unscreened(lambda: list(montecarlo._active_stats(specs, plans, params,
+                                                                  self.TRIALS, 3, code)))
+        stats = [np.concatenate(st) for st in zip(*(s for s, _ in blocks))]
+        args = (*self.at_statistics(specs, plans, params, stats, [0, 6, 20, 101, 123, 2222]),
+                self.TRIALS, 3)
+        got = estimate_rates(*args, cb=code)
+        assert screened
+        assert got == unscreened(estimate_rates, *args, cb=code)
+        assert all(r["pcw"].p_hat > 0.0 for r in got[:12])
 
 
 class TestNoisePasses:
