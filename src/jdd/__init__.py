@@ -1,7 +1,7 @@
 """Joint detection and decoding on the BI-AWGN channel.
 
 Detection statistics (preamble, hybrid preamble/energy and decoder-aided,
-with codebook-aided and genie references), finite-blocklength bounds
+with a codebook-aided reference), finite-blocklength bounds
 (blocklength/SNR converse, decoder-aided achievability, DT and
 meta-converse), and a seeded Monte Carlo engine that calibrates thresholds
 and measures operating points of the preamble, HyPED and DAD detectors.

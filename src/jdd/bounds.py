@@ -1,10 +1,10 @@
 """Finite-blocklength bounds for joint detection and decoding on BI-AWGN.
 
 Closed forms: the genie-aided converse on the blocklength/SNR, the
-decoder-aided-detection (DAD) achievability bounds and threshold choice, and
-the inclusive-error sandwich. Monte Carlo: the dependence-testing (DT)
-achievability bound and the meta-converse bound, both driven by the BI-AWGN
-information density with equiprobable inputs.
+decoder-aided-detection (DAD) achievability bounds and threshold choice, the
+preamble's P_MD (for jdd.sweeps) and the inclusive-error sandwich. Monte
+Carlo: the dependence-testing (DT) achievability bound and the meta-converse
+bound, both driven by the BI-AWGN information density with equiprobable inputs.
 
 The sweeps plan every pass of these Monte Carlo bounds in one place,
 ``jdd.sweeps._bound_values``, under one 64 MiB budget of densities per
@@ -168,6 +168,14 @@ def dad_error_bounds(n, sigma2, gamma, M):
         pfa_ub = math.exp(min(0.0, math.log(M) + float(log_ndtr(-gamma / scale))))
     pmd_ub = _clip01(1.0 - q_func((gamma - n) / scale))
     return pfa_ub, pmd_ub
+
+
+def _preamble_pmd(n_p, sigma2, eps_fa):
+    """Closed-form P_MD of the n_p-symbol preamble matched filter at P_FA eps_fa.
+
+    The genie detector is this matched filter over the whole slot (n_p = n).
+    """
+    return float(1.0 - q_func(q_inv(eps_fa) - np.sqrt(n_p / sigma2)))
 
 
 def dad_max_code_size(n, sigma2, req, m_star):
@@ -521,7 +529,8 @@ def meta_converse_min_error(n, sigma2, M, trials, seed, more=None):
     trials = int(trials)
     denss = info_density_samples(n, sigma2, trials, seed, stream=3, more=more or ())
     # pop each sample so it is dropped as soon as its pivot is found
-    pivots = [_meta_converse_pivot(denss.pop(0), 1.0 / M) for _ in range(len(denss))]
+    # 1 / M, not 1.0 / M, which would convert an int M past 2^1024 to a float
+    pivots = [_meta_converse_pivot(denss.pop(0), 1 / M) for _ in range(len(denss))]
     kept = [key for key, d_J in zip(_density_keys(n, sigma2, more), pivots) if d_J is not None]
     held = []
     if kept:

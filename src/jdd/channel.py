@@ -1,4 +1,4 @@
-"""BI-AWGN slot model: SNR bookkeeping, BPSK mapping, seeded slot synthesis.
+"""BI-AWGN slot model: SNR bookkeeping, frame plans, seeded noise synthesis.
 
 Randomness contract
 -------------------
@@ -29,7 +29,6 @@ __all__ = [
     "ChannelParams",
     "FramePlan",
     "snr_to_sigma2",
-    "modulate",
     "gaussian_block",
     "uniform_block",
 ]
@@ -184,12 +183,6 @@ class FramePlan:
         """(preamble part, codeword part) of an observation batch."""
         y = np.asarray(y)
         return y[..., : self.n_p], y[..., self.n_p :]
-
-
-def modulate(bits):
-    """BPSK map, bit 0 -> +1 and bit 1 -> -1."""
-    bits = np.asarray(bits)
-    return 1.0 - 2.0 * bits
 
 
 def _philox_at(key, counter):

@@ -12,8 +12,10 @@ CORR_TILE_BYTES, one matrix product per tile into one reused buffer, and each
 tile is reduced (argmax, max, ...) before the next. A remainder shorter than
 an eighth of a tile (or a single row) is folded into the tile before it:
 BLAS takes other kernels for short products, whose last bits differ. Tiles
-split rows only, so ties still break toward the smallest index and every row
-gets the values one product over the whole batch would give.
+split rows only, so ties break toward the smallest index, and on one BLAS
+setup a row's values depend on the row, the batch's row count and the code
+alone. They equal one product over the whole batch's on one BLAS thread, and
+on two under OpenBLAS's SkylakeX and Sandybridge kernels but not Haswell's.
 
 A caller that names the comparisons it will make of ML decoding's statistics
 (_Exact: the largest few of the batch, each against a threshold, the
@@ -36,7 +38,6 @@ import numpy as np
 __all__ = [
     "Codebook",
     "load_generator",
-    "encode",
     "ml_decode",
     "min_distance",
     "repetition_code",
@@ -44,7 +45,7 @@ __all__ = [
     "reed_muller_1",
 ]
 
-MAX_K = 24  # 2^24 cached codewords is the memory ceiling
+MAX_K = 24  # the largest configured k, the bounds' M = 2^k (a cached code's k is <= 22)
 CACHE_BUDGET_BYTES = 1 << 30  # the +/-1 codeword cache, 2^k * n_c float64
 CORR_TILE_BYTES = 16 << 20    # one row tile of the batch x 2^k correlation
 
@@ -75,15 +76,17 @@ def _codeword_bits(G):
 
 
 def from_generator(G):
-    """Build a Codebook from a (k, n_c) 0/1 generator matrix of GF(2) rank k."""
-    G = np.asarray(G, dtype=np.uint8) % 2
+    """Build a Codebook from a (k, n_c) 0/1 generator matrix, of any dtype, of GF(2) rank k."""
+    G = np.asarray(G)
+    bad = np.argwhere(~np.isin(G, (0, 1)))
+    if bad.size:
+        raise ValueError(f"generator entry {bad[0].tolist()} is {G[tuple(bad[0])]}, not 0 or 1")
+    G = G.astype(np.uint8)
     if G.ndim != 2 or G.size == 0:
         raise ValueError("generator must be a non-empty 2-D bit matrix")
     k, n_c = G.shape
     if k > n_c:
         raise ValueError(f"a {k} x {n_c} generator has GF(2) rank at most {n_c} < k={k}")
-    if k > MAX_K:
-        raise ValueError(f"k={k} exceeds the cache guard (k <= {MAX_K})")
     cache_bytes = (1 << k) * n_c * 8
     if cache_bytes > CACHE_BUDGET_BYTES:
         raise ValueError(f"a ({n_c}, {k}) code needs a {cache_bytes / 2**30:.3g} GiB codeword "
@@ -127,13 +130,6 @@ def load_generator(path):
     if len({len(r) for r in rows}) != 1:
         raise ValueError("generator rows have unequal lengths")
     return from_generator(np.array(rows, dtype=np.uint8))
-
-
-def encode(cb, m):
-    """Codeword of message m (1-based) as a +/-1 vector."""
-    if not 1 <= m <= cb.M:
-        raise IndexError(f"message index {m} outside 1..{cb.M}")
-    return cb.codewords[m - 1]
 
 
 def _argmax_rows(tile):

@@ -8,8 +8,10 @@ underflows at n ~ 100 and sigma2 ~ 1.
 DetectorSpec names the three detectors the sweeps simulate (preamble,
 HyPED-exact, DAD), which batch_statistic evaluates for the Monte Carlo
 engine; active slots with random payloads take the engine's other path,
-_random_payload_statistics, which shares HyPED's row kernel. stat_genie and
-stat_codebook_aided are reference statistics, called directly.
+_random_payload_statistics, which shares HyPED's row kernel and reads the
+payload signs as the masks _sign_masks forms, here alone, from the engine's
+uniforms. stat_codebook_aided, the optimal joint test, is a reference
+statistic, called directly; the genie's rows are closed forms (jdd.bounds).
 """
 
 from dataclasses import dataclass, replace
@@ -27,7 +29,6 @@ __all__ = [
     "stat_hyped_exact",
     "stat_dad",
     "stat_codebook_aided",
-    "stat_genie",
     "batch_statistic",
 ]
 
@@ -119,14 +120,23 @@ def _hyped_rows(out, pre, terms, n, s2):
     out -= n / (2.0 * s2)
 
 
+def _sign_masks(u):
+    """Sign masks of random payload symbols, written over their uniforms `u`.
+
+    A symbol is +1 where its uniform is below 1/2 and -1 elsewhere; its mask,
+    an int64 in u's memory, is zero or all ones (_random_payload_statistics).
+    """
+    return np.negative(u >= 0.5, dtype=np.int64, out=u.view(np.int64))
+
+
 def _random_payload_statistics(specs, plans, z, count, masks, params, table, scratch):
     """Statistics of active slots x + z with i.i.d. random payloads, one array per entry.
 
     `z` is a flat noise block of `count` rows; the entry of a plan of length
     n reads its first count * n values as (count, n) slots. x is +1 on the
     preamble, and symbol j of row r of the payload of length n_c is -1 where
-    the int64 masks[r * n_c + j] is all ones and +1 where it is zero (the
-    payloads of jdd.montecarlo, which forms the masks from its uniforms).
+    the int64 masks[r * n_c + j] is all ones and +1 where it is zero: the
+    _sign_masks of jdd.montecarlo's payload uniforms.
     The entries are preamble and HyPED-exact.
 
     A payload symbol adds one of two HyPED terms, ln cosh((z + 1) / sigma2)
@@ -260,13 +270,6 @@ def stat_codebook_aided(y, cb, params, gamma_a):
     if y.ndim == 1:
         return float(stat), int(m_hat) + 1
     return stat, m_hat + 1
-
-
-def stat_genie(y, x_m, params):
-    """Genie-aided sufficient statistic x_m^T y of the per-slot LRT."""
-    x_m = np.asarray(x_m, dtype=float)
-    y = _check_len(y, x_m.shape[-1], "genie observation")
-    return (y * x_m).sum(axis=-1)
 
 
 def batch_statistic(spec, y, plan, params, cb=None, _exact=None):

@@ -34,7 +34,8 @@ gaussian_block scales its unit draw by sqrt(sigma2), so that is the block
 the entry's own call draws, bit for bit (channel's counter-based noise;
 jdd.bounds relies on the same scaling and flat-prefix contracts). The random
 payloads of all lengths come from one payload draw per block, and the
-message draws from one per block.
+message draws from one per block; jdd.detectors alone turns the payload
+uniforms into sign masks (_sign_masks) and reads them.
 
 DAD's idle statistic T(y) = y_p^T 1 + max_m x_m^T y_c has no sigma2 term
 and is homogeneous of degree one in y. So on the idle streams each DAD plan
@@ -99,7 +100,7 @@ from .channel import (
     gaussian_block,
     uniform_block,
 )
-from .detectors import DetectorSpec, _random_payload_statistics, batch_statistic
+from .detectors import DetectorSpec, _random_payload_statistics, _sign_masks, batch_statistic
 
 __all__ = [
     "RateEstimate",
@@ -303,15 +304,6 @@ def calibrate_threshold(spec, plan, params, trials, eps_fa, seed, cb=None):
 def _draw_messages(M, seed, block, count):
     u = uniform_block(seed, STREAM_MESSAGES, block, (count,))
     return np.minimum((u * M).astype(np.int64), M - 1) + 1
-
-
-def _sign_masks(u):
-    """Sign masks of random payload symbols, written over their uniforms `u`.
-
-    A symbol is +1 where its uniform is below 1/2 and -1 elsewhere; its mask,
-    an int64 in u's memory, is zero or all ones (_random_payload_statistics).
-    """
-    return np.negative(u >= 0.5, dtype=np.int64, out=u.view(np.int64))
 
 
 def _active_slots(y, w, scale, n_p, codewords):

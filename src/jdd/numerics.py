@@ -1,13 +1,14 @@
-"""Numerically stable scalar primitives shared by all detection statistics and bounds.
+"""Numerically stable primitives of the bounds and the detection statistics.
 
-Everything here is pure and vectorized: scalars in, scalars out, or numpy
-arrays elementwise.
+q_func and q_inv, which jdd.bounds evaluates, are pure and vectorized:
+scalars in, scalars out, or numpy arrays elementwise. _log_cosh_in_place,
+the ln cosh kernel of jdd.detectors, overwrites the array it is given.
 """
 
 import numpy as np
 from scipy.special import erfc, ndtri
 
-__all__ = ["q_func", "q_inv", "log_cosh"]
+__all__ = ["q_func", "q_inv"]
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -34,15 +35,8 @@ def q_inv(p):
     return out if out.ndim else float(out)
 
 
-def log_cosh(x):
-    """ln cosh(x) without overflow: |x| - ln 2 + log1p(exp(-2|x|))."""
-    ax = np.array(x, dtype=float, ndmin=1)  # a copy; 0-d would give scalars, which take no out=
-    _log_cosh_in_place(ax)
-    return ax if np.ndim(x) else float(ax[0])
-
-
 def _log_cosh_in_place(ax):
-    """Overwrite the float array `ax` with log_cosh(ax), value for value."""
+    """Overwrite the float array `ax` with ln cosh(ax) = |ax| - ln 2 + log1p(exp(-2|ax|))."""
     np.abs(ax, out=ax)
     # the correction term is already 0 to machine precision past ~19; the cap
     # just keeps 2*ax from overflowing for astronomically large inputs

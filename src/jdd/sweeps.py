@@ -4,6 +4,7 @@ Outputs one CSV per run with the fixed schema
 ``scheme,kind,n,es_n0_db,value,stderr,flag`` plus a line-based key=value run
 manifest, both written by run_with_manifest, which merges in reference curves
 from other tools untouched: their value columns are copied byte for byte.
+Every closed form a row reads comes from jdd.bounds, the preamble's P_MD too.
 """
 
 import csv
@@ -24,7 +25,6 @@ from .channel import ChannelParams, FramePlan, snr_to_sigma2
 from .codebook import MAX_K, load_generator
 from .detectors import DetectorSpec
 from .montecarlo import _calibration_floor, calibrate_threshold, estimate_rates
-from .numerics import q_func, q_inv
 
 __all__ = [
     "SweepConfig",
@@ -240,14 +240,6 @@ def _split_candidates(cfg, n_total, k, scheme):
     return cands
 
 
-def _preamble_pmd(n_p, sigma2, eps_fa):
-    """Closed-form P_MD of the n_p-symbol preamble matched filter at P_FA eps_fa.
-
-    The genie detector is this matched filter over the whole slot (n_p = n).
-    """
-    return float(1.0 - q_func(q_inv(eps_fa) - np.sqrt(n_p / sigma2)))
-
-
 def _split_pmds(scheme, splits, cfg):
     """Missed-detection rate at every (n_p, params) preamble split of a SPLIT_SCHEMES scheme.
 
@@ -258,7 +250,7 @@ def _split_pmds(scheme, splits, cfg):
     share one calibrate_threshold call and one estimate_rates call.
     """
     if scheme == "preamble":
-        return [_preamble_pmd(n_p, p.sigma2, cfg.eps_fa) for n_p, p in splits]
+        return [bounds._preamble_pmd(n_p, p.sigma2, cfg.eps_fa) for n_p, p in splits]
     if not splits:
         return []
     plans = [FramePlan(n_p=n_p, n_c=p.n - n_p) for n_p, p in splits]
@@ -492,7 +484,8 @@ def run_pie_sweep(cfg):
         pcw_con = value[sigma2, n, "mc-min-error", M]
 
         if "genie" in cfg.schemes:
-            lo, hi = bounds.pie_sandwich(_preamble_pmd(n, sigma2, req.eps_fa), pcw_con, pcw_ach)
+            pmd = bounds._preamble_pmd(n, sigma2, req.eps_fa)
+            lo, hi = bounds.pie_sandwich(pmd, pcw_con, pcw_ach)
             rows.append(_row("genie", "converse", n, snr, lo, stderr=pcw_se))
             rows.append(_row("genie", "achievability", n, snr, hi, stderr=pcw_se))
         if "dad" in cfg.schemes:

@@ -26,8 +26,8 @@ from jdd.bounds import (
     min_snr_db,
 )
 from jdd.channel import ChannelParams, FramePlan, gaussian_block
-from jdd.codebook import encode, from_generator, hamming_7_4, load_generator, ml_decode
-from jdd.detectors import DetectorSpec, stat_codebook_aided, stat_dad, stat_genie
+from jdd.codebook import from_generator, hamming_7_4, load_generator, ml_decode
+from jdd.detectors import DetectorSpec, stat_codebook_aided, stat_dad
 from jdd.montecarlo import calibrate_threshold, estimate_false_alarm, estimate_rates
 from jdd.numerics import q_func, q_inv
 
@@ -63,8 +63,9 @@ class TestAcceptance:
         x = np.ones(n)
         z_active = gaussian_block(params.sigma2, seed=31, stream=0, block=0, shape=(trials, n))
         z_idle = gaussian_block(params.sigma2, seed=31, stream=1, block=0, shape=(trials, n))
-        active = stat_genie(x + z_active, x, params)
-        idle = stat_genie(z_idle, x, params)
+        # the genie's statistic x^T y
+        active = ((x + z_active) * x).sum(-1)
+        idle = (z_idle * x).sum(-1)
         var = n * params.sigma2
         se_mean = math.sqrt(var / trials)
         se_var = var * math.sqrt(2 / (trials - 1))

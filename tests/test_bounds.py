@@ -795,6 +795,21 @@ class TestMetaConverse:
             M = meta_converse_max_M(1100, sigma2, 1e-3, 10_000, 0)
         assert M == math.floor(Fraction(1.0 + 1e-9) / Fraction(beta)) > 2**1024
 
+    def test_min_error_past_the_float_range(self):
+        # 1 / 2^2000 rounds to 0: every stream-3 sample keeps beta_hat above it, so
+        # the pivot is the largest one
+        trials = 10_000
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            err = meta_converse_min_error(24, 0.5, 2**2000, trials, 0)
+            # every weight exp(-d) underflows at n = 2000, so no sample keeps
+            # beta_hat above 1 / 2^1100
+            assert meta_converse_min_error(2000, 0.25, 2**1100, trials, 0) == 0.0
+        d_J = info_density_samples(24, 0.5, trials, 0, stream=3).max()
+        dens = info_density_samples(24, 0.5, trials, 0, stream=2)
+        assert err == (np.count_nonzero(dens <= d_J) / trials if dens.max() > d_J
+                       else (trials - 1) / trials)
+
     def test_no_underflow_warning_on_normal_weights(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -16,7 +16,6 @@ from jdd.channel import (
     ChannelParams,
     FramePlan,
     gaussian_block,
-    modulate,
     snr_to_sigma2,
     uniform_block,
 )
@@ -46,19 +45,6 @@ class TestParams:
     def test_bad_slot_length(self):
         with pytest.raises(ValueError):
             ChannelParams.from_db(0.0, 0)
-
-
-class TestModulate:
-    def test_all_zero(self):
-        np.testing.assert_array_equal(modulate([0, 0, 0]), [1, 1, 1])
-
-    def test_per_symbol(self):
-        np.testing.assert_array_equal(modulate([1, 0, 1]), [-1, 1, -1])
-
-    def test_unit_energy(self):
-        rng = np.random.default_rng(1)
-        bits = rng.integers(0, 2, 100)
-        np.testing.assert_array_equal(modulate(bits) ** 2, np.ones(100))
 
 
 class TestEmitSlot:

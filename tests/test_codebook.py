@@ -5,13 +5,12 @@ import pytest
 from conftest import ROW_COUNTS, TILE_EDGE_ROWS, random_systematic
 
 import jdd.codebook as codebook
-from jdd.channel import ChannelParams, gaussian_block, modulate
+from jdd.channel import ChannelParams, gaussian_block
 from jdd.cli import main
 from jdd.codebook import (
     _codeword_bits,
     _Exact,
     _screen_radius,
-    encode,
     from_generator,
     hamming_7_4,
     load_generator,
@@ -60,10 +59,14 @@ class TestLoadGenerator:
         with pytest.raises(ValueError):
             load_generator(write_code(tmp_path, "10x1"))
 
-    def test_cache_guard(self):
+    def test_cache_guard(self, monkeypatch):
+        # k = 25 is past the cache budget, which refuses it before any codeword is built
+        calls = []
+        monkeypatch.setattr(codebook, "_codeword_bits", lambda G: calls.append(G) or 1 / 0)
         G = np.eye(25, dtype=np.uint8)
-        with pytest.raises(ValueError, match="cache"):
+        with pytest.raises(ValueError, match="GiB codeword cache, over the 1 GiB budget"):
             from_generator(G)
+        assert calls == []
 
 
 class TestGeneratorRank:
@@ -97,6 +100,28 @@ class TestGeneratorRank:
         assert len({row.tobytes() for row in cb.codewords}) == cb.M
 
 
+class TestGeneratorEntries:
+    """A generator matrix holds bits: any other entry is refused, not reduced mod 2."""
+
+    @pytest.mark.parametrize("G, message", [
+        ([[1, -1, 2, 3]], r"entry \[0, 1\] is -1,"),
+        ([[1, 0, 1.7]], r"entry \[0, 2\] is 1.7,"),
+        ([[1, 0], [0, 2]], r"entry \[1, 1\] is 2,"),
+        ([[1, np.nan]], r"entry \[0, 1\] is nan,"),
+    ], ids=["negative", "fraction", "two", "nan"])
+    def test_non_bit_entry_refused(self, G, message):
+        with pytest.raises(ValueError, match=message):
+            from_generator(np.array(G))
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64, np.float64])
+    def test_bit_entries_build(self, dtype):
+        want = hamming_7_4()
+        cb = from_generator(want.G.astype(dtype))
+        assert cb.G.dtype == np.uint8
+        np.testing.assert_array_equal(cb.G, want.G)
+        np.testing.assert_array_equal(cb.codewords, want.codewords)
+
+
 def messages(k):
     """All 2^k messages as a (2^k, k) bit matrix in binary counting order."""
     idx = np.arange(1 << k, dtype=np.uint32)
@@ -117,7 +142,7 @@ class TestCodewordBits:
         np.testing.assert_array_equal(_codeword_bits(G), want)
         cb = from_generator(G)
         assert cb.codewords.dtype == np.float64
-        np.testing.assert_array_equal(cb.codewords, modulate(want))
+        np.testing.assert_array_equal(cb.codewords, 1.0 - 2.0 * want)  # BPSK
 
     def test_memory_near_the_cache(self):
         # the bits take an eighth of the cache, and the +/-1 map no second copy
@@ -132,32 +157,27 @@ class TestCodewordBits:
 
 
 class TestEncode:
+    """Message m (1-based) is sent as codeword row m - 1 of the cache."""
+
     def test_all_zero_message(self):
         cb = hamming_7_4()
-        np.testing.assert_array_equal(encode(cb, 1), np.ones(7))
+        np.testing.assert_array_equal(cb.codewords[0], np.ones(7))
 
     def test_repetition_second_message(self):
         cb = repetition_code(3)
-        np.testing.assert_array_equal(encode(cb, 2), [-1, -1, -1])
+        np.testing.assert_array_equal(cb.codewords[1], [-1, -1, -1])
 
     def test_injective(self):
         cb = hamming_7_4()
-        rows = {tuple(encode(cb, m)) for m in range(1, cb.M + 1)}
+        rows = {tuple(cb.codewords[m - 1]) for m in range(1, cb.M + 1)}
         assert len(rows) == cb.M
-
-    def test_out_of_range(self):
-        cb = repetition_code(3)
-        with pytest.raises(IndexError):
-            encode(cb, 3)
-        with pytest.raises(IndexError):
-            encode(cb, 0)
 
 
 class TestMlDecode:
     def test_noiseless(self):
         cb = hamming_7_4()
         for m in (1, 5, 16):
-            m_hat, stat = ml_decode(cb, encode(cb, m))
+            m_hat, stat = ml_decode(cb, cb.codewords[m - 1])
             assert m_hat == m
             assert stat == pytest.approx(cb.n_c)
 

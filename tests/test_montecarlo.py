@@ -20,6 +20,7 @@ from jdd.codebook import hamming_7_4, repetition_code
 from jdd.detectors import (
     DetectorSpec,
     _random_payload_statistics,
+    _sign_masks,
     batch_statistic,
     stat_hyped_exact,
 )
@@ -33,7 +34,6 @@ from jdd.montecarlo import (
     RateEstimate,
     _entries,
     _idle_stats,
-    _sign_masks,
     calibrate_threshold,
     clopper_pearson,
     estimate_false_alarm,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from jdd.numerics import log_cosh, q_func, q_inv
+from jdd.numerics import _log_cosh_in_place, q_func, q_inv
 
 
 def q_quadrature(x):
@@ -71,22 +71,30 @@ class TestQInv:
 
 
 class TestLogCosh:
+    """The in-place ln cosh kernel of the HyPED statistic, on a copy of its input."""
+
+    @staticmethod
+    def log_cosh(x):
+        ax = np.array(x, dtype=float, ndmin=1)
+        _log_cosh_in_place(ax)
+        return ax
+
     def test_zero(self):
-        assert log_cosh(0.0) == 0.0
+        assert self.log_cosh(0.0)[0] == 0.0
 
     def test_large_argument_asymptote(self):
-        assert log_cosh(1000.0) == pytest.approx(1000.0 - math.log(2.0), rel=1e-12)
+        assert self.log_cosh(1000.0)[0] == pytest.approx(1000.0 - math.log(2.0), rel=1e-12)
 
     def test_frozen_reference_value(self):
         # mpmath 40-digit evaluation of ln cosh(1/2)
-        assert log_cosh(0.5) == pytest.approx(0.1201145069582775246, rel=1e-14)
+        assert self.log_cosh(0.5)[0] == pytest.approx(0.1201145069582775246, rel=1e-14)
 
     def test_even(self):
         x = np.linspace(-50, 50, 1001)
-        np.testing.assert_array_equal(log_cosh(x), log_cosh(-x))
+        np.testing.assert_array_equal(self.log_cosh(x), self.log_cosh(-x))
 
     def test_no_overflow(self):
-        assert np.isfinite(log_cosh(1e308))
+        assert np.isfinite(self.log_cosh(1e308)[0])
 
     @staticmethod
     def out_of_place(x):
@@ -97,16 +105,6 @@ class TestLogCosh:
         edges = [0.0, 400.0, np.nextafter(400.0, 0.0), np.nextafter(400.0, 1e3), 1e300,
                  0.5, 19.0, 1e-300]
         x = np.array(edges + [-e for e in edges])
-        np.testing.assert_array_equal(log_cosh(x), self.out_of_place(x))
+        np.testing.assert_array_equal(self.log_cosh(x), self.out_of_place(x))
         grid = np.random.default_rng(0).normal(scale=30.0, size=(64, 84))
-        np.testing.assert_array_equal(log_cosh(grid), self.out_of_place(grid))
-        for e in edges:
-            assert log_cosh(np.array(e)) == float(self.out_of_place(e))
-            assert isinstance(log_cosh(np.array(-e)), float)
-            assert log_cosh(-e) == float(self.out_of_place(e))
-
-    def test_input_untouched(self):
-        x = np.array([-3.0, 0.0, 2.5])
-        log_cosh(x)
-        np.testing.assert_array_equal(x, [-3.0, 0.0, 2.5])
-
+        np.testing.assert_array_equal(self.log_cosh(grid), self.out_of_place(grid))
