@@ -7,13 +7,14 @@ Exhaustive ML decoding is the correlation rule max_m x_m^T y on the BI-AWGN
 channel, evaluated against this cache under two memory budgets. The cache
 (2^k * n_c float64 values) may not exceed CACHE_BUDGET_BYTES; from_generator
 rejects a larger code before allocating anything. A batch's correlation with
-the cache is never held whole: it is computed in row tiles of about
-CORR_TILE_BYTES, one matrix product per tile into one reused buffer, and each
-tile is reduced (argmax, max, ...) before the next. A remainder shorter than
-an eighth of a tile (or a single row) is folded into the tile before it:
-BLAS takes other kernels for short products, whose last bits differ. Tiles
-split rows only, so ties break toward the smallest index, and on one BLAS
-setup a row's values depend on the row, the batch's row count and the code
+the cache is never held whole: it is computed in row tiles that hold
+CORR_TILE_BYTES of their own dtype (512 float32 or 256 float64 rows at k =
+12), one matrix product per tile into one reused buffer, and each tile is
+reduced (argmax, max, ...) before the next. A remainder shorter than an
+eighth of a tile (or a single row) is folded into the tile before it: BLAS
+takes other kernels for short products, whose last bits differ. Tiles split
+rows only, so ties break toward the smallest index, and on one BLAS setup a
+row's values depend on the row, its index, the batch's row count and the code
 alone. They equal one product over the whole batch's on one BLAS thread, and
 on two under OpenBLAS's SkylakeX and Sandybridge kernels but not Haswell's.
 
@@ -23,11 +24,12 @@ argmax) has the batch screened in float32 first. The forward error bound of
 a dot product, which holds for every summation order, bounds each float32
 correlation's distance from the float64 one, and a row whose bound settles
 every named comparison keeps its float32 value. Every other row is
-recomputed in float64 in a product of its tile's shape, at its own position
-in it and the other rows zero (BLAS may take other kernels for a product's
-last few rows), so its values are the full float64 path's bit for bit. Each
-recomputed row checks its own bound, and a BLAS that breaks it raises. The
-float32 tiles fill the first half of the tile buffer.
+recomputed in float64 in a product of its float64 tile's shape, at its own
+position in it and the other rows zero (BLAS may take other kernels for a
+product's last few rows), so its values are the full float64 path's bit for
+bit. Each recomputed row checks its own bound, and a BLAS that breaks it
+raises. One buffer serves both passes: the float32 tiles fill it, then the
+float64 recompute products.
 """
 
 from dataclasses import dataclass
@@ -47,7 +49,7 @@ __all__ = [
 
 MAX_K = 24  # the largest configured k, the bounds' M = 2^k (a cached code's k is <= 22)
 CACHE_BUDGET_BYTES = 1 << 30  # the +/-1 codeword cache, 2^k * n_c float64
-CORR_TILE_BYTES = 16 << 20    # one row tile of the batch x 2^k correlation
+CORR_TILE_BYTES = 8 << 20     # one row tile of the batch x 2^k correlation, of its dtype
 
 
 @dataclass(frozen=True)
@@ -138,14 +140,15 @@ def _argmax_rows(tile):
     return m, tile[np.arange(len(tile)), m]
 
 
-def _tiles(n, M):
+def _tiles(n, M, itemsize):
     """(start, end) of each row tile of an n-row batch correlated with M codewords.
 
-    A tile holds at most CORR_TILE_BYTES of float64 (at least one row); a
-    remainder shorter than an eighth of that, or a single row, is folded
-    into the tile before it. An empty batch is one empty tile.
+    A tile holds at most CORR_TILE_BYTES of its dtype, of `itemsize` bytes
+    (at least one row); a remainder shorter than an eighth of a tile, or a
+    single row, is folded into the tile before it. An empty batch is one
+    empty tile.
     """
-    step = max(1, CORR_TILE_BYTES // (8 * M))
+    step = max(1, CORR_TILE_BYTES // (itemsize * M))
     starts = list(range(0, max(n, 1), step))
     if step > 1 and len(starts) > 1 and n - starts[-1] < max(2, step / 8):
         starts.pop()
@@ -158,19 +161,18 @@ def _tiled_correlation(y, codewords, reduce, buf=None):
     `reduce` maps a (rows, 2^k) tile, which it may overwrite, to a tuple of
     per-row arrays; each is returned with y's leading shape. A single
     observation or a stack is one matrix of rows, tiled like any batch
-    (_tiles), and each tile of rows is rounded to the codewords' dtype. One
-    buffer serves every tile: `buf`, a float64 array of the largest tile's
-    shape, if given, whose first half then holds the tiles of float32
-    codewords.
+    (_tiles of the codewords' dtype), and each tile of rows is rounded to
+    that dtype. One buffer serves every tile: `buf`, if given, a flat array
+    of at least the largest tile's bytes.
     """
     rows = y.reshape(-1, y.shape[-1])
-    tiles = _tiles(len(rows), len(codewords))
-    shape = (max(e - s for s, e in tiles), len(codewords))
+    M = len(codewords)
+    tiles = _tiles(len(rows), M, codewords.itemsize)
     if buf is None:
-        buf = np.empty(shape, dtype=codewords.dtype)
-    buf = buf.reshape(-1).view(codewords.dtype)
+        buf = np.empty(max(e - s for s, e in tiles) * M, dtype=codewords.dtype)
+    buf = buf.view(codewords.dtype)
     parts = [reduce(np.matmul(rows[s:e].astype(codewords.dtype, copy=False), codewords.T,
-                              out=buf[: (e - s) * shape[1]].reshape(e - s, shape[1])))
+                              out=buf[: (e - s) * M].reshape(e - s, M)))
              for s, e in tiles]
     return tuple(np.concatenate(p).reshape(y.shape[:-1]) for p in zip(*parts))
 
@@ -229,13 +231,16 @@ def _screened_correlation(y, codewords, exact):
     bound. The bounds are rounded outward and the statistic and its scaling
     are monotone, so a row that keeps its float32 value orders and compares
     as its float64 value would. The rows to recompute are laid out at their
-    positions in zero tiles of their tile's shape, as few as hold them, and
-    each is correlated in float64.
+    positions in zero tiles of their float64 tile's shape (the tiles of the
+    unscreened path), as few as hold them, and each is correlated in float64.
     """
     rows = y.reshape(-1, y.shape[-1])
     n, M = len(rows), len(codewords)
-    tiles = _tiles(n, M)
-    buf = np.empty((max(e - s for s, e in tiles), M))
+    tiles = _tiles(n, M, 8)
+    # one buffer, of the larger of the two plans' largest tiles, for the float32 tiles and
+    # then the float64 recompute products
+    nbytes = max(size * max(e - s for s, e in _tiles(n, M, size)) for size in (4, 8)) * M
+    buf = np.empty(-(-nbytes // 8))
 
     def reduce(tile):  # a float32 tile: (argmax, max[, second largest])
         m, best = _argmax_rows(tile)
@@ -265,7 +270,7 @@ def _screened_correlation(y, codewords, exact):
         if exact.argmax:
             settled &= lo > np.nextafter(second[0] + delta, np.inf)
 
-    # each row to redo at its own position in a product of its tile's shape, the other
+    # each row to redo at its own position in a product of its float64 tile's shape, the other
     # rows zero: BLAS may take other kernels for a product's last few rows; rows of
     # different tiles at one position take one product each
     redo = np.flatnonzero(~settled)
@@ -281,7 +286,7 @@ def _screened_correlation(y, codewords, exact):
             part, here = todo[layer == k], pos[layer == k]
             padded = np.zeros((size, rows.shape[1]))
             padded[here] = rows[part]
-            tile = np.matmul(padded, codewords.T, out=buf[:size])
+            tile = np.matmul(padded, codewords.T, out=buf[: size * M].reshape(size, M))
             for j, h in enumerate(here):  # to the front in place: `here` ascends
                 tile[j] = tile[h]
             m64, best64 = _argmax_rows(tile[: len(here)])

@@ -2,7 +2,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import ROW_COUNTS, TILE_EDGE_ROWS, random_systematic
+from conftest import (
+    ROW_COUNTS,
+    TILE_EDGE_ROWS,
+    assert_row_values,
+    code_76_12,
+    random_systematic,
+    tile_step,
+)
 
 import jdd.codebook as codebook
 from jdd.channel import ChannelParams, gaussian_block
@@ -228,10 +235,7 @@ class TestTiledDecode:
     @pytest.mark.parametrize("rows", ROW_COUNTS)
     def test_equals_full_matrix(self, code, rows):
         y = self.block(code, rows)
-        m_hat, stat = ml_decode(code, y)
-        ref_m, ref_stat = full_matrix_decode(code, y)
-        np.testing.assert_array_equal(m_hat, ref_m)
-        np.testing.assert_array_equal(stat, ref_stat)
+        assert_row_values(lambda y: ml_decode(code, y), y, full_matrix_decode(code, y))
 
     def test_single_observation(self, code):
         y = self.block(code, 3)[2]
@@ -260,17 +264,14 @@ class TestTiledDecode:
         m_hat, stat = ml_decode(code, np.zeros((0, code.n_c)))
         assert m_hat.shape == stat.shape == (0,)
 
-    # 32768- and 16384-row tiles of RM(1, 5) and RM(1, 6) and a short tail:
-    # BLAS takes other kernels for short products, which change last bits
-    @pytest.mark.parametrize("m, rows", [(5, 32768 + t) for t in range(2, 19)]
-                             + [(6, 16384 + t) for t in range(2, 10)])
+    # two whole float64 tiles of RM(1, 5) and RM(1, 6) and a short tail: BLAS
+    # takes other kernels for short products, which change last bits
+    @pytest.mark.parametrize("m, rows", [(5, 2 * tile_step(1 << 6, 8) + t) for t in range(2, 19)]
+                             + [(6, 2 * tile_step(1 << 7, 8) + t) for t in range(2, 10)])
     def test_short_tail_folds(self, m, rows):
         cb = reed_muller_1(m)
         y = gaussian_block(1.5, 11, 0, 0, (rows, cb.n_c))
-        m_hat, stat = ml_decode(cb, y)
-        ref_m, ref_stat = full_matrix_decode(cb, y)
-        np.testing.assert_array_equal(m_hat, ref_m)
-        np.testing.assert_array_equal(stat, ref_stat)
+        assert_row_values(lambda y: ml_decode(cb, y), y, full_matrix_decode(cb, y))
 
 
 def adversarial_batch(cb, rows):
@@ -338,6 +339,20 @@ class TestScreen:
     def test_single_observation_unscreened(self, code):
         y = adversarial_batch(code, 4)[3]
         assert ml_decode(code, y, _exact=_Exact(argmax=True)) == ml_decode(code, y)
+
+    @pytest.mark.parametrize("exact", [_Exact(top=53), _Exact(argmax=True)], ids=["top", "argmax"])
+    def test_memory_is_one_tile(self, exact):
+        # the float64 recompute products reuse the float32 tiles' buffer
+        cb = code_76_12()
+        y = adversarial_batch(cb, 4096)
+        tracemalloc.start()
+        try:
+            ml_decode(cb, y, _exact=exact)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        float32_tile = 4 * cb.M * tile_step(cb.M, 4)
+        assert peak < float32_tile + cb.codewords.nbytes // 2 + 16 * 8 * len(y)
 
     def test_broken_bound_raises(self, code, monkeypatch):
         # a float32 product 2 delta off its float64 value breaks the certificate
