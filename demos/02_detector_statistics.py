@@ -7,12 +7,13 @@ idle slots, then measures the false-alarm rate on fresh idle slots
 DAD) beats spending the same energy on a preamble-only matched filter.
 """
 
-from jdd.channel import ChannelParams, FramePlan
+from jdd.channel import FramePlan, snr_to_sigma2
 from jdd.codebook import reed_muller_1
 from jdd.detectors import DetectorSpec
 from jdd.montecarlo import calibrate_threshold, estimate_false_alarm, estimate_rates
 
-params = ChannelParams.from_db(-3.0, 32)
+es_n0_db, n = -3.0, 32
+sigma2 = snr_to_sigma2(es_n0_db)
 eps_fa = 1e-3
 calib_trials = 100_000   # >= 50 / eps_fa so the quantile is resolvable
 eval_trials = 100_000
@@ -22,7 +23,7 @@ seed = 7
 # the schemes that use one; DAD spends the whole slot on the codeword.
 cb = reed_muller_1(4)
 split_plan = FramePlan(n_p=16, n_c=16)
-full_plan = FramePlan(n_p=32 - cb.n_c, n_c=cb.n_c)  # same here, kept explicit
+full_plan = FramePlan(n_p=n - cb.n_c, n_c=cb.n_c)  # same here, kept explicit
 
 setups = [
     ("preamble matched filter", DetectorSpec(kind="preamble"), split_plan, None),
@@ -30,13 +31,13 @@ setups = [
     ("decoder-aided (DAD)", DetectorSpec(kind="dad"), full_plan, cb),
 ]
 
-print(f"slot n = {params.n} at {params.es_n0_db:g} dB, calibrated to P_FA = {eps_fa:g}")
+print(f"slot n = {n} at {es_n0_db:g} dB, calibrated to P_FA = {eps_fa:g}")
 print(f"{'detector':<26}{'gamma':>10}{'P_FA':>12}{'P_MD':>12}  95% CI")
 for name, spec, plan, code in setups:
-    calib = calibrate_threshold(spec, plan, params, calib_trials, eps_fa, seed, cb=code)
+    calib = calibrate_threshold(spec, plan, sigma2, calib_trials, eps_fa, seed, cb=code)
     tuned = spec.with_gamma(calib.gamma)
-    pfa = estimate_false_alarm(tuned, plan, params, eval_trials, seed, cb=code)
-    pmd = estimate_rates(tuned, plan, params, eval_trials, seed, cb=code)["pmd"]
+    pfa = estimate_false_alarm(tuned, plan, sigma2, eval_trials, seed, cb=code)
+    pmd = estimate_rates(tuned, plan, sigma2, eval_trials, seed, cb=code)["pmd"]
     print(f"{name:<26}{calib.gamma:>10.3f}{pfa.p_hat:>12.2e}"
           f"{pmd.p_hat:>12.2e}  [{pmd.ci_low:.2e}, {pmd.ci_high:.2e}]")
 

@@ -9,6 +9,7 @@ to approach the published operating points.
 
 from pathlib import Path
 
+from jdd.codebook import reed_muller_1
 from jdd.sweeps import SweepConfig, run_pie_sweep, run_rate_sweep, run_with_manifest
 
 out = Path("demo_out")
@@ -31,13 +32,7 @@ print(f"rate sweep -> {csv_path}")
 code_file = out / "rm15.txt"
 code_file.parent.mkdir(parents=True, exist_ok=True)
 # first-order Reed-Muller RM(1,5): a (32, 6) code, leaving a 16-symbol preamble
-rows = []
-for i in range(6):
-    if i == 0:
-        rows.append("1" * 32)
-    else:
-        rows.append("".join("01"[(j >> (i - 1)) & 1] for j in range(32)))
-code_file.write_text("\n".join(rows) + "\n")
+code_file.write_text("".join("".join(map(str, row)) + "\n" for row in reed_muller_1(5).G))
 
 pie_cfg = SweepConfig(
     schemes=("genie", "dad", "hyped", "preamble"),

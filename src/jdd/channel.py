@@ -1,4 +1,4 @@
-"""BI-AWGN slot model: SNR bookkeeping, frame plans, seeded noise synthesis.
+"""BI-AWGN slot model: noise variance from SNR, frame plans, seeded noise synthesis.
 
 Randomness contract
 -------------------
@@ -26,7 +26,6 @@ from scipy.special import ndtri
 
 __all__ = [
     "TRIALS_PER_BLOCK",
-    "ChannelParams",
     "FramePlan",
     "snr_to_sigma2",
     "gaussian_block",
@@ -134,30 +133,12 @@ def snr_to_sigma2(es_n0_db):
     return 1.0 / (2.0 * 10.0 ** (float(es_n0_db) / 10.0))
 
 
-@dataclass(frozen=True)
-class ChannelParams:
-    """Slot length plus the two linked SNR representations."""
-
-    es_n0_db: float
-    sigma2: float
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("slot length n must be >= 1")
-        if self.sigma2 < 0:
-            raise ValueError("noise variance must be >= 0")
-        if self.sigma2 > 0:
-            expected = snr_to_sigma2(self.es_n0_db)
-            if not np.isclose(self.sigma2, expected, rtol=1e-9):
-                raise ValueError(
-                    f"inconsistent SNR: sigma2={self.sigma2} but "
-                    f"{self.es_n0_db} dB implies {expected}"
-                )
-
-    @classmethod
-    def from_db(cls, es_n0_db, n):
-        return cls(es_n0_db=float(es_n0_db), sigma2=snr_to_sigma2(es_n0_db), n=int(n))
+def _noise_variance(sigma2):
+    """sigma2 as a float, refused unless it is finite and >= 0 (0 is the noiseless channel)."""
+    s2 = float(sigma2)
+    if not (np.isfinite(s2) and s2 >= 0.0):
+        raise ValueError(f"noise variance sigma2 must be finite and >= 0, got {sigma2}")
+    return s2
 
 
 @dataclass(frozen=True)
@@ -174,6 +155,8 @@ class FramePlan:
     def __post_init__(self):
         if self.n_p < 0 or self.n_c < 0:
             raise ValueError("segment lengths must be non-negative")
+        if self.n < 1:
+            raise ValueError("slot length n must be >= 1")
 
     @property
     def n(self):

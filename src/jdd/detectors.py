@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import codebook
-from .channel import _SPAN, FramePlan, _on_cores, _on_rows, _thread_buffer
+from .channel import _SPAN, FramePlan, _noise_variance, _on_cores, _on_rows, _thread_buffer
 from .codebook import _argmax_rows, _tiled_correlation
 from .numerics import _log_cosh_in_place
 
@@ -61,15 +61,16 @@ def _check_len(y, n, what="observation"):
     return y
 
 
-def stat_preamble(y_p, plan, params):
+def stat_preamble(y_p, plan, sigma2):
     """Matched-filter LLR of the all-plus preamble: sum of (2 y_i - 1) / (2 sigma2)."""
+    s2 = _noise_variance(sigma2)
     if plan.n_p < 1:
         raise ValueError("preamble statistic needs n_p >= 1")
     y_p = _check_len(y_p, plan.n_p, "preamble segment")
-    return ((2.0 * y_p - 1.0) / (2.0 * params.sigma2)).sum(axis=-1)
+    return ((2.0 * y_p - 1.0) / (2.0 * s2)).sum(axis=-1)
 
 
-def stat_hyped_exact(y, plan, params):
+def stat_hyped_exact(y, plan, sigma2):
     """Exact hybrid preamble/energy LLR of the whole slot.
 
     Equiprobable payload symbols, so the payload term is the sum of
@@ -91,7 +92,7 @@ def stat_hyped_exact(y, plan, params):
     n = plans[0].n
     if any(pl.n != n for pl in plans):
         raise ValueError("all splits must cover the same slot length")
-    s2 = params.sigma2
+    s2 = _noise_variance(sigma2)
     first = min(pl.n_p for pl in plans)
     rows = y.reshape(-1, n)  # a single slot or a stack is one matrix of slots
     out = np.empty((len(plans), len(rows)))
@@ -129,7 +130,7 @@ def _sign_masks(u):
     return np.negative(u >= 0.5, dtype=np.int64, out=u.view(np.int64))
 
 
-def _random_payload_statistics(specs, plans, z, count, masks, params, table, scratch):
+def _random_payload_statistics(specs, plans, z, count, masks, sigma2, table, scratch):
     """Statistics of active slots x + z with i.i.d. random payloads, one array per entry.
 
     `z` is a flat noise block of `count` rows; the entry of a plan of length
@@ -153,13 +154,12 @@ def _random_payload_statistics(specs, plans, z, count, masks, params, table, scr
     (channel._on_rows), each thread reusing its own buffer, which `scratch`
     (a dict the caller keeps) holds by thread.
     """
-    s2 = params.sigma2
     out = [np.empty(count) for _ in specs]
     lengths = {}  # slot length -> the indices of its HyPED entries
     for i, (s, pl) in enumerate(zip(specs, plans)):
         if s.kind == "preamble":  # the sweeps never simulate it without a code
             slots = z[: count * pl.n].reshape(count, pl.n)
-            out[i] = stat_preamble(slots[:, : pl.n_p] + 1.0, pl, params)
+            out[i] = stat_preamble(slots[:, : pl.n_p] + 1.0, pl, sigma2)
         elif s.kind == "hyped-exact":
             lengths.setdefault(pl.n, []).append(i)
         else:
@@ -185,11 +185,11 @@ def _random_payload_statistics(specs, plans, z, count, masks, params, table, scr
     def tables(a, b):
         # z - 1.0 is z + x at x = -1, and z + 1.0 at x = +1, bit for bit
         minus = np.subtract(z[a:b], 1.0, out=table[a:b])
-        minus /= s2
+        minus /= sigma2
         _log_cosh_in_place(minus)
         plus = z[a:b]
         plus += 1.0
-        plus /= s2
+        plus /= sigma2
         _log_cosh_in_place(plus)
         np.bitwise_xor(table_bits[a:b], z_bits[a:b], out=table_bits[a:b])
 
@@ -207,7 +207,7 @@ def _random_payload_statistics(specs, plans, z, count, masks, params, table, scr
                 np.bitwise_and(flips[a:b, n_p:], masks[a * n_c : b * n_c].reshape(b - a, n_c),
                                out=picked)
                 np.bitwise_xor(picked, plus_bits[a:b, n_p:], out=picked)
-                _hyped_rows(out[i][a:b], out[i][a:b], terms, n, s2)
+                _hyped_rows(out[i][a:b], out[i][a:b], terms, n, sigma2)
 
         _on_rows(payload_sums, count, n)
     return out
@@ -239,7 +239,7 @@ def stat_dad(y, cb, plan, _exact=None):
     return (float(stat) if y.ndim == 1 else stat), m_hat
 
 
-def stat_codebook_aided(y, cb, params, gamma_a):
+def stat_codebook_aided(y, cb, sigma2, gamma_a):
     """Log of the optimal joint test ratio.
 
     Computes ln[(gamma_a sum_m p(y|x_m) + max_m p(y|x_m)) / p(y|x_0)] in the
@@ -252,7 +252,7 @@ def stat_codebook_aided(y, cb, params, gamma_a):
     if cb.k > 16:
         raise ValueError("codebook-aided detection caps at k <= 16 (exhaustive sum)")
     y = _check_len(y, cb.n_c)
-    s2 = params.sigma2
+    s2 = _noise_variance(sigma2)
 
     def reduce(a):  # one correlation tile, overwritten in place
         a /= s2
@@ -272,7 +272,7 @@ def stat_codebook_aided(y, cb, params, gamma_a):
     return stat, m_hat + 1
 
 
-def batch_statistic(spec, y, plan, params, cb=None, _exact=None):
+def batch_statistic(spec, y, plan, sigma2, cb=None, _exact=None):
     """Evaluate a DetectorSpec on a batch; returns (stats, m_hat or None).
 
     m_hat is DAD's 1-based ML decision; the other detectors decode
@@ -285,7 +285,7 @@ def batch_statistic(spec, y, plan, params, cb=None, _exact=None):
     once for all their splits.
     """
     if isinstance(spec, DetectorSpec):
-        return batch_statistic([spec], y, [plan], params, cb, _exact=_exact)[0]
+        return batch_statistic([spec], y, [plan], sigma2, cb, _exact=_exact)[0]
     if len(spec) != len(plan):
         raise ValueError("need one plan per detector spec")
     out = [None] * len(spec)
@@ -296,8 +296,8 @@ def batch_statistic(spec, y, plan, params, cb=None, _exact=None):
         elif s.kind == "dad":
             out[i] = stat_dad(y, cb, pl, _exact=_exact)
         else:
-            out[i] = stat_preamble(np.asarray(y)[..., : pl.n_p], pl, params), None
+            out[i] = stat_preamble(np.asarray(y)[..., : pl.n_p], pl, sigma2), None
     if hyped:
-        for i, st in zip(hyped, stat_hyped_exact(y, [plan[i] for i in hyped], params)):
+        for i, st in zip(hyped, stat_hyped_exact(y, [plan[i] for i in hyped], sigma2)):
             out[i] = (st, None)
     return out

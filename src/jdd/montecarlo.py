@@ -24,12 +24,15 @@ estimate and false-alarm triple draws every (stream, block) at most once.
 
 Entries
 -------
-Every function takes one detector spec, one frame plan and one ChannelParams,
-or sequences of them (a lone one is broadcast against the sequences). Each
-plan covers its own params.n, so entries may have any slot length and any
-noise variance. All entries are evaluated in one pass: each (stream, block)
-is drawn once, at unit variance and the longest slot, and an entry of length
-n and variance sigma2 reads sqrt(sigma2) times its flat prefix (count, n).
+Every function takes one detector spec, one frame plan and one noise
+variance sigma2, or sequences of them (a lone one is broadcast against the
+sequences; a sigma2 with np.ndim(sigma2) == 0 is a lone one). An entry's
+plan alone gives its slot length, so entries may have any slot length and
+any noise variance; each sigma2 must be finite and >= 0, and is checked
+before any noise is drawn. All entries are evaluated in one pass: each
+(stream, block) is drawn once, at unit variance and the longest slot, and an
+entry of length n and variance sigma2 reads sqrt(sigma2) times its flat
+prefix (count, n).
 gaussian_block scales its unit draw by sqrt(sigma2), so that is the block
 the entry's own call draws, bit for bit (channel's counter-based noise;
 jdd.bounds relies on the same scaling and flat-prefix contracts). The random
@@ -47,7 +50,7 @@ seeds 0-2, the thresholds of the two forms lay at most 2 ulps (3.1e-16
 relative) apart and every P_IE was the same; a rate moves only where a
 statistic lies within those ulps of the threshold. A lone DAD entry takes
 the same path, so every entry's result is identical to a call with that
-entry alone, whichever entries share its call; a lone spec, plan and params
+entry alone, whichever entries share its call; a lone spec, plan and sigma2
 is the same path with one entry, and returns a single result instead of a
 list. At sigma2 = 0 the noise is zero (of either sign), so noiseless slots
 are the signals exactly.
@@ -93,9 +96,9 @@ from scipy.special import betaincinv
 from . import codebook
 from .channel import (
     TRIALS_PER_BLOCK,
-    ChannelParams,
     FramePlan,
     _blocks,
+    _noise_variance,
     _on_rows,
     gaussian_block,
     uniform_block,
@@ -152,31 +155,28 @@ class CalibrationResult:
     infeasible: bool = False
 
 
-def _entries(spec, plan, params):
-    """Line up detector specs, frame plans and channel params; a lone one is broadcast.
+def _entries(spec, plan, sigma2):
+    """Line up detector specs, frame plans and noise variances; a lone one is broadcast.
 
-    Returns (specs, plans, params, single), where `single` says all three
-    arguments were lone values, so the caller unwraps its one-entry result.
+    Returns (specs, plans, sigma2s, single), where `single` says all three
+    arguments were lone values, so the caller unwraps its one-entry result,
+    and each of sigma2s is a float that _noise_variance accepts.
     """
-    single = (isinstance(spec, DetectorSpec) and isinstance(plan, FramePlan)
-              and isinstance(params, ChannelParams))
-    columns = [[arg] if isinstance(arg, kind) else list(arg) for arg, kind in
-               ((spec, DetectorSpec), (plan, FramePlan), (params, ChannelParams))]
+    lone = (isinstance(spec, DetectorSpec), isinstance(plan, FramePlan), np.ndim(sigma2) == 0)
+    columns = [[arg] if one else list(arg) for arg, one in zip((spec, plan, sigma2), lone)]
     size = max(map(len, columns))
     columns = [col * size if len(col) == 1 else col for col in columns]
     if not size or any(len(col) != size for col in columns):
-        raise ValueError("need one or more (spec, plan, params) entries; a lone one is broadcast")
-    specs, plans, params = columns
-    if any(pl.n != p.n for pl, p in zip(plans, params)):
-        raise ValueError("every plan must cover its own slot length params.n")
-    return specs, plans, params, single
+        raise ValueError("need one or more (spec, plan, sigma2) entries; a lone one is broadcast")
+    specs, plans, sigma2s = columns
+    return specs, plans, [_noise_variance(s2) for s2 in sigma2s], all(lone)
 
 
-def _by_slot(indices, plans, params):
+def _by_slot(indices, plans, sigma2s):
     """sigma2 -> slot length -> the entries of `indices` with that slot, in order of first use."""
     groups = {}
     for i in indices:
-        groups.setdefault(params[i].sigma2, {}).setdefault(plans[i].n, []).append(i)
+        groups.setdefault(sigma2s[i], {}).setdefault(plans[i].n, []).append(i)
     return groups
 
 
@@ -189,7 +189,7 @@ def _scaled(w, sigma2, size, in_place):
     return np.multiply(w[:size], np.sqrt(sigma2), out=w[:size] if in_place else None)
 
 
-def _idle_stats(specs, plans, params, trials, seed, stream, cb=None, exact=None):
+def _idle_stats(specs, plans, sigma2s, trials, seed, stream, cb=None, exact=None):
     """Yield (offset, per-entry idle statistics) for each noise block of `stream`.
 
     Each block is drawn once, at unit variance and the longest slot. A DAD
@@ -204,21 +204,21 @@ def _idle_stats(specs, plans, params, trials, seed, stream, cb=None, exact=None)
     for i, (s, pl) in enumerate(zip(specs, plans)):
         if s.kind == "dad":
             dad.setdefault(pl, []).append(i)
-    groups = _by_slot([i for i, s in enumerate(specs) if s.kind != "dad"], plans, params)
+    groups = _by_slot([i for i, s in enumerate(specs) if s.kind != "dad"], plans, sigma2s)
     width = max(pl.n for pl in plans)
     for block, count in _blocks(trials):
         w = gaussian_block(1.0, seed, stream, block, (count, width)).reshape(-1)
         stats = [None] * len(specs)
         for pl, idx in dad.items():
             unit, _ = batch_statistic(specs[idx[0]], w[: count * pl.n].reshape(count, pl.n), pl,
-                                      params[idx[0]], cb=cb, _exact=exact and exact(idx))
+                                      sigma2s[idx[0]], cb=cb, _exact=exact and exact(idx))
             for i in idx:
-                stats[i] = np.sqrt(params[i].sigma2) * unit
+                stats[i] = np.sqrt(sigma2s[i]) * unit
         for g, (sigma2, lengths) in enumerate(groups.items()):
             z = _scaled(w, sigma2, count * max(lengths), in_place=g == len(groups) - 1)
             for n, idx in lengths.items():
                 results = batch_statistic([specs[i] for i in idx], z[: count * n].reshape(count, n),
-                                          [plans[i] for i in idx], params[idx[0]], cb=cb)
+                                          [plans[i] for i in idx], sigma2, cb=cb)
                 for i, (entry_stats, _) in zip(idx, results):
                     stats[i] = entry_stats
             del z  # freed before the next variance's copy is made
@@ -243,7 +243,7 @@ def _largest(values, k):
     return np.partition(values, values.size - k)[values.size - k :]
 
 
-def calibrate_threshold(spec, plan, params, trials, eps_fa, seed, cb=None):
+def calibrate_threshold(spec, plan, sigma2, trials, eps_fa, seed, cb=None):
     """Fit gamma to the empirical (1 - eps_fa)-quantile of the idle statistic.
 
     The quantile is linearly interpolated between order statistics of the
@@ -263,7 +263,7 @@ def calibrate_threshold(spec, plan, params, trials, eps_fa, seed, cb=None):
     values equal to the maximum; an atom that fills all K of them outweighs
     eps_fa either way, since K > N eps_fa.
 
-    With sequences of specs, plans and/or params (see the module docstring)
+    With sequences of specs, plans and/or sigma2 (see the module docstring)
     all entries are calibrated on the same noise blocks and a list with one
     CalibrationResult per entry is returned.
     """
@@ -273,7 +273,7 @@ def calibrate_threshold(spec, plan, params, trials, eps_fa, seed, cb=None):
     need = _calibration_floor(eps_fa)
     if trials < need:
         raise ValueError(f"need >= {need} trials to resolve eps_fa={eps_fa}")
-    specs, plans, params, single = _entries(spec, plan, params)
+    specs, plans, sigma2s, single = _entries(spec, plan, sigma2)
     h = (trials - 1) * (1.0 - eps_fa)
     j = math.floor(h)
     keep = min(trials, trials - j + 2)
@@ -282,10 +282,10 @@ def calibrate_threshold(spec, plan, params, trials, eps_fa, seed, cb=None):
     def top_exact(idx):
         # a positive scaling keeps a block's largest; a value under each entry's
         # K kept ones cannot enter them
-        held = [(np.sqrt(params[i].sigma2), tops[i].min()) for i in idx if tops[i].size == keep]
+        held = [(np.sqrt(sigma2s[i]), tops[i].min()) for i in idx if tops[i].size == keep]
         return codebook._Exact(top=keep, floor=tuple(held) if len(held) == len(idx) else ())
 
-    for _, block_stats in _idle_stats(specs, plans, params, trials, seed, STREAM_CALIBRATION, cb,
+    for _, block_stats in _idle_stats(specs, plans, sigma2s, trials, seed, STREAM_CALIBRATION, cb,
                                       top_exact):
         tops = [_largest(np.concatenate([top, stats]), keep)
                 for top, stats in zip(tops, block_stats)]
@@ -322,7 +322,7 @@ def _active_slots(y, w, scale, n_p, codewords):
     _on_rows(fill, len(w), w.shape[1])
 
 
-def _active_stats(specs, plans, params, trials, seed, cb=None):
+def _active_stats(specs, plans, sigma2s, trials, seed, cb=None):
     """Yield, per block of active slots, each entry's statistics and wrong ML decisions.
 
     Each noise block is drawn once, at unit variance and the longest slot.
@@ -334,7 +334,7 @@ def _active_stats(specs, plans, params, trials, seed, cb=None):
     buffer, and its entries share one ML decision, whose mismatches with the
     messages are the wrong decisions.
     """
-    groups = _by_slot(range(len(specs)), plans, params)
+    groups = _by_slot(range(len(specs)), plans, sigma2s)
     width = max(pl.n for pl in plans)
     # with a code, every block's active slots; without one, HyPED's second table
     buf = np.empty(min(trials, TRIALS_PER_BLOCK) * width)
@@ -350,7 +350,7 @@ def _active_stats(specs, plans, params, trials, seed, cb=None):
                 idx = [i for entries in lengths.values() for i in entries]
                 z = _scaled(w, sigma2, count * max(lengths), in_place=g == len(groups) - 1)
                 results = _random_payload_statistics([specs[i] for i in idx], [plans[i] for i in idx],
-                                                     z, count, masks, params[idx[0]], buf, scratch)
+                                                     z, count, masks, sigma2, buf, scratch)
                 for i, entry_stats in zip(idx, results):
                     stats[i] = entry_stats
                 del z  # freed before the next variance's copy is made
@@ -372,7 +372,7 @@ def _active_stats(specs, plans, params, trials, seed, cb=None):
                     exact = codebook._Exact(at=tuple((1.0, specs[i].gamma) for i in idx
                                                      if specs[i].kind == "dad"), argmax=True)
                     results = batch_statistic([specs[i] for i in idx], y, [plans[i] for i in idx],
-                                              params[idx[0]], cb=cb, _exact=exact)
+                                              sigma2, cb=cb, _exact=exact)
                     # one ML decision per block and slot: DAD's argmax is ML decoding's
                     decided = next((m_hat for _, m_hat in results if m_hat is not None), None)
                     if decided is None:
@@ -383,33 +383,33 @@ def _active_stats(specs, plans, params, trials, seed, cb=None):
         yield stats, wrong
 
 
-def _thresholded(spec, plan, params, trials):
-    """Check an evaluation call: (trials, specs, plans, params, single), every gamma set."""
+def _thresholded(spec, plan, sigma2, trials):
+    """Check an evaluation call: (trials, specs, plans, sigma2s, single), every gamma set."""
     trials = int(trials)
     if trials < 1:
         raise ValueError("need at least one trial")
-    specs, plans, params, single = _entries(spec, plan, params)
+    specs, plans, sigma2s, single = _entries(spec, plan, sigma2)
     if not all(np.isfinite(s.gamma) for s in specs):
         raise ValueError("detector threshold gamma is not set; calibrate first")
-    return trials, specs, plans, params, single
+    return trials, specs, plans, sigma2s, single
 
 
-def estimate_false_alarm(spec, plan, params, trials, seed, cb=None):
+def estimate_false_alarm(spec, plan, sigma2, trials, seed, cb=None):
     """Monte Carlo false alarm rate at the calibrated threshold in `spec.gamma`.
 
     Idle slots of the evaluation stream, independent of the calibration
     stream, give the one estimate of the false alarm rate at gamma, as a
-    RateEstimate. With sequences of specs, plans and/or params (see the
+    RateEstimate. With sequences of specs, plans and/or sigma2 (see the
     module docstring) all entries share the idle noise and a list with one
     RateEstimate per entry is returned.
     """
-    trials, specs, plans, params, single = _thresholded(spec, plan, params, trials)
+    trials, specs, plans, sigma2s, single = _thresholded(spec, plan, sigma2, trials)
     n_fa = [0] * len(specs)
 
     def at_gammas(idx):  # each entry compares sqrt(sigma2) times the unit statistic
-        return codebook._Exact(at=tuple((np.sqrt(params[i].sigma2), specs[i].gamma) for i in idx))
+        return codebook._Exact(at=tuple((np.sqrt(sigma2s[i]), specs[i].gamma) for i in idx))
 
-    for _, block_stats in _idle_stats(specs, plans, params, trials, seed, STREAM_IDLE_EVAL, cb,
+    for _, block_stats in _idle_stats(specs, plans, sigma2s, trials, seed, STREAM_IDLE_EVAL, cb,
                                       at_gammas):
         for i, (stats, s) in enumerate(zip(block_stats, specs)):
             n_fa[i] += int(np.sum(stats >= s.gamma))
@@ -417,7 +417,7 @@ def estimate_false_alarm(spec, plan, params, trials, seed, cb=None):
     return out[0] if single else out
 
 
-def estimate_rates(spec, plan, params, trials, seed, cb=None):
+def estimate_rates(spec, plan, sigma2, trials, seed, cb=None):
     """Monte Carlo error rates of active slots at the threshold in `spec.gamma`.
 
     Returns a dict with keys pmd, pcw, pie, from active slots with uniformly
@@ -426,16 +426,16 @@ def estimate_rates(spec, plan, params, trials, seed, cb=None):
     or no trial was detected. No idle slot is drawn here: the false alarm
     rate comes from estimate_false_alarm.
 
-    With sequences of specs, plans and/or params (see the module docstring)
+    With sequences of specs, plans and/or sigma2 (see the module docstring)
     all entries share the active noise and the message draws, and a list
     with one dict per entry is returned.
     """
-    trials, specs, plans, params, single = _thresholded(spec, plan, params, trials)
+    trials, specs, plans, sigma2s, single = _thresholded(spec, plan, sigma2, trials)
     if cb is not None and any(pl.n_c != cb.n_c for pl in plans):
         raise ValueError(f"every plan must carry the codewords: n_c={cb.n_c}")
     n_detected = [0] * len(specs)
     n_cw_err = [0] * len(specs)
-    for block_stats, block_wrong in _active_stats(specs, plans, params, trials, seed, cb):
+    for block_stats, block_wrong in _active_stats(specs, plans, sigma2s, trials, seed, cb):
         for i, (s, stats, wrong) in enumerate(zip(specs, block_stats, block_wrong)):
             detected = stats >= s.gamma
             n_detected[i] += int(np.sum(detected))

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bounds
 from .bounds import Requirements, dt_error_estimate, info_density_samples
-from .channel import ChannelParams, FramePlan, snr_to_sigma2
+from .channel import FramePlan, snr_to_sigma2
 from .codebook import MAX_K, load_generator
 from .detectors import DetectorSpec
 from .montecarlo import _calibration_floor, calibrate_threshold, estimate_rates
@@ -149,11 +149,13 @@ def parse_config(text):
 
     The keys are SweepConfig's fields, each value converted to its field's
     type (a tuple field to a tuple of its element type); a value that does
-    not convert raises ValueError("{key}: expected {type}, got {value!r}").
-    Out-of-range settings are rejected here (see SweepConfig.validate).
+    not convert raises ValueError("{key}: expected {type}, got {value!r}"),
+    and so does a key given twice. Out-of-range settings are rejected here
+    (see SweepConfig.validate).
     """
     types = {f.name: f.type for f in fields(SweepConfig)}
     cfg = SweepConfig()
+    seen = set()
     for raw in str(text).splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -163,6 +165,9 @@ def parse_config(text):
         key, value = (s.strip() for s in line.split("=", 1))
         if key not in types:
             raise ValueError(f"unknown config key {key!r}")
+        if key in seen:  # the last value would silently win
+            raise ValueError(f"config key {key!r} given twice")
+        seen.add(key)
         is_list = get_origin(types[key]) is tuple
         conv = get_args(types[key])[0] if is_list else types[key]
         items = [v.strip() for v in value.split(",") if v.strip()] if is_list else [value]
@@ -241,7 +246,7 @@ def _split_candidates(cfg, n_total, k, scheme):
 
 
 def _split_pmds(scheme, splits, cfg):
-    """Missed-detection rate at every (n_p, params) preamble split of a SPLIT_SCHEMES scheme.
+    """Missed-detection rate at every (n_p, n, sigma2) preamble split of a SPLIT_SCHEMES scheme.
 
     The preamble matched filter has a closed form. For HyPED the exact
     detector is calibrated and evaluated with an i.i.d. random payload, which
@@ -250,14 +255,14 @@ def _split_pmds(scheme, splits, cfg):
     share one calibrate_threshold call and one estimate_rates call.
     """
     if scheme == "preamble":
-        return [bounds._preamble_pmd(n_p, p.sigma2, cfg.eps_fa) for n_p, p in splits]
+        return [bounds._preamble_pmd(n_p, sigma2, cfg.eps_fa) for n_p, _, sigma2 in splits]
     if not splits:
         return []
-    plans = [FramePlan(n_p=n_p, n_c=p.n - n_p) for n_p, p in splits]
-    params = [p for _, p in splits]
+    plans = [FramePlan(n_p=n_p, n_c=n - n_p) for n_p, n, _ in splits]
+    sigma2s = [sigma2 for *_, sigma2 in splits]
     spec = DetectorSpec(kind="hyped-exact")
-    calibs = calibrate_threshold(spec, plans, params, cfg.calibration_trials(), cfg.eps_fa, cfg.seed)
-    rates = estimate_rates([spec.with_gamma(c.gamma) for c in calibs], plans, params,
+    calibs = calibrate_threshold(spec, plans, sigma2s, cfg.calibration_trials(), cfg.eps_fa, cfg.seed)
+    rates = estimate_rates([spec.with_gamma(c.gamma) for c in calibs], plans, sigma2s,
                            cfg.trials, cfg.seed)
     return [r["pmd"].p_hat for r in rates]
 
@@ -370,7 +375,7 @@ def run_rate_sweep(cfg):
     if "hyped" in schemes and feasible:  # one split search at the longest feasible n
         _need_bounded_work(cfg, max(feasible))
     # the feasible (n_p, pmd) HyPED splits of every n above the converse
-    slots = [ChannelParams.from_db(cfg.es_n0_db, n) for n in feasible]
+    slots = [(n, sigma2) for n in feasible]
     splits = dict(zip(feasible, _feasible_splits(cfg, "hyped", 1, slots) if "hyped" in schemes
                       else [[] for _ in feasible]))
     requests = []
@@ -455,21 +460,21 @@ def run_pie_sweep(cfg):
             raise ValueError(f"code {path} has dimension k={cb.k}, not the configured k={k}")
     snr_floor = bounds.min_snr_db(n, req)
     # every SNR above the floor, and its feasible (n_p, pmd) splits per scheme
-    params = {snr: ChannelParams.from_db(snr, n) for snr in cfg.snr_grid if snr >= snr_floor}
-    if params:  # HyPED's split search and each simulating code are one pass each
+    sigma2s = {snr: snr_to_sigma2(snr) for snr in cfg.snr_grid if snr >= snr_floor}
+    if sigma2s:  # HyPED's split search and each simulating code are one pass each
         passes = ("hyped" in cfg.schemes) + sum(bool(_simulated_schemes(cfg, n - cb.n_c))
                                                 for cb in codes)
         _need_bounded_work(cfg, n * passes)
-    slots = list(params.values())
+    slots = [(n, sigma2) for sigma2 in sigma2s.values()]
     per_scheme = {scheme: _feasible_splits(cfg, scheme, k, slots)
                   for scheme in SPLIT_SCHEMES if scheme in cfg.schemes}
     splits = {snr: {scheme: per[i] for scheme, per in per_scheme.items()}
-              for i, snr in enumerate(params)}
-    simulated = {snr: [] for snr in params}
+              for i, snr in enumerate(sigma2s)}
+    simulated = {snr: [] for snr in sigma2s}
     for cb in codes:
-        for snr, points in zip(params, _simulated_points(cfg, cb, slots)):
+        for snr, points in _simulated_points(cfg, cb, sigma2s).items():
             simulated[snr] += points
-    requests = [(params[snr].sigma2, l, quantity, M) for snr, by_scheme in splits.items()
+    requests = [(sigma2s[snr], l, quantity, M) for snr, by_scheme in splits.items()
                 for l in sorted({n, *(n - n_p for pairs in by_scheme.values() for n_p, _ in pairs)})
                 for quantity in ("dt-error", "mc-min-error")]
     value = dict(zip(requests, _bound_values(cfg, requests)))
@@ -479,7 +484,7 @@ def run_pie_sweep(cfg):
             for scheme in cfg.schemes:
                 rows.append(_row(scheme, "achievability", n, snr, 1.0, flag="infeasible"))
             continue
-        sigma2 = params[snr].sigma2
+        sigma2 = sigma2s[snr]
         pcw_ach, pcw_se = value[sigma2, n, "dt-error", M]
         pcw_con = value[sigma2, n, "mc-min-error", M]
 
@@ -510,11 +515,12 @@ def run_pie_sweep(cfg):
 
 
 def _feasible_splits(cfg, scheme, k, slots):
-    """Per ChannelParams of `slots`, the (n_p, pmd) of every candidate split of
+    """Per (n, sigma2) of `slots`, the (n_p, pmd) of every candidate split of
     its slot whose pmd meets eps_md: one _split_pmds call for all."""
-    splits = [[(n_p, p) for n_p in _split_candidates(cfg, p.n, k, scheme)] for p in slots]
+    splits = [[(n_p, n, sigma2) for n_p in _split_candidates(cfg, n, k, scheme)]
+              for n, sigma2 in slots]
     pmds = iter(_split_pmds(scheme, [split for per in splits for split in per], cfg))
-    return [[(n_p, pmd) for (n_p, _), pmd in zip(per, pmds) if pmd <= cfg.eps_md]
+    return [[(n_p, pmd) for (n_p, *_), pmd in zip(per, pmds) if pmd <= cfg.eps_md]
             for per in splits]
 
 
@@ -527,38 +533,38 @@ def _simulated_schemes(cfg, n_p):
     return [s for s in cfg.schemes if s in _SIMULATED_KINDS and (s != "preamble" or n_p >= 1)]
 
 
-def _simulated_points(cfg, cb, slots):
-    """Monte Carlo operating points of every configured scheme with this code, per slot.
+def _simulated_points(cfg, cb, sigma2s):
+    """Monte Carlo operating points of every configured scheme with this code, per SNR.
 
-    All schemes and SNRs share the code's one plan, so one
-    calibrate_threshold call and one estimate_rates call evaluate them all
-    on the same noise blocks; each (scheme, SNR) result equals its own
-    single-entry call. Returns one list of rows per ChannelParams of `slots`.
+    `sigma2s` maps each SNR, the rows' label, to its noise variance. All
+    schemes and SNRs share the code's one plan, so one calibrate_threshold
+    call and one estimate_rates call evaluate them all on the same noise
+    blocks; each (scheme, SNR) result equals its own single-entry call.
+    Returns a dict mapping each SNR of `sigma2s` to its rows.
     """
     n = cfg.n
     n_p = n - cb.n_c
     plan = FramePlan(n_p=n_p, n_c=cb.n_c)
     schemes = _simulated_schemes(cfg, n_p)
-    if not schemes or not slots:
-        return [[] for _ in slots]
-    entries = [(j, scheme) for j in range(len(slots)) for scheme in schemes]
+    rows = {snr: [] for snr in sigma2s}
+    if not schemes or not sigma2s:
+        return rows
+    entries = [(snr, scheme) for snr in sigma2s for scheme in schemes]
     specs = [DetectorSpec(kind=_SIMULATED_KINDS[scheme]) for _, scheme in entries]
-    params = [slots[j] for j, _ in entries]
-    calibs = calibrate_threshold(specs, plan, params, cfg.calibration_trials(),
+    variances = [sigma2s[snr] for snr, _ in entries]
+    calibs = calibrate_threshold(specs, plan, variances, cfg.calibration_trials(),
                                  cfg.eps_fa, cfg.seed, cb=cb)
     live = [i for i, c in enumerate(calibs) if not c.infeasible]
     rates = estimate_rates([specs[i].with_gamma(calibs[i].gamma) for i in live], plan,
-                           [params[i] for i in live], cfg.trials, cfg.seed, cb=cb) if live else []
+                           [variances[i] for i in live], cfg.trials, cfg.seed, cb=cb) if live else []
     rates = dict(zip(live, rates))
-    rows = [[] for _ in slots]
-    for i, (j, scheme) in enumerate(entries):
-        snr = slots[j].es_n0_db
+    for i, (snr, scheme) in enumerate(entries):
         if i not in rates:
-            rows[j].append(_row(scheme, "simulated", n, snr, 1.0, flag="calibration-infeasible"))
+            rows[snr].append(_row(scheme, "simulated", n, snr, 1.0, flag="calibration-infeasible"))
             continue
         pie = rates[i]["pie"]
         se = (pie.ci_high - pie.ci_low) / 4.0  # ~ 1 sigma from the 95% CI width
-        rows[j].append(_row(scheme, "simulated", n, snr, pie.p_hat, stderr=se,
+        rows[snr].append(_row(scheme, "simulated", n, snr, pie.p_hat, stderr=se,
                             flag=f"n_p={n_p},trials={pie.trials}"))
     return rows
 
@@ -578,18 +584,18 @@ def run_optimize_split(cfg):
     if not schemes:
         raise ValueError(f"optimize-split needs one or more of {','.join(SPLIT_SCHEMES)} in "
                          f"schemes, got {','.join(cfg.schemes)!r}")
-    params = ChannelParams.from_db(cfg.es_n0_db, cfg.n)
     n, snr, M = cfg.n, cfg.es_n0_db, 1 << cfg.k
+    sigma2 = snr_to_sigma2(snr)
     n_ps = {scheme: _split_candidates(cfg, n, cfg.k, scheme) for scheme in schemes}
     if n_ps.get("hyped"):  # one split search
         _need_bounded_work(cfg, n)
     # payload length -> its DT codeword-error bound, all in one bound request list
     lengths = sorted({n - n_p for cands in n_ps.values() for n_p in cands})
-    dt = dict(zip(lengths, _bound_values(cfg, [(params.sigma2, l, "dt-error", M) for l in lengths])))
+    dt = dict(zip(lengths, _bound_values(cfg, [(sigma2, l, "dt-error", M) for l in lengths])))
     rows = []
     for scheme in schemes:
         feasible = []
-        pmds = _split_pmds(scheme, [(n_p, params) for n_p in n_ps[scheme]], cfg)
+        pmds = _split_pmds(scheme, [(n_p, n, sigma2) for n_p in n_ps[scheme]], cfg)
         for n_p, pmd in zip(n_ps[scheme], pmds):
             pcw_ub = dt[n - n_p][0]
             pie_ub = math.nan

@@ -25,7 +25,7 @@ from jdd.bounds import (
     min_blocklength,
     min_snr_db,
 )
-from jdd.channel import ChannelParams, FramePlan, gaussian_block
+from jdd.channel import FramePlan, gaussian_block, snr_to_sigma2
 from jdd.codebook import from_generator, hamming_7_4, load_generator, ml_decode
 from jdd.detectors import DetectorSpec, stat_codebook_aided, stat_dad
 from jdd.montecarlo import calibrate_threshold, estimate_false_alarm, estimate_rates
@@ -59,14 +59,14 @@ class TestAcceptance:
 
     def test_criterion_3_genie_statistic_law(self):
         n, trials = 84, 100_000
-        params = ChannelParams.from_db(-3.0, n)
+        sigma2 = snr_to_sigma2(-3.0)
         x = np.ones(n)
-        z_active = gaussian_block(params.sigma2, seed=31, stream=0, block=0, shape=(trials, n))
-        z_idle = gaussian_block(params.sigma2, seed=31, stream=1, block=0, shape=(trials, n))
+        z_active = gaussian_block(sigma2, seed=31, stream=0, block=0, shape=(trials, n))
+        z_idle = gaussian_block(sigma2, seed=31, stream=1, block=0, shape=(trials, n))
         # the genie's statistic x^T y
         active = ((x + z_active) * x).sum(-1)
         idle = (z_idle * x).sum(-1)
-        var = n * params.sigma2
+        var = n * sigma2
         se_mean = math.sqrt(var / trials)
         se_var = var * math.sqrt(2 / (trials - 1))
         assert abs(active.mean() - n) < 5 * se_mean
@@ -94,12 +94,12 @@ class TestAcceptance:
         ])
         cb = from_generator(G)
         n, trials = 16, 100_000
-        params = ChannelParams.from_db(-3.0, n)
+        sigma2 = snr_to_sigma2(-3.0)
         plan = FramePlan(n_p=0, n_c=n)
-        gamma = dad_gamma(n, params.sigma2, 1e-2, cb.M)
-        bound = cb.M * q_func(gamma / math.sqrt(n * params.sigma2))
+        gamma = dad_gamma(n, sigma2, 1e-2, cb.M)
+        bound = cb.M * q_func(gamma / math.sqrt(n * sigma2))
         spec = DetectorSpec(kind="dad").with_gamma(gamma)
-        pfa = estimate_false_alarm(spec, plan, params, trials, 17, cb=cb)
+        pfa = estimate_false_alarm(spec, plan, sigma2, trials, 17, cb=cb)
         se = math.sqrt(max(pfa.p_hat, 1 / trials) * (1 - pfa.p_hat) / trials)
         assert pfa.p_hat <= bound + 3 * se
         print(f"criterion 5 PASS: empirical P_FA {pfa.p_hat:.5f} <= union bound {bound:.5f}")
@@ -107,9 +107,8 @@ class TestAcceptance:
     def test_criterion_6_optimality_rule_equivalence(self):
         G = np.array([[1, 0, 1, 0], [0, 1, 0, 1]])
         cb = from_generator(G)
-        params = ChannelParams.from_db(-1.0, 4)
         plan = FramePlan(n_p=0, n_c=4)
-        s2 = params.sigma2
+        s2 = snr_to_sigma2(-1.0)
         gamma_dad = 2.0
         gamma_cb = gamma_dad / s2 - 4 / (2 * s2)  # same decision boundary
 
@@ -120,7 +119,7 @@ class TestAcceptance:
         worst = 0.0
         for _ in range(1000):
             y = rng.normal(size=4) * 1.5
-            s_cb, m_cb = stat_codebook_aided(y, cb, params, gamma_a=0.0)
+            s_cb, m_cb = stat_codebook_aided(y, cb, s2, gamma_a=0.0)
             s_dad, m_dad = stat_dad(y, cb, plan)
             assert m_cb == m_dad
             assert (s_cb >= gamma_cb) == (s_dad >= gamma_dad)
@@ -131,11 +130,11 @@ class TestAcceptance:
 
     def test_criterion_7_ml_decoder_oracle(self):
         cb = hamming_7_4()
-        params = ChannelParams.from_db(0.0, 7)
+        sigma2 = snr_to_sigma2(0.0)
         rng_m = np.random.default_rng(70)
         trials = 10_000
         m = rng_m.integers(1, cb.M + 1, trials)
-        z = gaussian_block(params.sigma2, seed=71, stream=0, block=0, shape=(trials, 7))
+        z = gaussian_block(sigma2, seed=71, stream=0, block=0, shape=(trials, 7))
         y = cb.codewords[m - 1] + z
         m_hat, _ = ml_decode(cb, y)
         d2 = ((y[:, None, :] - cb.codewords[None, :, :]) ** 2).sum(axis=2)
@@ -180,16 +179,16 @@ class TestAcceptance:
               + "; n=1 oracles within 3 sigma")
 
     def test_criterion_9_hyped_dominance(self):
-        params = ChannelParams.from_db(-3.0, 84)
+        sigma2 = snr_to_sigma2(-3.0)
         plan = FramePlan(n_p=24, n_c=60)
         eps_fa = 1e-3
         calib_trials, trials = 1_000_000, 200_000
         # both detectors in one pass over shared noise blocks
         specs = [DetectorSpec(kind="hyped-exact"), DetectorSpec(kind="preamble")]
-        calibs = calibrate_threshold(specs, plan, params, calib_trials, eps_fa, 91)
+        calibs = calibrate_threshold(specs, plan, sigma2, calib_trials, eps_fa, 91)
         assert not any(calib.infeasible for calib in calibs)
         tuned = [spec.with_gamma(calib.gamma) for spec, calib in zip(specs, calibs)]
-        hy, pre = (rates["pmd"] for rates in estimate_rates(tuned, plan, params, trials, 91))
+        hy, pre = (rates["pmd"] for rates in estimate_rates(tuned, plan, sigma2, trials, 91))
         assert hy.p_hat <= pre.p_hat
         assert hy.ci_high < pre.ci_low  # non-overlapping 95% CIs
         print(f"criterion 9 PASS: P_MD hyped {hy.p_hat:.2e} [{hy.ci_low:.2e}, {hy.ci_high:.2e}] "
@@ -201,12 +200,12 @@ class TestAcceptance:
     def test_criterion_10_simulated_dad_point(self):
         cb = load_generator(os.environ["JDD_CODE_84_12"])
         assert (cb.n_c, cb.k) == (84, 12)
-        params = ChannelParams.from_db(-3.0, 84)
+        sigma2 = snr_to_sigma2(-3.0)
         plan = FramePlan(n_p=0, n_c=84)
         spec = DetectorSpec(kind="dad")
-        calib = calibrate_threshold(spec, plan, params, 2_000_000, 1e-4, 101, cb=cb)
+        calib = calibrate_threshold(spec, plan, sigma2, 2_000_000, 1e-4, 101, cb=cb)
         assert not calib.infeasible
-        rates = estimate_rates(spec.with_gamma(calib.gamma), plan, params, 2_000_000, 101, cb=cb)
+        rates = estimate_rates(spec.with_gamma(calib.gamma), plan, sigma2, 2_000_000, 101, cb=cb)
         pie = rates["pie"]
         assert 5e-5 <= pie.p_hat <= 2e-4
         print(f"criterion 10 PASS: simulated DAD P_IE {pie.p_hat:.2e}")

@@ -13,7 +13,6 @@ from scipy.special import ndtri
 from jdd import channel
 from jdd.channel import (
     TRIALS_PER_BLOCK,
-    ChannelParams,
     FramePlan,
     gaussian_block,
     snr_to_sigma2,
@@ -32,53 +31,38 @@ class TestSnrConversion:
         assert snr_to_sigma2(3.0103) == pytest.approx(0.25, rel=1e-4)
 
 
-class TestParams:
-    def test_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            ChannelParams(es_n0_db=0.0, sigma2=0.3, n=8)
-
-    def test_from_db(self):
-        p = ChannelParams.from_db(-3.0, 84)
-        assert p.sigma2 == pytest.approx(1 / (2 * 10 ** (-0.3)))
-        assert p.n == 84
-
-    def test_bad_slot_length(self):
-        with pytest.raises(ValueError):
-            ChannelParams.from_db(0.0, 0)
-
-
 class TestEmitSlot:
     """Laws of synthesized slots: y = z when idle, y = x + z when active."""
 
     def test_idle_mean(self):
-        p = ChannelParams.from_db(-3.0, 10)
-        z = gaussian_block(p.sigma2, seed=4, stream=0, block=0, shape=(100_000, 10))
-        se = math.sqrt(p.sigma2 / z.size)
+        sigma2 = snr_to_sigma2(-3.0)
+        z = gaussian_block(sigma2, seed=4, stream=0, block=0, shape=(100_000, 10))
+        se = math.sqrt(sigma2 / z.size)
         assert abs(z.mean()) < 5 * se
 
     def test_energy_expectations(self):
         # ||y||^2 / n averages sigma2 when idle and 1 + sigma2 when active
-        p = ChannelParams.from_db(-3.0, 16)
+        sigma2, n = snr_to_sigma2(-3.0), 16
         trials = 50_000
-        z = gaussian_block(p.sigma2, seed=5, stream=0, block=0, shape=(trials, p.n))
-        idle = (z**2).sum(axis=1) / p.n
+        z = gaussian_block(sigma2, seed=5, stream=0, block=0, shape=(trials, n))
+        idle = (z**2).sum(axis=1) / n
         se = idle.std(ddof=1) / math.sqrt(trials)
-        assert abs(idle.mean() - p.sigma2) < 5 * se
-        active = ((1.0 + z) ** 2).sum(axis=1) / p.n
+        assert abs(idle.mean() - sigma2) < 5 * se
+        active = ((1.0 + z) ** 2).sum(axis=1) / n
         se = active.std(ddof=1) / math.sqrt(trials)
-        assert abs(active.mean() - (1.0 + p.sigma2)) < 5 * se
+        assert abs(active.mean() - (1.0 + sigma2)) < 5 * se
 
     def test_matched_correlation_law(self):
         # x^T y under a matching active input follows N(n, n sigma2)
-        p = ChannelParams.from_db(-3.0, 24)
+        sigma2, n = snr_to_sigma2(-3.0), 24
         trials = 100_000
-        z = gaussian_block(p.sigma2, seed=6, stream=0, block=0, shape=(trials, p.n))
+        z = gaussian_block(sigma2, seed=6, stream=0, block=0, shape=(trials, n))
         corr = (1.0 + z).sum(axis=1)  # all-plus input
-        se_mean = math.sqrt(p.n * p.sigma2 / trials)
-        assert abs(corr.mean() - p.n) < 5 * se_mean
+        se_mean = math.sqrt(n * sigma2 / trials)
+        assert abs(corr.mean() - n) < 5 * se_mean
         var = corr.var(ddof=1)
         se_var = var * math.sqrt(2.0 / (trials - 1))
-        assert abs(var - p.n * p.sigma2) < 5 * se_var
+        assert abs(var - n * sigma2) < 5 * se_var
 
 
 class TestFramePlan:
@@ -89,6 +73,10 @@ class TestFramePlan:
         for n_p, n_c in ((-1, 4), (2, -1)):
             with pytest.raises(ValueError, match="non-negative"):
                 FramePlan(n_p=n_p, n_c=n_c)
+
+    def test_bad_slot_length(self):
+        with pytest.raises(ValueError, match="slot length n must be >= 1"):
+            FramePlan(n_p=0, n_c=0)
 
     def test_split(self):
         plan = FramePlan(n_p=2, n_c=3)

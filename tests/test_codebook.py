@@ -12,7 +12,7 @@ from conftest import (
 )
 
 import jdd.codebook as codebook
-from jdd.channel import ChannelParams, gaussian_block
+from jdd.channel import gaussian_block, snr_to_sigma2
 from jdd.cli import main
 from jdd.codebook import (
     _codeword_bits,
@@ -211,11 +211,11 @@ class TestMlDecode:
         cb = hamming_7_4()
         errors = []
         for snr_db in (-2.0, 1.0, 4.0):
-            params = ChannelParams.from_db(snr_db, 7)
+            sigma2 = snr_to_sigma2(snr_db)
             trials = 20_000
             rng_m = np.random.default_rng(77)
             m = rng_m.integers(1, cb.M + 1, trials)
-            z = gaussian_block(params.sigma2, seed=8, stream=0, block=0, shape=(trials, 7))
+            z = gaussian_block(sigma2, seed=8, stream=0, block=0, shape=(trials, 7))
             m_hat, _ = ml_decode(cb, cb.codewords[m - 1] + z)
             errors.append(np.mean(m_hat != m))
         assert errors[0] > errors[1] > errors[2]

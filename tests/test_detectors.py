@@ -6,7 +6,7 @@ import pytest
 from conftest import ROW_COUNTS, TILE_EDGE_ROWS, assert_row_values, code_76_12
 
 from jdd import channel
-from jdd.channel import TRIALS_PER_BLOCK, ChannelParams, FramePlan, gaussian_block
+from jdd.channel import TRIALS_PER_BLOCK, FramePlan, gaussian_block, snr_to_sigma2
 from jdd.codebook import CORR_TILE_BYTES, Codebook, from_generator, hamming_7_4
 from jdd.detectors import (
     DetectorSpec,
@@ -28,29 +28,28 @@ def toy_code_k3():
 
 class TestPreambleStat:
     def test_all_plus(self):
-        params = ChannelParams(es_n0_db=0.0, sigma2=0.5, n=2)
+        sigma2 = 0.5
         plan = FramePlan(n_p=2, n_c=0)
-        assert stat_preamble(np.ones(2), plan, params) == pytest.approx(2.0)
+        assert stat_preamble(np.ones(2), plan, sigma2) == pytest.approx(2.0)
 
     def test_all_zero(self):
-        params = ChannelParams.from_db(-3.0, 4)
+        sigma2 = snr_to_sigma2(-3.0)
         plan = FramePlan(n_p=4, n_c=0)
-        expected = -4 / (2 * params.sigma2)
-        assert stat_preamble(np.zeros(4), plan, params) == pytest.approx(expected)
+        expected = -4 / (2 * sigma2)
+        assert stat_preamble(np.zeros(4), plan, sigma2) == pytest.approx(expected)
 
     def test_empty_preamble_rejected(self):
-        params = ChannelParams.from_db(0.0, 4)
+        sigma2 = snr_to_sigma2(0.0)
         with pytest.raises(ValueError):
-            stat_preamble(np.zeros(0), FramePlan(n_p=0, n_c=4), params)
+            stat_preamble(np.zeros(0), FramePlan(n_p=0, n_c=4), sigma2)
 
     def test_gaussian_law_under_active(self):
         # preamble = 1 transmitted: statistic ~ N(n_p/(2s2), n_p/s2)
-        params = ChannelParams.from_db(-3.0, 8)
+        s2 = snr_to_sigma2(-3.0)
         plan = FramePlan(n_p=8, n_c=0)
         trials = 100_000
-        z = gaussian_block(params.sigma2, seed=2, stream=0, block=0, shape=(trials, 8))
-        stats = stat_preamble(1.0 + z, plan, params)
-        s2 = params.sigma2
+        z = gaussian_block(s2, seed=2, stream=0, block=0, shape=(trials, 8))
+        stats = stat_preamble(1.0 + z, plan, s2)
         mean, var = 8 / (2 * s2), 8 / s2
         assert abs(stats.mean() - mean) < 5 * math.sqrt(var / trials)
         assert abs(stats.var(ddof=1) - var) < 5 * var * math.sqrt(2 / (trials - 1))
@@ -58,49 +57,48 @@ class TestPreambleStat:
 
 class TestHypedExact:
     def test_zero_observation(self):
-        params = ChannelParams.from_db(-3.0, 10)
+        sigma2 = snr_to_sigma2(-3.0)
         plan = FramePlan(n_p=4, n_c=6)
-        expected = -10 / (2 * params.sigma2)
-        assert stat_hyped_exact(np.zeros(10), plan, params) == pytest.approx(expected)
+        expected = -10 / (2 * sigma2)
+        assert stat_hyped_exact(np.zeros(10), plan, sigma2) == pytest.approx(expected)
 
     def test_degenerates_to_preamble(self):
-        params = ChannelParams.from_db(-1.0, 5)
+        sigma2 = snr_to_sigma2(-1.0)
         plan = FramePlan(n_p=5, n_c=0)
         rng = np.random.default_rng(3)
         y = rng.normal(size=5)
-        assert stat_hyped_exact(y, plan, params) == pytest.approx(
-            stat_preamble(y, plan, params), rel=1e-12
+        assert stat_hyped_exact(y, plan, sigma2) == pytest.approx(
+            stat_preamble(y, plan, sigma2), rel=1e-12
         )
 
     def test_frozen_hand_value(self):
         # mpmath evaluation of 0.5 - 0.3 + ln cosh(0.8) - 3/2
-        params = ChannelParams(es_n0_db=10 * math.log10(0.5), sigma2=1.0, n=3)
+        sigma2 = 1.0
         plan = FramePlan(n_p=2, n_c=1)
         y = np.array([0.5, -0.3, 0.8])
-        assert stat_hyped_exact(y, plan, params) == pytest.approx(
+        assert stat_hyped_exact(y, plan, sigma2) == pytest.approx(
             -1.0092464396716065, rel=1e-12
         )
 
     def test_split_sequence_bit_identical_to_single_split_reference(self):
         # the multi-split path shares one ln cosh pass; each split must still
         # equal the single-split formula exactly, not just to rounding
-        params = ChannelParams.from_db(-3.0, 60)
-        s2 = params.sigma2
+        s2 = snr_to_sigma2(-3.0)
         y = gaussian_block(s2, 5, 4, 0, (4096, 60))[:1000] + 0.3
         plans = [FramePlan(n_p=n_p, n_c=60 - n_p) for n_p in (59, 0, 7, 30, 56)]
-        stats = stat_hyped_exact(y, plans, params)
+        stats = stat_hyped_exact(y, plans, s2)
         assert stats.shape == (len(plans), 1000)
         for plan, got in zip(plans, stats):
             terms = log_cosh(y[:, plan.n_p :] / s2)
             want = (terms.sum(axis=-1) + y[:, : plan.n_p].sum(axis=-1) / s2
                     - plan.n / (2.0 * s2))
             np.testing.assert_array_equal(got, want)
-            np.testing.assert_array_equal(got, stat_hyped_exact(y, plan, params))
+            np.testing.assert_array_equal(got, stat_hyped_exact(y, plan, s2))
 
     def test_split_sequence_needs_one_slot_length(self):
-        params = ChannelParams.from_db(0.0, 6)
+        sigma2 = snr_to_sigma2(0.0)
         with pytest.raises(ValueError):
-            stat_hyped_exact(np.zeros(6), [FramePlan(n_p=2, n_c=4), FramePlan(n_p=2, n_c=3)], params)
+            stat_hyped_exact(np.zeros(6), [FramePlan(n_p=2, n_c=4), FramePlan(n_p=2, n_c=3)], sigma2)
 
 
 def log_cosh(x):
@@ -110,9 +108,8 @@ def log_cosh(x):
     return x
 
 
-def serial_hyped(y, plans, params):
+def serial_hyped(y, plans, s2):
     """The HyPED statistic of every split by the plain formula, one split at a time."""
-    s2 = params.sigma2
     return [log_cosh(y[..., pl.n_p :] / s2).sum(axis=-1) + y[..., : pl.n_p].sum(axis=-1) / s2
             - pl.n / (2.0 * s2) for pl in plans]
 
@@ -120,28 +117,28 @@ def serial_hyped(y, plans, params):
 class TestHypedSpans:
     """Row spans on any thread count give the serial formula bit for bit."""
 
-    params = ChannelParams.from_db(-3.0, 84)
+    sigma2 = snr_to_sigma2(-3.0)
     plans = [FramePlan(n_p=n_p, n_c=84 - n_p) for n_p in (84, 0, 10, 42, 70, 83)]
 
     def check(self, y):
-        got = stat_hyped_exact(y, self.plans, self.params)
+        got = stat_hyped_exact(y, self.plans, self.sigma2)
         assert got.shape == (len(self.plans), *y.shape[:-1])
-        for pl, g, want in zip(self.plans, got, serial_hyped(y, self.plans, self.params)):
+        for pl, g, want in zip(self.plans, got, serial_hyped(y, self.plans, self.sigma2)):
             assert g.tobytes() == np.asarray(want).tobytes()
-            assert stat_hyped_exact(y, pl, self.params).tobytes() == g.tobytes()
+            assert stat_hyped_exact(y, pl, self.sigma2).tobytes() == g.tobytes()
 
     @pytest.mark.parametrize("rows", ROW_COUNTS)
     def test_block(self, span_helpers, rows):
-        self.check(gaussian_block(self.params.sigma2, 7, 4, 1, (TRIALS_PER_BLOCK, 84))[:rows] + 0.5)
+        self.check(gaussian_block(self.sigma2, 7, 4, 1, (TRIALS_PER_BLOCK, 84))[:rows] + 0.5)
 
     def test_single_slot(self, span_helpers):
-        y = gaussian_block(self.params.sigma2, 7, 4, 1, (84,)) + 1.0
+        y = gaussian_block(self.sigma2, 7, 4, 1, (84,)) + 1.0
         self.check(y)
-        assert np.ndim(stat_hyped_exact(y, self.plans[2], self.params)) == 0
+        assert np.ndim(stat_hyped_exact(y, self.plans[2], self.sigma2)) == 0
 
     @pytest.mark.parametrize("rows", [1, 848, 3616])
     def test_stack(self, span_helpers, rows):
-        y = gaussian_block(self.params.sigma2, 7, 4, 2, (3, rows, 84))
+        y = gaussian_block(self.sigma2, 7, 4, 2, (3, rows, 84))
         self.check(y)
         self.check(np.swapaxes(y, 0, 1))  # a stack that is no contiguous block
 
@@ -149,7 +146,7 @@ class TestHypedSpans:
     def test_any_span_size(self, span_helpers, monkeypatch, span):
         # spans of one to three rows: many span edges in one block
         monkeypatch.setattr(channel, "_ROW_SPAN", span)
-        self.check(gaussian_block(self.params.sigma2, 7, 4, 3, (1025, 84)))
+        self.check(gaussian_block(self.sigma2, 7, 4, 3, (1025, 84)))
 
     def test_no_rows(self, span_helpers):
         self.check(np.empty((0, 84)))
@@ -158,7 +155,7 @@ class TestHypedSpans:
 class TestRandomPayloadTables:
     """HyPED from the two ln cosh tables equals stat_hyped_exact on the assembled slots."""
 
-    sigma2 = ChannelParams.from_db(-3.0, 84).sigma2
+    sigma2 = snr_to_sigma2(-3.0)
     # three slot lengths, n_c = 0 and n_p = 0 among them, and a preamble entry
     plans = [FramePlan(n_p=n_p, n_c=n - n_p) for n, n_p in
              ((84, 0), (84, 42), (60, 60), (60, 7), (84, 83), (23, 5), (60, 0))]
@@ -172,15 +169,15 @@ class TestRandomPayloadTables:
         for i, edge in enumerate((0.5, 2.0 ** -64, 0.5 - 2.0 ** -54, 0.5 + 2.0 ** -53)):
             u[i::7] = edge
         specs = [DetectorSpec(kind=k) for k in self.kinds]
-        params = ChannelParams.from_db(-3.0, 84)
+        sigma2 = snr_to_sigma2(-3.0)
         table = np.empty(z.size)
         got = _random_payload_statistics(specs, self.plans, z.copy(), rows, _sign_masks(u.copy()),
-                                         params, table, {})
+                                         sigma2, table, {})
         for s, pl, g in zip(specs, self.plans, got):
             x_c = np.where(u[: rows * pl.n_c] < 0.5, 1.0, -1.0).reshape(rows, pl.n_c)
             x = np.concatenate([np.ones((rows, pl.n_p)), x_c], axis=1)
             y = x + z[: rows * pl.n].reshape(rows, pl.n)
-            want, _ = batch_statistic(s, y, pl, ChannelParams.from_db(-3.0, pl.n))
+            want, _ = batch_statistic(s, y, pl, snr_to_sigma2(-3.0))
             assert g.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("rows", ROW_COUNTS)
@@ -193,25 +190,25 @@ class TestRandomPayloadTables:
         self.check(1025, 4)
 
     def test_dad_needs_a_code(self):
-        params = ChannelParams.from_db(0.0, 10)
+        sigma2 = snr_to_sigma2(0.0)
         with pytest.raises(ValueError, match="needs a codebook"):
             _random_payload_statistics([DetectorSpec(kind="dad")], [FramePlan(n_p=3, n_c=7)],
-                                       np.zeros(10), 1, np.zeros(7), params, np.empty(10), {})
+                                       np.zeros(10), 1, np.zeros(7), sigma2, np.empty(10), {})
 
 
 class TestBatchStatistic:
     def test_entry_list_matches_single_entries(self):
         cb = hamming_7_4()
-        params = ChannelParams.from_db(-1.0, 10)
+        sigma2 = snr_to_sigma2(-1.0)
         plan = FramePlan(n_p=3, n_c=7)
-        y = gaussian_block(params.sigma2, 2, 4, 0, (4096, 10))[:500]
+        y = gaussian_block(sigma2, 2, 4, 0, (4096, 10))[:500]
         specs = [DetectorSpec(kind="hyped-exact"), DetectorSpec(kind="dad"),
                  DetectorSpec(kind="preamble"), DetectorSpec(kind="hyped-exact")]
         plans = [plan, plan, plan, FramePlan(n_p=5, n_c=5)]
-        got = batch_statistic(specs, y, plans, params, cb=cb)
+        got = batch_statistic(specs, y, plans, sigma2, cb=cb)
         assert len(got) == len(specs)
         for spec, pl, (stats, m_hat) in zip(specs, plans, got):
-            want_stats, want_m = batch_statistic(spec, y, pl, params, cb=cb)
+            want_stats, want_m = batch_statistic(spec, y, pl, sigma2, cb=cb)
             np.testing.assert_array_equal(stats, want_stats)
             if want_m is None:
                 assert m_hat is None
@@ -219,10 +216,10 @@ class TestBatchStatistic:
                 np.testing.assert_array_equal(m_hat, want_m)
 
     def test_entry_lists_must_pair_up(self):
-        params = ChannelParams.from_db(0.0, 4)
+        sigma2 = snr_to_sigma2(0.0)
         with pytest.raises(ValueError):
             batch_statistic([DetectorSpec(kind="preamble")] * 2, np.zeros((3, 4)),
-                            [FramePlan(n_p=4, n_c=0)], params)
+                            [FramePlan(n_p=4, n_c=0)], sigma2)
 
 
 class TestDad:
@@ -276,31 +273,31 @@ class TestCodebookAided:
     def test_matches_density_quotient(self, gamma_a):
         G = np.array([[1, 0], [0, 1]])
         cb = from_generator(G)
-        params = ChannelParams.from_db(-1.0, 2)
+        sigma2 = snr_to_sigma2(-1.0)
         rng = np.random.default_rng(7)
         for _ in range(200):
             y = rng.normal(size=2) * 2
-            stat, _ = stat_codebook_aided(y, cb, params, gamma_a)
-            oracle = self.direct_density_quotient(y, cb, params.sigma2, gamma_a)
+            stat, _ = stat_codebook_aided(y, cb, sigma2, gamma_a)
+            oracle = self.direct_density_quotient(y, cb, sigma2, gamma_a)
             assert math.exp(stat) == pytest.approx(oracle, rel=1e-9)
 
     def test_gamma_a_zero_reduces_to_dad(self):
         cb = toy_code_k3()
-        params = ChannelParams.from_db(-3.0, 6)
+        sigma2 = snr_to_sigma2(-3.0)
         plan = FramePlan(n_p=0, n_c=6)
         rng = np.random.default_rng(8)
         for _ in range(300):
             y = rng.normal(size=6) * 1.5
-            s_cb, m_cb = stat_codebook_aided(y, cb, params, 0.0)
+            s_cb, m_cb = stat_codebook_aided(y, cb, sigma2, 0.0)
             s_dad, m_dad = stat_dad(y, cb, plan)
             assert m_cb == m_dad
-            assert s_cb == pytest.approx(s_dad / params.sigma2 - 6 / (2 * params.sigma2), rel=1e-12)
+            assert s_cb == pytest.approx(s_dad / sigma2 - 6 / (2 * sigma2), rel=1e-12)
 
     def test_single_codeword_collapse(self):
         cb = Codebook(n_c=3, k=0, G=np.zeros((0, 3), dtype=np.uint8), codewords=np.ones((1, 3)))
-        params = ChannelParams(es_n0_db=10 * math.log10(0.5), sigma2=1.0, n=3)
+        sigma2 = 1.0
         y = np.array([0.4, -0.2, 1.1])
-        stat, m_hat = stat_codebook_aided(y, cb, params, gamma_a=0.7)
+        stat, m_hat = stat_codebook_aided(y, cb, sigma2, gamma_a=0.7)
         expected = y.sum() + math.log(1.7) - 1.5
         assert stat == pytest.approx(expected, rel=1e-12)
         assert m_hat == 1
@@ -308,9 +305,9 @@ class TestCodebookAided:
     def test_large_k_rejected(self):
         G = np.eye(17, dtype=np.uint8)
         cb = from_generator(G)
-        params = ChannelParams.from_db(0.0, 17)
+        sigma2 = snr_to_sigma2(0.0)
         with pytest.raises(ValueError):
-            stat_codebook_aided(np.zeros(17), cb, params, 0.0)
+            stat_codebook_aided(np.zeros(17), cb, sigma2, 0.0)
 
 
 def full_matrix_dad(y, cb, plan):
@@ -323,9 +320,8 @@ def full_matrix_dad(y, cb, plan):
     return pre + best, m_hat + 1
 
 
-def full_matrix_codebook_aided(y, cb, params, gamma_a):
+def full_matrix_codebook_aided(y, cb, s2, gamma_a):
     """The untiled codebook-aided formula over the whole correlation matrix."""
-    s2 = params.sigma2
     a = (y @ cb.codewords.T) / s2
     m_hat = np.argmax(a, axis=-1)
     a_max = np.take_along_axis(a, np.expand_dims(m_hat, -1), axis=-1)[..., 0]
@@ -353,7 +349,7 @@ class TestTiledStatistics:
     """DAD and codebook-aided statistics against the untiled full-matrix formulas,
     bit for bit where conftest.assert_row_values says."""
 
-    params = ChannelParams.from_db(-1.0, 84)
+    sigma2 = snr_to_sigma2(-1.0)
 
     @pytest.mark.parametrize("rows", ROW_COUNTS)
     def test_dad(self, code, rows):
@@ -365,8 +361,8 @@ class TestTiledStatistics:
     @pytest.mark.parametrize("rows", ROW_COUNTS)
     def test_codebook_aided(self, code, rows, gamma_a):
         y = slot_block(code, rows)[:, N_P:]
-        assert_row_values(lambda y: stat_codebook_aided(y, code, self.params, gamma_a), y,
-                          full_matrix_codebook_aided(y, code, self.params, gamma_a))
+        assert_row_values(lambda y: stat_codebook_aided(y, code, self.sigma2, gamma_a), y,
+                          full_matrix_codebook_aided(y, code, self.sigma2, gamma_a))
 
     @pytest.mark.parametrize("gamma_a", [0.0, 0.5])
     def test_single_observation(self, code, gamma_a):
@@ -375,8 +371,8 @@ class TestTiledStatistics:
         stat, m_hat = stat_dad(y, code, plan)
         ref_stat, ref_m = full_matrix_dad(y, code, plan)
         assert (stat, m_hat) == (float(ref_stat), int(ref_m))
-        stat, m_hat = stat_codebook_aided(y[N_P:], code, self.params, gamma_a)
-        ref_stat, ref_m = full_matrix_codebook_aided(y[N_P:], code, self.params, gamma_a)
+        stat, m_hat = stat_codebook_aided(y[N_P:], code, self.sigma2, gamma_a)
+        ref_stat, ref_m = full_matrix_codebook_aided(y[N_P:], code, self.sigma2, gamma_a)
         assert (stat, m_hat) == (float(ref_stat), int(ref_m))
 
     @pytest.mark.parametrize("gamma_a", [0.0, 0.5])
@@ -389,9 +385,9 @@ class TestTiledStatistics:
         rows = y.reshape(-1, y.shape[-1])
         assert_same((stat.ravel(), m_hat.ravel()), full_matrix_dad(rows, code, plan))
         y_c = y[..., N_P:]
-        got = stat_codebook_aided(y_c, code, self.params, gamma_a)
+        got = stat_codebook_aided(y_c, code, self.sigma2, gamma_a)
         assert_same([g.ravel() for g in got],
-                    full_matrix_codebook_aided(rows[:, N_P:], code, self.params, gamma_a))
+                    full_matrix_codebook_aided(rows[:, N_P:], code, self.sigma2, gamma_a))
 
     def test_zero_rows_pick_first_index(self, code):
         plan = FramePlan(n_p=N_P, n_c=code.n_c)
@@ -399,7 +395,7 @@ class TestTiledStatistics:
         y[TILE_EDGE_ROWS] = 0.0
         _, m_hat = stat_dad(y, code, plan)
         np.testing.assert_array_equal(m_hat[TILE_EDGE_ROWS], 1)
-        _, m_hat = stat_codebook_aided(y[:, N_P:], code, self.params, 0.5)
+        _, m_hat = stat_codebook_aided(y[:, N_P:], code, self.sigma2, 0.5)
         np.testing.assert_array_equal(m_hat[TILE_EDGE_ROWS], 1)
 
     def test_dad_memory_is_one_tile(self):
@@ -416,15 +412,29 @@ class TestTiledStatistics:
         assert peak < CORR_TILE_BYTES + 16 * 8 * len(y)
 
 
+class TestNoiseVariance:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_refused(self, bad):
+        # each statistic that divides by sigma2 checks it
+        plan = FramePlan(n_p=2, n_c=6)
+        match = "noise variance sigma2 must be finite and >= 0"
+        with pytest.raises(ValueError, match=match):
+            stat_preamble(np.zeros(2), plan, bad)
+        with pytest.raises(ValueError, match=match):
+            stat_hyped_exact(np.zeros(8), plan, bad)
+        with pytest.raises(ValueError, match=match):
+            stat_codebook_aided(np.zeros(6), toy_code_k3(), bad, 0.0)
+
+
 class TestGenie:
     """The genie's statistic x^T y, whose law the closed-form genie rows assume."""
 
     def test_idle_law(self):
-        params = ChannelParams.from_db(-3.0, 84)
+        sigma2 = snr_to_sigma2(-3.0)
         trials = 100_000
-        z = gaussian_block(params.sigma2, seed=9, stream=0, block=0, shape=(trials, 84))
+        z = gaussian_block(sigma2, seed=9, stream=0, block=0, shape=(trials, 84))
         stats = (z * np.ones(84)).sum(-1)
-        var = 84 * params.sigma2
+        var = 84 * sigma2
         assert abs(stats.mean()) < 5 * math.sqrt(var / trials)
         assert abs(stats.var(ddof=1) - var) < 5 * var * math.sqrt(2 / (trials - 1))
 
@@ -449,6 +459,6 @@ class TestDetectorSpec:
     def test_bad_gamma_a(self, gamma_a):
         # the weight is checked by the statistic itself, which would return
         # NaN for these weights
-        params = ChannelParams.from_db(-3.0, 6)
+        sigma2 = snr_to_sigma2(-3.0)
         with pytest.raises(ValueError, match="gamma_a"):
-            stat_codebook_aided(np.zeros(6), toy_code_k3(), params, gamma_a)
+            stat_codebook_aided(np.zeros(6), toy_code_k3(), sigma2, gamma_a)

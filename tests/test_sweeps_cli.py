@@ -140,6 +140,12 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="unknown"):
             parse_config("bogus=1")
 
+    @pytest.mark.parametrize("text", ["n_grid=10\nn_grid=20\n", "seed=1\nseed = 2  # again\n"])
+    def test_repeated_key(self, text):
+        key = text.split("=", 1)[0]
+        with pytest.raises(ValueError, match=f"config key '{key}' given twice"):
+            parse_config(text)
+
     @pytest.mark.parametrize("line, message", [
         ("seed=1.5", "seed: expected int, got '1.5'"),
         ("trials=1e5", "trials: expected int, got '1e5'"),
