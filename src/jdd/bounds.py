@@ -27,10 +27,12 @@ flat-prefix contract); a last block of b < ``TRIALS_PER_BLOCK`` trials draws
 only its first b rows. And ``gaussian_block(sigma2, ...)`` equals
 ``sqrt(sigma2) * gaussian_block(1.0, ...)`` bit for bit, since it forms that
 same product (the noise-variance contract). So each block is drawn once, at
-unit variance and at the longest key's width, and the keys are grouped by
-variance: each variance scales the flat prefix of its own longest length
-and reduces it to each of its lengths' sums. No result depends on which
-keys share a pass.
+unit variance and at the longest key's width, and read in one pass of row
+spans: for each variance in turn, a span scales its own flat values into
+its thread's buffers, takes their softplus terms and reduces them to the
+sums of every key's rows that start inside it. The noise block is the only
+array of a block's size a pass holds. No result depends on which keys
+share a pass.
 
 ``meta_converse_min_error`` draws each of its two streams once and holds one
 at a time. Its threshold, the pivot, is a sample of the type-II stream 3,
@@ -48,8 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_ndtr, ndtri_exp
 
-from .channel import (TRIALS_PER_BLOCK, _ROW_SPAN, _SPAN, _blocks, _on_cores, _thread_buffer,
-                      gaussian_block)
+from .channel import TRIALS_PER_BLOCK, _SPAN, _blocks, _on_cores, _thread_buffer, gaussian_block
 from .numerics import q_func, q_inv
 
 __all__ = [
@@ -220,10 +221,16 @@ _MIN_TRIALS = 10_000
 
 
 def _density_keys(n, sigma2, more):
-    """The call's own (sigma2, n) key, then `more`'s; lengths become ints >= 1."""
+    """The call's own (sigma2, n) key, then `more`'s; lengths become ints >= 1.
+
+    Every variance must be finite and > 0: the density divides by it.
+    """
     keys = [(sigma2, int(n)), *((s2, int(l)) for s2, l in more or ())]
     if any(l < 1 for _, l in keys):
         raise ValueError(f"lengths must be >= 1, got {[l for _, l in keys]}")
+    bad = [s2 for s2, _ in keys if not (math.isfinite(s2) and s2 > 0.0)]
+    if bad:
+        raise ValueError(f"noise variance sigma2 must be finite and > 0, got {bad[0]}")
     return keys
 
 
@@ -233,23 +240,25 @@ def info_density_samples(n, sigma2, trials, seed, stream=1, more=None):
     Equiprobable +/-1 inputs; by symmetry the all-plus input is transmitted
     and i = n ln 2 - sum_j ln(1 + exp(-2 y_j / sigma2)) with y_j = 1 + z_j.
 
-    With ``more``, further ``(sigma2, length)`` keys (each length >= 1),
-    returns a list holding one sample array per key, this call's own
-    ``(sigma2, n)`` first, each equal bit for bit to the call for that key
-    alone: trial j of length l sums the terms of flat values
-    ``j*l .. j*l + l - 1`` (the contracts in the module docstring).
+    With ``more``, further ``(sigma2, length)`` keys (each length >= 1 and
+    each variance finite and > 0), returns a list holding one sample array
+    per key, this call's own ``(sigma2, n)`` first, each equal bit for bit
+    to the call for that key alone: trial j of length l sums the terms of
+    flat values ``j*l .. j*l + l - 1`` (the contracts in the module
+    docstring).
 
     Each noise block is drawn once, at unit variance and at the longest
-    key's width, and freed before the next draw. The keys are grouped by
-    variance: each variance scales the flat prefix its own longest length
-    needs into one reused buffer (the product gaussian_block(sigma2) forms),
-    and the row sums of each of its keys go straight into that key's output
-    slice, where l ln 2 - sum is formed in place. Both passes run on the
-    usable cores (channel._on_cores): the softplus in spans of channel._SPAN
-    values, each thread with its own scratch, then the row sums of all the
-    variance's lengths in spans of whole rows, about _ROW_SPAN values each.
-    Every value is elementwise or one row's sum, so none depends on the
-    spans or on the core count.
+    key's width, and freed before the next draw; no other array of its size
+    is held. One pass over the usable cores (channel._on_cores) then reads
+    it in spans of whole rows at that width, about channel._SPAN values
+    each. For each variance in turn, a span scales its flat values (the
+    product gaussian_block(sigma2) forms) and writes their softplus terms
+    into its thread's own buffers, past its end by up to width - 1 values,
+    since a shorter row that starts inside the span may end beyond it. The
+    sums of every key's rows that start inside the span go straight into
+    that key's output, where l ln 2 - sum is formed in place. Every value is
+    elementwise or one row's sum, so none depends on the spans or on the
+    core count.
     """
     keys = _density_keys(n, sigma2, more)
     trials = int(trials)
@@ -258,43 +267,44 @@ def info_density_samples(n, sigma2, trials, seed, stream=1, more=None):
     for (s2, l), out in zip(keys, outs):
         by_variance.setdefault(s2, []).append((l, out))
     width = max(l for _, l in keys)
-    buf = np.empty(min(TRIALS_PER_BLOCK, trials) * width)
-    # each thread's softplus scratch, kept for this call only: a buffer that
-    # outlived it would stay in the heap between later calls
-    scratch = {}
+    rows = max(1, _SPAN // width)
+    # each thread's softplus terms and scratch, kept for this call only: a
+    # buffer that outlived it would stay in the heap between later calls
+    terms, scratch = {}, {}
     for block, b in _blocks(trials):
         done = block * TRIALS_PER_BLOCK
         unit = gaussian_block(1.0, seed, stream, block, (b, width)).reshape(-1)
-        for s2, entries in by_variance.items():
-            root = np.sqrt(s2)
 
-            def softplus(a, c):
+        def densities(a, c):
+            lo = a * width  # rows [a, c) hold flat values [lo, c * width)
+            t_buf = _thread_buffer(terms, (rows + 1) * width - 1)
+            s_buf = _thread_buffer(scratch, t_buf.size)
+            for s2, entries in by_variance.items():
+                # each key's rows [r0, r1) that start inside the span
+                starts = [(l, out, -(-lo // l), min(b, -(-c * width // l)))
+                          for l, out in entries]
+                starts = [start for start in starts if start[2] < start[3]]
+                if not starts:
+                    continue
+                hi = max(l * r1 for l, _, _, r1 in starts)
                 # z = sqrt(sigma2) * unit, y = 1 + z, t = -2 y / sigma2, then the
                 # stable softplus ln(1 + e^t) = max(t, 0) + log1p(exp(-|t|))
-                t = np.multiply(unit[a:c], root, out=buf[a:c])
+                t = np.multiply(unit[lo:hi], np.sqrt(s2), out=t_buf[: hi - lo])
                 t += 1.0
                 t *= -2.0
                 t /= s2
-                s = np.abs(t, out=_thread_buffer(scratch, c - a))
+                s = np.abs(t, out=s_buf[: hi - lo])
                 np.negative(s, out=s)
                 np.exp(s, out=s)
                 np.log1p(s, out=s)
                 np.maximum(t, 0.0, out=t)
                 t += s
+                for l, out, r0, r1 in starts:
+                    d = np.add.reduce(t[r0 * l - lo : r1 * l - lo].reshape(r1 - r0, l), axis=1,
+                                      out=out[done + r0 : done + r1])
+                    np.subtract(l * np.log(2.0), d, out=d)
 
-            _on_cores(softplus, b * max(l for l, _ in entries), _SPAN)
-            spans = []
-            for l, out in entries:
-                rows = max(1, _ROW_SPAN // l)
-                spans += [(l, out, a, min(a + rows, b)) for a in range(0, b, rows)]
-
-            def row_sums(j, _):
-                l, out, a, c = spans[j]
-                d = np.add.reduce(buf[a * l : c * l].reshape(c - a, l), axis=1,
-                                  out=out[done + a : done + c])
-                np.subtract(l * np.log(2.0), d, out=d)
-
-            _on_cores(row_sums, len(spans), 1)
+        _on_cores(densities, b, rows)
         del unit  # the block is freed before the next draw
     return outs if more is not None else outs[0]
 
@@ -526,6 +536,8 @@ def meta_converse_min_error(n, sigma2, M, trials, seed, more=None):
     """
     if trials < _MIN_TRIALS:
         raise ValueError(f"need at least {_MIN_TRIALS} trials for the meta-converse bound")
+    if not M >= 1:
+        raise ValueError("M must be >= 1")
     trials = int(trials)
     denss = info_density_samples(n, sigma2, trials, seed, stream=3, more=more or ())
     # pop each sample so it is dropped as soon as its pivot is found

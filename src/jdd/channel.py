@@ -40,7 +40,7 @@ TRIALS_PER_BLOCK = 4096
 # handing a span to another core costs little against filling it
 _SPAN = 1 << 15
 # Values per span of whole rows, for kernels that reduce or fill rows of a
-# block (row sums, detection statistics, active slots)
+# block (detection statistics, active slots)
 _ROW_SPAN = 1 << 16
 
 _local = threading.local()
@@ -74,8 +74,9 @@ def _on_cores(fn, stop, span):
     iterator, and the caller keeps pulling until none is left, so every span
     is done even when no helper starts (a busy pool, one core). Helpers that
     never started are cancelled; only those that did are waited for. `fn`
-    must write [a, b) from its own inputs alone, and must call numpy and
-    private code only (a pool thread is outside any caller's call stack).
+    must write only what span [a, b) owns, from its own inputs alone, and
+    must call numpy and private code only (a pool thread is outside any
+    caller's call stack).
     """
     starts = iter(range(0, stop, span))
     lock = threading.Lock()

@@ -60,10 +60,11 @@ MAX_SLOT_SYMBOLS = 1e10
 # near 3080 dB, well inside the finite doubles
 MAX_ABS_SNR_DB = 300.0
 
-# longest blocklength a config may give: a density pass holds two 4096 x n
-# float64 blocks (64 KiB per symbol of n) and a HyPED engine pass up to four,
-# 2 GiB at this length; a much longer n would exhaust memory mid-run rather
-# than be refused at parse time
+# longest blocklength a config may give: a density pass holds one 4096 x n
+# float64 noise block (32 KiB per symbol of n) and each thread's span
+# buffers, and a HyPED engine pass up to four blocks, 2 GiB at this length;
+# a much longer n would exhaust memory mid-run rather than be refused at
+# parse time
 MAX_BLOCKLENGTH = 1 << 14
 
 # ranks (value, flag) pairs by value; max and min keep the first of equal

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from scipy.integrate import quad
 from scipy.special import log_ndtr, ndtri, ndtri_exp
 
 import jdd
-from jdd import bounds
+from jdd import bounds, channel
 from jdd.bounds import (
     _meta_converse_beta,
     Requirements,
@@ -452,11 +453,11 @@ def serial_densities(l, sigma2, trials, seed, stream=1):
 
 
 class TestDensitySpans:
-    """The softplus and row-sum spans give the serial formula on any thread count."""
+    """The row spans give the serial formula on any thread count."""
 
     def test_equals_serial_formula(self, span_helpers):
         # the last block here ends in a one-row span of its 84-value rows
-        trials = TRIALS_PER_BLOCK + bounds._ROW_SPAN // 84 + 1
+        trials = TRIALS_PER_BLOCK + bounds._SPAN // 84 + 1
         keys = [(SIGMA2_M3DB, 84), (SIGMA2_M3DB, 12), (0.3, 40), (SIGMA2_M3DB, 1), (0.3, 84),
                 (2.0, 7)]
         (sigma2, n), *more = keys
@@ -466,8 +467,9 @@ class TestDensitySpans:
 
     @pytest.mark.parametrize("span", [4, 1000, 3 * 84 + 4])
     def test_softplus_span_changes_no_value(self, monkeypatch, span_helpers, span):
-        # every softplus step is elementwise, so spans that split a row, or
-        # hold a row and a few values, give the default span's bytes
+        # every softplus step is elementwise and every sum one row's, so spans
+        # of one, three or eleven 84-value rows, past whose ends some 40-value
+        # rows run, give the default span's bytes
         keys = [(SIGMA2_M3DB, 84), (SIGMA2_M3DB, 12), (0.3, 40), (0.3, 84)]
         (sigma2, n), *more = keys
         want = info_density_samples(n, sigma2, 300, 5, more=more)
@@ -748,6 +750,39 @@ class TestSharedSamples:
         assert messages(multi) == messages(serial)
 
 
+def refuse_draw(*args):
+    raise AssertionError("a refused call drew noise")
+
+
+class TestNoiseVarianceRefused:
+    """Every Monte Carlo bound refuses a key whose variance is not finite and > 0 before any draw."""
+
+    ENTRIES = {
+        "info_density_samples": lambda s2, more: info_density_samples(4, s2, 10_000, 0, more=more),
+        "dt_bound_max_M": lambda s2, more: dt_bound_max_M(4, s2, 1e-2, 10_000, 0),
+        "_meta_converse_beta": lambda s2, more: _meta_converse_beta(4, s2, 1e-2, 10_000, 0,
+                                                                    more=more),
+        "meta_converse_max_M": lambda s2, more: meta_converse_max_M(4, s2, 1e-2, 10_000, 0,
+                                                                    more=more),
+        "meta_converse_min_error": lambda s2, more: meta_converse_min_error(4, s2, 16, 10_000, 0,
+                                                                            more=more),
+    }
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0, 0.0])
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    def test_own_key(self, monkeypatch, entry, bad):
+        monkeypatch.setattr(bounds, "gaussian_block", refuse_draw)
+        with pytest.raises(ValueError, match="sigma2 must be finite and > 0"):
+            self.ENTRIES[entry](bad, None)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("-inf"), -1.0, 0.0])
+    @pytest.mark.parametrize("entry", [e for e in ENTRIES if e != "dt_bound_max_M"])
+    def test_more_key(self, monkeypatch, entry, bad):
+        monkeypatch.setattr(bounds, "gaussian_block", refuse_draw)
+        with pytest.raises(ValueError, match="sigma2 must be finite and > 0"):
+            self.ENTRIES[entry](SIGMA2_M3DB, [(0.25, 3), (bad, 2)])
+
+
 class TestMetaConverse:
     def test_noiseless_limit(self):
         # 1e-6 noise variance: every blocklength carries nearly n bits
@@ -815,12 +850,25 @@ class TestMetaConverse:
             warnings.simplefilter("error")
             _meta_converse_beta(84, SIGMA2_M3DB, 1e-3, 10_000, 0)
 
-    def test_min_error_holds_one_stream(self):
+    @pytest.mark.parametrize("M", [-3, 0, 0.5, float("nan")])
+    def test_min_error_refuses_code_sizes_below_one(self, monkeypatch, M):
+        # a code holds at least one codeword; below it 1 / M gave an error of
+        # 0.9999 (M = -3) or 0 (M = 0.5)
+        monkeypatch.setattr(bounds, "gaussian_block", refuse_draw)
+        with pytest.raises(ValueError, match="M must be >= 1"):
+            meta_converse_min_error(8, 1.0, M, 10_000, 0)
+
+    def test_min_error_holds_one_stream(self, monkeypatch):
         # a P_IE bound pass shaped like the paper's -4..0 dB curve: n = 84,
         # 50 000 trials, five SNRs with 25 payload lengths. Stream 3 is reduced
-        # to pivots and freed before stream 2 is held, so the peak is one
-        # stream's densities plus a few 4096 x 84 blocks; holding both streams
-        # would add another 8 * trials * 25 bytes
+        # to pivots and freed before stream 2 is held, and a density pass holds
+        # one 4096 x 84 noise block and each thread's two span buffers of about
+        # channel._SPAN values, so the peak is one stream's densities, one block
+        # and those buffers; holding both streams would add another
+        # 8 * trials * 25 bytes, and a second block-sized array 8 * 4096 * 84.
+        # One helper thread, whatever the cores, fixes the buffer count
+        monkeypatch.setattr(channel, "_HELPERS", 1)
+        monkeypatch.setattr(channel, "_POOL", ThreadPoolExecutor(1))
         n, trials = 84, 50_000
         keys = [(snr_to_sigma2(snr), l) for snr, lens in (
             (-4.0, (12, 14, 84)), (-3.0, (12, 14, 24, 84)), (-2.0, (12, 14, 24, 34, 84)),
@@ -832,9 +880,11 @@ class TestMetaConverse:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+            channel._POOL.shutdown()
         assert len(errs) == len(keys) == 25
         held = 8 * trials * len(keys)
-        assert peak < held + 3 * (8 * TRIALS_PER_BLOCK * n) + (1 << 20)
+        spans = 2 * 2 * 8 * (channel._SPAN + n)  # two threads, two buffers each
+        assert peak < held + 8 * TRIALS_PER_BLOCK * n + spans + (1 << 19)
 
 
 class TestPieSandwich:
