@@ -8,8 +8,8 @@ and measures operating points of the preamble, HyPED and DAD detectors.
 
 The package re-exports nothing: each name is imported from its own module
 (``jdd.bounds``, ``jdd.channel``, ``jdd.codebook``, ``jdd.detectors``,
-``jdd.montecarlo``, ``jdd.numerics``, ``jdd.sweeps``, ``jdd.cli``). It needs
-numpy and ``scipy.special`` only.
+``jdd.montecarlo``, ``jdd.sweeps``, ``jdd.cli``). It needs numpy and
+``scipy.special`` only.
 """
 
 __version__ = "0.1.0"

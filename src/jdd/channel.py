@@ -40,7 +40,11 @@ TRIALS_PER_BLOCK = 4096
 # handing a span to another core costs little against filling it
 _SPAN = 1 << 15
 # Values per span of whole rows, for kernels that reduce or fill rows of a
-# block (detection statistics, active slots)
+# block (detection statistics, active slots). Not _SPAN: on two cores, row
+# spans of 1 << 15 values took the rate-hyped benchmark's sweep 0.46-0.48 s
+# against 0.39-0.44 s, and one span of 1 << 16 for every kernel would double
+# each thread's density buffers (jdd.bounds), +1.0-1.4 MiB of peak RSS on
+# pie-bounds
 _ROW_SPAN = 1 << 16
 
 _local = threading.local()

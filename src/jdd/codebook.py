@@ -107,9 +107,9 @@ def from_generator(G):
 def load_generator(path):
     """Read a generator matrix from the file at `path`.
 
-    Format: optional header line "n_c k", then k rows of {0,1} characters;
-    whitespace inside rows and lines starting with "#" are ignored. Leftmost
-    character is the first channel use.
+    Format: optional header line "n_c k" (k >= 1), then k rows of {0,1}
+    characters; whitespace inside rows and lines starting with "#" are
+    ignored. Leftmost character is the first channel use.
     """
     lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -119,7 +119,7 @@ def load_generator(path):
     if (
         len(header) == 2
         and all(tok.isdigit() for tok in header)
-        and len(lines) - 1 == int(header[1])
+        and len(lines) - 1 == int(header[1]) >= 1  # a lone row "1 0" is no header
         and all(len(ln.replace(" ", "").replace("\t", "")) == int(header[0]) for ln in lines[1:])
     ):
         lines = lines[1:]

@@ -73,10 +73,11 @@ reads gamma off them: entries x K values, and no array of N. Evaluation statisti
 never stored. Each variance of a block but the last reads a scaled copy of
 the unit block, freed before the next variance's is made, and the last
 scales the block in place, so a call with one variance holds one noise
-block. Without a code, the two ln cosh tables of HyPED's random payload
-(jdd.detectors) overwrite the scaled noise and fill one reused block
-buffer. With a code, the active slots sqrt(sigma2) w + x of each (variance,
-slot length) are written into that buffer straight from w, in spans of
+block. Without a code, the first of the two ln cosh tables of HyPED's
+random payload overwrites the scaled noise, and jdd.detectors makes the
+second, one array of the scaled noise's size per variance. With a code,
+the active slots sqrt(sigma2) w + x of each (variance, slot length) are
+written into one reused block buffer straight from w, in spans of
 whole rows on the usable cores (channel._on_rows), and every entry of a
 (variance, length) sees the same slots: each block gets one ML decision per
 (variance, slot length), the first DAD entry's argmax, which is ML
@@ -190,7 +191,7 @@ def _scaled(w, sigma2, size, in_place):
 
 
 def _idle_stats(specs, plans, sigma2s, trials, seed, stream, cb=None, exact=None):
-    """Yield (offset, per-entry idle statistics) for each noise block of `stream`.
+    """Yield the per-entry idle statistics of each noise block of `stream`.
 
     Each block is drawn once, at unit variance and the longest slot. A DAD
     plan is correlated once on the block's flat prefix, and each of its
@@ -223,7 +224,7 @@ def _idle_stats(specs, plans, sigma2s, trials, seed, stream, cb=None, exact=None
                     stats[i] = entry_stats
             del z  # freed before the next variance's copy is made
         del w  # freed before the next block is drawn
-        yield block * TRIALS_PER_BLOCK, stats
+        yield stats
 
 
 def _calibration_floor(eps_fa):
@@ -285,8 +286,8 @@ def calibrate_threshold(spec, plan, sigma2, trials, eps_fa, seed, cb=None):
         held = [(np.sqrt(sigma2s[i]), tops[i].min()) for i in idx if tops[i].size == keep]
         return codebook._Exact(top=keep, floor=tuple(held) if len(held) == len(idx) else ())
 
-    for _, block_stats in _idle_stats(specs, plans, sigma2s, trials, seed, STREAM_CALIBRATION, cb,
-                                      top_exact):
+    for block_stats in _idle_stats(specs, plans, sigma2s, trials, seed, STREAM_CALIBRATION, cb,
+                                   top_exact):
         tops = [_largest(np.concatenate([top, stats]), keep)
                 for top, stats in zip(tops, block_stats)]
     t = h - j
@@ -328,17 +329,17 @@ def _active_stats(specs, plans, sigma2s, trials, seed, cb=None):
     Each noise block is drawn once, at unit variance and the longest slot.
     Without a code, the random payloads of every entry come from one payload
     draw and one set of sign masks per block, and each variance's noise is
-    sqrt(sigma2) times the block, the last variance scaling it in place; the
-    wrong decisions are None. With a code, one message draw per block gives
-    the codewords, each (sigma2, length) writes its slots into one reused
-    buffer, and its entries share one ML decision, whose mismatches with the
-    messages are the wrong decisions.
+    sqrt(sigma2) times the block, the last variance scaling it in place;
+    _random_payload_statistics makes its own tables and span buffers, and
+    the wrong decisions are None. With a code, one message draw per block
+    gives the codewords, each (sigma2, length) writes its slots into one
+    buffer, made here and reused by every block, and its entries share one
+    ML decision, whose mismatches with the messages are the wrong decisions.
     """
     groups = _by_slot(range(len(specs)), plans, sigma2s)
     width = max(pl.n for pl in plans)
-    # with a code, every block's active slots; without one, HyPED's second table
-    buf = np.empty(min(trials, TRIALS_PER_BLOCK) * width)
-    scratch = {}  # each thread's span buffers, kept across blocks
+    # with a code, the active slots of every block
+    buf = None if cb is None else np.empty(min(trials, TRIALS_PER_BLOCK) * width)
     for block, count in _blocks(trials):
         w = gaussian_block(1.0, seed, STREAM_ACTIVE_NOISE, block, (count, width)).reshape(-1)
         stats, wrong = [None] * len(specs), [None] * len(specs)
@@ -350,7 +351,7 @@ def _active_stats(specs, plans, sigma2s, trials, seed, cb=None):
                 idx = [i for entries in lengths.values() for i in entries]
                 z = _scaled(w, sigma2, count * max(lengths), in_place=g == len(groups) - 1)
                 results = _random_payload_statistics([specs[i] for i in idx], [plans[i] for i in idx],
-                                                     z, count, masks, sigma2, buf, scratch)
+                                                     z, count, masks, sigma2)
                 for i, entry_stats in zip(idx, results):
                     stats[i] = entry_stats
                 del z  # freed before the next variance's copy is made
@@ -409,8 +410,8 @@ def estimate_false_alarm(spec, plan, sigma2, trials, seed, cb=None):
     def at_gammas(idx):  # each entry compares sqrt(sigma2) times the unit statistic
         return codebook._Exact(at=tuple((np.sqrt(sigma2s[i]), specs[i].gamma) for i in idx))
 
-    for _, block_stats in _idle_stats(specs, plans, sigma2s, trials, seed, STREAM_IDLE_EVAL, cb,
-                                      at_gammas):
+    for block_stats in _idle_stats(specs, plans, sigma2s, trials, seed, STREAM_IDLE_EVAL, cb,
+                                   at_gammas):
         for i, (stats, s) in enumerate(zip(block_stats, specs)):
             n_fa[i] += int(np.sum(stats >= s.gamma))
     out = [RateEstimate.from_counts(n, trials) for n in n_fa]

@@ -24,12 +24,12 @@ from jdd.bounds import (
     meta_converse_max_M,
     min_blocklength,
     min_snr_db,
+    q_func,
 )
 from jdd.channel import FramePlan, gaussian_block, snr_to_sigma2
 from jdd.codebook import from_generator, hamming_7_4, load_generator, ml_decode
 from jdd.detectors import DetectorSpec, stat_codebook_aided, stat_dad
 from jdd.montecarlo import calibrate_threshold, estimate_false_alarm, estimate_rates
-from jdd.numerics import q_func, q_inv
 
 SIGMA2_M3DB = 1.0 / (2.0 * 10.0 ** (-0.3))
 REQ = Requirements(1e-4, 1e-4, 1e-3)

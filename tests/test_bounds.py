@@ -29,9 +29,10 @@ from jdd.bounds import (
     min_blocklength,
     min_snr_db,
     pie_sandwich,
+    q_func,
+    q_inv,
 )
 from jdd.channel import TRIALS_PER_BLOCK, gaussian_block, snr_to_sigma2
-from jdd.numerics import q_func, q_inv
 
 SIGMA2_M3DB = 1.0 / (2.0 * 10.0 ** (-0.3))
 REQ = Requirements(1e-4, 1e-4, 1e-3)

@@ -52,6 +52,11 @@ class TestLoadGenerator:
         assert (cb.n_c, cb.k) == (7, 4)
         assert min_distance(cb) == 3
 
+    def test_spaced_row_is_no_header(self, tmp_path):
+        # "n_c k" with k = 0 would name no rows after it, so a lone row is a row
+        for text, G in (("1 0", [[1, 0]]), ("10 0", [[1, 0, 0]])):
+            np.testing.assert_array_equal(load_generator(write_code(tmp_path, text)).G, G)
+
     def test_file_round_trip(self, tmp_path):
         p = tmp_path / "ham.txt"
         p.write_text("1000110\n0100101\n0010011\n0001111\n")

@@ -10,6 +10,7 @@ from jdd.channel import TRIALS_PER_BLOCK, FramePlan, gaussian_block, snr_to_sigm
 from jdd.codebook import CORR_TILE_BYTES, Codebook, from_generator, hamming_7_4
 from jdd.detectors import (
     DetectorSpec,
+    _log_cosh_in_place,
     _random_payload_statistics,
     _sign_masks,
     batch_statistic,
@@ -18,7 +19,6 @@ from jdd.detectors import (
     stat_hyped_exact,
     stat_preamble,
 )
-from jdd.numerics import _log_cosh_in_place
 
 
 def toy_code_k3():
@@ -170,9 +170,8 @@ class TestRandomPayloadTables:
             u[i::7] = edge
         specs = [DetectorSpec(kind=k) for k in self.kinds]
         sigma2 = snr_to_sigma2(-3.0)
-        table = np.empty(z.size)
         got = _random_payload_statistics(specs, self.plans, z.copy(), rows, _sign_masks(u.copy()),
-                                         sigma2, table, {})
+                                         sigma2)
         for s, pl, g in zip(specs, self.plans, got):
             x_c = np.where(u[: rows * pl.n_c] < 0.5, 1.0, -1.0).reshape(rows, pl.n_c)
             x = np.concatenate([np.ones((rows, pl.n_p)), x_c], axis=1)
@@ -193,7 +192,7 @@ class TestRandomPayloadTables:
         sigma2 = snr_to_sigma2(0.0)
         with pytest.raises(ValueError, match="needs a codebook"):
             _random_payload_statistics([DetectorSpec(kind="dad")], [FramePlan(n_p=3, n_c=7)],
-                                       np.zeros(10), 1, np.zeros(7), sigma2, np.empty(10), {})
+                                       np.zeros(10), 1, np.zeros(7), sigma2)
 
 
 class TestBatchStatistic:

@@ -8,6 +8,7 @@ import pytest
 from conftest import ROW_COUNTS
 from scipy.stats import beta, binom
 
+from jdd.bounds import q_func, q_inv
 from jdd.channel import (
     TRIALS_PER_BLOCK,
     FramePlan,
@@ -39,7 +40,6 @@ from jdd.montecarlo import (
     estimate_false_alarm,
     estimate_rates,
 )
-from jdd.numerics import q_func, q_inv
 from jdd.sweeps import SweepConfig, _split_candidates
 
 
@@ -175,8 +175,7 @@ class TestCalibrateThreshold:
 def full_calibration(specs, plans, sigma2, trials, eps_fa, seed, cb=None):
     """gamma and infeasible from the whole (entries x trials) idle statistic array."""
     specs, plans, sigma2, _ = _entries(specs, plans, sigma2)
-    blocks = [stats for _, stats in _idle_stats(specs, plans, sigma2, trials, seed,
-                                                 STREAM_CALIBRATION, cb)]
+    blocks = list(_idle_stats(specs, plans, sigma2, trials, seed, STREAM_CALIBRATION, cb))
     rows = [np.concatenate(entry) for entry in zip(*blocks)]
     assert all(row.size == trials for row in rows)
     return [CalibrationResult(gamma=float(np.quantile(row, 1.0 - eps_fa, method="linear")),
@@ -237,8 +236,8 @@ class TestTopKCalibration:
         trials, eps_fa = 10_000, 1e-2
         atom = trials // 100 + excess
         batch = montecarlo.batch_statistic
-        blocks = [s for _, s in _idle_stats(self.specs, self.plans, [self.sigma2] * 4, trials, 5,
-                                            STREAM_CALIBRATION)]
+        blocks = list(_idle_stats(self.specs, self.plans, [self.sigma2] * 4, trials, 5,
+                                  STREAM_CALIBRATION))
         caps = {pl: np.sort(np.concatenate(entry))[-atom]
                 for pl, entry in zip(self.plans, zip(*blocks))}
 
@@ -365,7 +364,7 @@ def statistics(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(montecarlo, "_idle_stats",
-                        recorded(montecarlo._idle_stats, lambda item: item[1]))
+                        recorded(montecarlo._idle_stats, lambda item: item))
     monkeypatch.setattr(montecarlo, "_active_stats",
                         recorded(montecarlo._active_stats, lambda item: item[0]))
 
@@ -612,8 +611,7 @@ class TestActiveSpans:
             plan = FramePlan(n_p=0, n_c=n_c)
             masks = _sign_masks(u.copy())
             assert masks.dtype == np.int64 and masks.tolist() == [0, 0, -1, -1, -1, 0]
-            (got,) = _random_payload_statistics([spec], [plan], z.copy(), rows, masks, self.sigma2,
-                                                np.empty(z.size), {})
+            (got,) = _random_payload_statistics([spec], [plan], z.copy(), rows, masks, self.sigma2)
             x = np.where(u < 0.5, 1.0, -1.0)
             want = stat_hyped_exact((x + z).reshape(rows, n_c), plan, self.sigma2)
             assert got.tobytes() == want.tobytes()
@@ -745,8 +743,8 @@ class TestScreenedEngine:
     def test_false_alarm_at_statistics(self, code, span_helpers, monkeypatch, screened):
         specs, plans, sigma2 = self.entries(code)
         self.adversarial(monkeypatch, code, plans[0].n_p, 51)
-        stats = [np.concatenate(st) for st in zip(*(
-            s for _, s in _idle_stats(specs, plans, sigma2, self.TRIALS, 3, STREAM_IDLE_EVAL, code)))]
+        stats = [np.concatenate(st) for st in zip(
+            *_idle_stats(specs, plans, sigma2, self.TRIALS, 3, STREAM_IDLE_EVAL, code))]
         args = (*self.at_statistics(specs, plans, sigma2, stats, [0, 6, 20, 777, 4100, 4990]),
                 self.TRIALS, 3)
         got = estimate_false_alarm(*args, cb=code)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from jdd.numerics import _log_cosh_in_place, q_func, q_inv
+from jdd.bounds import q_func, q_inv
+from jdd.detectors import _log_cosh_in_place
 
 
 def q_quadrature(x):
