@@ -70,12 +70,15 @@ reads may keep a float32 value.
 Memory: calibration keeps, per entry, only the K = N - floor((N - 1)(1 -
 eps_fa)) + 2 largest of its N idle statistics, merged block by block, and
 reads gamma off them: entries x K values, and no array of N. Evaluation statistics are reduced to counts block by block and
-never stored. Each variance of a block but the last reads a scaled copy of
-the unit block, freed before the next variance's is made, and the last
-scales the block in place, so a call with one variance holds one noise
-block. Without a code, the first of the two ln cosh tables of HyPED's
-random payload overwrites the scaled noise, and jdd.detectors makes the
-second, one array of the scaled noise's size per variance. With a code,
+never stored. On the idle streams each variance of a block but the last
+reads a scaled copy of the unit block, freed before the next variance's is
+made, and the last scales the block in place, so a call with one variance
+holds one noise block. Without a code, the active slots hold one noise
+block whatever the variances: the payload uniforms are drawn first and
+turned into one byte of sign per symbol, so they are freed before the
+noise is drawn, and jdd.detectors reads the unit block in one pass of row
+spans, each span scaling its own values into its thread's buffers for
+each variance in turn. With a code,
 the active slots sqrt(sigma2) w + x of each (variance, slot length) are
 written into one reused block buffer straight from w, in spans of
 whole rows on the usable cores (channel._on_rows), and every entry of a
@@ -328,34 +331,29 @@ def _active_stats(specs, plans, sigma2s, trials, seed, cb=None):
 
     Each noise block is drawn once, at unit variance and the longest slot.
     Without a code, the random payloads of every entry come from one payload
-    draw and one set of sign masks per block, and each variance's noise is
-    sqrt(sigma2) times the block, the last variance scaling it in place;
-    _random_payload_statistics makes its own tables and span buffers, and
-    the wrong decisions are None. With a code, one message draw per block
-    gives the codewords, each (sigma2, length) writes its slots into one
-    buffer, made here and reused by every block, and its entries share one
-    ML decision, whose mismatches with the messages are the wrong decisions.
+    draw and one set of sign masks per block, made before the noise is
+    drawn; _random_payload_statistics scores every entry, of any variance,
+    in one pass over the unit block, and the wrong decisions are None. With
+    a code, one message draw per block gives the codewords, each (sigma2,
+    length) writes its slots into one buffer, made here and reused by every
+    block, and its entries share one ML decision, whose mismatches with the
+    messages are the wrong decisions.
     """
     groups = _by_slot(range(len(specs)), plans, sigma2s)
     width = max(pl.n for pl in plans)
     # with a code, the active slots of every block
     buf = None if cb is None else np.empty(min(trials, TRIALS_PER_BLOCK) * width)
     for block, count in _blocks(trials):
+        masks = None
+        if cb is None:
+            # one draw serves every payload length (a (count, n_c) draw is its
+            # prefix); its uniforms are freed before the noise is drawn
+            masks = _sign_masks(uniform_block(seed, STREAM_PAYLOAD, block,
+                                              (count * max(pl.n_c for pl in plans),)))
         w = gaussian_block(1.0, seed, STREAM_ACTIVE_NOISE, block, (count, width)).reshape(-1)
         stats, wrong = [None] * len(specs), [None] * len(specs)
         if cb is None:
-            # one draw serves every payload length: a (count, n_c) draw is its prefix
-            masks = _sign_masks(uniform_block(seed, STREAM_PAYLOAD, block,
-                                              (count * max(pl.n_c for pl in plans),)))
-            for g, (sigma2, lengths) in enumerate(groups.items()):
-                idx = [i for entries in lengths.values() for i in entries]
-                z = _scaled(w, sigma2, count * max(lengths), in_place=g == len(groups) - 1)
-                results = _random_payload_statistics([specs[i] for i in idx], [plans[i] for i in idx],
-                                                     z, count, masks, sigma2)
-                for i, entry_stats in zip(idx, results):
-                    stats[i] = entry_stats
-                del z  # freed before the next variance's copy is made
-            del masks  # freed before the next block is drawn
+            stats = _random_payload_statistics(specs, plans, sigma2s, w, count, masks)
         else:
             m = _draw_messages(cb.M, seed, block, count)
 
@@ -380,7 +378,7 @@ def _active_stats(specs, plans, sigma2s, trials, seed, cb=None):
                         decided, _ = codebook.ml_decode(cb, y[:, n_p:], _exact=exact)
                     for i, (entry_stats, _) in zip(idx, results):
                         stats[i], wrong[i] = entry_stats, decided != m
-        del w  # freed before the next block is drawn
+        del w, masks  # freed before the next block is drawn
         yield stats, wrong
 
 

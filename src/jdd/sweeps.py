@@ -62,8 +62,9 @@ MAX_ABS_SNR_DB = 300.0
 
 # longest blocklength a config may give: a density pass holds one 4096 x n
 # float64 noise block (32 KiB per symbol of n) and each thread's span
-# buffers, and a HyPED engine pass up to four blocks, 2 GiB at this length;
-# a much longer n would exhaust memory mid-run rather than be refused at
+# buffers, and a Monte Carlo engine pass up to two blocks (a scaled copy at
+# several variances, or a code's active slots), 1 GiB at this length; a
+# much longer n would exhaust memory mid-run rather than be refused at
 # parse time
 MAX_BLOCKLENGTH = 1 << 14
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from conftest import ROW_COUNTS, TILE_EDGE_ROWS, assert_row_values, code_76_12
 
-from jdd import channel
+from jdd import channel, detectors
 from jdd.channel import TRIALS_PER_BLOCK, FramePlan, gaussian_block, snr_to_sigma2
 from jdd.codebook import CORR_TILE_BYTES, Codebook, from_generator, hamming_7_4
 from jdd.detectors import (
@@ -161,38 +161,45 @@ class TestRandomPayloadTables:
              ((84, 0), (84, 42), (60, 60), (60, 7), (84, 83), (23, 5), (60, 0))]
     kinds = ["hyped-exact"] * 5 + ["preamble", "hyped-exact"]
 
-    def check(self, rows, seed):
-        z = gaussian_block(self.sigma2, seed, 6, 0, (rows, 84)).reshape(-1)
+    def check(self, rows, seed, sigma2s=None):
+        # every entry at self.sigma2, or each at its own variance of `sigma2s`
+        sigma2s = sigma2s or [self.sigma2] * len(self.plans)
+        w = gaussian_block(1.0, seed, 6, 0, (rows, 84)).reshape(-1)
         n_c_max = max(pl.n_c for pl in self.plans)
         u = channel.uniform_block(seed, 8, 0, (rows * n_c_max,))
         # the edges of the sign rule: u = 1/2 exactly gives -1, as in jdd.montecarlo
         for i, edge in enumerate((0.5, 2.0 ** -64, 0.5 - 2.0 ** -54, 0.5 + 2.0 ** -53)):
             u[i::7] = edge
         specs = [DetectorSpec(kind=k) for k in self.kinds]
-        sigma2 = snr_to_sigma2(-3.0)
-        got = _random_payload_statistics(specs, self.plans, z.copy(), rows, _sign_masks(u.copy()),
-                                         sigma2)
-        for s, pl, g in zip(specs, self.plans, got):
+        w_in, masks = w.copy(), _sign_masks(u.copy())
+        got = _random_payload_statistics(specs, self.plans, sigma2s, w_in, rows, masks)
+        # the block and the masks are only read
+        assert w_in.tobytes() == w.tobytes() and masks.tobytes() == _sign_masks(u).tobytes()
+        for s, pl, s2, g in zip(specs, self.plans, sigma2s, got):
+            z = gaussian_block(s2, seed, 6, 0, (rows, 84)).reshape(-1)
             x_c = np.where(u[: rows * pl.n_c] < 0.5, 1.0, -1.0).reshape(rows, pl.n_c)
             x = np.concatenate([np.ones((rows, pl.n_p)), x_c], axis=1)
             y = x + z[: rows * pl.n].reshape(rows, pl.n)
-            want, _ = batch_statistic(s, y, pl, snr_to_sigma2(-3.0))
+            want, _ = batch_statistic(s, y, pl, s2)
             assert g.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("rows", ROW_COUNTS)
     def test_block(self, span_helpers, rows):
         self.check(rows, 3)
 
-    @pytest.mark.parametrize("span", [1, 84, 3 * 60 + 1])
+    @pytest.mark.parametrize("span", [1, 84, 3 * 60 + 1, 3 * 84 + 1])
     def test_any_span_size(self, span_helpers, monkeypatch, span):
-        monkeypatch.setattr(channel, "_ROW_SPAN", span)
+        # spans of one to three rows of 84: rows of 60 and 23 straddle span ends
+        monkeypatch.setattr(detectors, "_SPAN", span)
         self.check(1025, 4)
+        # entries of two variances in one pass, each slot length at both
+        self.check(1025, 5, [snr_to_sigma2(db) for db in (-3.0, 2.0, 2.0, -3.0, -3.0, 2.0, 2.0)])
 
     def test_dad_needs_a_code(self):
         sigma2 = snr_to_sigma2(0.0)
         with pytest.raises(ValueError, match="needs a codebook"):
             _random_payload_statistics([DetectorSpec(kind="dad")], [FramePlan(n_p=3, n_c=7)],
-                                       np.zeros(10), 1, np.zeros(7), sigma2)
+                                       [sigma2], np.zeros(10), 1, np.zeros(7, dtype=np.int8))
 
 
 class TestBatchStatistic:

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from conftest import ROW_COUNTS
 from scipy.stats import beta, binom
 
+from jdd import channel
 from jdd.bounds import q_func, q_inv
 from jdd.channel import (
     TRIALS_PER_BLOCK,
@@ -601,17 +603,55 @@ class TestActiveSpans:
         assert (estimate_rates(specs, plans, self.sigma2, 5000, 4)
                 == self.reference(specs, plans, 5000, 4))
 
+    def test_two_variances(self, span_helpers):
+        # one call with HyPED splits at two variances, both lengths at each
+        sigma2s = [self.sigma2, snr_to_sigma2(1.0)] * 2 + [self.sigma2]
+        plans = self.plans[:4] + [FramePlan(n_p=20, n_c=64)]
+        rates = estimate_rates(self.specs, plans, sigma2s, 5000, 3)
+        assert rates == [estimate_rates(s, pl, s2, 5000, 3)
+                         for s, pl, s2 in zip(self.specs, plans, sigma2s)]
+
+    def test_random_payload_holds_one_block(self, monkeypatch):
+        # rate-hyped's HyPED pass: 20 splits of n = 60 and 84, 20 000 trials.
+        # Each block holds its unit noise, one byte of sign per payload symbol
+        # and each entry's statistics (also the last block's, which the loop
+        # of estimate_rates still binds), and each thread holds its +1 table,
+        # XOR table and picked terms of about channel._SPAN values, and one
+        # ln cosh temporary of that size. A second block-sized ln cosh table
+        # would add 8 * 4096 * 84 bytes, and int64 signs 7 * 4096 * 84.
+        # One helper thread, whatever the cores, fixes the buffer count
+        monkeypatch.setattr(channel, "_HELPERS", 1)
+        monkeypatch.setattr(channel, "_POOL", ThreadPoolExecutor(1))
+        plans = [FramePlan(n_p=n_p, n_c=n - n_p) for n in (60, 84)
+                 for n_p in sorted({0, *range(n // 8, n, n // 8), n - 1})]
+        spec, width, trials = DetectorSpec(kind="hyped-exact", gamma=0.0), 84, 20_000
+        tracemalloc.start()
+        try:
+            rates = estimate_rates(spec, plans, self.sigma2, trials, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            channel._POOL.shutdown()
+        assert len(rates) == len(plans) == 20
+        block = 8 * TRIALS_PER_BLOCK * width
+        signs = TRIALS_PER_BLOCK * width
+        outputs = 2 * 8 * TRIALS_PER_BLOCK * len(plans)
+        spans = 2 * 4 * 8 * (channel._SPAN + width)  # two threads, four arrays each
+        assert peak < block + signs + outputs + spans + (1 << 19)
+
     def test_payload_signs(self):
         # +1 exactly where the uniform is below 1/2, at the edges too: the
         # statistic from the two ln cosh tables is that of the slots x + z
         u = np.array([2.0 ** -64, 0.5 - 2.0 ** -54, 0.5, 0.5 + 2.0 ** -53, 1.0 - 2.0 ** -53, 0.25])
+        w = gaussian_block(1.0, 5, STREAM_ACTIVE_NOISE, 0, (6,))
         z = gaussian_block(self.sigma2, 5, STREAM_ACTIVE_NOISE, 0, (6,))
         spec = DetectorSpec(kind="hyped-exact")
         for rows, n_c in ((2, 3), (3, 2)):
             plan = FramePlan(n_p=0, n_c=n_c)
             masks = _sign_masks(u.copy())
-            assert masks.dtype == np.int64 and masks.tolist() == [0, 0, -1, -1, -1, 0]
-            (got,) = _random_payload_statistics([spec], [plan], z.copy(), rows, masks, self.sigma2)
+            # one byte a symbol, 0 or all ones
+            assert masks.dtype == np.int8 and masks.tolist() == [0, 0, -1, -1, -1, 0]
+            (got,) = _random_payload_statistics([spec], [plan], [self.sigma2], w, rows, masks)
             x = np.where(u < 0.5, 1.0, -1.0)
             want = stat_hyped_exact((x + z).reshape(rows, n_c), plan, self.sigma2)
             assert got.tobytes() == want.tobytes()
