@@ -28,12 +28,10 @@ flat-prefix contract); a last block of b < ``TRIALS_PER_BLOCK`` trials draws
 only its first b rows. And ``gaussian_block(sigma2, ...)`` equals
 ``sqrt(sigma2) * gaussian_block(1.0, ...)`` bit for bit, since it forms that
 same product (the noise-variance contract). So each block is drawn once, at
-unit variance and at the longest key's width, and read in one pass of row
-spans: for each variance in turn, a span scales its own flat values into
-its thread's buffers, takes their softplus terms and reduces them to the
-sums of every key's rows that start inside it. The noise block is the only
-array of a block's size a pass holds. No result depends on which keys
-share a pass.
+unit variance and at the longest key's width, and read in one
+channel._on_slots pass, which hands the softplus kernel the rows of every
+key. The noise block is the only array of a block's size a pass holds. No
+result depends on which keys share a pass.
 
 ``meta_converse_min_error`` draws each of its two streams once and holds one
 at a time. Its threshold, the pivot, is a sample of the type-II stream 3,
@@ -51,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc, log_ndtr, ndtri, ndtri_exp
 
-from .channel import TRIALS_PER_BLOCK, _SPAN, _blocks, _on_cores, _thread_buffer, gaussian_block
+from .channel import TRIALS_PER_BLOCK, _blocks, _by_slot, _on_slots, gaussian_block
 
 __all__ = [
     "q_func",
@@ -273,62 +271,39 @@ def info_density_samples(n, sigma2, trials, seed, stream=1, more=None):
 
     Each noise block is drawn once, at unit variance and at the longest
     key's width, and freed before the next draw; no other array of its size
-    is held. One pass over the usable cores (channel._on_cores) then reads
-    it in spans of whole rows at that width, about channel._SPAN values
-    each. For each variance in turn, a span scales its flat values (the
-    product gaussian_block(sigma2) forms) and writes their softplus terms
-    into its thread's own buffers, past its end by up to width - 1 values,
-    since a shorter row that starts inside the span may end beyond it. The
-    sums of every key's rows that start inside the span go straight into
-    that key's output, where l ln 2 - sum is formed in place. Every value is
-    elementwise or one row's sum, so none depends on the spans or on the
-    core count.
+    is held. channel._on_slots hands each span of its rows, scaled, to the
+    softplus kernel, which writes the terms in place and the sums of every
+    key's rows that start inside the span straight into that key's output,
+    where l ln 2 - sum is formed in place. Every value is elementwise or one
+    row's sum, so none depends on the spans or on the core count.
     """
     keys = _density_keys(n, sigma2, more)
     trials = int(trials)
     outs = [np.empty(trials) for _ in keys]
-    by_variance = {}  # sigma2 -> its keys' (length, output)
-    for (s2, l), out in zip(keys, outs):
-        by_variance.setdefault(s2, []).append((l, out))
+    groups = _by_slot(range(len(keys)), [l for _, l in keys], [s2 for s2, _ in keys])
     width = max(l for _, l in keys)
-    rows = max(1, _SPAN // width)
-    # each thread's softplus terms and scratch, kept for this call only: a
-    # buffer that outlived it would stay in the heap between later calls
-    terms, scratch = {}, {}
     for block, b in _blocks(trials):
         done = block * TRIALS_PER_BLOCK
+
+        def densities(s2, t, rest, starts):
+            # y = 1 + z, t = -2 y / sigma2, then the stable softplus
+            # ln(1 + e^t) = max(t, 0) + log1p(exp(-|t|))
+            t += 1.0
+            t *= -2.0
+            t /= s2
+            s = np.abs(t, out=rest[0][: t.size])
+            np.negative(s, out=s)
+            np.exp(s, out=s)
+            np.log1p(s, out=s)
+            np.maximum(t, 0.0, out=t)
+            t += s
+            for l, idx, r0, r1, at in starts:
+                rows = t[at : at + (r1 - r0) * l].reshape(r1 - r0, l).sum(axis=1)
+                for i in idx:
+                    np.subtract(l * np.log(2.0), rows, out=outs[i][done + r0 : done + r1])
+
         unit = gaussian_block(1.0, seed, stream, block, (b, width)).reshape(-1)
-
-        def densities(a, c):
-            lo = a * width  # rows [a, c) hold flat values [lo, c * width)
-            t_buf = _thread_buffer(terms, (rows + 1) * width - 1)
-            s_buf = _thread_buffer(scratch, t_buf.size)
-            for s2, entries in by_variance.items():
-                # each key's rows [r0, r1) that start inside the span
-                starts = [(l, out, -(-lo // l), min(b, -(-c * width // l)))
-                          for l, out in entries]
-                starts = [start for start in starts if start[2] < start[3]]
-                if not starts:
-                    continue
-                hi = max(l * r1 for l, _, _, r1 in starts)
-                # z = sqrt(sigma2) * unit, y = 1 + z, t = -2 y / sigma2, then the
-                # stable softplus ln(1 + e^t) = max(t, 0) + log1p(exp(-|t|))
-                t = np.multiply(unit[lo:hi], np.sqrt(s2), out=t_buf[: hi - lo])
-                t += 1.0
-                t *= -2.0
-                t /= s2
-                s = np.abs(t, out=s_buf[: hi - lo])
-                np.negative(s, out=s)
-                np.exp(s, out=s)
-                np.log1p(s, out=s)
-                np.maximum(t, 0.0, out=t)
-                t += s
-                for l, out, r0, r1 in starts:
-                    d = np.add.reduce(t[r0 * l - lo : r1 * l - lo].reshape(r1 - r0, l), axis=1,
-                                      out=out[done + r0 : done + r1])
-                    np.subtract(l * np.log(2.0), d, out=d)
-
-        _on_cores(densities, b, rows)
+        _on_slots(unit, b, groups, densities, 2)
         del unit  # the block is freed before the next draw
     return outs if more is not None else outs[0]
 

@@ -39,13 +39,13 @@ TRIALS_PER_BLOCK = 4096
 # Values per span of a block kernel: a multiple of 4, and large enough that
 # handing a span to another core costs little against filling it
 _SPAN = 1 << 15
-# Values per span of whole rows, for kernels that reduce or fill rows of a
-# block (detection statistics, active slots). Not _SPAN: on two cores, row
-# spans of 1 << 15 values took the rate-hyped benchmark's sweep 0.46-0.48 s
-# against 0.39-0.44 s, and one span of 1 << 16 for every kernel would double
-# each thread's density buffers (jdd.bounds), +1.0-1.4 MiB of peak RSS on
-# pie-bounds
-_ROW_SPAN = 1 << 16
+# Values per span of whole rows, for every kernel that reduces or fills rows
+# of a block (_on_rows, _on_slots). 1 << 16 is a little faster but holds more:
+# on two cores, twenty alternating warm rate-hyped sweeps in one process took
+# 0.398 s at 1 << 16 against 0.421 s here (pie-code's did not move), and it
+# doubles each thread's _on_slots buffers, about 256 KiB apiece here: 0.8-1.3
+# MiB more peak RSS on the rate-hyped and pie-bounds benchmarks
+_ROW_SPAN = 1 << 15
 
 _local = threading.local()
 
@@ -115,12 +115,55 @@ def _on_rows(fn, rows, width):
     _on_cores(fn, rows, max(1, _ROW_SPAN // width))
 
 
-def _thread_buffer(scratch, size):
-    """This thread's buffer in `scratch` (a dict by thread), grown to `size`: buf[:size]."""
-    buf = scratch.get(threading.get_ident())
-    if buf is None or buf.size < size:
-        buf = scratch[threading.get_ident()] = np.empty(size)
-    return buf[:size]
+def _by_slot(indices, lengths, sigma2s):
+    """sigma2 -> length -> the entries of `indices` of that key, in order of first use.
+
+    Entry i has length lengths[i] and noise variance sigma2s[i].
+    """
+    groups = {}
+    for i in indices:
+        groups.setdefault(sigma2s[i], {}).setdefault(lengths[i], []).append(i)
+    return groups
+
+
+def _on_slots(w, count, groups, kernel, buffers):
+    """Call `kernel` on the slots of each (sigma2, length) of `groups` in a unit noise block.
+
+    `w` is a flat unit-variance block of `count` rows at the widest length
+    of `groups` (a _by_slot mapping). The slots of length l at sigma2 are
+    the (count, l) rows of sqrt(sigma2) times w's flat prefix, which is
+    gaussian_block(sigma2)'s block of that shape bit for bit.
+
+    The block is read in spans of whole rows at its width (_on_rows). For each
+    span and each variance in turn, the span's values times sqrt(sigma2) are
+    written to z, this thread's first of `buffers` buffers, and kernel(sigma2,
+    z, rest, starts) is called with the other buffers in `rest`. `starts`
+    lists (l, indices, r0, r1, offset) for each length l whose rows [r0, r1)
+    start inside the span, row r0 at z[offset], so each row is handed over
+    once, whole; a shorter row may end past the span, so each buffer holds up
+    to width - 1 values more than one. The buffers last for this call only.
+    `kernel` may overwrite z and `rest`, writes only what its rows own and
+    calls numpy and private code only (_on_cores).
+    """
+    width = max(l for lengths in groups.values() for l in lengths)
+    size = (max(1, _ROW_SPAN // width) + 1) * width - 1
+    scratch = {}  # thread -> its buffers
+
+    def slots(a, c):
+        lo = a * width  # rows [a, c) hold flat values [lo, c * width)
+        bufs = scratch.get(threading.get_ident())
+        if bufs is None:
+            bufs = scratch[threading.get_ident()] = [np.empty(size) for _ in range(buffers)]
+        for sigma2, lengths in groups.items():
+            starts = [(l, idx, -(-lo // l), min(count, -(-c * width // l)))
+                      for l, idx in lengths.items()]
+            starts = [(l, idx, r0, r1, r0 * l - lo) for l, idx, r0, r1 in starts if r0 < r1]
+            if starts:
+                hi = max(l * r1 for l, _, _, r1, _ in starts)
+                z = np.multiply(w[lo:hi], np.sqrt(sigma2), out=bufs[0][: hi - lo])
+                kernel(sigma2, z, bufs[1:], starts)
+
+    _on_rows(slots, count, width)
 
 
 def _blocks(trials):

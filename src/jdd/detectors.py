@@ -10,9 +10,9 @@ HyPED-exact, DAD), which batch_statistic evaluates for the Monte Carlo
 engine; active slots with random payloads take the engine's other path,
 _random_payload_statistics, which shares HyPED's row kernel and reads the
 payload signs as the one-byte masks _sign_masks forms, here alone, from the
-engine's uniforms. It scores every entry in one pass of row spans over the
-engine's unit noise block, each span scaling its own values into its
-thread's buffers, so the pass holds no other block-sized array.
+engine's uniforms. It scores every entry in one channel._on_slots pass
+over the engine's unit noise block, so the pass holds no other
+block-sized array.
 stat_codebook_aided, the optimal joint test, is a reference statistic,
 called directly; the genie's rows are closed forms (jdd.bounds).
 """
@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import codebook
-from .channel import _SPAN, FramePlan, _noise_variance, _on_cores, _on_rows, _thread_buffer
+from .channel import FramePlan, _by_slot, _noise_variance, _on_rows, _on_slots
 from .codebook import _argmax_rows, _tiled_correlation
 
 __all__ = [
@@ -153,92 +153,69 @@ def _random_payload_statistics(specs, plans, sigma2s, w, count, masks):
     """Statistics of active slots x + z with i.i.d. random payloads, one array per entry.
 
     `w` is a flat unit-variance noise block of `count` rows at the longest
-    slot; the entry of a plan of length n and variance sigma2 reads
-    z = sqrt(sigma2) * w's first count * n values as (count, n) slots, the
-    noise gaussian_block(sigma2) forms. x is +1 on the preamble, and symbol
-    j of row r of the payload of length n_c is -1 where the int8
-    masks[r * n_c + j] is all ones and +1 where it is zero: the _sign_masks
-    of jdd.montecarlo's payload uniforms. The entries are preamble and
-    HyPED-exact. `w` and `masks` are only read, so one block and one set of
-    masks serve every variance.
+    slot, and an entry's noise z is its slots there at its variance
+    (channel._on_slots). x is +1 on the preamble, and symbol j of row r of
+    the payload of length n_c is -1 where the int8 masks[r * n_c + j] is
+    all ones and +1 where it is zero: the _sign_masks of jdd.montecarlo's
+    payload uniforms. The entries are preamble and HyPED-exact. `w` and
+    `masks` are only read, so one block and one set of masks serve every
+    variance.
 
-    One pass over the usable cores (channel._on_cores) reads the block in
-    spans of whole rows at its width, about channel._SPAN values each, as
-    jdd.bounds' density pass does. For each variance in turn, a span
-    scales its flat values into its thread's own buffers, past its end by
-    up to width - 1 values, since a shorter row that starts inside the span
-    may end beyond it, and writes the statistics of every entry's rows that
-    start inside the span. A payload symbol adds one of two HyPED terms,
-    ln cosh((z + 1) / sigma2) or ln cosh((z - 1) / sigma2), so both are
-    computed once per noise value, the second table then holding the XOR
-    of the two terms' bits; each HyPED entry picks its terms by their bits,
-    (+1 term) XOR (XOR & mask), the mask widened to int64 by the pick, and
-    sums them through stat_hyped_exact's row kernel, after its preamble
-    sums of z + 1. Every value is elementwise or one row's sum, so each
-    equals stat_hyped_exact on the assembled slots bit for bit, whatever
-    the spans or the core count.
+    channel._on_slots hands the kernel each span's slots at each variance in
+    turn. A payload symbol adds one of two HyPED terms, ln cosh((z + 1) /
+    sigma2) or ln cosh((z - 1) / sigma2), so the kernel computes both once
+    per noise value, the second table then holding the XOR of the two terms'
+    bits; each HyPED entry picks its terms by their bits, (+1 term) XOR (XOR
+    & mask), the mask widened to int64 by the pick, and sums them through
+    stat_hyped_exact's row kernel, after its preamble sums of z + 1. Every
+    value is elementwise or one row's sum, so each equals stat_hyped_exact
+    on the assembled slots bit for bit, whatever the spans or the core
+    count.
     """
-    out = [np.empty(count) for _ in specs]
-    by_variance = {}  # sigma2 -> slot length -> the indices of its entries
-    for i, (s, pl) in enumerate(zip(specs, plans)):
+    for s, pl in zip(specs, plans):
         if s.kind not in ("preamble", "hyped-exact"):
             raise ValueError(f"{s.kind} detection needs a codebook")
         if s.kind == "preamble" and pl.n_p < 1:  # the sweeps never simulate it without a code
             raise ValueError("preamble statistic needs n_p >= 1")
-        by_variance.setdefault(sigma2s[i], {}).setdefault(pl.n, []).append(i)
-    width = max(pl.n for pl in plans)
-    rows = max(1, _SPAN // width)
-    size = (rows + 1) * width - 1
-    # each thread's +1 table, XOR table and picked terms, kept for this call only
-    scratch = {}
+    out = [np.empty(count) for _ in specs]
 
-    def statistics(a, c):
-        lo = a * width  # rows [a, c) hold flat values [lo, c * width)
-        buf = _thread_buffer(scratch, 3 * size)
-        for s2, lengths in by_variance.items():
-            # each length's rows [r0, r1) that start inside the span
-            starts = [(n, idx, -(-lo // n), min(count, -(-c * width // n)))
-                      for n, idx in lengths.items()]
-            starts = [start for start in starts if start[2] < start[3]]
-            if not starts:
-                continue
-            hi = max(n * r1 for n, _, _, r1 in starts)
-            plus = np.multiply(w[lo:hi], np.sqrt(s2), out=buf[: hi - lo])
-            # z - 1.0 is z + x at x = -1, and z + 1.0 at x = +1, bit for bit
-            minus = np.subtract(plus, 1.0, out=buf[size : size + hi - lo])
-            plus += 1.0
-            for n, idx, r0, r1 in starts:
-                y = plus[r0 * n - lo : r1 * n - lo].reshape(r1 - r0, n)
-                for i in idx:
-                    n_p = plans[i].n_p
-                    if specs[i].kind == "preamble":
-                        out[i][r0:r1] = _preamble_rows(y[:, :n_p], s2)
-                    else:
-                        np.add.reduce(y[:, :n_p], axis=-1, out=out[i][r0:r1])
-            for t in (minus, plus):
-                t /= s2
-                _log_cosh_in_place(t)
-            # the same values as int64 bit patterns, for the picks: on two cores a
-            # boolean-masked np.copyto of the -1 terms over the +1 terms took the
-            # rate-hyped benchmark's random-payload estimate_rates call (20 splits,
-            # 20 000 trials) 0.15-0.16 s, picks by bits 0.10-0.11 s
-            plus_bits, flips = plus.view(np.int64), minus.view(np.int64)
-            np.bitwise_xor(flips, plus_bits, out=flips)
-            for n, idx, r0, r1 in starts:
-                rows_plus, rows_flips = (t[r0 * n - lo : r1 * n - lo].reshape(r1 - r0, n)
-                                         for t in (plus_bits, flips))
-                for i in idx:
-                    if specs[i].kind == "preamble":
-                        continue
-                    n_p, n_c = plans[i].n_p, plans[i].n_c
-                    signs = masks[r0 * n_c : r1 * n_c].reshape(r1 - r0, n_c)
-                    terms = buf[2 * size : 2 * size + signs.size].reshape(signs.shape)
-                    picked = terms.view(np.int64)
-                    np.bitwise_and(rows_flips[:, n_p:], signs, out=picked)
-                    np.bitwise_xor(picked, rows_plus[:, n_p:], out=picked)
-                    _hyped_rows(out[i][r0:r1], out[i][r0:r1], terms, n, s2)
+    def statistics(s2, plus, rest, starts):
+        # z - 1.0 is z + x at x = -1, and z + 1.0 at x = +1, bit for bit
+        minus = np.subtract(plus, 1.0, out=rest[0][: plus.size])
+        plus += 1.0
+        for n, idx, r0, r1, at in starts:
+            y = plus[at : at + (r1 - r0) * n].reshape(r1 - r0, n)
+            for i in idx:
+                n_p = plans[i].n_p
+                if specs[i].kind == "preamble":
+                    out[i][r0:r1] = _preamble_rows(y[:, :n_p], s2)
+                else:
+                    np.add.reduce(y[:, :n_p], axis=-1, out=out[i][r0:r1])
+        for t in (minus, plus):
+            t /= s2
+            _log_cosh_in_place(t)
+        # the same values as int64 bit patterns, for the picks: on two cores a
+        # boolean-masked np.copyto of the -1 terms over the +1 terms took the
+        # rate-hyped benchmark's random-payload estimate_rates call (20 splits,
+        # 20 000 trials) 0.15-0.16 s, picks by bits 0.10-0.11 s
+        plus_bits, flips = plus.view(np.int64), minus.view(np.int64)
+        np.bitwise_xor(flips, plus_bits, out=flips)
+        for n, idx, r0, r1, at in starts:
+            rows_plus, rows_flips = (t[at : at + (r1 - r0) * n].reshape(r1 - r0, n)
+                                     for t in (plus_bits, flips))
+            for i in idx:
+                if specs[i].kind == "preamble":
+                    continue
+                n_p, n_c = plans[i].n_p, plans[i].n_c
+                signs = masks[r0 * n_c : r1 * n_c].reshape(r1 - r0, n_c)
+                terms = rest[1][: signs.size].reshape(signs.shape)
+                picked = terms.view(np.int64)
+                np.bitwise_and(rows_flips[:, n_p:], signs, out=picked)
+                np.bitwise_xor(picked, rows_plus[:, n_p:], out=picked)
+                _hyped_rows(out[i][r0:r1], out[i][r0:r1], terms, n, s2)
 
-    _on_cores(statistics, count, rows)
+    _on_slots(w, count, _by_slot(range(len(specs)), [pl.n for pl in plans], sigma2s),
+              statistics, 3)
     return out
 
 

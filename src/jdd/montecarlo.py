@@ -69,18 +69,18 @@ reads may keep a float32 value.
 
 Memory: calibration keeps, per entry, only the K = N - floor((N - 1)(1 -
 eps_fa)) + 2 largest of its N idle statistics, merged block by block, and
-reads gamma off them: entries x K values, and no array of N. Evaluation statistics are reduced to counts block by block and
-never stored. On the idle streams each variance of a block but the last
-reads a scaled copy of the unit block, freed before the next variance's is
-made, and the last scales the block in place, so a call with one variance
-holds one noise block. Without a code, the active slots hold one noise
-block whatever the variances: the payload uniforms are drawn first and
-turned into one byte of sign per symbol, so they are freed before the
-noise is drawn, and jdd.detectors reads the unit block in one pass of row
-spans, each span scaling its own values into its thread's buffers for
-each variance in turn. With a code,
-the active slots sqrt(sigma2) w + x of each (variance, slot length) are
-written into one reused block buffer straight from w, in spans of
+reads gamma off them: entries x K values, and no array of N. Evaluation
+statistics are reduced to counts block by block and never stored, and each
+function drops a block's statistics before the next block is scored. On
+the idle streams each variance of a block but the last reads a scaled copy
+of the unit block, freed before the next variance's is made, and the last
+scales the block in place, so a call with one variance holds one noise
+block. Without a code, the active slots hold one noise block whatever the
+variances: the payload uniforms are drawn first and turned into one byte
+of sign per symbol, so they are freed before the noise is drawn, and
+jdd.detectors scores the unit block through channel._on_slots. With a
+code, the active slots sqrt(sigma2) w + x of each (variance, slot length)
+are written into one reused block buffer straight from w, in spans of
 whole rows on the usable cores (channel._on_rows), and every entry of a
 (variance, length) sees the same slots: each block gets one ML decision per
 (variance, slot length), the first DAD entry's argmax, which is ML
@@ -102,6 +102,7 @@ from .channel import (
     TRIALS_PER_BLOCK,
     FramePlan,
     _blocks,
+    _by_slot,
     _noise_variance,
     _on_rows,
     gaussian_block,
@@ -176,14 +177,6 @@ def _entries(spec, plan, sigma2):
     return specs, plans, [_noise_variance(s2) for s2 in sigma2s], all(lone)
 
 
-def _by_slot(indices, plans, sigma2s):
-    """sigma2 -> slot length -> the entries of `indices` with that slot, in order of first use."""
-    groups = {}
-    for i in indices:
-        groups.setdefault(sigma2s[i], {}).setdefault(plans[i].n, []).append(i)
-    return groups
-
-
 def _scaled(w, sigma2, size, in_place):
     """The first `size` values of sqrt(sigma2) * w, in place or in a new array.
 
@@ -208,7 +201,8 @@ def _idle_stats(specs, plans, sigma2s, trials, seed, stream, cb=None, exact=None
     for i, (s, pl) in enumerate(zip(specs, plans)):
         if s.kind == "dad":
             dad.setdefault(pl, []).append(i)
-    groups = _by_slot([i for i, s in enumerate(specs) if s.kind != "dad"], plans, sigma2s)
+    groups = _by_slot([i for i, s in enumerate(specs) if s.kind != "dad"],
+                      [pl.n for pl in plans], sigma2s)
     width = max(pl.n for pl in plans)
     for block, count in _blocks(trials):
         w = gaussian_block(1.0, seed, stream, block, (count, width)).reshape(-1)
@@ -293,6 +287,7 @@ def calibrate_threshold(spec, plan, sigma2, trials, eps_fa, seed, cb=None):
                                    top_exact):
         tops = [_largest(np.concatenate([top, stats]), keep)
                 for top, stats in zip(tops, block_stats)]
+        del block_stats  # freed before the next block is scored
     t = h - j
     out = []
     for top in tops:
@@ -339,7 +334,7 @@ def _active_stats(specs, plans, sigma2s, trials, seed, cb=None):
     block, and its entries share one ML decision, whose mismatches with the
     messages are the wrong decisions.
     """
-    groups = _by_slot(range(len(specs)), plans, sigma2s)
+    groups = _by_slot(range(len(specs)), [pl.n for pl in plans], sigma2s)
     width = max(pl.n for pl in plans)
     # with a code, the active slots of every block
     buf = None if cb is None else np.empty(min(trials, TRIALS_PER_BLOCK) * width)
@@ -412,6 +407,7 @@ def estimate_false_alarm(spec, plan, sigma2, trials, seed, cb=None):
                                    at_gammas):
         for i, (stats, s) in enumerate(zip(block_stats, specs)):
             n_fa[i] += int(np.sum(stats >= s.gamma))
+        del block_stats, stats  # freed before the next block is scored
     out = [RateEstimate.from_counts(n, trials) for n in n_fa]
     return out[0] if single else out
 
@@ -440,6 +436,8 @@ def estimate_rates(spec, plan, sigma2, trials, seed, cb=None):
             n_detected[i] += int(np.sum(detected))
             if wrong is not None:
                 n_cw_err[i] += int(np.sum(detected & wrong))
+        # freed before the next block is scored
+        del block_stats, block_wrong, stats, wrong, detected
 
     out = []
     for i in range(len(specs)):

@@ -457,25 +457,29 @@ class TestDensitySpans:
     """The row spans give the serial formula on any thread count."""
 
     def test_equals_serial_formula(self, span_helpers):
-        # the last block here ends in a one-row span of its 84-value rows
-        trials = TRIALS_PER_BLOCK + bounds._SPAN // 84 + 1
+        # the last block of the first trial count ends in a one-row span of its
+        # 84-value rows, and the second count's one block is shorter than a
+        # span; the key (SIGMA2_M3DB, 12) is given twice
         keys = [(SIGMA2_M3DB, 84), (SIGMA2_M3DB, 12), (0.3, 40), (SIGMA2_M3DB, 1), (0.3, 84),
-                (2.0, 7)]
+                (2.0, 7), (SIGMA2_M3DB, 12)]
         (sigma2, n), *more = keys
-        got = info_density_samples(n, sigma2, trials, 5, more=more)
-        for (s2, l), dens in zip(keys, got):
-            assert dens.tobytes() == serial_densities(l, s2, trials, 5).tobytes()
+        for trials in (TRIALS_PER_BLOCK + channel._ROW_SPAN // 84 + 1, 100):
+            got = info_density_samples(n, sigma2, trials, 5, more=more)
+            for (s2, l), dens in zip(keys, got):
+                assert dens.tobytes() == serial_densities(l, s2, trials, 5).tobytes()
 
     @pytest.mark.parametrize("span", [4, 1000, 3 * 84 + 4])
     def test_softplus_span_changes_no_value(self, monkeypatch, span_helpers, span):
         # every softplus step is elementwise and every sum one row's, so spans
         # of one, three or eleven 84-value rows, past whose ends some 40-value
-        # rows run, give the default span's bytes
-        keys = [(SIGMA2_M3DB, 84), (SIGMA2_M3DB, 12), (0.3, 40), (0.3, 84)]
+        # rows run, give the default span's bytes; the last block's two rows
+        # are fewer than a span, and the key (0.3, 40) is given twice
+        keys = [(SIGMA2_M3DB, 84), (SIGMA2_M3DB, 12), (0.3, 40), (0.3, 84), (0.3, 40)]
         (sigma2, n), *more = keys
-        want = info_density_samples(n, sigma2, 300, 5, more=more)
-        monkeypatch.setattr(bounds, "_SPAN", span)
-        got = info_density_samples(n, sigma2, 300, 5, more=more)
+        trials = TRIALS_PER_BLOCK + 2
+        want = info_density_samples(n, sigma2, trials, 5, more=more)
+        monkeypatch.setattr(channel, "_ROW_SPAN", span)
+        got = info_density_samples(n, sigma2, trials, 5, more=more)
         assert [d.tobytes() for d in got] == [d.tobytes() for d in want]
 
 
@@ -864,7 +868,7 @@ class TestMetaConverse:
         # 50 000 trials, five SNRs with 25 payload lengths. Stream 3 is reduced
         # to pivots and freed before stream 2 is held, and a density pass holds
         # one 4096 x 84 noise block and each thread's two span buffers of about
-        # channel._SPAN values, so the peak is one stream's densities, one block
+        # channel._ROW_SPAN values, so the peak is one stream's densities, one block
         # and those buffers; holding both streams would add another
         # 8 * trials * 25 bytes, and a second block-sized array 8 * 4096 * 84.
         # One helper thread, whatever the cores, fixes the buffer count
@@ -884,7 +888,7 @@ class TestMetaConverse:
             channel._POOL.shutdown()
         assert len(errs) == len(keys) == 25
         held = 8 * trials * len(keys)
-        spans = 2 * 2 * 8 * (channel._SPAN + n)  # two threads, two buffers each
+        spans = 2 * 2 * 8 * (channel._ROW_SPAN + n)  # two threads, two buffers each
         assert peak < held + 8 * TRIALS_PER_BLOCK * n + spans + (1 << 19)
 
 

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import math
 import multiprocessing
@@ -5,6 +6,7 @@ import sys
 import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,6 +194,16 @@ class TestSpans:
             for f in busy:
                 f.result(timeout=60)
             pool.shutdown()
+
+
+def test_only_channel_names_on_cores():
+    # a row kernel elsewhere runs through _on_rows or _on_slots, which own the
+    # row span's size and the rows that start inside each span
+    package = Path(channel.__file__).resolve().parent
+    users = {path.stem for path in package.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if "_on_cores" in (getattr(node, attr, None) for attr in ("id", "attr", "name"))}
+    assert users == {"channel"}
 
 
 def _noise_digest():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from conftest import ROW_COUNTS, TILE_EDGE_ROWS, assert_row_values, code_76_12
 
-from jdd import channel, detectors
+from jdd import channel
 from jdd.channel import TRIALS_PER_BLOCK, FramePlan, gaussian_block, snr_to_sigma2
 from jdd.codebook import CORR_TILE_BYTES, Codebook, from_generator, hamming_7_4
 from jdd.detectors import (
@@ -190,7 +190,7 @@ class TestRandomPayloadTables:
     @pytest.mark.parametrize("span", [1, 84, 3 * 60 + 1, 3 * 84 + 1])
     def test_any_span_size(self, span_helpers, monkeypatch, span):
         # spans of one to three rows of 84: rows of 60 and 23 straddle span ends
-        monkeypatch.setattr(detectors, "_SPAN", span)
+        monkeypatch.setattr(channel, "_ROW_SPAN", span)
         self.check(1025, 4)
         # entries of two variances in one pass, each slot length at both
         self.check(1025, 5, [snr_to_sigma2(db) for db in (-3.0, 2.0, 2.0, -3.0, -3.0, 2.0, 2.0)])

@@ -614,9 +614,9 @@ class TestActiveSpans:
     def test_random_payload_holds_one_block(self, monkeypatch):
         # rate-hyped's HyPED pass: 20 splits of n = 60 and 84, 20 000 trials.
         # Each block holds its unit noise, one byte of sign per payload symbol
-        # and each entry's statistics (also the last block's, which the loop
-        # of estimate_rates still binds), and each thread holds its +1 table,
-        # XOR table and picked terms of about channel._SPAN values, and one
+        # and each entry's statistics (the last block's are dropped before the
+        # next block is scored), and each thread holds its scaled values, XOR
+        # table and picked terms of about channel._ROW_SPAN values, and one
         # ln cosh temporary of that size. A second block-sized ln cosh table
         # would add 8 * 4096 * 84 bytes, and int64 signs 7 * 4096 * 84.
         # One helper thread, whatever the cores, fixes the buffer count
@@ -635,8 +635,8 @@ class TestActiveSpans:
         assert len(rates) == len(plans) == 20
         block = 8 * TRIALS_PER_BLOCK * width
         signs = TRIALS_PER_BLOCK * width
-        outputs = 2 * 8 * TRIALS_PER_BLOCK * len(plans)
-        spans = 2 * 4 * 8 * (channel._SPAN + width)  # two threads, four arrays each
+        outputs = 8 * TRIALS_PER_BLOCK * len(plans)
+        spans = 2 * 4 * 8 * (channel._ROW_SPAN + width)  # two threads, four arrays each
         assert peak < block + signs + outputs + spans + (1 << 19)
 
     def test_payload_signs(self):
